@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# Line-coverage report for the serving and net layers.
+# Line-coverage report for the serving, net and partition layers.
 #
 # Builds the tree with -DCAQE_COVERAGE=ON (gcov instrumentation, -O0 so
 # inlining cannot hide lines), runs the full ctest suite, then walks every
-# source file under src/serve and src/net with gcov (or llvm-cov gcov when
-# the compiler is clang) and prints a per-file line-coverage table.
+# source file under src/serve, src/net and src/partition with gcov (or
+# llvm-cov gcov when the compiler is clang) and prints a per-file
+# line-coverage table.
 #
 # Documented floors (enforced, non-zero exit below them):
-#   src/serve/calibration.cc  >= 80%   (self-tuning admission loop)
-#   src/net/protocol.cc       >= 80%   (hostile-input parser)
+#   src/serve/calibration.cc      >= 80%   (self-tuning admission loop)
+#   src/net/protocol.cc           >= 80%   (hostile-input parser)
+#   src/partition/partitioner.cc  >= 80%   (radix runs and grid scatter)
 # The rest of the table is informational — floors are only added for files
-# whose tests explicitly claim coverage (see tests/calibration_test.cc and
-# tests/net_fuzz_test.cc).
+# whose tests explicitly claim coverage (see tests/calibration_test.cc,
+# tests/net_fuzz_test.cc and tests/partition_test.cc).
 #
 #   scripts/run_coverage.sh [EXTRA_CMAKE_FLAGS...]
 set -euo pipefail
@@ -56,11 +58,12 @@ coverage_of() {
 
 status=0
 printf '%-34s %10s %8s\n' "file" "coverage" "floor"
-for src in src/serve/*.cc src/net/*.cc; do
+for src in src/serve/*.cc src/net/*.cc src/partition/*.cc; do
   floor=0
   case "${src}" in
     src/serve/calibration.cc) floor=80 ;;
     src/net/protocol.cc) floor=80 ;;
+    src/partition/partitioner.cc) floor=80 ;;
   esac
   pct=$(coverage_of "${src}")
   floor_text="-"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 namespace caqe {
 
@@ -43,15 +42,31 @@ Result<PartitionedTable> PartitionForRegions(const Table& table,
       table, ChooseSliceVector(table.num_attrs(), target_cells));
 }
 
-int64_t ExactTotalJoinSize(const Table& r, const Table& t, int key) {
-  std::unordered_map<int32_t, int64_t> counts;
-  for (int64_t row = 0; row < t.num_rows(); ++row) ++counts[t.key(row, key)];
-  int64_t total = 0;
-  for (int64_t row = 0; row < r.num_rows(); ++row) {
-    const auto it = counts.find(r.key(row, key));
-    if (it != counts.end()) total += it->second;
+namespace {
+
+// Runs of key column `key` over the whole table (see AppendKeyRuns).
+void TableKeyRuns(const Table& table, int key, std::vector<int32_t>& scratch,
+                  std::vector<int32_t>* values, std::vector<int32_t>* counts) {
+  const int64_t n = table.num_rows();
+  std::vector<int32_t> keys(static_cast<size_t>(n));
+  for (int64_t row = 0; row < n; ++row) {
+    keys[static_cast<size_t>(row)] = table.key(row, key);
   }
-  return total;
+  scratch.resize(static_cast<size_t>(n));
+  AppendKeyRuns(keys.data(), n, scratch.data(), values, counts);
+}
+
+}  // namespace
+
+int64_t ExactTotalJoinSize(const Table& r, const Table& t, int key) {
+  std::vector<int32_t> scratch;
+  std::vector<int32_t> r_keys;
+  std::vector<int32_t> r_counts;
+  TableKeyRuns(r, key, scratch, &r_keys, &r_counts);
+  std::vector<int32_t> t_keys;
+  std::vector<int32_t> t_counts;
+  TableKeyRuns(t, key, scratch, &t_keys, &t_counts);
+  return ExactJoinSize(r_keys, r_counts, t_keys, t_counts);
 }
 
 int AdaptiveTargetRegions(const ExecOptions& options, const Table& r,

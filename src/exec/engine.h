@@ -36,8 +36,9 @@ class Engine {
 int ChooseCellsPerDim(const ExecOptions& options, int num_attrs,
                       int64_t num_rows);
 
-/// Exact equi-join output size of key column `key` between R and T
-/// (hash-count based, O(|R| + |T|)).
+/// Exact equi-join output size of key column `key` between R and T: the
+/// merge (ExactJoinSize) of the two tables' whole-table key runs, each built
+/// by AppendKeyRuns' radix sort — O(|R| + |T|).
 int64_t ExactTotalJoinSize(const Table& r, const Table& t, int key);
 
 /// Partitions a table for region-based execution: honors an explicit

@@ -5,6 +5,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "common/flat_map.h"
 #include "common/thread_pool.h"
 
 namespace caqe {
@@ -25,27 +26,109 @@ bool SignaturesIntersect(const std::vector<int32_t>& a,
   return false;
 }
 
+namespace {
+
+// AppendKeyRuns' radix geometry: three digits of 11, 11 and 10 bits cover a
+// 32-bit key; each digit's histogram stays L1-resident.
+constexpr int kRadixBits = 11;
+constexpr int kRadixPasses = 3;
+constexpr uint32_t kRadixBuckets = uint32_t{1} << kRadixBits;
+// Below this many keys the histograms cost more than a comparison sort.
+constexpr int64_t kRadixMinKeys = 256;
+
+// Order-preserving map of an int32 onto uint32: flipping the sign bit sends
+// INT32_MIN..INT32_MAX to 0..UINT32_MAX.
+inline uint32_t RadixKey(int32_t key) {
+  return static_cast<uint32_t>(key) ^ 0x80000000u;
+}
+
+inline uint32_t RadixDigit(uint32_t key, int pass) {
+  return (key >> (pass * kRadixBits)) & (kRadixBuckets - 1);
+}
+
+}  // namespace
+
+void AppendKeyRuns(int32_t* keys, int64_t n, int32_t* scratch,
+                   std::vector<int32_t>* values,
+                   std::vector<int32_t>* counts) {
+  CAQE_CHECK(n >= 0 && n <= std::numeric_limits<int32_t>::max());
+  if (n < kRadixMinKeys) {
+    std::sort(keys, keys + n);
+  } else {
+    // One read pass fills every digit's histogram.
+    std::vector<uint32_t> hist(kRadixPasses * kRadixBuckets, 0);
+    for (int64_t i = 0; i < n; ++i) {
+      const uint32_t key = RadixKey(keys[i]);
+      for (int pass = 0; pass < kRadixPasses; ++pass) {
+        ++hist[pass * kRadixBuckets + RadixDigit(key, pass)];
+      }
+    }
+    int32_t* src = keys;
+    int32_t* dst = scratch;
+    for (int pass = 0; pass < kRadixPasses; ++pass) {
+      uint32_t* const offset = hist.data() + pass * kRadixBuckets;
+      // A digit every key shares leaves the order as it is.
+      if (offset[RadixDigit(RadixKey(src[0]), pass)] ==
+          static_cast<uint32_t>(n)) {
+        continue;
+      }
+      uint32_t next = 0;
+      for (uint32_t b = 0; b < kRadixBuckets; ++b) {
+        const uint32_t count = offset[b];
+        offset[b] = next;
+        next += count;
+      }
+      for (int64_t i = 0; i < n; ++i) {
+        dst[offset[RadixDigit(RadixKey(src[i]), pass)]++] = src[i];
+      }
+      std::swap(src, dst);
+    }
+    if (src != keys) std::copy(src, src + n, keys);
+  }
+  if (n == 0) return;
+  int64_t runs = 1;
+  for (int64_t i = 1; i < n; ++i) runs += keys[i] != keys[i - 1];
+  values->reserve(values->size() + static_cast<size_t>(runs));
+  counts->reserve(counts->size() + static_cast<size_t>(runs));
+  int64_t start = 0;
+  for (int64_t i = 1; i <= n; ++i) {
+    if (i < n && keys[i] == keys[start]) continue;
+    values->push_back(keys[start]);
+    counts->push_back(static_cast<int32_t>(i - start));
+    start = i;
+  }
+}
+
 int64_t ExactJoinSize(const std::vector<int32_t>& keys_a,
                       const std::vector<int32_t>& counts_a,
                       const std::vector<int32_t>& keys_b,
                       const std::vector<int32_t>& counts_b, int64_t* ops) {
   CAQE_DCHECK(keys_a.size() == counts_a.size());
   CAQE_DCHECK(keys_b.size() == counts_b.size());
+  const int32_t* const a = keys_a.data();
+  const int32_t* const b = keys_b.data();
+  const size_t size_a = keys_a.size();
+  const size_t size_b = keys_b.size();
   int64_t total = 0;
+  size_t matches = 0;
   size_t i = 0;
   size_t j = 0;
-  while (i < keys_a.size() && j < keys_b.size()) {
-    if (ops != nullptr) ++*ops;
-    if (keys_a[i] == keys_b[j]) {
-      total += static_cast<int64_t>(counts_a[i]) * counts_b[j];
-      ++i;
-      ++j;
-    } else if (keys_a[i] < keys_b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
+  // Branchless merge: each step advances the side(s) holding the smaller
+  // key and adds the product only on a match, so the loop carries no
+  // data-dependent branch for the predictor to miss.
+  while (i < size_a && j < size_b) {
+    const int32_t x = a[i];
+    const int32_t y = b[j];
+    const bool match = x == y;
+    total += (static_cast<int64_t>(counts_a[i]) * counts_b[j]) &
+             -static_cast<int64_t>(match);
+    matches += match;
+    i += x <= y;
+    j += y <= x;
   }
+  // One step per compared pair: a match advances both sides, any other
+  // step one side.
+  if (ops != nullptr) *ops += static_cast<int64_t>(i + j - matches);
   return total;
 }
 
@@ -56,6 +139,57 @@ int64_t PartitionedTable::TotalRows() const {
   }
   return total;
 }
+
+namespace {
+
+// The leaf finalizer both partitioners share. With `cell.rows` set, builds
+// every key column's signature from `keys`, the members' key values column
+// by column (keys[j * size + i] is key column j of the i-th member); each
+// column is sorted in place.
+void SetSignatures(int num_keys, int32_t* keys, std::vector<int32_t>& scratch,
+                   LeafCell& cell) {
+  const int64_t size = static_cast<int64_t>(cell.rows.size());
+  if (static_cast<int64_t>(scratch.size()) < size) {
+    scratch.resize(static_cast<size_t>(size));
+  }
+  cell.signatures.resize(num_keys);
+  cell.signature_counts.resize(num_keys);
+  for (int j = 0; j < num_keys; ++j) {
+    AppendKeyRuns(keys + j * size, size, scratch.data(), &cell.signatures[j],
+                  &cell.signature_counts[j]);
+  }
+}
+
+// Finalizes one quad-tree leaf from its ascending member rows: tight bounds
+// plus signatures.
+LeafCell MakeLeaf(const Table& table, std::vector<int64_t> rows) {
+  CAQE_DCHECK(std::is_sorted(rows.begin(), rows.end()));
+  const int d = table.num_attrs();
+  const int num_keys = table.num_keys();
+  LeafCell cell;
+  cell.rows = std::move(rows);
+  cell.lower.assign(d, std::numeric_limits<double>::infinity());
+  cell.upper.assign(d, -std::numeric_limits<double>::infinity());
+  for (int64_t row : cell.rows) {
+    for (int k = 0; k < d; ++k) {
+      const double v = table.attr(row, k);
+      cell.lower[k] = std::min(cell.lower[k], v);
+      cell.upper[k] = std::max(cell.upper[k], v);
+    }
+  }
+  const size_t size = cell.rows.size();
+  std::vector<int32_t> keys(size * static_cast<size_t>(num_keys));
+  for (int j = 0; j < num_keys; ++j) {
+    for (size_t i = 0; i < size; ++i) {
+      keys[j * size + i] = table.key(cell.rows[i], j);
+    }
+  }
+  std::vector<int32_t> scratch;
+  SetSignatures(num_keys, keys.data(), scratch, cell);
+  return cell;
+}
+
+}  // namespace
 
 Result<PartitionedTable> PartitionTableSlices(const Table& table,
                                               const std::vector<int>& slices) {
@@ -71,6 +205,7 @@ Result<PartitionedTable> PartitionTableSlices(const Table& table,
     return Status::InvalidArgument("cannot partition an empty table");
   }
   const int d = table.num_attrs();
+  const int num_keys = table.num_keys();
   const int64_t n = table.num_rows();
 
   // Observed per-attribute ranges define the grid extent.
@@ -84,8 +219,16 @@ Result<PartitionedTable> PartitionTableSlices(const Table& table,
     }
   }
 
-  // Map each row to its flattened grid cell id.
-  std::unordered_map<int64_t, std::vector<int64_t>> buckets;
+  // One sequential pass maps each row's flattened grid id to a dense cell
+  // (numbered by first occurrence) and gathers member counts and tight
+  // bounds. Rows arrive ascending, so the bounds fold over each cell's
+  // members in the same order a per-cell scan would.
+  std::vector<int32_t> cell_of_row(static_cast<size_t>(n));
+  std::vector<int64_t> grid_ids;
+  std::vector<int64_t> sizes;
+  std::vector<double> lower;
+  std::vector<double> upper;
+  FlatMap64<int32_t> dense_of;
   for (int64_t row = 0; row < n; ++row) {
     int64_t id = 0;
     for (int k = 0; k < d; ++k) {
@@ -98,41 +241,68 @@ Result<PartitionedTable> PartitionTableSlices(const Table& table,
       }
       id = id * slices[k] + slot;
     }
-    buckets[id].push_back(row);
+    int32_t cell = 0;
+    if (const int32_t* found = dense_of.find(id)) {
+      cell = *found;
+    } else {
+      cell = static_cast<int32_t>(grid_ids.size());
+      dense_of.insert_or_assign(id, cell);
+      grid_ids.push_back(id);
+      sizes.push_back(0);
+      lower.insert(lower.end(), d, std::numeric_limits<double>::infinity());
+      upper.insert(upper.end(), d, -std::numeric_limits<double>::infinity());
+    }
+    cell_of_row[static_cast<size_t>(row)] = cell;
+    ++sizes[static_cast<size_t>(cell)];
+    double* const cell_lower = lower.data() + static_cast<size_t>(cell) * d;
+    double* const cell_upper = upper.data() + static_cast<size_t>(cell) * d;
+    for (int k = 0; k < d; ++k) {
+      const double v = table.attr(row, k);
+      cell_lower[k] = std::min(cell_lower[k], v);
+      cell_upper[k] = std::max(cell_upper[k], v);
+    }
+  }
+  const size_t num_cells = grid_ids.size();
+
+  // Exact-size scatter: rows land ascending in their cell's row list, keys
+  // in the cell's column-by-column block of one flat buffer.
+  std::vector<LeafCell> cells(num_cells);
+  std::vector<int64_t> key_base(num_cells);
+  std::vector<int64_t> filled(num_cells, 0);
+  int64_t next_key = 0;
+  for (size_t c = 0; c < num_cells; ++c) {
+    LeafCell& cell = cells[c];
+    cell.rows.resize(static_cast<size_t>(sizes[c]));
+    cell.lower.assign(lower.begin() + c * d, lower.begin() + (c + 1) * d);
+    cell.upper.assign(upper.begin() + c * d, upper.begin() + (c + 1) * d);
+    key_base[c] = next_key;
+    next_key += sizes[c] * num_keys;
+  }
+  std::vector<int32_t> keys(static_cast<size_t>(next_key));
+  for (int64_t row = 0; row < n; ++row) {
+    const size_t c = static_cast<size_t>(cell_of_row[static_cast<size_t>(row)]);
+    const int64_t i = filled[c]++;
+    cells[c].rows[static_cast<size_t>(i)] = row;
+    int32_t* const block = keys.data() + key_base[c];
+    for (int j = 0; j < num_keys; ++j) {
+      block[j * sizes[c] + i] = table.key(row, j);
+    }
   }
 
+  // Cells leave in the iteration order of a std::unordered_map that
+  // received the grid ids in first-occurrence order. Cell ids, region ids
+  // and scheduler tie-breaks follow this order, and reports with them
+  // (DESIGN.md, "Coarse set-up cost").
+  std::unordered_map<int64_t, int32_t> emission_order;
+  for (size_t c = 0; c < num_cells; ++c) {
+    emission_order[grid_ids[c]] = static_cast<int32_t>(c);
+  }
   PartitionedTable result(&table, max_slices);
-  const int num_keys = table.num_keys();
-  for (auto& [id, rows] : buckets) {
-    LeafCell cell;
-    cell.rows = std::move(rows);
-    std::sort(cell.rows.begin(), cell.rows.end());
-    cell.lower.assign(d, std::numeric_limits<double>::infinity());
-    cell.upper.assign(d, -std::numeric_limits<double>::infinity());
-    for (int64_t row : cell.rows) {
-      for (int k = 0; k < d; ++k) {
-        const double v = table.attr(row, k);
-        cell.lower[k] = std::min(cell.lower[k], v);
-        cell.upper[k] = std::max(cell.upper[k], v);
-      }
-    }
-    cell.signatures.resize(num_keys);
-    cell.signature_counts.resize(num_keys);
-    for (int j = 0; j < num_keys; ++j) {
-      std::vector<int32_t> all;
-      all.reserve(cell.rows.size());
-      for (int64_t row : cell.rows) all.push_back(table.key(row, j));
-      std::sort(all.begin(), all.end());
-      std::vector<int32_t>& sig = cell.signatures[j];
-      std::vector<int32_t>& counts = cell.signature_counts[j];
-      for (size_t i = 0; i < all.size();) {
-        size_t end = i;
-        while (end < all.size() && all[end] == all[i]) ++end;
-        sig.push_back(all[i]);
-        counts.push_back(static_cast<int32_t>(end - i));
-        i = end;
-      }
-    }
+  std::vector<int32_t> scratch;
+  for (const auto& [id, c] : emission_order) {
+    LeafCell& cell = cells[static_cast<size_t>(c)];
+    SetSignatures(num_keys, keys.data() + key_base[static_cast<size_t>(c)],
+                  scratch, cell);
     result.AddCell(std::move(cell));
   }
   return result;
@@ -146,44 +316,6 @@ Result<PartitionedTable> PartitionTable(const Table& table,
   return PartitionTableSlices(
       table, std::vector<int>(table.num_attrs(), cells_per_dim));
 }
-
-namespace {
-
-// Finalizes one quad-tree leaf: tight bounds + signatures over `rows`.
-LeafCell MakeLeaf(const Table& table, std::vector<int64_t> rows) {
-  const int d = table.num_attrs();
-  const int num_keys = table.num_keys();
-  LeafCell cell;
-  cell.rows = std::move(rows);
-  std::sort(cell.rows.begin(), cell.rows.end());
-  cell.lower.assign(d, std::numeric_limits<double>::infinity());
-  cell.upper.assign(d, -std::numeric_limits<double>::infinity());
-  for (int64_t row : cell.rows) {
-    for (int k = 0; k < d; ++k) {
-      const double v = table.attr(row, k);
-      cell.lower[k] = std::min(cell.lower[k], v);
-      cell.upper[k] = std::max(cell.upper[k], v);
-    }
-  }
-  cell.signatures.resize(num_keys);
-  cell.signature_counts.resize(num_keys);
-  for (int j = 0; j < num_keys; ++j) {
-    std::vector<int32_t> all;
-    all.reserve(cell.rows.size());
-    for (int64_t row : cell.rows) all.push_back(table.key(row, j));
-    std::sort(all.begin(), all.end());
-    for (size_t i = 0; i < all.size();) {
-      size_t end = i;
-      while (end < all.size() && all[end] == all[i]) ++end;
-      cell.signatures[j].push_back(all[i]);
-      cell.signature_counts[j].push_back(static_cast<int32_t>(end - i));
-      i = end;
-    }
-  }
-  return cell;
-}
-
-}  // namespace
 
 namespace {
 

@@ -36,9 +36,19 @@ struct LeafCell {
   std::vector<std::vector<int32_t>> signature_counts;
 };
 
+/// Sorts `keys[0, n)` in place and appends its runs — the ascending
+/// distinct values and the multiplicity of each, i.e. a signature and its
+/// counts — to `values` and `counts`. Linear time: an LSD radix sort over
+/// three 11-bit digits of the sign-flipped key that skips each pass whose
+/// digit is the same for every key (short inputs use std::sort).
+/// `scratch` must hold n entries. Requires n <= INT32_MAX.
+void AppendKeyRuns(int32_t* keys, int64_t n, int32_t* scratch,
+                   std::vector<int32_t>* values, std::vector<int32_t>* counts);
+
 /// Exact number of equi-join result pairs between two cells on one key
 /// column: sum over shared key values of count_a * count_b. If `ops` is
-/// non-null it is incremented by the number of merge steps.
+/// non-null it is incremented by the number of merge steps (one per
+/// compared pair).
 int64_t ExactJoinSize(const std::vector<int32_t>& keys_a,
                       const std::vector<int32_t>& counts_a,
                       const std::vector<int32_t>& keys_b,
@@ -78,7 +88,9 @@ class PartitionedTable {
 /// Partitions `table` into an equi-width grid with `slices[k]` slices along
 /// score attribute k (slices.size() == num_attrs, each >= 1), dropping
 /// empty cells and computing tight bounds and signatures. Attribute slice
-/// boundaries are derived from the observed min/max per attribute.
+/// boundaries are derived from the observed min/max per attribute. Linear
+/// time; the cell order is a fixed function of the table and the slices
+/// (cell ids feed region ids and scheduler tie-breaks; see DESIGN.md).
 ///
 /// Returns InvalidArgument for invalid slice vectors or an empty table.
 Result<PartitionedTable> PartitionTableSlices(const Table& table,

@@ -97,9 +97,12 @@ ArrivalQuantizer::ArrivalQuantizer(double quantum) : quantum_(quantum) {
 int64_t ArrivalQuantizer::Next(double virtual_now) {
   CAQE_DCHECK(virtual_now >= 0.0);
   int64_t index = static_cast<int64_t>(std::ceil(virtual_now / quantum_));
-  // ceil can land one quantum short when virtual_now/quantum_ rounds down
-  // to an exact integer just below the true quotient.
-  while (index * quantum_ < virtual_now) ++index;
+  // Strictly after now: an event stamped at the current clock would fire
+  // live only after the control sweeps of the step that left the clock
+  // there, but in a Submit()+Run() replay before them. The loop also covers
+  // ceil landing one quantum short when virtual_now/quantum_ rounds down to
+  // an exact integer just below the true quotient.
+  while (index * quantum_ <= virtual_now) ++index;
   if (index <= last_) index = last_ + 1;
   last_ = index;
   return index;

@@ -208,8 +208,10 @@ std::string ServingReportText(const ServingReport& report);
 /// Assigns quantized, strictly increasing virtual timestamps to wall-clock
 /// arrivals. A live front-end cannot use wall time for contract scoring
 /// (it would break the determinism contract), so each ingested event is
-/// stamped with the next free multiple of `quantum` at or above the
-/// engine's current virtual time. The quantum index (not the double) is
+/// stamped with the next free multiple of `quantum` strictly above the
+/// engine's current virtual time (an event stamped at the current clock
+/// would fire live after the sweeps of the step that left the clock there,
+/// but before them on replay). The quantum index (not the double) is
 /// what session recorders persist: `index * quantum` is re-computed
 /// bit-identically on replay, which is what makes a recorded wall-clock
 /// session byte-diffable against its virtual-clock replay.
@@ -217,7 +219,7 @@ class ArrivalQuantizer {
  public:
   explicit ArrivalQuantizer(double quantum = kDefaultQuantum);
 
-  /// Smallest unused quantum index whose time is >= `virtual_now`.
+  /// Smallest unused quantum index whose time is > `virtual_now`.
   /// Strictly increasing across calls.
   int64_t Next(double virtual_now);
 

@@ -2,10 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <set>
+#include <string>
+#include <unordered_map>
 
 #include "common/thread_pool.h"
 #include "data/generator.h"
+#include "exec/engine.h"
 #include "partition/partitioner.h"
 
 namespace caqe {
@@ -276,6 +284,10 @@ TEST(QuadTreeTest, PoolBuildMatchesSerialBuild) {
           EXPECT_EQ(a.cell(c).rows, b.cell(c).rows) << "cell " << c;
           EXPECT_EQ(a.cell(c).lower, b.cell(c).lower) << "cell " << c;
           EXPECT_EQ(a.cell(c).upper, b.cell(c).upper) << "cell " << c;
+          EXPECT_EQ(a.cell(c).signatures, b.cell(c).signatures)
+              << "cell " << c;
+          EXPECT_EQ(a.cell(c).signature_counts, b.cell(c).signature_counts)
+              << "cell " << c;
         }
       };
       expect_identical(pooled, serial);
@@ -290,6 +302,381 @@ TEST(QuadTreeTest, IdenticalPointsTerminate) {
   const PartitionedTable p = PartitionTableQuadTree(t, 10).value();
   ASSERT_EQ(p.num_cells(), 1);
   EXPECT_EQ(p.cell(0).rows.size(), 100u);
+}
+
+// ---- Differential tests: the linear-time builders against the map-based
+// grid builder and sort-based leaf finalizer they replaced, kept here as
+// oracles. Cells must match field for field and in order: cell ids feed
+// region ids and scheduler tie-breaks, so a reordering changes reports. ----
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Oracle leaf finalizer: sorts the rows, folds tight bounds over them, and
+// builds each signature with std::sort plus a run-length scan.
+LeafCell OracleLeaf(const Table& table, std::vector<int64_t> rows) {
+  const int d = table.num_attrs();
+  LeafCell cell;
+  cell.rows = std::move(rows);
+  std::sort(cell.rows.begin(), cell.rows.end());
+  cell.lower.assign(d, kInf);
+  cell.upper.assign(d, -kInf);
+  for (int64_t row : cell.rows) {
+    for (int k = 0; k < d; ++k) {
+      const double v = table.attr(row, k);
+      cell.lower[k] = std::min(cell.lower[k], v);
+      cell.upper[k] = std::max(cell.upper[k], v);
+    }
+  }
+  cell.signatures.resize(table.num_keys());
+  cell.signature_counts.resize(table.num_keys());
+  for (int j = 0; j < table.num_keys(); ++j) {
+    std::vector<int32_t> all;
+    for (int64_t row : cell.rows) all.push_back(table.key(row, j));
+    std::sort(all.begin(), all.end());
+    for (size_t i = 0; i < all.size();) {
+      size_t end = i;
+      while (end < all.size() && all[end] == all[i]) ++end;
+      cell.signatures[j].push_back(all[i]);
+      cell.signature_counts[j].push_back(static_cast<int32_t>(end - i));
+      i = end;
+    }
+  }
+  return cell;
+}
+
+// Oracle grid builder: buckets every row through a std::unordered_map keyed
+// by its flattened grid id and emits cells in the map's iteration order.
+std::vector<LeafCell> OracleGrid(const Table& table,
+                                 const std::vector<int>& slices) {
+  const int d = table.num_attrs();
+  std::vector<double> lo(d, kInf);
+  std::vector<double> hi(d, -kInf);
+  for (int64_t row = 0; row < table.num_rows(); ++row) {
+    for (int k = 0; k < d; ++k) {
+      lo[k] = std::min(lo[k], table.attr(row, k));
+      hi[k] = std::max(hi[k], table.attr(row, k));
+    }
+  }
+  std::unordered_map<int64_t, std::vector<int64_t>> buckets;
+  for (int64_t row = 0; row < table.num_rows(); ++row) {
+    int64_t id = 0;
+    for (int k = 0; k < d; ++k) {
+      const double span = hi[k] - lo[k];
+      int slot = 0;
+      if (span > 0.0 && slices[k] > 1) {
+        slot = static_cast<int>((table.attr(row, k) - lo[k]) / span *
+                                slices[k]);
+        slot = std::min(slot, slices[k] - 1);
+      }
+      id = id * slices[k] + slot;
+    }
+    buckets[id].push_back(row);
+  }
+  std::vector<LeafCell> cells;
+  for (auto& [id, rows] : buckets) {
+    cells.push_back(OracleLeaf(table, std::move(rows)));
+  }
+  return cells;
+}
+
+// Bit patterns, so -0.0 and 0.0 bounds count as different.
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  if (!values.empty()) {
+    std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  }
+  return bits;
+}
+
+void ExpectSameCell(const LeafCell& expected, const LeafCell& actual,
+                    const std::string& label) {
+  EXPECT_EQ(actual.rows, expected.rows) << label;
+  EXPECT_EQ(Bits(actual.lower), Bits(expected.lower)) << label;
+  EXPECT_EQ(Bits(actual.upper), Bits(expected.upper)) << label;
+  EXPECT_EQ(actual.signatures, expected.signatures) << label;
+  EXPECT_EQ(actual.signature_counts, expected.signature_counts) << label;
+}
+
+void ExpectSameCells(const std::vector<LeafCell>& expected,
+                     const PartitionedTable& actual,
+                     const std::string& label) {
+  ASSERT_EQ(static_cast<size_t>(actual.num_cells()), expected.size())
+      << label;
+  for (size_t c = 0; c < expected.size(); ++c) {
+    ExpectSameCell(expected[c], actual.cell(static_cast<int>(c)),
+                   label + " cell " + std::to_string(c));
+  }
+}
+
+// Mostly values from a small pool holding negatives and both int32
+// extremes (duplicate-heavy); one draw in four is any int32.
+int32_t ExtremeKey(std::mt19937_64& rng) {
+  static constexpr int32_t kPool[] = {
+      std::numeric_limits<int32_t>::min(),
+      std::numeric_limits<int32_t>::min() + 1,
+      -1000000, -7, -1, 0, 1, 7, 1000000,
+      std::numeric_limits<int32_t>::max() - 1,
+      std::numeric_limits<int32_t>::max()};
+  const uint64_t draw = rng();
+  if (draw % 4 == 0) {
+    return static_cast<int32_t>(static_cast<uint32_t>(draw >> 32));
+  }
+  return kPool[(draw >> 8) % std::size(kPool)];
+}
+
+// Generator attributes with two key columns: the generator's own keys
+// (selectivity 0.05, duplicate-heavy) and ExtremeKey draws. Attribute
+// `flat_attr` (when >= 0) is constant, so its span is zero.
+Table DifferentialTable(int dims, Distribution dist, int64_t rows,
+                        uint64_t seed, int flat_attr = -1) {
+  GeneratorConfig cfg;
+  cfg.num_rows = rows;
+  cfg.num_attrs = dims;
+  cfg.distribution = dist;
+  cfg.join_selectivities = {0.05};
+  cfg.seed = seed;
+  const Table base = GenerateTable("T", cfg).value();
+  std::mt19937_64 rng(seed);
+  Table table("T", dims, 2);
+  std::vector<double> attrs(dims);
+  for (int64_t row = 0; row < rows; ++row) {
+    for (int k = 0; k < dims; ++k) {
+      attrs[k] = k == flat_attr ? 5.0 : base.attr(row, k);
+    }
+    table.AppendRow(attrs, {base.key(row, 0), ExtremeKey(rng)});
+  }
+  return table;
+}
+
+// Slice vectors the differential sweeps: ChooseSliceVector at a few cell
+// targets plus uniform grids.
+std::vector<std::vector<int>> SweepSlices(int dims) {
+  std::vector<std::vector<int>> out;
+  for (int64_t target : {1, 3, 23, 100}) {
+    out.push_back(ChooseSliceVector(dims, target));
+  }
+  for (int cpd : {1, 2, 3, 7}) out.push_back(std::vector<int>(dims, cpd));
+  return out;
+}
+
+std::string SlicesLabel(const std::vector<int>& slices) {
+  std::string label = "slices";
+  for (int s : slices) label += " " + std::to_string(s);
+  return label;
+}
+
+TEST(PartitionDifferentialTest, GridMatchesMapBasedBuilder) {
+  uint64_t seed = 100;
+  for (int dims = 1; dims <= 6; ++dims) {
+    for (Distribution dist :
+         {Distribution::kIndependent, Distribution::kCorrelated,
+          Distribution::kAntiCorrelated}) {
+      const Table t = DifferentialTable(dims, dist, 1500, ++seed);
+      for (const std::vector<int>& slices : SweepSlices(dims)) {
+        const std::string label = "dims " + std::to_string(dims) + " dist " +
+                                  std::to_string(static_cast<int>(dist)) +
+                                  " " + SlicesLabel(slices);
+        ExpectSameCells(OracleGrid(t, slices),
+                        PartitionTableSlices(t, slices).value(), label);
+      }
+    }
+  }
+}
+
+TEST(PartitionDifferentialTest, GridMatchesOnZeroSpanAndOneRow) {
+  for (int dims = 1; dims <= 4; ++dims) {
+    const Table flat =
+        DifferentialTable(dims, Distribution::kAntiCorrelated, 900,
+                          200 + dims, /*flat_attr=*/dims - 1);
+    const Table one_row =
+        DifferentialTable(dims, Distribution::kIndependent, 1, 300 + dims);
+    for (const std::vector<int>& slices : SweepSlices(dims)) {
+      ExpectSameCells(OracleGrid(flat, slices),
+                      PartitionTableSlices(flat, slices).value(),
+                      "zero span " + SlicesLabel(slices));
+      ExpectSameCells(OracleGrid(one_row, slices),
+                      PartitionTableSlices(one_row, slices).value(),
+                      "one row " + SlicesLabel(slices));
+    }
+  }
+}
+
+// The quad-tree's splits are the oracle's by construction; every leaf must
+// come out of the shared finalizer exactly as the sort-based one builds it.
+TEST(PartitionDifferentialTest, QuadTreeLeavesMatchSortBasedFinalizer) {
+  uint64_t seed = 400;
+  for (int dims = 1; dims <= 6; ++dims) {
+    for (Distribution dist :
+         {Distribution::kIndependent, Distribution::kCorrelated,
+          Distribution::kAntiCorrelated}) {
+      const Table t = DifferentialTable(dims, dist, 1500, ++seed);
+      for (int64_t target : {1, 3, 23, 100}) {
+        const PartitionedTable p =
+            PartitionTableQuadTreeTarget(t, target).value();
+        EXPECT_EQ(p.TotalRows(), t.num_rows());
+        for (int c = 0; c < p.num_cells(); ++c) {
+          ExpectSameCell(OracleLeaf(t, p.cell(c).rows), p.cell(c),
+                         "dims " + std::to_string(dims) + " target " +
+                             std::to_string(target) + " cell " +
+                             std::to_string(c));
+        }
+      }
+    }
+  }
+}
+
+TEST(SignatureTest, AppendKeyRunsMatchesSortAndCount) {
+  std::mt19937_64 rng(7);
+  for (int64_t n : {0, 1, 2, 255, 256, 257, 1000, 5000}) {
+    for (int domain : {0, 3, 1 << 20}) {
+      std::vector<int32_t> keys(static_cast<size_t>(n));
+      for (int32_t& key : keys) {
+        key = domain == 0 ? ExtremeKey(rng)
+                          : static_cast<int32_t>(rng() % domain) - domain / 2;
+      }
+      std::vector<int32_t> sorted = keys;
+      std::sort(sorted.begin(), sorted.end());
+      // Runs append after whatever the outputs already hold.
+      std::vector<int32_t> values = {42};
+      std::vector<int32_t> counts = {9};
+      std::vector<int32_t> expected_values = values;
+      std::vector<int32_t> expected_counts = counts;
+      for (size_t i = 0; i < sorted.size();) {
+        size_t end = i;
+        while (end < sorted.size() && sorted[end] == sorted[i]) ++end;
+        expected_values.push_back(sorted[i]);
+        expected_counts.push_back(static_cast<int32_t>(end - i));
+        i = end;
+      }
+      std::vector<int32_t> scratch(keys.size());
+      AppendKeyRuns(keys.data(), n, scratch.data(), &values, &counts);
+      EXPECT_EQ(keys, sorted) << "n " << n << " domain " << domain;
+      EXPECT_EQ(values, expected_values) << "n " << n << " domain " << domain;
+      EXPECT_EQ(counts, expected_counts) << "n " << n << " domain " << domain;
+    }
+  }
+}
+
+// The merge loop ExactJoinSize ran before it went branchless: one op per
+// iteration.
+int64_t OracleExactJoinSize(const std::vector<int32_t>& keys_a,
+                            const std::vector<int32_t>& counts_a,
+                            const std::vector<int32_t>& keys_b,
+                            const std::vector<int32_t>& counts_b,
+                            int64_t* ops) {
+  int64_t total = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < keys_a.size() && j < keys_b.size()) {
+    ++*ops;
+    if (keys_a[i] == keys_b[j]) {
+      total += static_cast<int64_t>(counts_a[i]) * counts_b[j];
+      ++i;
+      ++j;
+    } else if (keys_a[i] < keys_b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return total;
+}
+
+struct KeyRuns {
+  std::vector<int32_t> keys;
+  std::vector<int32_t> counts;
+};
+
+// `size` distinct sorted keys drawn by `draw`, each with a count in
+// [1, max_count].
+template <typename Draw>
+KeyRuns RandomRuns(std::mt19937_64& rng, int size, int32_t max_count,
+                   Draw draw) {
+  std::set<int32_t> distinct;
+  for (int i = 0; i < 4 * size && static_cast<int>(distinct.size()) < size;
+       ++i) {
+    distinct.insert(draw());
+  }
+  KeyRuns runs;
+  runs.keys.assign(distinct.begin(), distinct.end());
+  for (size_t i = 0; i < runs.keys.size(); ++i) {
+    runs.counts.push_back(1 + static_cast<int32_t>(rng() % max_count));
+  }
+  return runs;
+}
+
+TEST(SignatureTest, ExactJoinSizeMatchesMergeLoopOnRandomInputs) {
+  std::mt19937_64 rng(11);
+  const auto check = [](const KeyRuns& a, const KeyRuns& b,
+                        const std::string& label) {
+    int64_t ops = 5;
+    int64_t oracle_ops = 5;
+    EXPECT_EQ(ExactJoinSize(a.keys, a.counts, b.keys, b.counts, &ops),
+              OracleExactJoinSize(a.keys, a.counts, b.keys, b.counts,
+                                  &oracle_ops))
+        << label;
+    EXPECT_EQ(ops, oracle_ops) << label;
+    EXPECT_EQ(ExactJoinSize(a.keys, a.counts, b.keys, b.counts),
+              ExactJoinSize(b.keys, b.counts, a.keys, a.counts))
+        << label;
+  };
+  for (int round = 0; round < 200; ++round) {
+    const int size_a = static_cast<int>(rng() % 300);
+    const int size_b = static_cast<int>(rng() % 300);
+    const auto any = [&rng] { return ExtremeKey(rng); };
+    const auto even = [&rng] {
+      return static_cast<int32_t>(2 * (rng() % 100000)) - 100000;
+    };
+    const auto odd = [&rng] {
+      return static_cast<int32_t>(2 * (rng() % 100000)) - 99999;
+    };
+    const auto narrow = [&rng] {
+      return static_cast<int32_t>(rng() % 11) - 5;
+    };
+    const std::string label = "round " + std::to_string(round);
+    // Empty against anything.
+    const KeyRuns general = RandomRuns(rng, size_a, 1000, any);
+    check(KeyRuns{}, general, label + " empty");
+    check(general, KeyRuns{}, label + " empty");
+    // Disjoint: no shared key, every step a mismatch.
+    check(RandomRuns(rng, size_a, 1000, even),
+          RandomRuns(rng, size_b, 1000, odd), label + " disjoint");
+    // Nested: b is a subset of a with its own counts.
+    KeyRuns nested;
+    for (size_t i = 0; i < general.keys.size(); ++i) {
+      if (rng() % 3 != 0) continue;
+      nested.keys.push_back(general.keys[i]);
+      nested.counts.push_back(1 + static_cast<int32_t>(rng() % 50));
+    }
+    check(general, nested, label + " nested");
+    // Duplicate-heavy: a tiny domain with huge counts (products past int32).
+    check(RandomRuns(rng, size_a, 1 << 20, narrow),
+          RandomRuns(rng, size_b, 1 << 20, narrow), label + " duplicates");
+    // General overlap including both int32 extremes.
+    check(general, RandomRuns(rng, size_b, 1000, any), label + " general");
+  }
+}
+
+TEST(SignatureTest, ExactTotalJoinSizeMatchesNestedLoopOnExtremeKeys) {
+  std::mt19937_64 rng(13);
+  for (const auto& [rows_r, rows_t] :
+       std::vector<std::pair<int, int>>{{1, 1}, {3, 40}, {300, 1}, {700, 500},
+                                        {1200, 900}}) {
+    Table r("R", 1, 1);
+    Table t("T", 1, 1);
+    for (int i = 0; i < rows_r; ++i) r.AppendRow({1.0}, {ExtremeKey(rng)});
+    for (int i = 0; i < rows_t; ++i) t.AppendRow({1.0}, {ExtremeKey(rng)});
+    int64_t brute = 0;
+    for (int64_t i = 0; i < r.num_rows(); ++i) {
+      for (int64_t j = 0; j < t.num_rows(); ++j) {
+        if (r.key(i, 0) == t.key(j, 0)) ++brute;
+      }
+    }
+    EXPECT_EQ(ExactTotalJoinSize(r, t, 0), brute)
+        << rows_r << " x " << rows_t;
+    EXPECT_EQ(ExactTotalJoinSize(t, r, 0), brute)
+        << rows_t << " x " << rows_r;
+  }
 }
 
 }  // namespace

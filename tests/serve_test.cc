@@ -3,6 +3,7 @@
 // determinism and cancellation-equivalence guarantees.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -237,6 +238,67 @@ TEST(CaqeServerTest, ExpiresMidRunWithoutDisturbingSurvivors) {
   // is retired at the first boundary past its deadline.
   EXPECT_GE(report.requests[1].finish_time, 1e-4);
   EXPECT_LE(last_doomed_vtime, report.requests[1].finish_time);
+}
+
+// Live-vs-replay regression: an expiry retires the last running request in
+// a control-only step (no region runs, so the clock stays put), and the
+// next arrival is quantized against that clock. Live, the arrival can only
+// fire after that step's sweeps; the Submit()+Run() replay must see it the
+// same way, which holds only when the quantizer stamps strictly after now.
+// Every cost is a multiple of a power-of-two quantum, so each virtual time
+// is an exact quantum multiple and a stamp "at now" is representable.
+TEST(CaqeServerTest, ArrivalAfterControlOnlyStepReplaysIdentically) {
+  const double quantum = std::ldexp(1.0, -20);
+  ServeOptions options = SmallServeOptions();
+  options.admit_all = true;
+  options.cost.join_probe_seconds = 2 * quantum;
+  options.cost.join_result_seconds = 4 * quantum;
+  options.cost.dominance_cmp_seconds = quantum;
+  options.cost.emit_seconds = quantum;
+  options.cost.schedule_seconds = 64 * quantum;
+  options.cost.coarse_op_seconds = quantum;
+  const Contract contract = MakeLogDecayContract(0.001);
+  struct Recorded {
+    SjQuery query;
+    double vtime = 0.0;
+    double deadline = 0.0;
+  };
+  std::vector<Recorded> recorded;
+  std::string live_text;
+  {
+    auto [r, t] = MakeServeTables(1, 300);
+    auto server = CaqeServer::Create(std::move(r), std::move(t), ThreeDims(),
+                                     {0}, options)
+                      .value();
+    ASSERT_TRUE(server->BeginLive().ok());
+    ArrivalQuantizer quantizer(quantum);
+    const auto submit = [&](const SjQuery& query, double deadline) {
+      const double vtime =
+          quantizer.TimeOf(quantizer.Next(server->VirtualNow()));
+      EXPECT_GT(vtime, server->VirtualNow());
+      ASSERT_TRUE(
+          server->SubmitLive(query, contract, vtime, deadline).ok());
+      recorded.push_back(Recorded{query, vtime, deadline});
+    };
+    submit(SjQuery{"doomed", 0, {0, 1, 2}, 1.0, {}}, 128 * quantum);
+    int steps = 0;
+    while (server->request_status(0) != RequestStatus::kExpired) {
+      ASSERT_TRUE(server->StepLive());
+      ASSERT_LT(++steps, 100000) << "the deadline never expired";
+    }
+    submit(SjQuery{"late", 0, {0, 1}, 1.0, {}}, 0.0);
+    live_text = ServingReportText(server->FinishLive().value());
+  }
+  auto [r, t] = MakeServeTables(1, 300);
+  auto server = CaqeServer::Create(std::move(r), std::move(t), ThreeDims(),
+                                   {0}, options)
+                    .value();
+  for (const Recorded& rec : recorded) {
+    server->Submit(rec.query, contract, rec.vtime, rec.deadline);
+  }
+  const ServingReport replay = server->Run().value();
+  EXPECT_EQ(replay.expired, 1);
+  EXPECT_EQ(live_text, ServingReportText(replay));
 }
 
 // The cancellation-equivalence guarantee: a query grafted and cancelled
