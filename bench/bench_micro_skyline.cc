@@ -9,7 +9,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_util.h"
@@ -203,18 +202,17 @@ BENCHMARK(BM_BuchtaEstimate);
 
 /// Throughput of one kernel variant in comparisons/second: repeated sweeps
 /// of every probe over the whole window until enough wall time accumulates.
-/// `isa == nullptr` measures the dispatcher's pick; otherwise the named
-/// backend (which the caller has verified is available).
-double MeasureKernelCps(const char* isa,
+/// `scalar` measures the forced-scalar kernel; otherwise the dispatcher's
+/// pick.
+double MeasureKernelCps(bool scalar,
                         const std::vector<std::vector<double>>& probes,
                         const SubspaceView& view,
                         std::vector<uint8_t>& flags) {
   const int64_t n = view.size();
   const auto run_sweep = [&] {
     for (const std::vector<double>& probe : probes) {
-      if (isa != nullptr) {
-        BatchDominanceFlagsForIsa(isa, probe.data(), view, 0, n,
-                                  flags.data());
+      if (scalar) {
+        BatchDominanceFlagsScalar(probe.data(), view, 0, n, flags.data());
       } else {
         BatchDominanceFlags(probe.data(), view, 0, n, flags.data());
       }
@@ -246,22 +244,12 @@ int RunSimdReport(const std::string& out_path) {
   constexpr int64_t kWindow = 4096;
   constexpr int kProbes = 64;
 
-  const std::vector<const char*> isas = BatchKernelAvailableIsas();
-  std::string isa_list;
-  for (size_t i = 0; i < isas.size(); ++i) {
-    isa_list += isas[i];
-    if (i + 1 < isas.size()) isa_list += ",";
-  }
-  std::printf(
-      "batch dominance kernel: isa=%s available=[%s] window=%lld "
-      "probes=%d\n\n",
-      BatchKernelIsaName(), isa_list.c_str(), static_cast<long long>(kWindow),
-      kProbes);
-  std::printf("%6s %8s %18s %18s %8s\n", "dims", "isa", "scalar_cmps/s",
-              "isa_cmps/s", "speedup");
+  std::printf("batch dominance kernel: isa=%s window=%lld probes=%d\n\n",
+              BatchKernelIsaName(), static_cast<long long>(kWindow), kProbes);
+  std::printf("%6s %18s %18s %8s\n", "dims", "scalar_cmps/s", "simd_cmps/s",
+              "speedup");
 
   std::string sweep_json;
-  std::string isa_sweep_json;
   const std::vector<int> dim_counts = {2, 4, 6, 8};
   for (size_t di = 0; di < dim_counts.size(); ++di) {
     const int d = dim_counts[di];
@@ -278,34 +266,18 @@ int RunSimdReport(const std::string& out_path) {
     }
     std::vector<uint8_t> flags(static_cast<size_t>(kWindow));
     const double scalar_cps =
-        MeasureKernelCps("scalar", probes, view, flags);
+        MeasureKernelCps(/*scalar=*/true, probes, view, flags);
     const double simd_cps =
-        MeasureKernelCps(/*isa=*/nullptr, probes, view, flags);
+        MeasureKernelCps(/*scalar=*/false, probes, view, flags);
     const double speedup = scalar_cps > 0.0 ? simd_cps / scalar_cps : 0.0;
-    // One row per available backend at this dimensionality, so the report
-    // shows avx512 vs avx2 vs scalar side by side on the same data.
-    for (const char* isa : isas) {
-      const double isa_cps =
-          std::strcmp(isa, "scalar") == 0
-              ? scalar_cps
-              : MeasureKernelCps(isa, probes, view, flags);
-      const double isa_speedup =
-          scalar_cps > 0.0 ? isa_cps / scalar_cps : 0.0;
-      std::printf("%6d %8s %18.3e %18.3e %7.2fx\n", d, isa, scalar_cps,
-                  isa_cps, isa_speedup);
-      if (!isa_sweep_json.empty()) isa_sweep_json += ",\n";
-      isa_sweep_json += "    {\"dims\": " + std::to_string(d) +
-                        ", \"isa\": \"" + isa + "\", " +
-                        JsonNum("cmps_per_sec", isa_cps) + ", " +
-                        JsonNum("speedup", isa_speedup) + "}";
-    }
+    std::printf("%6d %18.3e %18.3e %7.2fx\n", d, scalar_cps, simd_cps,
+                speedup);
     sweep_json += "    {\"dims\": " + std::to_string(d) + ", " +
                   JsonNum("scalar_cmps_per_sec", scalar_cps) + ", " +
                   JsonNum("simd_cmps_per_sec", simd_cps) + ", " +
                   JsonNum("speedup", speedup) + "}";
     sweep_json += (di + 1 < dim_counts.size()) ? ",\n" : "\n";
   }
-  isa_sweep_json += "\n";
 
   // One small Figure-9-style engine run for the per-phase wall breakdown of
   // the phases the batch kernels feed (evaluation and discard scans).
@@ -337,18 +309,11 @@ int RunSimdReport(const std::string& out_path) {
   std::string json = "{\n";
   json += "  \"benchmark\": \"simd_kernel\",\n";
   json += "  \"isa\": \"" + std::string(BatchKernelIsaName()) + "\",\n";
-  json += "  \"isas\": [";
-  for (size_t i = 0; i < isas.size(); ++i) {
-    json += std::string("\"") + isas[i] + "\"";
-    if (i + 1 < isas.size()) json += ", ";
-  }
-  json += "],\n";
   json += std::string("  \"simd_active\": ") +
           (BatchKernelSimdActive() ? "true" : "false") + ",\n";
   json += "  \"window\": " + std::to_string(kWindow) + ",\n";
   json += "  \"probes\": " + std::to_string(kProbes) + ",\n";
   json += "  \"kernel_sweep\": [\n" + sweep_json + "  ],\n";
-  json += "  \"isa_sweep\": [\n" + isa_sweep_json + "  ],\n";
   json += "  \"engine\": {\"rows\": " + std::to_string(config.rows) +
           ", \"queries\": " + std::to_string(config.num_queries) + ", " +
           JsonNum("workload_pscore", report.workload_pscore) + ", " +

@@ -7,11 +7,12 @@
 // counts — the run aborts if any pScore diverges from the serial reference,
 // so a scaling regression can never silently trade correctness for speed.
 //
-// A second sweep covers inter-region pipelining: pipeline {off,on} x the
-// same thread counts, gated on a full report hash (ReportHash — every
-// counter, virtual time, and per-query trace; wall times excluded) equal to
-// the serial non-pipelined reference, and written to a separate JSON
-// summary (default BENCH_pipeline.json).
+// A second sweep covers the parallel emission flush (--pipeline, i.e.
+// ExecOptions::pipeline_regions): pipeline {off,on} x the same thread
+// counts, gated on a full report hash (ReportHash — every counter, virtual
+// time, and per-query trace; wall times excluded) equal to the serial
+// flush-off reference, and written to a separate JSON summary (default
+// BENCH_pipeline.json).
 //
 // Flags: --rows=N --sel=SIGMA --dist=correlated|independent|anticorrelated
 //        --queries=K --seed=S --repeats=R --out=PATH --pipeline-out=PATH
@@ -171,8 +172,8 @@ int Main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
 
-  // ---- Inter-region pipelining sweep: pipeline {off,on} x threads. ----
-  // Each cell's full report hash must equal the serial non-pipelined
+  // ---- Parallel emission-flush sweep: pipeline {off,on} x threads. ----
+  // Each cell's full report hash must equal the serial flush-off
   // reference — a stronger gate than the pScore check above (it covers
   // every counter and the complete per-query utility traces).
   const std::string pipeline_out =
@@ -209,8 +210,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Per thread count, pipelining's speedup is measured against the
-  // non-pipelined run at the same thread count.
+  // Per thread count, the parallel flush's speedup is measured against the
+  // serial-flush run at the same thread count.
   auto wall_of = [&](int threads, bool pipeline) {
     for (const PipelinePoint& p : pipeline_points) {
       if (p.threads == threads && p.pipeline == pipeline) {
@@ -233,7 +234,7 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(reference_hash));
   if (cpus < 2) {
     std::printf(
-        "*** WARNING: cpus_available=%u — pipeline overlap has no second "
+        "*** WARNING: cpus_available=%u — the parallel flush has no second "
         "CPU to run on; speedup_vs_off ~1.0x is expected. ***\n\n",
         cpus);
   }

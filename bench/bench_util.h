@@ -79,9 +79,9 @@ inline int ThreadsFromArgs(const Args& args) {
   return static_cast<int>(args.GetInt("threads", 1));
 }
 
-/// Reads the shared --pipeline flag (inter-region pipelining; overlaps the
-/// predicted next region's join with the current region's tail phases).
-/// Like --threads it never changes a report — only wall time.
+/// Reads the shared --pipeline flag (flush the sharded emission park set in
+/// parallel; see ExecOptions::pipeline_regions). Like --threads it never
+/// changes a report — only wall time.
 inline bool PipelineFromArgs(const Args& args) {
   return args.GetInt("pipeline", 0) != 0;
 }

@@ -1,19 +1,25 @@
 #!/usr/bin/env bash
-# Line-coverage report for the serving, net and partition layers.
+# Line-coverage report for the serving, net, partition, execution and
+# skyline layers.
 #
 # Builds the tree with -DCAQE_COVERAGE=ON (gcov instrumentation, -O0 so
 # inlining cannot hide lines), runs the full ctest suite, then walks every
-# source file under src/serve, src/net and src/partition with gcov (or
-# llvm-cov gcov when the compiler is clang) and prints a per-file
-# line-coverage table.
+# source file under src/serve, src/net, src/partition, src/exec and
+# src/skyline with gcov (or llvm-cov gcov when the compiler is clang) and
+# prints a per-file line-coverage table.
 #
 # Documented floors (enforced, non-zero exit below them):
-#   src/serve/calibration.cc      >= 80%   (self-tuning admission loop)
-#   src/net/protocol.cc           >= 80%   (hostile-input parser)
-#   src/partition/partitioner.cc  >= 80%   (radix runs and grid scatter)
+#   src/serve/calibration.cc        >= 80%   (self-tuning admission loop)
+#   src/net/protocol.cc             >= 80%   (hostile-input parser)
+#   src/partition/partitioner.cc    >= 80%   (radix runs and grid scatter)
+#   src/exec/region_pipeline.cc     >= 80%   (per-region join/eval/discard/
+#                                             emission loop)
+#   src/exec/join_kernel.cc         >= 80%   (cached cell-pair join)
+#   src/skyline/dominance_batch.cc  >= 80%   (dispatched vector kernels)
 # The rest of the table is informational — floors are only added for files
 # whose tests explicitly claim coverage (see tests/calibration_test.cc,
-# tests/net_fuzz_test.cc and tests/partition_test.cc).
+# tests/net_fuzz_test.cc, tests/partition_test.cc, tests/oracle_test.cc,
+# tests/flat_index_test.cc and tests/dominance_batch_test.cc).
 #
 #   scripts/run_coverage.sh [EXTRA_CMAKE_FLAGS...]
 set -euo pipefail
@@ -58,12 +64,16 @@ coverage_of() {
 
 status=0
 printf '%-34s %10s %8s\n' "file" "coverage" "floor"
-for src in src/serve/*.cc src/net/*.cc src/partition/*.cc; do
+for src in src/serve/*.cc src/net/*.cc src/partition/*.cc src/exec/*.cc \
+    src/skyline/*.cc; do
   floor=0
   case "${src}" in
     src/serve/calibration.cc) floor=80 ;;
     src/net/protocol.cc) floor=80 ;;
     src/partition/partitioner.cc) floor=80 ;;
+    src/exec/region_pipeline.cc) floor=80 ;;
+    src/exec/join_kernel.cc) floor=80 ;;
+    src/skyline/dominance_batch.cc) floor=80 ;;
   esac
   pct=$(coverage_of "${src}")
   floor_text="-"

@@ -5,10 +5,10 @@
 # (CAQE_SIMD=OFF/ON) x tracing (detached / --trace-out + --metrics-out);
 # its stdout tables must be byte-identical down every column, and the
 # traced cells must actually produce a non-empty Chrome trace and a
-# Prometheus snapshot. Two extra cells per build run at 8 threads with
-# inter-region pipelining off and on, and two more with the tree-indexed
-# coarse phase (--coarse_index=1) at 1 and 8 threads — neither the
-# pipeline nor the coarse index may move a byte, traced or not.
+# Prometheus snapshot. Two extra cells per build run at 8 threads with the
+# parallel emission flush (--pipeline) off and on, and two more with the
+# tree-indexed coarse phase (--coarse_index=1) at 1 and 8 threads —
+# neither the flush nor the coarse index may move a byte, traced or not.
 #
 # A second matrix drives caqe_serve (batch mode) with --ledger_out across
 # threads {1,8} x pipeline {0,1} per build: the contract audit ledger,
@@ -53,7 +53,7 @@ for simd in OFF ON; do
       > "${out}"
     REPORTS["${simd}_${tracing}"]="${out}"
   done
-  # Pipeline cells: 8 threads, speculation off/on, untraced.
+  # Pipeline cells: 8 threads, parallel emission flush off/on, untraced.
   for pipeline in 0 1; do
     out="${build_dir}/fig9_obs_pipe${pipeline}.txt"
     "./${build_dir}/bench/bench_fig9" "${FIG9_ARGS[@]}" \

@@ -2,7 +2,7 @@
 # Proves the serving layer's determinism contract: one fixed arrival trace
 # replayed through caqe_serve must produce a byte-identical serving report
 # across the full matrix of SIMD builds (CAQE_SIMD=OFF/ON), worker thread
-# counts (1 and 8), and inter-region pipelining (--pipeline=0/1), plus
+# counts (1 and 8), and the parallel emission flush (--pipeline=0/1), plus
 # tree-indexed coarse-phase cells (--coarse_index=1 at both worker counts)
 # and one cell per build with the observability layer attached
 # (--trace_out/--metrics_out) — tracing is read-only with respect to the

@@ -2,11 +2,11 @@
 # Builds and tests the suite with the SIMD batch dominance kernels OFF and
 # ON, then proves the determinism contract: the Figure 9 report must be
 # byte-identical between the forced-scalar and SIMD builds at 1 and 8
-# threads, with inter-region pipelining off and on, and with the
-# tree-indexed coarse phase off and on (the batch kernels charge the exact
-# dominance_cmps counts of the serial scalar loops, the pipeline commits
-# its speculative work serially, and the coarse index charges the serial
-# scan's exact coarse_ops, so no report quantity may move).
+# threads, with the parallel emission flush (--pipeline) off and on, and
+# with the tree-indexed coarse phase off and on (the batch kernels charge
+# the exact dominance_cmps counts of the serial scalar loops, the flush
+# merges its shards in the serial emit order, and the coarse index charges
+# the serial scan's exact coarse_ops, so no report quantity may move).
 #
 #   scripts/run_simd_matrix.sh [EXTRA_CMAKE_FLAGS...]
 #
@@ -47,7 +47,7 @@ for simd in OFF ON; do
 done
 
 # Per thread count, every (SIMD, pipeline, coarse_index) cell must match
-# the scalar non-pipelined scan-phase report.
+# the scalar serial-flush scan-phase report.
 status=0
 for threads in 1 8; do
   tools/report_diff.sh "fig9 report (threads=${threads})" \

@@ -140,8 +140,8 @@ void CellJoinKernel::CountBuild() {
   if (builds_counter_ != nullptr) builds_counter_->Inc();
 }
 
-CellJoinKernel::CacheEntry& CellJoinKernel::EntryFor(int cell_t,
-                                                     int key_column) {
+const CellJoinKernel::CacheEntry& CellJoinKernel::IndexFor(
+    int cell_t, int key_column, EngineStats& stats) {
   const int64_t cache_key = CacheKey(cell_t, key_column);
   auto it = index_cache_.find(cache_key);
   if (it == index_cache_.end()) {
@@ -159,39 +159,12 @@ CellJoinKernel::CacheEntry& CellJoinKernel::EntryFor(int cell_t,
     ++built_entries_;
   }
   entry.last_used = ++use_serial_;
-  return entry;
-}
-
-const CellJoinKernel::CacheEntry& CellJoinKernel::IndexFor(
-    int cell_t, int key_column, EngineStats& stats) {
-  CacheEntry& entry = EntryFor(cell_t, key_column);
   if (!entry.charged) {
     entry.charged = true;
     stats.join_probes +=
         static_cast<int64_t>(part_t_->cell(cell_t).rows.size());
   }
   return entry;
-}
-
-const CellJoinKernel::CacheEntry& CellJoinKernel::IndexForSpeculation(
-    int cell_t, int key_column, std::vector<int64_t>& uncharged) {
-  CacheEntry& entry = EntryFor(cell_t, key_column);
-  // Leave `charged` untouched: the cost is claimed only if the caller
-  // validates the speculation and calls CommitSpeculation.
-  if (!entry.charged) uncharged.push_back(CacheKey(cell_t, key_column));
-  return entry;
-}
-
-void CellJoinKernel::CommitSpeculation(
-    const std::vector<int64_t>& uncharged_keys, EngineStats& stats) {
-  for (const int64_t cache_key : uncharged_keys) {
-    CacheEntry& entry = index_cache_.at(cache_key);
-    if (entry.charged) continue;
-    entry.charged = true;
-    const int cell_t = static_cast<int>(cache_key >> 32);
-    stats.join_probes +=
-        static_cast<int64_t>(part_t_->cell(cell_t).rows.size());
-  }
 }
 
 void CellJoinKernel::EvictOverflow(uint64_t floor) {
@@ -278,44 +251,14 @@ void CellJoinKernel::Join(const RegionCollection& rc,
           s, &IndexFor(region.cell_t, rc.predicate_slots[s], stats)};
     }
   }
-  int64_t probes = 0;
-  int64_t results = 0;
-  ProbeRows(rc, region, slot_indexes.data(), num_slots, out, probes, results,
-            pool);
-  stats.join_probes += probes;
-  stats.join_results += results;
-  EvictOverflow(floor);
-}
-
-void CellJoinKernel::JoinForSpeculation(const RegionCollection& rc,
-                                        const OutputRegion& region,
-                                        uint32_t slots_mask,
-                                        SpeculativeJoin& out) {
-  out.Clear();
-  if (slots_mask == 0) return;
-  const uint64_t floor = use_serial_ + 1;
-  std::array<std::pair<int, const CacheEntry*>, 32> slot_indexes;
-  int num_slots = 0;
-  for (int s = 0; s < static_cast<int>(rc.predicate_slots.size()); ++s) {
-    if ((slots_mask >> s) & 1) {
-      slot_indexes[num_slots++] = {
-          s, &IndexForSpeculation(region.cell_t, rc.predicate_slots[s],
-                                  out.uncharged_keys)};
-    }
-  }
-  // Serial probing (single chunk): the match order is the canonical one
-  // every chunked merge reproduces, so a consumed speculation is
-  // indistinguishable from a fresh Join.
-  ProbeRows(rc, region, slot_indexes.data(), num_slots, out.matches,
-            out.probes, out.results, /*pool=*/nullptr);
+  ProbeRows(rc, region, slot_indexes.data(), num_slots, out, stats, pool);
   EvictOverflow(floor);
 }
 
 void CellJoinKernel::ProbeRows(
     const RegionCollection& rc, const OutputRegion& region,
     const std::pair<int, const CacheEntry*>* slot_indexes, int num_indexes,
-    std::vector<JoinMatch>& out, int64_t& probes, int64_t& results,
-    ThreadPool* pool) const {
+    std::vector<JoinMatch>& out, EngineStats& stats, ThreadPool* pool) const {
   const LeafCell& cell_r = part_r_->cell(region.cell_r);
   const Table& r = part_r_->table();
   const bool single_slot = num_indexes == 1;
@@ -390,8 +333,8 @@ void CellJoinKernel::ProbeRows(
   for (int c = 0; c < chunks; ++c) {
     ProbeShard& shard = probe_shards_[c];
     out.insert(out.end(), shard.out.begin(), shard.out.end());
-    probes += shard.probes;
-    results += shard.results;
+    stats.join_probes += shard.probes;
+    stats.join_results += shard.results;
   }
 }
 

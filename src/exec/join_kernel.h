@@ -107,27 +107,6 @@ class FlatKeyIndex {
   int64_t num_ids_ = 0;
 };
 
-/// Output of JoinForSpeculation: the match sequence plus the probe/result
-/// counts and the consumed-but-uncharged index cache keys. Nothing is
-/// charged to EngineStats until the caller validates the speculation and
-/// commits serially (CommitSpeculation + adding probes/results), so a
-/// mispredicted region costs nothing observable.
-struct SpeculativeJoin {
-  std::vector<JoinMatch> matches;
-  int64_t probes = 0;
-  int64_t results = 0;
-  /// CacheKey values of indexes this join consumed whose build cost had not
-  /// been charged yet at speculation time.
-  std::vector<int64_t> uncharged_keys;
-
-  void Clear() {
-    matches.clear();
-    probes = 0;
-    results = 0;
-    uncharged_keys.clear();
-  }
-};
-
 /// Evaluates the equi-join between the cells of one output region over a
 /// subset of predicate slots. Hash indexes over T-cells are built lazily
 /// and cached across regions (each T-cell/key pair is indexed once per
@@ -172,9 +151,9 @@ class CellJoinKernel {
   /// region of `rc` can still need. Purely a wall-clock pipeline: probe
   /// counters are charged when a region first *consumes* an index, so
   /// EngineStats totals are identical with and without prefetching (an
-  /// index built speculatively for a region that is later discarded is
-  /// never charged — exactly as if it had never been built). No-op without
-  /// a pool.
+  /// index prefetched for a region that is later discarded is never
+  /// charged — exactly as if it had never been built). No-op without a
+  /// pool.
   void PrefetchIndexes(const RegionCollection& rc, ThreadPool* pool);
 
   /// Appends matches for `region` over the slots in `slots_mask` to `out`.
@@ -185,24 +164,6 @@ class CellJoinKernel {
   void Join(const RegionCollection& rc, const OutputRegion& region,
             uint32_t slots_mask, std::vector<JoinMatch>& out,
             EngineStats& stats, ThreadPool* pool = nullptr);
-
-  /// Speculative variant of Join for the inter-region pipeline: produces
-  /// the identical match sequence (serial probe order) but mutates no
-  /// EngineStats and no first-use `charged` flags — counts and consumed
-  /// uncharged cache keys are recorded in `out` instead. Safe to run on a
-  /// worker thread while the owner is *not* calling Join/IndexFor (the
-  /// pipeline serializes all index-cache access on the speculation future).
-  void JoinForSpeculation(const RegionCollection& rc,
-                          const OutputRegion& region, uint32_t slots_mask,
-                          SpeculativeJoin& out);
-
-  /// Serially commits the index build costs a validated speculation
-  /// consumed: charges each still-uncharged key's cell rows to
-  /// `stats.join_probes`, exactly what first-use charging in IndexFor would
-  /// have done. Idempotent per key; a dropped speculation simply never
-  /// commits and the next real consumer charges instead.
-  void CommitSpeculation(const std::vector<int64_t>& uncharged_keys,
-                         EngineStats& stats);
 
   /// Collision-free cache key for a (T-cell, key-column) pair: cell in the
   /// high 32 bits, column in the low 32. Exposed for the regression test —
@@ -238,12 +199,9 @@ class CellJoinKernel {
   void BuildInto(int cell_t, int key_column, CacheEntry& entry);
   /// Bumps the build counters (control thread only).
   void CountBuild();
-  CacheEntry& EntryFor(int cell_t, int key_column);
+  /// Waits for a prefetch or builds lazily, stamps the LRU serial, and
+  /// charges the build cost to `stats` at first consumption.
   const CacheEntry& IndexFor(int cell_t, int key_column, EngineStats& stats);
-  /// IndexFor without side effects on stats/charged: records the key in
-  /// `uncharged` when its build cost is still unclaimed.
-  const CacheEntry& IndexForSpeculation(int cell_t, int key_column,
-                                        std::vector<int64_t>& uncharged);
   /// Releases least-recently-used built entries beyond the capacity.
   /// Entries used by the current join (last_used >= floor) and entries
   /// with an in-flight prefetch are never touched. Deterministic: eviction
@@ -251,11 +209,12 @@ class CellJoinKernel {
   void EvictOverflow(uint64_t floor);
   /// `indexes` points at `num_indexes` (slot, entry) pairs — a fixed
   /// caller-side array, since slots are bounded by the 32-bit mask and a
-  /// per-join heap vector here would be steady-state churn.
+  /// per-join heap vector here would be steady-state churn. Probe/result
+  /// counts accumulate into `stats`.
   void ProbeRows(const RegionCollection& rc, const OutputRegion& region,
                  const std::pair<int, const CacheEntry*>* indexes,
                  int num_indexes, std::vector<JoinMatch>& out,
-                 int64_t& probes, int64_t& results, ThreadPool* pool) const;
+                 EngineStats& stats, ThreadPool* pool) const;
 
   const PartitionedTable* part_r_;
   const PartitionedTable* part_t_;
@@ -318,8 +277,8 @@ class CellJoinKernel {
     void Grow();
   };
 
-  /// Reusable probe scratch (ProbeRows is serialized per kernel: Join on
-  /// the control thread, JoinForSpeculation rendezvoused on its future).
+  /// Reusable probe scratch, one shard per chunk (ProbeRows is called only
+  /// from Join on the control thread, so calls never overlap).
   struct ProbeShard {
     std::vector<JoinMatch> out;
     int64_t probes = 0;

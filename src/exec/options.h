@@ -91,14 +91,12 @@ struct ExecOptions {
   bool capture_results = false;
   /// Apply Eq. 11 satisfaction feedback (CAQE default; ablation knob).
   bool feedback_enabled = true;
-  /// Overlap the region pipeline across scheduler picks: while region k
-  /// runs its discard scan and emission flush, the join + projection of the
-  /// *predicted* next region execute speculatively on the worker pool, and
-  /// the sharded emission park set is flushed in parallel. Speculation is
-  /// validated against the actual pick (Algorithm 1's order is never
-  /// altered) and all counters are committed serially, so reports, events
-  /// and obs spans are byte-identical with the flag on or off at any
-  /// num_threads. Requires num_threads > 1 to have any effect. Default off.
+  /// Flush the sharded emission park set in parallel at each region's
+  /// emission barrier: per query, resolve the region's parked bucket and
+  /// register its accepted tuples on the worker pool. Emission then merges
+  /// the shard outputs in the serial emit order, so reports, events and obs
+  /// spans are byte-identical with the flag on or off at any num_threads.
+  /// Requires num_threads > 1 to have any effect. Default off.
   bool pipeline_regions = false;
   /// Drive the coarse phase from bulk-loaded packed box trees instead of
   /// flat scans: region discovery classifies each query's selection ranges

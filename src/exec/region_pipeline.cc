@@ -109,16 +109,6 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
   discard_hits_.resize(rc_->regions.size(), 0);
 }
 
-RegionPipeline::~RegionPipeline() {
-  if (spec_.done.valid()) spec_.done.wait();
-}
-
-void RegionPipeline::CancelSpeculation() {
-  if (spec_.rid < 0) return;
-  spec_.done.get();
-  spec_.rid = -1;
-}
-
 uint32_t RegionPipeline::ComputeSlotsMask(const OutputRegion& region) const {
   uint32_t mask = 0;
   for (int s = 0; s < static_cast<int>(rc_->predicate_slots.size()); ++s) {
@@ -128,55 +118,6 @@ uint32_t RegionPipeline::ComputeSlotsMask(const OutputRegion& region) const {
     }
   }
   return mask;
-}
-
-void RegionPipeline::MaybeLaunchSpeculation(int current_rid) {
-  if (!options_.pipeline_regions || pool_ == nullptr) return;
-  CAQE_DCHECK(spec_.rid < 0);
-  int next = -1;
-  if (scheduler_ != nullptr) {
-    // The runner-up of the PickNext scan that chose the current region,
-    // recorded during the already-charged scan — prediction costs no ops.
-    next = scheduler_->runner_up();
-  } else {
-    // Static-scan fallback. The pending set only ever shrinks, so the next
-    // pick is the smallest id still pending past the current one — unless
-    // this region's discard scan resolves it, which validation catches.
-    const int64_t num_regions = static_cast<int64_t>(rc_->regions.size());
-    for (int64_t i = current_rid + 1; i < num_regions; ++i) {
-      if ((*pending_)[i]) {
-        next = static_cast<int>(i);
-        break;
-      }
-    }
-  }
-  if (next < 0 || next == current_rid ||
-      next >= static_cast<int>(rc_->regions.size()) || !(*pending_)[next]) {
-    return;
-  }
-  const uint32_t mask = ComputeSlotsMask(rc_->regions[next]);
-  if (mask == 0) return;
-  spec_.rid = next;
-  spec_.slots_mask = mask;
-  const int width = store_.width();
-  // The task reads only state frozen until the next rendezvous: region
-  // cells/join sizes, the base tables, the index cache (all later accesses
-  // are serialized on `done`), and the pure projection. It deliberately
-  // never reads region lineages, the pending flags, or the tuple store,
-  // which this region's remaining phases mutate concurrently.
-  spec_.done = pool_->Submit([this, next, mask, width] {
-    kernel_.JoinForSpeculation(*rc_, rc_->regions[next], mask, spec_.join);
-    const int64_t n = static_cast<int64_t>(spec_.join.matches.size());
-    spec_.projected.resize(static_cast<size_t>(n) * width);
-    std::vector<double>& values = spec_.project_values;
-    for (int64_t i = 0; i < n; ++i) {
-      const JoinMatch& match = spec_.join.matches[i];
-      workload_->Project(part_r_->table(), match.row_r, part_t_->table(),
-                         match.row_t, values);
-      std::copy(values.begin(), values.end(),
-                spec_.projected.data() + i * width);
-    }
-  });
 }
 
 void RegionPipeline::Record(ExecEvent::Kind kind, int region, int query,
@@ -311,44 +252,17 @@ void RegionPipeline::ProcessRegion(int rid) {
   // ---- Tuple-level join over the slots still serving queries. ----
   const uint32_t slots_mask = ComputeSlotsMask(region);
   matches_.clear();
-  bool use_speculation = false;
-  if (spec_.rid >= 0) {
-    // Rendezvous with the in-flight speculation: every index-cache access
-    // is serialized on this future, and `get` propagates any build error
-    // exactly where the serial join would have thrown it.
-    spec_.done.get();
-    use_speculation = spec_.rid == rid && spec_.slots_mask == slots_mask;
-    spec_.rid = -1;
-    if (use_speculation) {
-      matches_.swap(spec_.join.matches);
-      consumed_projected_.swap(spec_.projected);
-    }
-    // On a misprediction (or a mask gone stale under a prune/graft) the
-    // buffers are simply dropped: nothing was charged, so the fresh join
-    // below is the serial execution verbatim.
-  }
   {
     TraceSpan span(spans, "join", "pipeline", &stats.wall_join_seconds);
     span.set_region(rid);
     span.set_parent(trace_ctx_.parent_span, trace_ctx_.root_span);
     const int64_t probes_before = stats.join_probes;
     const int64_t results_before = stats.join_results;
-    if (use_speculation) {
-      // Identical match sequence, computed early; commit its deferred
-      // charges serially — byte-identical to having joined right here.
-      kernel_.CommitSpeculation(spec_.join.uncharged_keys, stats);
-      stats.join_probes += spec_.join.probes;
-      stats.join_results += spec_.join.results;
-    } else {
-      kernel_.Join(*rc_, region, slots_mask, matches_, stats, pool_);
-    }
+    kernel_.Join(*rc_, region, slots_mask, matches_, stats, pool_);
     clock_->ChargeJoinProbes(stats.join_probes - probes_before);
     clock_->ChargeJoinResults(stats.join_results - results_before);
     span.set_arg("join_results", stats.join_results - results_before);
   }
-  // Launch the predicted next region's join + projection now so it overlaps
-  // this region's eval, discard, and emission phases.
-  MaybeLaunchSpeculation(rid);
   take_phase(alloc_phase_join_counter_);
 
   // ---- Project and evaluate over the shared cuboid plans. ----
@@ -366,32 +280,22 @@ void RegionPipeline::ProcessRegion(int rid) {
     // rows are disjoint, so chunks project concurrently.
     store_.Reserve(store_.size() + num_matches);
     store_.AppendUninitialized(num_matches);
-    if (use_speculation) {
-      // The speculation already projected every match (same pure function,
-      // same order); rows are contiguous, so one copy materializes them.
-      if (num_matches > 0) {
-        std::copy(consumed_projected_.data(),
-                  consumed_projected_.data() + num_matches * store_.width(),
-                  store_.mutable_row(base_id));
-      }
-    } else {
-      const int project_chunks = NumChunks(pool_, num_matches,
-                                           /*min_chunk=*/512);
-      if (project_scratch_.size() < static_cast<size_t>(project_chunks)) {
-        project_scratch_.resize(project_chunks);
-      }
-      RunChunks(pool_, project_chunks, [&](int c) {
-        const auto [begin, end] = ChunkRange(num_matches, project_chunks, c);
-        std::vector<double>& values = project_scratch_[c];
-        for (int64_t i = begin; i < end; ++i) {
-          const JoinMatch& match = matches_[i];
-          workload.Project(part_r_->table(), match.row_r, part_t_->table(),
-                           match.row_t, values);
-          std::copy(values.begin(), values.end(),
-                    store_.mutable_row(base_id + i));
-        }
-      });
+    const int project_chunks = NumChunks(pool_, num_matches,
+                                         /*min_chunk=*/512);
+    if (project_scratch_.size() < static_cast<size_t>(project_chunks)) {
+      project_scratch_.resize(project_chunks);
     }
+    RunChunks(pool_, project_chunks, [&](int c) {
+      const auto [begin, end] = ChunkRange(num_matches, project_chunks, c);
+      std::vector<double>& values = project_scratch_[c];
+      for (int64_t i = begin; i < end; ++i) {
+        const JoinMatch& match = matches_[i];
+        workload.Project(part_r_->table(), match.row_r, part_t_->table(),
+                         match.row_t, values);
+        std::copy(values.begin(), values.end(),
+                  store_.mutable_row(base_id + i));
+      }
+    });
 
     // Plan groups own disjoint evaluators and disjoint query sets, so
     // they consume the match stream concurrently. Each group sees the
@@ -577,7 +481,7 @@ void RegionPipeline::ProcessRegion(int rid) {
     const int64_t emission_ops_before = emission_.coarse_ops();
     // Flush barrier over the sharded park set: per query, resolve this
     // region's parked bucket and register the newly accepted tuples —
-    // shard-parallel when pipelining is on, identical state either way.
+    // shard-parallel under pipeline_regions, identical state either way.
     // Emission then merges the shard outputs in the exact serial emit
     // order: each query's immediately-safe acceptances in query order,
     // then the discard-phase resolutions, then this region's bucket
@@ -642,9 +546,6 @@ void RegionPipeline::ProcessRegion(int rid) {
 }
 
 Status RegionPipeline::FinalDrain() {
-  // A speculation launched while processing the last region (predicting a
-  // region that got resolved meanwhile) is still in flight; drop it.
-  CancelSpeculation();
   // With every region resolved, nothing can remain parked.
   std::vector<std::pair<int, int64_t>> leftovers;
   emission_.DrainAll(leftovers);

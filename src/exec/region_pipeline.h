@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -89,11 +88,9 @@ struct PipelineOptions {
       on_emit;
   /// Optional tracing/metrics/health bundle (see ExecOptions::obs).
   Observability* obs = nullptr;
-  /// Inter-region pipelining (see ExecOptions::pipeline_regions): overlap
-  /// the predicted next region's join + projection with this region's
-  /// discard scan and emission flush, and flush the sharded park set in
-  /// parallel. Requires a pool to have any effect; byte-identical reports
-  /// either way.
+  /// Flush the sharded emission park set in parallel (see
+  /// ExecOptions::pipeline_regions). Requires a pool to have any effect;
+  /// byte-identical reports either way.
   bool pipeline_regions = false;
   /// Cache-conscious steady-state layout (see ExecOptions::compact_layout):
   /// flat CSR join indexes, SoA column-block discard gathers, store-backed
@@ -120,10 +117,6 @@ class RegionPipeline {
                  VirtualClock* clock, EngineStats* stats,
                  std::vector<QueryReport>* reports, ThreadPool* pool,
                  PipelineOptions options);
-
-  /// Waits for any in-flight speculative join (the task writes into
-  /// pipeline-owned buffers, which must outlive it).
-  ~RegionPipeline();
 
   /// Maps workload query index -> tracker/report index. Identity for the
   /// shared engines and the server; a singleton for per-query baselines.
@@ -169,13 +162,6 @@ class RegionPipeline {
   /// was resolved) and emits leftovers defensively.
   Status FinalDrain();
 
-  /// Waits for and drops any in-flight speculative join without committing
-  /// anything — its charges stay unclaimed, exactly as if it never ran.
-  /// The serving layer calls this before grafting or retiring a query
-  /// (stage-boundary mutations of the region/workload state the speculation
-  /// reads); also safe to call at any stage boundary.
-  void CancelSpeculation();
-
   EmissionManager& emission() { return emission_; }
   CellJoinKernel& kernel() { return kernel_; }
   const PointSet& store() const { return store_; }
@@ -189,11 +175,6 @@ class RegionPipeline {
   /// Bit s set when slot s has join results and still serves a lineage
   /// query of `region` — the slots the tuple-level join must cover.
   uint32_t ComputeSlotsMask(const OutputRegion& region) const;
-  /// Launches the speculative join + projection of the predicted next
-  /// region (scheduler runner-up, or the next pending id under static
-  /// scan) on the pool. No-op unless pipelining is enabled with a pool and
-  /// a plausible prediction exists.
-  void MaybeLaunchSpeculation(int current_rid);
 
   const PartitionedTable* part_r_;
   const PartitionedTable* part_t_;
@@ -272,31 +253,6 @@ class RegionPipeline {
   /// built lazily at the first discard scan of a region, sliced per query
   /// into accepted_view_ via AssignFromColumns.
   ColumnBlock column_block_;
-
-  /// One in-flight speculation at a time: the stage-graph edge that lets
-  /// region k+1's join/projection overlap region k's eval/discard/emission.
-  /// The worker task owns `join`/`projected` until `done` is ready; the
-  /// control thread validates (rid + slots mask) before consuming and
-  /// commits all charges serially, so a misprediction is free and a hit is
-  /// byte-identical to the fresh computation.
-  struct Speculation {
-    /// Predicted region id; -1 when idle.
-    int rid = -1;
-    /// Slots mask snapshotted at launch; consumption requires it to still
-    /// match (lineage prunes or grafts in between invalidate it).
-    uint32_t slots_mask = 0;
-    SpeculativeJoin join;
-    /// Row-major projected output values (matches x store width).
-    std::vector<double> projected;
-    /// Per-row projection scratch of the worker task (owned by the task
-    /// until `done` is ready; reused across launches).
-    std::vector<double> project_values;
-    std::future<void> done;
-  };
-  Speculation spec_;
-  /// Projected buffer of the speculation consumed by the current
-  /// ProcessRegion (swapped out before the next launch reuses spec_).
-  std::vector<double> consumed_projected_;
 };
 
 }  // namespace caqe

@@ -27,7 +27,7 @@ struct CoreOptions {
   /// the virtual clock charge the same totals (see DESIGN.md, "Concurrency
   /// model").
   int num_threads = 1;
-  /// Inter-region pipelining (see ExecOptions::pipeline_regions). Needs
+  /// Parallel emission flush (see ExecOptions::pipeline_regions). Needs
   /// num_threads > 1 to have any effect; reports stay bit-identical.
   bool pipeline_regions = false;
   /// Tree-indexed coarse phase (see ExecOptions::coarse_index): drive the

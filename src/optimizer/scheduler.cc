@@ -156,24 +156,16 @@ int ContractDrivenScheduler::PickNext(double now, int64_t* coarse_ops) {
   const std::vector<int> roots = dg_.Roots();
   int best = -1;
   double best_score = -1.0;
-  int second = -1;
-  double second_score = -1.0;
   for (int region : roots) {
     if (!pending_[region]) continue;
     if (rc_->regions[region].rql.empty()) continue;
     const double score = Csm(region, now);
     ++scan_ops_;
     if (score > best_score) {
-      second = best;
-      second_score = best_score;
       best_score = score;
       best = region;
-    } else if (score > second_score) {
-      second_score = score;
-      second = region;
     }
   }
-  runner_up_ = second;
   if (best == -1) {
     // Every root has an empty lineage (engine has not removed them yet);
     // fall back to any pending region so the loop always progresses.

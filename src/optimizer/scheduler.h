@@ -76,13 +76,6 @@ class ContractDrivenScheduler {
   /// OnRegionRemoved for the returned region.
   int PickNext(double now, int64_t* coarse_ops = nullptr);
 
-  /// The second-best region of the most recent PickNext scan (-1 when the
-  /// scan had no runner-up). Recorded from scores the scan already charged
-  /// for, so reading it never perturbs coarse_ops or the dom-frac cache —
-  /// the region pipeline uses it to predict the next pick for speculative
-  /// execution, re-scoring only at stage boundaries (the real PickNext).
-  int runner_up() const { return runner_up_; }
-
   /// Marks a region processed or discarded: removes it from the dependency
   /// graph and from the benefit-model caches. In dynamic mode the region
   /// stays re-activatable (graft-extended lineage may revive it).
@@ -160,7 +153,6 @@ class ContractDrivenScheduler {
   /// attribution split for metrics: the deterministic coarse-op total the
   /// engine charges is always scan_ops_.
   mutable int64_t domfrac_ops_ = 0;
-  int runner_up_ = -1;
   // Metrics resolved once at construction when options_.obs is attached.
   Counter* picks_counter_ = nullptr;
   Counter* scan_ops_counter_ = nullptr;

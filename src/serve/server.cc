@@ -198,12 +198,49 @@ int CaqeServer::Submit(SjQuery query, Contract contract, double arrival_time,
                        double deadline_seconds, ResultCallback callback) {
   CAQE_CHECK(!ran_);
   CAQE_CHECK(contract != nullptr);
+  CAQE_CHECK(ValidateQuery(query).ok());
+  return Enqueue(std::move(query), std::move(contract),
+                 std::max(0.0, arrival_time), deadline_seconds,
+                 std::move(callback));
+}
+
+Status CaqeServer::ValidateQuery(const SjQuery& query) const {
+  if (query.preference.empty()) {
+    return Status::InvalidArgument("empty preference");
+  }
+  std::vector<int> sorted = query.preference;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (sorted[i] < 0 || sorted[i] >= workload_.num_output_dims()) {
+      return Status::InvalidArgument("preference dimension out of range: " +
+                                     std::to_string(sorted[i]));
+    }
+    if (i > 0 && sorted[i] == sorted[i - 1]) {
+      return Status::InvalidArgument("duplicate preference dimension: " +
+                                     std::to_string(sorted[i]));
+    }
+  }
+  // Admission's coarse selection test indexes the leaf cells' bounds by
+  // attribute, so an attribute past its table's width is rejected here.
+  for (const SelectionRange& sel : query.selections) {
+    const Table& side = sel.on_r ? r_ : t_;
+    if (sel.attr < 0 || sel.attr >= side.num_attrs()) {
+      return Status::InvalidArgument(
+          std::string("selection attribute out of range: ") +
+          (sel.on_r ? "r:" : "t:") + std::to_string(sel.attr));
+    }
+  }
+  return Status::OK();
+}
+
+int CaqeServer::Enqueue(SjQuery query, Contract contract, double arrival_time,
+                        double deadline_seconds, ResultCallback callback) {
   RequestState request;
   request.id = static_cast<int>(requests_.size());
   request.query = std::move(query);
   request.contract = std::move(contract);
   request.callback = std::move(callback);
-  request.submit_time = std::max(0.0, arrival_time);
+  request.submit_time = arrival_time;
   request.deadline_seconds = deadline_seconds;
   events_.push_back(TraceEvent{request.submit_time,
                                static_cast<int>(events_.size()),
@@ -387,10 +424,6 @@ Status CaqeServer::Graft(RequestState& request) {
                                              : request.root_span,
                   request.root_span);
   request.graft_span = span.id();
-  // Stage boundary: a graft mutates lineages, pending flags, and the
-  // workload, so drop any speculative join still in flight (its deferred
-  // charges were never committed — the pipeline re-joins fresh).
-  pipeline_->CancelSpeculation();
   int pslot = -1;
   for (int s = 0; s < static_cast<int>(rc_.predicate_slots.size()); ++s) {
     if (rc_.predicate_slots[s] == request.query.join_key) {
@@ -499,9 +532,6 @@ void CaqeServer::Retire(RequestState& request, RequestStatus final_status) {
   span.set_parent(request.graft_span != 0 ? request.graft_span
                                           : request.root_span,
                   request.root_span);
-  // Stage boundary: retirement prunes lineages and pending flags; see
-  // Graft for why in-flight speculation is dropped first.
-  pipeline_->CancelSpeculation();
   const int slot = request.slot;
   CAQE_CHECK(slot >= 0);
   const double now = clock_.Now();
@@ -929,39 +959,15 @@ Result<int> CaqeServer::SubmitLive(SjQuery query, Contract contract,
   // Wire input is validated, never CHECKed: a malformed query must produce
   // an error reply, not abort the server (Workload::SetQuery aborts on
   // out-of-range preferences).
-  if (query.preference.empty()) {
-    return Status::InvalidArgument("empty preference");
-  }
-  std::vector<int> sorted = query.preference;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] < 0 || sorted[i] >= workload_.num_output_dims()) {
-      return Status::InvalidArgument("preference dimension out of range: " +
-                                     std::to_string(sorted[i]));
-    }
-    if (i > 0 && sorted[i] == sorted[i - 1]) {
-      return Status::InvalidArgument("duplicate preference dimension: " +
-                                     std::to_string(sorted[i]));
-    }
-  }
+  CAQE_RETURN_NOT_OK(ValidateQuery(query));
   if (arrival_vtime < clock_.Now() ||
       (!events_.empty() && arrival_vtime < events_.back().time)) {
     return Status::InvalidArgument(
         "live arrival time must be monotone (quantize with "
         "ArrivalQuantizer)");
   }
-  RequestState request;
-  request.id = static_cast<int>(requests_.size());
-  request.query = std::move(query);
-  request.contract = std::move(contract);
-  request.callback = std::move(callback);
-  request.submit_time = arrival_vtime;
-  request.deadline_seconds = deadline_seconds;
-  events_.push_back(TraceEvent{request.submit_time,
-                               static_cast<int>(events_.size()),
-                               TraceEvent::Kind::kArrival, request.id});
-  requests_.push_back(std::move(request));
-  return requests_.back().id;
+  return Enqueue(std::move(query), std::move(contract), arrival_vtime,
+                 deadline_seconds, std::move(callback));
 }
 
 Status CaqeServer::CancelLive(int request_id, double cancel_vtime) {

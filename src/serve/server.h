@@ -91,7 +91,9 @@ class CaqeServer {
   /// Enqueues a query arrival at virtual time `arrival_time` (>= 0).
   /// `deadline_seconds` (> 0) retires the query unconditionally that many
   /// seconds after arrival. Returns the request id. Must be called before
-  /// Run().
+  /// Run(). CHECK-fails on a query SubmitLive would reject as malformed
+  /// (see ValidateQuery); an unknown join key is still admitted to the
+  /// trace and rejected at admission ("no-predicate").
   int Submit(SjQuery query, Contract contract, double arrival_time,
              double deadline_seconds = 0.0, ResultCallback callback = nullptr);
 
@@ -123,7 +125,7 @@ class CaqeServer {
   /// Ingests an arrival at quantized virtual time `arrival_vtime`, which
   /// must be >= the current virtual time and >= every previously ingested
   /// event time (ArrivalQuantizer guarantees both). Validates the query
-  /// shape (non-empty, in-range, duplicate-free preference) instead of
+  /// shape (see ValidateQuery) and returns InvalidArgument instead of
   /// CHECK-failing — hostile wire input must never abort the server.
   Result<int> SubmitLive(SjQuery query, Contract contract,
                          double arrival_vtime, double deadline_seconds = 0.0,
@@ -255,6 +257,15 @@ class CaqeServer {
   };
 
   CaqeServer(Table r, Table t, ServeOptions options);
+
+  /// Query shape checks shared by Submit and SubmitLive: a non-empty,
+  /// in-range, duplicate-free preference, and selections on attributes
+  /// their side's table has (the bounds Workload::Validate applies).
+  /// Unknown join keys pass; admission rejects them as "no-predicate".
+  Status ValidateQuery(const SjQuery& query) const;
+  /// Appends the arrival event and the request record; returns the id.
+  int Enqueue(SjQuery query, Contract contract, double arrival_time,
+              double deadline_seconds, ResultCallback callback);
 
   Status Bootstrap(std::vector<MappingFunction> output_dims,
                    std::vector<int> join_keys);

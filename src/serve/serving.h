@@ -66,11 +66,9 @@ struct ServeOptions {
   /// Worker threads for the parallel execution phases; reports are
   /// bit-identical at every value (only wall time changes).
   int num_threads = 1;
-  /// Inter-region pipelining (see ExecOptions::pipeline_regions): overlap
-  /// the predicted next region's join with the current region's tail phases
-  /// and flush the sharded park set in parallel. Grafts and retirements
-  /// cancel any in-flight speculation first, so admission-time mutations
-  /// never race it. Needs num_threads > 1; reports stay byte-identical.
+  /// Parallel emission flush (see ExecOptions::pipeline_regions): the
+  /// sharded park set is flushed on the worker pool. Needs num_threads > 1;
+  /// reports stay byte-identical.
   bool pipeline_regions = false;
   /// Tree-indexed coarse phase (see ExecOptions::coarse_index): the
   /// bootstrap region build classifies selections through packed box

@@ -1,7 +1,6 @@
 #include "skyline/dominance_batch.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(CAQE_SIMD_DISABLED)
@@ -139,72 +138,6 @@ __attribute__((target("avx2"))) void WeakAvx2(const double* a,
   }
 }
 
-// ---- AVX-512 backend: 8 candidates per iteration. ----
-//
-// Same branchless accumulation as AVX2, but comparisons land directly in
-// 8-bit mask registers (__mmask8), so the per-candidate flag assembly is
-// pure bit arithmetic — no movemask extraction. The ordered (OQ)
-// comparisons match the scalar semantics exactly, so the output stays bit
-// compatible with every other backend.
-
-__attribute__((target("avx512f"))) void FlagsAvx512(const double* a,
-                                                    const double* const* cols,
-                                                    int64_t n, int ndims,
-                                                    uint8_t* out) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __mmask8 a_any = 0;
-    __mmask8 b_any = 0;
-    __mmask8 a_all = 0xFF;
-    __mmask8 b_all = 0xFF;
-    for (int k = 0; k < ndims; ++k) {
-      const __m512d av = _mm512_set1_pd(a[k]);
-      const __m512d bv = _mm512_loadu_pd(cols[k] + j);
-      const __mmask8 lt = _mm512_cmp_pd_mask(av, bv, _CMP_LT_OQ);
-      const __mmask8 gt = _mm512_cmp_pd_mask(av, bv, _CMP_GT_OQ);
-      a_any |= lt;
-      b_any |= gt;
-      a_all &= lt;
-      b_all &= gt;
-    }
-    for (int l = 0; l < 8; ++l) {
-      out[j + l] = static_cast<uint8_t>(
-          (((a_any >> l) & 1) * kBatchABetter) |
-          (((b_any >> l) & 1) * kBatchBBetter) |
-          (((a_all >> l) & 1) * kBatchAStrict) |
-          (((b_all >> l) & 1) * kBatchBStrict));
-    }
-  }
-  if (j < n) {
-    const double* tail_cols[kBatchMaxDims];
-    for (int k = 0; k < ndims; ++k) tail_cols[k] = cols[k] + j;
-    FlagsScalar(a, tail_cols, n - j, ndims, out + j);
-  }
-}
-
-__attribute__((target("avx512f"))) void WeakAvx512(const double* a,
-                                                   const double* const* cols,
-                                                   int64_t n, int ndims,
-                                                   uint8_t* out) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __mmask8 violated = 0;
-    for (int k = 0; k < ndims; ++k) {
-      const __m512d av = _mm512_set1_pd(a[k]);
-      const __m512d bv = _mm512_loadu_pd(cols[k] + j);
-      violated |= _mm512_cmp_pd_mask(av, bv, _CMP_GT_OQ);
-    }
-    for (int l = 0; l < 8; ++l) {
-      out[j + l] = static_cast<uint8_t>(((violated >> l) & 1) ^ 1);
-    }
-  }
-  if (j < n) {
-    const double* tail_cols[kBatchMaxDims];
-    for (int k = 0; k < ndims; ++k) tail_cols[k] = cols[k] + j;
-    WeakScalar(a, tail_cols, n - j, ndims, out + j);
-  }
-}
-
 #endif  // CAQE_HAVE_AVX2_BACKEND
 
 // ---- NEON backend: 2 candidates per iteration (aarch64 float64x2). ----
@@ -279,57 +212,15 @@ struct KernelTable {
   const char* isa = "scalar";
 };
 
-bool ScalarForcedByEnv() {
-  const char* env = std::getenv("CAQE_SIMD");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "off") == 0 || std::strcmp(env, "OFF") == 0 ||
-         std::strcmp(env, "scalar") == 0 || std::strcmp(env, "0") == 0;
-}
-
-// Looks up the kernel pair for a named ISA; returns false when the backend
-// is compiled out or the CPU lacks the feature. "scalar" always succeeds.
-bool KernelsForIsa(const char* isa, KernelTable* table) {
-  if (std::strcmp(isa, "scalar") == 0) {
-    *table = KernelTable{};
-    return true;
-  }
-#if CAQE_HAVE_AVX2_BACKEND
-  if (std::strcmp(isa, "avx512") == 0 &&
-      __builtin_cpu_supports("avx512f")) {
-    table->flags = &FlagsAvx512;
-    table->weak = &WeakAvx512;
-    table->isa = "avx512";
-    return true;
-  }
-  if (std::strcmp(isa, "avx2") == 0 && __builtin_cpu_supports("avx2")) {
-    table->flags = &FlagsAvx2;
-    table->weak = &WeakAvx2;
-    table->isa = "avx2";
-    return true;
-  }
-#endif
-#if CAQE_HAVE_NEON_BACKEND
-  if (std::strcmp(isa, "neon") == 0) {
-    table->flags = &FlagsNeon;
-    table->weak = &WeakNeon;
-    table->isa = "neon";
-    return true;
-  }
-#endif
-  return false;
-}
-
+// One vector backend per architecture: AVX2 on x86-64 CPUs that have it,
+// NEON on aarch64, scalar otherwise (or when built with -DCAQE_SIMD=OFF).
 KernelTable SelectKernels() {
-  KernelTable table;
-  if (ScalarForcedByEnv()) return table;
-  // CAQE_SIMD can also pin one vector ISA (forced only when the CPU has
-  // it, so a pinned binary still runs everywhere — just unpinned).
-  const char* env = std::getenv("CAQE_SIMD");
-  if (env != nullptr && KernelsForIsa(env, &table)) return table;
-  if (KernelsForIsa("avx512", &table)) return table;
-  if (KernelsForIsa("avx2", &table)) return table;
-  if (KernelsForIsa("neon", &table)) return table;
-  return table;
+#if CAQE_HAVE_AVX2_BACKEND
+  if (__builtin_cpu_supports("avx2")) return {&FlagsAvx2, &WeakAvx2, "avx2"};
+#elif CAQE_HAVE_NEON_BACKEND
+  return {&FlagsNeon, &WeakNeon, "neon"};
+#endif
+  return KernelTable{};
 }
 
 const KernelTable& ActiveKernels() {
@@ -419,42 +310,6 @@ const char* BatchKernelIsaName() { return ActiveKernels().isa; }
 
 bool BatchKernelSimdActive() {
   return std::strcmp(ActiveKernels().isa, "scalar") != 0;
-}
-
-std::vector<const char*> BatchKernelAvailableIsas() {
-  std::vector<const char*> isas;
-  KernelTable table;
-  for (const char* isa : {"avx512", "avx2", "neon"}) {
-    if (KernelsForIsa(isa, &table)) isas.push_back(isa);
-  }
-  isas.push_back("scalar");
-  return isas;
-}
-
-bool BatchDominanceFlagsForIsa(const char* isa, const double* a,
-                               const SubspaceView& view, int64_t begin,
-                               int64_t end, uint8_t* out) {
-  KernelTable table;
-  if (!KernelsForIsa(isa, &table)) return false;
-  CAQE_DCHECK(begin >= 0 && begin <= end && end <= view.size());
-  if (begin == end) return true;
-  const double* cols[kBatchMaxDims];
-  const int ndims = PrepareCols(view, begin, cols);
-  table.flags(a, cols, end - begin, ndims, out);
-  return true;
-}
-
-bool BatchWeaklyDominatesForIsa(const char* isa, const double* a,
-                                const SubspaceView& view, int64_t begin,
-                                int64_t end, uint8_t* out) {
-  KernelTable table;
-  if (!KernelsForIsa(isa, &table)) return false;
-  CAQE_DCHECK(begin >= 0 && begin <= end && end <= view.size());
-  if (begin == end) return true;
-  const double* cols[kBatchMaxDims];
-  const int ndims = PrepareCols(view, begin, cols);
-  table.weak(a, cols, end - begin, ndims, out);
-  return true;
 }
 
 }  // namespace caqe

@@ -6,8 +6,8 @@
 // maintainer's prefix/suffix scans, the Section-6 region discard test). The
 // batch kernels here evaluate all candidates of such a loop in one call over
 // a column-gathered view of the candidate block, so vector lanes read
-// unit-stride data, and are dispatched at runtime to AVX-512 or AVX2
-// (x86-64), NEON (aarch64) or a bit-compatible scalar fallback.
+// unit-stride data, and are dispatched at runtime to AVX2 (x86-64), NEON
+// (aarch64) or a bit-compatible scalar fallback.
 //
 // Determinism contract: the kernels return, per candidate, exactly the
 // outcome the scalar CompareDominance / WeaklyDominates of dominance.h
@@ -15,7 +15,7 @@
 // change any outcome — and callers charge the same `dominance_cmps` count
 // the serial loop would have charged (one per candidate visited up to the
 // serial loop's break point). Reports are therefore bit-identical across
-// scalar/AVX2/AVX-512/NEON and every thread count.
+// scalar/AVX2/NEON and every thread count.
 #ifndef CAQE_SKYLINE_DOMINANCE_BATCH_H_
 #define CAQE_SKYLINE_DOMINANCE_BATCH_H_
 
@@ -205,34 +205,14 @@ void BatchWeaklyDominates(const double* a, const SubspaceView& view,
 void BatchWeaklyDominatesScalar(const double* a, const SubspaceView& view,
                                 int64_t begin, int64_t end, uint8_t* out);
 
-/// Name of the ISA the dispatcher selected: "avx512", "avx2", "neon" or
-/// "scalar". Selection happens once per process: compile-time feature gates
-/// pick the candidate backends, `CAQE_SIMD=OFF` (compile) or
-/// CAQE_SIMD=off/scalar (environment) force scalar,
-/// CAQE_SIMD=avx512/avx2/neon pins one vector backend (honored only when
-/// the CPU supports it), and otherwise the widest supported ISA wins
-/// (avx512 > avx2 > neon).
+/// Name of the ISA the dispatcher selected: "avx2", "neon" or "scalar".
+/// Selection happens once per process: AVX2 on x86-64 CPUs that support
+/// it, NEON on aarch64, scalar otherwise. Configuring with -DCAQE_SIMD=OFF
+/// compiles the vector backends out and forces scalar.
 const char* BatchKernelIsaName();
 
 /// True when the dispatcher selected a vector backend.
 bool BatchKernelSimdActive();
-
-/// Every ISA the current build + CPU can execute, widest first, always
-/// ending with "scalar". Differential tests and the SIMD bench sweep this
-/// list so each compiled-in backend is exercised regardless of which one
-/// the dispatcher picked.
-std::vector<const char*> BatchKernelAvailableIsas();
-
-/// BatchDominanceFlags pinned to a named ISA. Returns false (output
-/// untouched) when that backend is unavailable on this build/CPU.
-bool BatchDominanceFlagsForIsa(const char* isa, const double* a,
-                               const SubspaceView& view, int64_t begin,
-                               int64_t end, uint8_t* out);
-
-/// BatchWeaklyDominates pinned to a named ISA; false when unavailable.
-bool BatchWeaklyDominatesForIsa(const char* isa, const double* a,
-                                const SubspaceView& view, int64_t begin,
-                                int64_t end, uint8_t* out);
 
 }  // namespace caqe
 

@@ -134,33 +134,6 @@ TEST(CompactLayoutDifferentialTest, JoinIdenticalToMapLayout) {
   }
 }
 
-TEST(CompactLayoutDifferentialTest, SpeculationIdenticalToMapLayout) {
-  auto [r, t] = MakeTables(Distribution::kIndependent, 250, 2, 0.1, 23);
-  const Workload workload =
-      MakeSubspaceWorkload(2, 0, 1, PriorityPolicy::kUniform).value();
-  const PartitionedTable pr = PartitionTable(r, 2).value();
-  const PartitionedTable pt = PartitionTable(t, 2).value();
-  const RegionCollection rc = BuildRegions(pr, pt, workload).value();
-
-  CellJoinKernel flat_kernel(&pr, &pt);
-  flat_kernel.set_compact_layout(true);
-  CellJoinKernel map_kernel(&pr, &pt);
-  map_kernel.set_compact_layout(false);
-
-  for (const OutputRegion& region : rc.regions) {
-    SpeculativeJoin flat_out;
-    SpeculativeJoin map_out;
-    flat_kernel.JoinForSpeculation(rc, region, /*slots_mask=*/1, flat_out);
-    map_kernel.JoinForSpeculation(rc, region, /*slots_mask=*/1, map_out);
-    ExpectSameMatches(flat_out.matches, map_out.matches);
-    EXPECT_EQ(flat_out.probes, map_out.probes);
-    EXPECT_EQ(flat_out.results, map_out.results);
-    // The consumed-but-uncharged cache key sets must agree — speculation
-    // charging is part of the determinism contract.
-    EXPECT_EQ(flat_out.uncharged_keys, map_out.uncharged_keys);
-  }
-}
-
 TEST(BoundedIndexCacheTest, EvictionIsDeterministicAndChargeSafe) {
   auto [r, t] = MakeTables(Distribution::kIndependent, 300, 3, 0.08, 41);
   const Workload workload =

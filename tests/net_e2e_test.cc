@@ -101,9 +101,15 @@ class RawClient {
   /// Reads until transcript() contains `token`, the server closes, or
   /// `timeout_ms` passes. Returns true iff the token arrived.
   bool ReadUntil(const std::string& token, int timeout_ms = 10000) {
+    return ReadUntilCount(token, 1, timeout_ms);
+  }
+
+  /// ReadUntil for the `count`-th occurrence of `token` in transcript().
+  bool ReadUntilCount(const std::string& token, int count,
+                      int timeout_ms = 10000) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
-    while (transcript_.find(token) == std::string::npos) {
+    while (Occurrences(token) < count) {
       if (closed_) return false;
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline) return false;
@@ -122,6 +128,16 @@ class RawClient {
       transcript_.append(buf, static_cast<size_t>(n));
     }
     return true;
+  }
+
+  /// Non-overlapping occurrences of `token` in transcript().
+  int Occurrences(const std::string& token) const {
+    int n = 0;
+    for (size_t at = transcript_.find(token); at != std::string::npos;
+         at = transcript_.find(token, at + token.size())) {
+      ++n;
+    }
+    return n;
   }
 
   /// Reads until the server closes the connection (or timeout).
@@ -262,6 +278,13 @@ TEST(NetE2eTest, HostileClientsGetStableErrReplies) {
   // dimension 9 >= 3 output dims): rejected by validation, not a crash.
   client.SendLine("SUBMIT name=q key=0 pref=9 CONTRACT step:1");
   ASSERT_TRUE(client.ReadUntil("ERR bad-query"));
+  // The parser accepts selection attributes up to 1023; validation bounds
+  // them by the side's table width (3 attributes here), so admission never
+  // reads past a leaf cell's bounds.
+  client.SendLine("SUBMIT name=q key=0 pref=0 sel=r:500:0:1 CONTRACT step:1");
+  ASSERT_TRUE(client.ReadUntilCount("ERR bad-query", 2));
+  client.SendLine("SUBMIT name=q key=0 pref=0 sel=t:3:0:1 CONTRACT step:1");
+  ASSERT_TRUE(client.ReadUntilCount("ERR bad-query", 3));
   // Out-of-range request id.
   client.SendLine("CANCEL 5");
   ASSERT_TRUE(client.ReadUntil("ERR bad-field request-id"));

@@ -145,6 +145,47 @@ TEST(CaqeServerTest, RejectsUnknownJoinPredicate) {
   EXPECT_EQ(report.rejected, 1);
 }
 
+// Selections are bounded by their side's table width, as in
+// Workload::Validate: an attribute equal to num_attrs() is rejected on
+// either side before admission reads the leaf cells' bounds, and the last
+// attribute is accepted and served.
+TEST(CaqeServerTest, SubmitLiveRejectsOutOfRangeSelectionAttribute) {
+  auto [r, t] = MakeServeTables(1);
+  const int r_attrs = r.num_attrs();
+  const int t_attrs = t.num_attrs();
+  auto server = CaqeServer::Create(std::move(r), std::move(t), ThreeDims(),
+                                   {0}, SmallServeOptions())
+                    .value();
+  ASSERT_TRUE(server->BeginLive().ok());
+  const Contract contract = MakeTimeStepContract(10.0);
+  const auto with_selection = [](bool on_r, int attr) {
+    return SjQuery{"sel", 0, {0, 1}, 1.0, {SelectionRange{on_r, attr, 0, 1}}};
+  };
+  const double now = server->VirtualNow();
+  EXPECT_EQ(server->SubmitLive(with_selection(true, r_attrs), contract, now)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server->SubmitLive(with_selection(false, t_attrs), contract, now)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server->num_requests(), 0);
+  ASSERT_TRUE(
+      server->SubmitLive(with_selection(true, r_attrs - 1), contract, now)
+          .ok());
+  ASSERT_TRUE(
+      server->SubmitLive(with_selection(false, t_attrs - 1), contract, now)
+          .ok());
+  while (server->StepLive()) {
+  }
+  const ServingReport report = server->FinishLive().value();
+  ASSERT_EQ(report.requests.size(), 2u);
+  for (const auto& request : report.requests) {
+    EXPECT_NE(request.status, RequestStatus::kQueued);
+  }
+}
+
 TEST(CaqeServerTest, RejectsHopelessContract) {
   auto [r, t] = MakeServeTables(1);
   ServeOptions options = SmallServeOptions();

@@ -4,7 +4,8 @@
 // Usage:
 //   caqe_cli [--rows=4000] [--sel=0.01] [--dist=independent] [--dims=4]
 //            [--queries=11] [--contract=C1|C2|C3|C4|C5] [--seed=2014]
-//            [--threads=1] [--pipeline=0] [--coarse_index=0]
+//            [--threads=1] [--coarse_index=0]
+//            [--pipeline=0]          # parallel emission flush (threads > 1)
 //            [--compact_layout=1] [--join_cache_entries=4096]
 //            [--engines=CAQE,S-JFSL,JFSL,ProgXe+,SSMJ]
 //            [--out=PREFIX]          # write PREFIX_{summary,queries,trace}.csv

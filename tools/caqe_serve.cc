@@ -4,7 +4,8 @@
 // the online serving layer and print the serving report.
 //
 //   caqe_serve [--rows=1000] [--sel=0.01] [--requests=12] [--rate=40]
-//              [--seed=2014] [--threads=1] [--pipeline=0]
+//              [--seed=2014] [--threads=1]
+//              [--pipeline=0]           # parallel emission flush (threads > 1)
 //              [--coarse_index=0] [--compact_layout=1]
 //              [--join_cache_entries=4096] [--target-regions=128]
 //              [--policy=contract|count] [--cancel-fraction=0.1]
