@@ -94,9 +94,9 @@ inline bool CoarseIndexFromArgs(const Args& args) {
   return args.GetInt("coarse_index", 0) != 0;
 }
 
-/// Reads the shared --compact_layout flag (default ON: flat CSR join
-/// indexes, SoA column-block discard gathers, store-backed skylines — see
-/// ExecOptions::compact_layout). Pure layout change: probe order, charge
+/// Reads the shared --compact_layout flag (default ON: key-match join,
+/// SoA column-block discard gathers, store-backed skylines — see
+/// ExecOptions::compact_layout). Pure layout change: match order, charge
 /// accounting, and every report byte are identical in both positions, so
 /// the matrix scripts cross-check it like --threads and --pipeline.
 inline bool CompactLayoutFromArgs(const Args& args) {
@@ -104,9 +104,9 @@ inline bool CompactLayoutFromArgs(const Args& args) {
 }
 
 /// Reads the shared --join_cache_entries flag (bound on built join-kernel
-/// indexes held at once; see ExecOptions::join_index_cache_entries).
-/// First-use charging survives eviction, so reports are identical at any
-/// bound.
+/// indexes the map layout holds at once; the compact layout builds none;
+/// see ExecOptions::join_index_cache_entries). First-use charging
+/// survives eviction, so reports are identical at any bound.
 inline int64_t JoinCacheEntriesFromArgs(const Args& args) {
   return args.GetInt("join_cache_entries", 4096);
 }

@@ -4,7 +4,7 @@
 #   scripts/run_tsan.sh [EXTRA_CMAKE_FLAGS...]
 #
 # The suite's parallel-determinism and thread-pool tests drive the engine's
-# pooled phases (region build, join-kernel prefetch/probing, plan-group
+# pooled phases (region build, map-layout join probing, plan-group
 # evaluation, discard scans) with num_threads > 1, so data races in those
 # paths surface here rather than in production sweeps. Benchmarks and
 # examples are skipped: TSan slows execution ~10x and they add no coverage.

@@ -2,93 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/metrics_registry.h"
 
 namespace caqe {
-
-void FlatKeyIndex::Build(const Table& t, const std::vector<int64_t>& rows,
-                         int key_column) {
-  const size_t n = rows.size();
-  if (n == 0) {
-    Release();
-    return;
-  }
-  // Slot table: power of two >= 2x the row count (distinct keys <= rows),
-  // so the load factor stays below 0.5 even when every key is unique.
-  size_t slot_count = 64;
-  while (slot_count < n * 2) slot_count <<= 1;
-
-  // One blob, one allocation (grow-only across rebuilds of this entry).
-  const size_t ids_bytes = n * sizeof(int64_t);
-  const size_t slots_bytes = slot_count * sizeof(uint32_t);
-  const size_t starts_bytes = (n + 1) * sizeof(uint32_t);
-  const size_t need = ids_bytes + slots_bytes + starts_bytes +
-                      n * sizeof(int32_t);
-  if (blob_.capacity() < need) {
-    blob_.reserve(std::max(need, blob_.capacity() * 2));
-  }
-  if (blob_.size() < need) blob_.resize(need);
-  int64_t* const ids = reinterpret_cast<int64_t*>(blob_.data());
-  uint32_t* const slots = reinterpret_cast<uint32_t*>(blob_.data() + ids_bytes);
-  uint32_t* const starts =
-      reinterpret_cast<uint32_t*>(blob_.data() + ids_bytes + slots_bytes);
-  int32_t* const keys = reinterpret_cast<int32_t*>(blob_.data() + ids_bytes +
-                                                   slots_bytes + starts_bytes);
-  std::fill(slots, slots + slot_count, 0u);
-  mask_ = static_cast<uint32_t>(slot_count - 1);
-
-  // Pass 1: discover entries in first-occurrence row order; each entry's
-  // id count accumulates in starts[entry + 1] (safe: entries < n and
-  // starts has n + 1 slots).
-  uint32_t num_keys = 0;
-  for (int64_t row : rows) {
-    const int32_t key = t.key(row, key_column);
-    uint32_t slot = Hash(key) & mask_;
-    while (true) {
-      const uint32_t stored = slots[slot];
-      if (stored == 0) {
-        slots[slot] = num_keys + 1;
-        keys[num_keys] = key;
-        starts[num_keys + 1] = 1;
-        ++num_keys;
-        break;
-      }
-      if (keys[stored - 1] == key) {
-        ++starts[stored];
-        break;
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-
-  // In-place prefix sum: starts[e] = first offset of entry e's run.
-  starts[0] = 0;
-  for (uint32_t e = 1; e <= num_keys; ++e) starts[e] += starts[e - 1];
-  const uint32_t total = starts[num_keys];
-
-  // Pass 2: fill each entry's contiguous run in row order, using starts[e]
-  // itself as the fill cursor (reproducing the legacy per-key push_back
-  // order), then shift the cursors back down: after the fill starts[e]
-  // holds entry e's run *end*, which is exactly entry e+1's start.
-  for (int64_t row : rows) {
-    const int32_t key = t.key(row, key_column);
-    uint32_t slot = Hash(key) & mask_;
-    while (keys[slots[slot] - 1] != key) slot = (slot + 1) & mask_;
-    ids[starts[slots[slot] - 1]++] = row;
-  }
-  for (uint32_t e = num_keys; e > 0; --e) starts[e] = starts[e - 1];
-  starts[0] = 0;
-
-  slots_ = slots;
-  keys_ = keys;
-  starts_ = starts;
-  ids_ = ids;
-  num_keys_ = static_cast<int64_t>(num_keys);
-  num_ids_ = static_cast<int64_t>(total);
-}
 
 void CellJoinKernel::HitTable::Grow() {
   const size_t new_cap = keys.empty() ? 64 : (mask + 1) * 2;
@@ -113,125 +31,17 @@ void CellJoinKernel::HitTable::Grow() {
   }
 }
 
-CellJoinKernel::~CellJoinKernel() {
-  for (auto& [key, entry] : index_cache_) {
-    (void)key;
-    if (entry.ready.valid()) entry.ready.wait();
+void CellJoinKernel::ChargeFirstUse(int cell_t, int key_column,
+                                    EngineStats& stats) {
+  const size_t num_keys = static_cast<size_t>(part_t_->table().num_keys());
+  if (charged_.empty()) {
+    charged_.assign(static_cast<size_t>(part_t_->num_cells()) * num_keys, 0);
   }
-}
-
-void CellJoinKernel::BuildInto(int cell_t, int key_column,
-                               CacheEntry& entry) {
-  const LeafCell& cell = part_t_->cell(cell_t);
-  const Table& t = part_t_->table();
-  if (compact_layout_) {
-    entry.flat_index.Build(t, cell.rows, key_column);
-  } else {
-    for (int64_t row : cell.rows) {
-      entry.map_index[t.key(row, key_column)].push_back(row);
-    }
-  }
-}
-
-void CellJoinKernel::CountBuild() {
-  // Always called on the control thread (lazy builds and prefetch
-  // submission), never from the worker tasks themselves.
-  ++index_builds_;
-  if (builds_counter_ != nullptr) builds_counter_->Inc();
-}
-
-const CellJoinKernel::CacheEntry& CellJoinKernel::IndexFor(
-    int cell_t, int key_column, EngineStats& stats) {
-  const int64_t cache_key = CacheKey(cell_t, key_column);
-  auto it = index_cache_.find(cache_key);
-  if (it == index_cache_.end()) {
-    it = index_cache_.try_emplace(cache_key).first;
-  }
-  CacheEntry& entry = it->second;
-  if (entry.ready.valid()) {
-    entry.ready.get();
-    entry.ready = {};  // Consumed: the entry is evictable from here on.
-  }
-  if (!entry.built) {
-    BuildInto(cell_t, key_column, entry);
-    CountBuild();
-    entry.built = true;
-    ++built_entries_;
-  }
-  entry.last_used = ++use_serial_;
-  if (!entry.charged) {
-    entry.charged = true;
-    stats.join_probes +=
-        static_cast<int64_t>(part_t_->cell(cell_t).rows.size());
-  }
-  return entry;
-}
-
-void CellJoinKernel::EvictOverflow(uint64_t floor) {
-  if (cache_capacity_ <= 0 || built_entries_ <= cache_capacity_) return;
-  // Collect evictable built entries: already consumed (no in-flight
-  // prefetch) and not used by the join that just ran. Sorting by the use
-  // serial makes the eviction order deterministic regardless of map
-  // iteration order.
-  std::vector<std::pair<uint64_t, CacheEntry*>> candidates;
-  for (auto& [key, entry] : index_cache_) {
-    (void)key;
-    if (!entry.built || entry.ready.valid() || entry.last_used >= floor) {
-      continue;
-    }
-    candidates.emplace_back(entry.last_used, &entry);
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [serial, entry] : candidates) {
-    (void)serial;
-    if (built_entries_ <= cache_capacity_) break;
-    entry->map_index = KeyIndex{};
-    entry->flat_index.Release();
-    entry->built = false;
-    --built_entries_;
-    ++cache_evictions_;
-    if (evictions_counter_ != nullptr) evictions_counter_->Inc();
-  }
-}
-
-void CellJoinKernel::PrefetchIndexes(const RegionCollection& rc,
-                                     ThreadPool* pool) {
-  if (pool == nullptr) return;
-  // Collect every (cell_t, key) pair some region can still need, in region
-  // order so high-fanout cells (scanned first) tend to be ready first.
-  std::vector<std::pair<int, int>> needed;
-  std::unordered_set<int64_t> seen;
-  for (const OutputRegion& region : rc.regions) {
-    for (int s = 0; s < static_cast<int>(rc.predicate_slots.size()); ++s) {
-      if (region.join_sizes[s] <= 0) continue;
-      if (!region.rql.Intersects(rc.queries_of_slot[s])) continue;
-      const int key_column = rc.predicate_slots[s];
-      const int64_t key = CacheKey(region.cell_t, key_column);
-      if (!seen.insert(key).second) continue;
-      auto it = index_cache_.find(key);
-      if (it != index_cache_.end() &&
-          (it->second.built || it->second.ready.valid())) {
-        continue;
-      }
-      needed.emplace_back(region.cell_t, key_column);
-    }
-  }
-  // Create the cache slots on this thread so the background builders never
-  // touch the map structure itself (unordered_map element references stay
-  // valid across later insertions).
-  for (const auto& [cell_t, key_column] : needed) {
-    CacheEntry& entry = index_cache_[CacheKey(cell_t, key_column)];
-    entry.built = true;
-    ++built_entries_;
-    CountBuild();
-    entry.ready =
-        pool->Submit([this, &entry, cell_t = cell_t,
-                      key_column = key_column] {
-              BuildInto(cell_t, key_column, entry);
-            })
-            .share();
-  }
+  char& charged = charged_[static_cast<size_t>(cell_t) * num_keys +
+                           static_cast<size_t>(key_column)];
+  if (charged != 0) return;
+  charged = 1;
+  stats.join_probes += static_cast<int64_t>(part_t_->cell(cell_t).rows.size());
 }
 
 void CellJoinKernel::Join(const RegionCollection& rc,
@@ -239,20 +49,203 @@ void CellJoinKernel::Join(const RegionCollection& rc,
                           std::vector<JoinMatch>& out, EngineStats& stats,
                           ThreadPool* pool) {
   if (slots_mask == 0) return;
+  if (compact_layout_) {
+    JoinByKeyMatch(rc, region, slots_mask, out, stats);
+    return;
+  }
   const uint64_t floor = use_serial_ + 1;
-
   // Resolve the indexes up front so probing is tight (this is also where
   // lazy builds and first-use charging happen, on the calling thread).
   std::array<std::pair<int, const CacheEntry*>, 32> slot_indexes;
   int num_slots = 0;
   for (int s = 0; s < static_cast<int>(rc.predicate_slots.size()); ++s) {
     if ((slots_mask >> s) & 1) {
-      slot_indexes[num_slots++] = {
-          s, &IndexFor(region.cell_t, rc.predicate_slots[s], stats)};
+      const int key_column = rc.predicate_slots[s];
+      ChargeFirstUse(region.cell_t, key_column, stats);
+      slot_indexes[num_slots++] = {s, &IndexFor(region.cell_t, key_column)};
     }
   }
   ProbeRows(rc, region, slot_indexes.data(), num_slots, out, stats, pool);
   EvictOverflow(floor);
+}
+
+void CellJoinKernel::JoinByKeyMatch(const RegionCollection& rc,
+                                    const OutputRegion& region,
+                                    uint32_t slots_mask,
+                                    std::vector<JoinMatch>& out,
+                                    EngineStats& stats) {
+  // The key matches come from the BuildRegions run that made `region`.
+  CAQE_CHECK(static_cast<size_t>(region.id) < rc.regions.size() &&
+             rc.key_match_starts.size() ==
+                 rc.regions.size() * rc.predicate_slots.size() + 1);
+  const LeafCell& cell_r = part_r_->cell(region.cell_r);
+  const LeafCell& cell_t = part_t_->cell(region.cell_t);
+  const int64_t rows_r = static_cast<int64_t>(cell_r.rows.size());
+
+  // Expand every active slot's key matches, slot by slot. Within a slot a
+  // match's R rows are one key group, so each R row's T rows come out
+  // together and in cell order. A slot expands into exactly its join size.
+  const int num_slots = static_cast<int>(rc.predicate_slots.size());
+  int64_t total = 0;
+  for (int s = 0; s < num_slots; ++s) {
+    if ((slots_mask >> s) & 1) total += region.join_sizes[s];
+  }
+  if (static_cast<int64_t>(pairs_.size()) < total) {
+    pairs_.resize(static_cast<size_t>(total));
+    sorted_.resize(static_cast<size_t>(total));
+  }
+  CellPair* const pairs = pairs_.data();
+  size_t n = 0;
+  int active_slots = 0;
+  for (int s = 0; s < num_slots; ++s) {
+    if (((slots_mask >> s) & 1) == 0) continue;
+    ++active_slots;
+    const int key = rc.predicate_slots[s];
+    ChargeFirstUse(region.cell_t, key, stats);
+    stats.join_probes += rows_r;
+    const int32_t* const groups_r = cell_r.key_groups[key].data();
+    const int32_t* const starts_r = cell_r.key_group_starts[key].data();
+    const int32_t* const groups_t = cell_t.key_groups[key].data();
+    const int32_t* const starts_t = cell_t.key_group_starts[key].data();
+    const uint32_t slot_bit = uint32_t{1} << s;
+    const auto [first, last] = rc.KeyMatchesOf(region.id, s);
+    for (const KeyMatch* match = first; match != last; ++match) {
+      const int32_t end_r = starts_r[match->a + 1];
+      const int32_t begin_t = starts_t[match->b];
+      const int32_t end_t = starts_t[match->b + 1];
+      CAQE_DCHECK(static_cast<int64_t>(n) +
+                      int64_t{end_r - starts_r[match->a]} * (end_t - begin_t) <=
+                  total);
+      for (int32_t i = starts_r[match->a]; i < end_r; ++i) {
+        for (int32_t j = begin_t; j < end_t; ++j) {
+          pairs[n++] = CellPair{groups_r[i], groups_t[j], slot_bit};
+        }
+      }
+    }
+  }
+  CAQE_CHECK(static_cast<int64_t>(n) == total);
+  const CellPair* const sorted = SortPairsByR(n, rows_r);
+  const size_t before = out.size();
+
+  if (active_slots == 1) {
+    out.resize(before + n);
+    JoinMatch* const dst = out.data() + before;
+    const int64_t* const ids_r = cell_r.rows.data();
+    const int64_t* const ids_t = cell_t.rows.data();
+    // R positions ascend, but T positions land anywhere in the cell: fetch
+    // their row ids a few matches ahead.
+    constexpr size_t kAhead = 16;
+    for (size_t i = 0; i < n; ++i) {
+      if (i + kAhead < n) {
+        __builtin_prefetch(ids_t + sorted[i + kAhead].pos_t);
+      }
+      dst[i] = JoinMatch{ids_r[sorted[i].pos_r], ids_t[sorted[i].pos_t],
+                         sorted[i].slot_bit};
+    }
+  } else {
+    // Each R row's pairs run slot by slot; a T row met again on a later
+    // slot folds its bit into the match its first slot emitted.
+    const size_t rows_t = cell_t.rows.size();
+    if (seen_stamp_.size() < rows_t) {
+      seen_stamp_.resize(rows_t, 0);
+      seen_at_.resize(rows_t);
+    }
+    for (size_t i = 0; i < n;) {
+      const int32_t pos_r = sorted[i].pos_r;
+      const int64_t row_r = cell_r.rows[pos_r];
+      if (++stamp_ == 0) {  // Stamp wraparound: invalidate everything.
+        std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0u);
+        stamp_ = 1;
+      }
+      for (; i < n && sorted[i].pos_r == pos_r; ++i) {
+        const int32_t pos_t = sorted[i].pos_t;
+        if (seen_stamp_[pos_t] == stamp_) {
+          out[seen_at_[pos_t]].slot_mask |= sorted[i].slot_bit;
+          continue;
+        }
+        seen_stamp_[pos_t] = stamp_;
+        seen_at_[pos_t] = out.size();
+        out.push_back(
+            JoinMatch{row_r, cell_t.rows[pos_t], sorted[i].slot_bit});
+      }
+    }
+  }
+  stats.join_results += static_cast<int64_t>(out.size() - before);
+}
+
+const CellJoinKernel::CellPair* CellJoinKernel::SortPairsByR(size_t n,
+                                                             int64_t rows_r) {
+  int bits = 0;
+  while ((int64_t{1} << bits) < rows_r) ++bits;
+  if (n < 2 || bits == 0) return pairs_.data();
+  constexpr int kMaxDigitBits = 11;
+  const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit_bits = (bits + passes - 1) / passes;
+  const uint32_t buckets = uint32_t{1} << digit_bits;
+  if (radix_counts_.size() < buckets) radix_counts_.resize(buckets);
+  uint32_t* const counts = radix_counts_.data();
+  CellPair* src = pairs_.data();
+  CellPair* dst = sorted_.data();
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = pass * digit_bits;
+    std::fill(counts, counts + buckets, 0u);
+    for (size_t i = 0; i < n; ++i) {
+      ++counts[(static_cast<uint32_t>(src[i].pos_r) >> shift) & (buckets - 1)];
+    }
+    uint32_t next = 0;
+    for (uint32_t b = 0; b < buckets; ++b) {
+      const uint32_t count = counts[b];
+      counts[b] = next;
+      next += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[counts[(static_cast<uint32_t>(src[i].pos_r) >> shift) &
+                 (buckets - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+const CellJoinKernel::CacheEntry& CellJoinKernel::IndexFor(int cell_t,
+                                                           int key_column) {
+  CacheEntry& entry = index_cache_[CacheKey(cell_t, key_column)];
+  if (!entry.built) {
+    const Table& t = part_t_->table();
+    for (int64_t row : part_t_->cell(cell_t).rows) {
+      entry.index[t.key(row, key_column)].push_back(row);
+    }
+    ++index_builds_;
+    if (builds_counter_ != nullptr) builds_counter_->Inc();
+    entry.built = true;
+    ++built_entries_;
+  }
+  entry.last_used = ++use_serial_;
+  return entry;
+}
+
+void CellJoinKernel::EvictOverflow(uint64_t floor) {
+  if (cache_capacity_ <= 0 || built_entries_ <= cache_capacity_) return;
+  // Collect evictable built entries: those not used by the join that just
+  // ran. Sorting by the use serial makes the eviction order deterministic
+  // regardless of map iteration order.
+  std::vector<std::pair<uint64_t, CacheEntry*>> candidates;
+  for (auto& [key, entry] : index_cache_) {
+    (void)key;
+    if (!entry.built || entry.last_used >= floor) continue;
+    candidates.emplace_back(entry.last_used, &entry);
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [serial, entry] : candidates) {
+    (void)serial;
+    if (built_entries_ <= cache_capacity_) break;
+    entry->index = KeyIndex{};
+    entry->built = false;
+    --built_entries_;
+    ++cache_evictions_;
+    if (evictions_counter_ != nullptr) evictions_counter_->Inc();
+  }
 }
 
 void CellJoinKernel::ProbeRows(
@@ -262,7 +255,6 @@ void CellJoinKernel::ProbeRows(
   const LeafCell& cell_r = part_r_->cell(region.cell_r);
   const Table& r = part_r_->table();
   const bool single_slot = num_indexes == 1;
-  const bool flat = compact_layout_;
 
   const int64_t num_rows = static_cast<int64_t>(cell_r.rows.size());
   constexpr int64_t kMinRowsPerChunk = 128;
@@ -284,21 +276,6 @@ void CellJoinKernel::ProbeRows(
     auto& hit_of_row = shard.hit_of_row;
     hits.clear();
     hit_of_row.clear();
-    // Emits one (row_t, slot) hit; shared by both index layouts.
-    const auto emit = [&](int64_t row_r, int64_t row_t, int slot) {
-      if (single_slot) {
-        shard.out.push_back(JoinMatch{row_r, row_t, uint32_t{1} << slot});
-        ++shard.results;
-      } else {
-        bool inserted = false;
-        size_t& pos = hit_of_row.FindOrInsert(row_t, inserted);
-        if (inserted) {
-          pos = hits.size();
-          hits.emplace_back(row_t, 0);
-        }
-        hits[pos].second |= uint32_t{1} << slot;
-      }
-    };
     for (int64_t i = begin; i < end; ++i) {
       const int64_t row_r = cell_r.rows[i];
       if (!single_slot) {
@@ -309,14 +286,21 @@ void CellJoinKernel::ProbeRows(
         const auto& [slot, entry] = slot_indexes[s];
         ++shard.probes;
         const int32_t key = r.key(row_r, rc.predicate_slots[slot]);
-        if (flat) {
-          for (int64_t row_t : entry->flat_index.Find(key)) {
-            emit(row_r, row_t, slot);
+        const auto hit = entry->index.find(key);
+        if (hit == entry->index.end()) continue;
+        for (int64_t row_t : hit->second) {
+          if (single_slot) {
+            shard.out.push_back(JoinMatch{row_r, row_t, uint32_t{1} << slot});
+            ++shard.results;
+            continue;
           }
-        } else {
-          const auto hit = entry->map_index.find(key);
-          if (hit == entry->map_index.end()) continue;
-          for (int64_t row_t : hit->second) emit(row_r, row_t, slot);
+          bool inserted = false;
+          size_t& pos = hit_of_row.FindOrInsert(row_t, inserted);
+          if (inserted) {
+            pos = hits.size();
+            hits.emplace_back(row_t, 0);
+          }
+          hits[pos].second |= uint32_t{1} << slot;
         }
       }
       if (!single_slot) {

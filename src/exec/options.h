@@ -67,7 +67,7 @@ struct ExecOptions {
   /// Virtual-time cost model used for contract timestamps.
   CostModel cost;
   /// Worker threads for the parallel execution phases of region-based
-  /// engines (coarse join, join-kernel index prefetch and probing,
+  /// engines (partitioning, coarse join, map-layout join probing,
   /// plan-group skyline evaluation, tuple-level discard scans).
   /// 1 (default) runs today's serial path; 0 uses every hardware thread.
   /// Contract scores are charged in *virtual* time per unit of work, so
@@ -110,17 +110,20 @@ struct ExecOptions {
   /// Run the coarse-level (MQLA) skyline prune before scheduling (CAQE
   /// default; ablation knob).
   bool coarse_prune = true;
-  /// Cache-conscious steady-state layout for the region hot path: flat
-  /// CSR join indexes instead of node-based maps, arena/SoA scratch for
-  /// the discard scan, and store-backed incremental skylines. Probe order
-  /// and every charge are identical either way, so reports are
-  /// byte-identical with the flag on or off — only memory layout, steady-
-  /// state allocation counts, and wall time change. Default on; the off
-  /// position exists for the alloc/perf A-B benchmark and as a
-  /// determinism cross-check in the matrix scripts.
+  /// Cache-conscious steady-state layout for the region hot path: the
+  /// key-match join (each region expands the shared keys the region build
+  /// recorded, instead of hash-probing every R row against a cached index
+  /// over the T cell), arena/SoA scratch for the discard scan, and
+  /// store-backed incremental skylines. Match order and every charge are
+  /// identical either way, so reports are byte-identical with the flag on
+  /// or off — only memory layout, steady-state allocation counts, and wall
+  /// time change. Default on; the off position keeps the hash join as the
+  /// reference for the alloc/perf A-B benchmark and as a determinism
+  /// cross-check in the matrix scripts.
   bool compact_layout = true;
-  /// Bound on built join-index cache entries kept across regions; beyond
-  /// it, least-recently-used indexes are released deterministically
+  /// Bound on built join-index cache entries kept across regions by the
+  /// map layout (compact_layout off; the compact layout builds no index);
+  /// beyond it, least-recently-used indexes are released deterministically
   /// (<= 0 means unbounded — the pre-bound behavior). First-use charge
   /// state survives eviction, so reports are identical at any value.
   int64_t join_index_cache_entries = 4096;

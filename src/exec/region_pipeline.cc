@@ -63,8 +63,8 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
       group_cmps_(&arena_),
       emitted_per_query_(&arena_),
       dim_cols_(&arena_) {
-  // Configure the kernel before any index work starts: the layout and
-  // cache bound must be fixed by the time the prefetch builds indexes.
+  // Configure the kernel before any join: the layout and cache bound are
+  // fixed for the pipeline's life.
   kernel_.set_compact_layout(options_.compact_layout);
   kernel_.set_cache_capacity(options_.join_index_cache_entries);
   if (options_.obs != nullptr) {
@@ -98,11 +98,6 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
           &options_.obs->metrics.counter("caqe_alloc_steady_emission_total");
     }
   }
-  // Kick off background construction of the join-kernel hash indexes the
-  // regions will need, overlapping the caller's coarse prune / plan build /
-  // scheduler setup (probe counters are charged at first use, so the
-  // prefetch is invisible to EngineStats and the virtual clock).
-  kernel_.PrefetchIndexes(*rc_, pool_);
   accepted_events_.resize(workload_->num_queries());
   evicted_events_.resize(workload_->num_queries());
   discard_tests_.resize(rc_->regions.size(), 0);

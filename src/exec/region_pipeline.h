@@ -93,10 +93,11 @@ struct PipelineOptions {
   /// byte-identical reports either way.
   bool pipeline_regions = false;
   /// Cache-conscious steady-state layout (see ExecOptions::compact_layout):
-  /// flat CSR join indexes, SoA column-block discard gathers, store-backed
+  /// key-match join, SoA column-block discard gathers, store-backed
   /// incremental skylines. Reports stay byte-identical.
   bool compact_layout = true;
-  /// Join-index cache bound (see ExecOptions::join_index_cache_entries).
+  /// Map-layout join-index cache bound (see
+  /// ExecOptions::join_index_cache_entries).
   int64_t join_index_cache_entries = 4096;
 };
 
@@ -105,11 +106,11 @@ class RegionPipeline {
  public:
   /// All pointers must outlive the pipeline. `pending`/`pending_count` are
   /// caller-owned scheduling state mutated by ProcessRegion (the processed
-  /// region completes; discard scans may resolve others). Construction
-  /// starts the join-kernel index prefetch; the emission manager's witness
-  /// scan lists are built from the current lineages (safe to build before a
-  /// coarse prune — resolved entries are skipped by the pending/lineage
-  /// checks without charging, so operation counts are unchanged).
+  /// region completes; discard scans may resolve others). The emission
+  /// manager's witness scan lists are built from the current lineages
+  /// (safe to build before a coarse prune — resolved entries are skipped by
+  /// the pending/lineage checks without charging, so operation counts are
+  /// unchanged).
   RegionPipeline(const PartitionedTable* part_r,
                  const PartitionedTable* part_t, const Workload* workload,
                  RegionCollection* rc, std::vector<char>* pending,

@@ -27,9 +27,6 @@ Status RunSharedCore(const PartitionedTable& part_r,
   // Worker pool for the parallel phases. The calling thread always
   // participates in chunked work, so `num_threads` total threads means
   // `num_threads - 1` pool workers; 1 keeps today's fully serial path.
-  // Declared before the pipeline: the pipeline's join kernel waits for any
-  // in-flight prefetch task in its destructor before the pool (declared
-  // earlier, destroyed later) joins its workers.
   const int num_threads = ResolveNumThreads(core_options.num_threads);
   std::unique_ptr<ThreadPool> pool_owner;
   ThreadPool* pool = core_options.pool;
@@ -75,11 +72,10 @@ Status RunSharedCore(const PartitionedTable& part_r,
   std::vector<char> pending(rc.regions.size(), 0);
   int64_t pending_count = 0;
 
-  // The pipeline starts the join-kernel index prefetch in its constructor,
-  // overlapping the coarse prune / plan build / scheduler setup below. Its
-  // emission manager is built from the pre-prune lineages, which charges
-  // the identical operation counts (the witness scan skips non-pending
-  // regions and non-serving lineage entries before charging anything).
+  // The pipeline's emission manager is built from the pre-prune lineages,
+  // which charges the identical operation counts (the witness scan skips
+  // non-pending regions and non-serving lineage entries before charging
+  // anything).
   PipelineOptions pipe_options;
   pipe_options.tuple_discard = core_options.tuple_discard;
   pipe_options.dva_mode = core_options.dva_mode;

@@ -10,31 +10,16 @@
 
 namespace caqe {
 
-bool SignaturesIntersect(const std::vector<int32_t>& a,
-                         const std::vector<int32_t>& b, int64_t* ops) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (ops != nullptr) ++*ops;
-    if (a[i] == b[j]) return true;
-    if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
 namespace {
 
-// AppendKeyRuns' radix geometry: three digits of 11, 11 and 10 bits cover a
+// The radix sorts' geometry: three digits of 11, 11 and 10 bits cover a
 // 32-bit key; each digit's histogram stays L1-resident.
 constexpr int kRadixBits = 11;
 constexpr int kRadixPasses = 3;
 constexpr uint32_t kRadixBuckets = uint32_t{1} << kRadixBits;
-// Below this many keys the histograms cost more than a comparison sort.
-constexpr int64_t kRadixMinKeys = 256;
+// Below this many keys the histograms cost more than a comparison sort
+// (the crossover of unsorted 64-bit packs lies near 100).
+constexpr int64_t kRadixMinKeys = 128;
 
 // Order-preserving map of an int32 onto uint32: flipping the sign bit sends
 // INT32_MIN..INT32_MAX to 0..UINT32_MAX.
@@ -42,8 +27,109 @@ inline uint32_t RadixKey(int32_t key) {
   return static_cast<uint32_t>(key) ^ 0x80000000u;
 }
 
+inline int32_t UnRadixKey(uint32_t radix) {
+  return static_cast<int32_t>(radix ^ 0x80000000u);
+}
+
 inline uint32_t RadixDigit(uint32_t key, int pass) {
   return (key >> (pass * kRadixBits)) & (kRadixBuckets - 1);
+}
+
+// Stable LSD radix sort of items[0, n) by radix_of(item), a uint32 whose
+// order is the items' key order, over three 11-bit digits; a pass whose
+// digit is the same for every item is skipped. `scratch` must hold n items.
+// Short inputs use std::sort on the item values instead, which must then
+// agree with the stable key order: true for plain keys, and for (key,
+// position) packs built in ascending position order.
+template <typename Item, typename RadixOf>
+void RadixSort(Item* items, int64_t n, Item* scratch, RadixOf radix_of) {
+  if (n < kRadixMinKeys) {
+    std::sort(items, items + n);
+    return;
+  }
+  // One read pass fills every digit's histogram.
+  std::vector<uint32_t> hist(kRadixPasses * kRadixBuckets, 0);
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t key = radix_of(items[i]);
+    for (int pass = 0; pass < kRadixPasses; ++pass) {
+      ++hist[pass * kRadixBuckets + RadixDigit(key, pass)];
+    }
+  }
+  Item* src = items;
+  Item* dst = scratch;
+  for (int pass = 0; pass < kRadixPasses; ++pass) {
+    uint32_t* const offset = hist.data() + pass * kRadixBuckets;
+    // A digit every item shares leaves the order as it is.
+    if (offset[RadixDigit(radix_of(src[0]), pass)] ==
+        static_cast<uint32_t>(n)) {
+      continue;
+    }
+    uint32_t next = 0;
+    for (uint32_t b = 0; b < kRadixBuckets; ++b) {
+      const uint32_t count = offset[b];
+      offset[b] = next;
+      next += count;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      dst[offset[RadixDigit(radix_of(src[i]), pass)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != items) std::copy(src, src + n, items);
+}
+
+// A cell member's (key, position) pack: the radix key in the high half, so
+// packs order by key and then by position.
+inline uint64_t KeyPack(int32_t key, int64_t position) {
+  return (uint64_t{RadixKey(key)} << 32) | static_cast<uint32_t>(position);
+}
+
+inline uint32_t PackRadix(uint64_t pack) {
+  return static_cast<uint32_t>(pack >> 32);
+}
+
+// The branchless merge behind ExactJoinSize and MatchSignatures.
+template <bool kRecord>
+int64_t MergeSignatures(const std::vector<int32_t>& keys_a,
+                        const std::vector<int32_t>& counts_a,
+                        const std::vector<int32_t>& keys_b,
+                        const std::vector<int32_t>& counts_b,
+                        KeyMatch* matches, int64_t* num_matches,
+                        int64_t* ops) {
+  CAQE_DCHECK(keys_a.size() == counts_a.size());
+  CAQE_DCHECK(keys_b.size() == counts_b.size());
+  const int32_t* const a = keys_a.data();
+  const int32_t* const b = keys_b.data();
+  const size_t size_a = keys_a.size();
+  const size_t size_b = keys_b.size();
+  int64_t total = 0;
+  size_t found = 0;
+  size_t i = 0;
+  size_t j = 0;
+  // Branchless merge: each step advances the side(s) holding the smaller
+  // key and adds the product only on a match, so the loop carries no
+  // data-dependent branch for the predictor to miss.
+  while (i < size_a && j < size_b) {
+    const int32_t x = a[i];
+    const int32_t y = b[j];
+    const bool match = x == y;
+    total += (static_cast<int64_t>(counts_a[i]) * counts_b[j]) &
+             -static_cast<int64_t>(match);
+    if constexpr (kRecord) {
+      // Written every step and kept only on a match, so the next step
+      // overwrites a miss. found <= min(i, j), so the write stays in room.
+      matches[found] = KeyMatch{static_cast<int32_t>(i),
+                                static_cast<int32_t>(j)};
+    }
+    found += match;
+    i += x <= y;
+    j += y <= x;
+  }
+  // One step per compared pair: a match advances both sides, any other
+  // step one side.
+  if (ops != nullptr) *ops += static_cast<int64_t>(i + j - found);
+  if constexpr (kRecord) *num_matches = static_cast<int64_t>(found);
+  return total;
 }
 
 }  // namespace
@@ -52,39 +138,7 @@ void AppendKeyRuns(int32_t* keys, int64_t n, int32_t* scratch,
                    std::vector<int32_t>* values,
                    std::vector<int32_t>* counts) {
   CAQE_CHECK(n >= 0 && n <= std::numeric_limits<int32_t>::max());
-  if (n < kRadixMinKeys) {
-    std::sort(keys, keys + n);
-  } else {
-    // One read pass fills every digit's histogram.
-    std::vector<uint32_t> hist(kRadixPasses * kRadixBuckets, 0);
-    for (int64_t i = 0; i < n; ++i) {
-      const uint32_t key = RadixKey(keys[i]);
-      for (int pass = 0; pass < kRadixPasses; ++pass) {
-        ++hist[pass * kRadixBuckets + RadixDigit(key, pass)];
-      }
-    }
-    int32_t* src = keys;
-    int32_t* dst = scratch;
-    for (int pass = 0; pass < kRadixPasses; ++pass) {
-      uint32_t* const offset = hist.data() + pass * kRadixBuckets;
-      // A digit every key shares leaves the order as it is.
-      if (offset[RadixDigit(RadixKey(src[0]), pass)] ==
-          static_cast<uint32_t>(n)) {
-        continue;
-      }
-      uint32_t next = 0;
-      for (uint32_t b = 0; b < kRadixBuckets; ++b) {
-        const uint32_t count = offset[b];
-        offset[b] = next;
-        next += count;
-      }
-      for (int64_t i = 0; i < n; ++i) {
-        dst[offset[RadixDigit(RadixKey(src[i]), pass)]++] = src[i];
-      }
-      std::swap(src, dst);
-    }
-    if (src != keys) std::copy(src, src + n, keys);
-  }
+  RadixSort(keys, n, scratch, [](int32_t key) { return RadixKey(key); });
   if (n == 0) return;
   int64_t runs = 1;
   for (int64_t i = 1; i < n; ++i) runs += keys[i] != keys[i - 1];
@@ -103,33 +157,18 @@ int64_t ExactJoinSize(const std::vector<int32_t>& keys_a,
                       const std::vector<int32_t>& counts_a,
                       const std::vector<int32_t>& keys_b,
                       const std::vector<int32_t>& counts_b, int64_t* ops) {
-  CAQE_DCHECK(keys_a.size() == counts_a.size());
-  CAQE_DCHECK(keys_b.size() == counts_b.size());
-  const int32_t* const a = keys_a.data();
-  const int32_t* const b = keys_b.data();
-  const size_t size_a = keys_a.size();
-  const size_t size_b = keys_b.size();
-  int64_t total = 0;
-  size_t matches = 0;
-  size_t i = 0;
-  size_t j = 0;
-  // Branchless merge: each step advances the side(s) holding the smaller
-  // key and adds the product only on a match, so the loop carries no
-  // data-dependent branch for the predictor to miss.
-  while (i < size_a && j < size_b) {
-    const int32_t x = a[i];
-    const int32_t y = b[j];
-    const bool match = x == y;
-    total += (static_cast<int64_t>(counts_a[i]) * counts_b[j]) &
-             -static_cast<int64_t>(match);
-    matches += match;
-    i += x <= y;
-    j += y <= x;
-  }
-  // One step per compared pair: a match advances both sides, any other
-  // step one side.
-  if (ops != nullptr) *ops += static_cast<int64_t>(i + j - matches);
-  return total;
+  return MergeSignatures<false>(keys_a, counts_a, keys_b, counts_b, nullptr,
+                                nullptr, ops);
+}
+
+int64_t MatchSignatures(const std::vector<int32_t>& keys_a,
+                        const std::vector<int32_t>& counts_a,
+                        const std::vector<int32_t>& keys_b,
+                        const std::vector<int32_t>& counts_b,
+                        KeyMatch* matches, int64_t* num_matches,
+                        int64_t* ops) {
+  return MergeSignatures<true>(keys_a, counts_a, keys_b, counts_b, matches,
+                               num_matches, ops);
 }
 
 int64_t PartitionedTable::TotalRows() const {
@@ -143,20 +182,51 @@ int64_t PartitionedTable::TotalRows() const {
 namespace {
 
 // The leaf finalizer both partitioners share. With `cell.rows` set, builds
-// every key column's signature from `keys`, the members' key values column
-// by column (keys[j * size + i] is key column j of the i-th member); each
-// column is sorted in place.
-void SetSignatures(int num_keys, int32_t* keys, std::vector<int32_t>& scratch,
-                   LeafCell& cell) {
+// every key column's signature, counts and key groups from `keys`, the
+// members' key values column by column (keys[j * size + i] is key column j
+// of the i-th member). One sort of (key, position) packs per column yields
+// all three; `scratch` is reused across calls.
+void SetSignatures(int num_keys, const int32_t* keys,
+                   std::vector<uint64_t>& scratch, LeafCell& cell) {
   const int64_t size = static_cast<int64_t>(cell.rows.size());
-  if (static_cast<int64_t>(scratch.size()) < size) {
-    scratch.resize(static_cast<size_t>(size));
+  CAQE_CHECK(size <= std::numeric_limits<int32_t>::max());
+  if (static_cast<int64_t>(scratch.size()) < 2 * size) {
+    scratch.resize(static_cast<size_t>(2 * size));
   }
+  uint64_t* const packs = scratch.data();
   cell.signatures.resize(num_keys);
   cell.signature_counts.resize(num_keys);
+  cell.key_groups.resize(num_keys);
+  cell.key_group_starts.resize(num_keys);
   for (int j = 0; j < num_keys; ++j) {
-    AppendKeyRuns(keys + j * size, size, scratch.data(), &cell.signatures[j],
-                  &cell.signature_counts[j]);
+    const int32_t* const column = keys + j * size;
+    for (int64_t i = 0; i < size; ++i) packs[i] = KeyPack(column[i], i);
+    RadixSort(packs, size, packs + size,
+              [](uint64_t pack) { return PackRadix(pack); });
+    int64_t runs = size > 0 ? 1 : 0;
+    for (int64_t i = 1; i < size; ++i) {
+      runs += PackRadix(packs[i]) != PackRadix(packs[i - 1]);
+    }
+    std::vector<int32_t>& values = cell.signatures[j];
+    std::vector<int32_t>& counts = cell.signature_counts[j];
+    std::vector<int32_t>& groups = cell.key_groups[j];
+    std::vector<int32_t>& starts = cell.key_group_starts[j];
+    values.reserve(static_cast<size_t>(runs));
+    counts.reserve(static_cast<size_t>(runs));
+    starts.reserve(static_cast<size_t>(runs + 1));
+    groups.resize(static_cast<size_t>(size));
+    for (int64_t i = 0; i < size; ++i) {
+      groups[static_cast<size_t>(i)] = static_cast<int32_t>(packs[i]);
+      if (i == 0 || PackRadix(packs[i]) != PackRadix(packs[i - 1])) {
+        values.push_back(UnRadixKey(PackRadix(packs[i])));
+        starts.push_back(static_cast<int32_t>(i));
+      }
+    }
+    starts.push_back(static_cast<int32_t>(size));
+    for (int64_t e = 0; e < runs; ++e) {
+      counts.push_back(starts[static_cast<size_t>(e + 1)] -
+                       starts[static_cast<size_t>(e)]);
+    }
   }
 }
 
@@ -184,7 +254,7 @@ LeafCell MakeLeaf(const Table& table, std::vector<int64_t> rows) {
       keys[j * size + i] = table.key(cell.rows[i], j);
     }
   }
-  std::vector<int32_t> scratch;
+  std::vector<uint64_t> scratch;
   SetSignatures(num_keys, keys.data(), scratch, cell);
   return cell;
 }
@@ -298,7 +368,7 @@ Result<PartitionedTable> PartitionTableSlices(const Table& table,
     emission_order[grid_ids[c]] = static_cast<int32_t>(c);
   }
   PartitionedTable result(&table, max_slices);
-  std::vector<int32_t> scratch;
+  std::vector<uint64_t> scratch;
   for (const auto& [id, c] : emission_order) {
     LeafCell& cell = cells[static_cast<size_t>(c)];
     SetSignatures(num_keys, keys.data() + key_base[static_cast<size_t>(c)],

@@ -5,8 +5,10 @@
 // equi-width grid (the d-dimensional analogue of the paper's quad-tree
 // leaves). A leaf cell records its per-dimension bounds, its member rows,
 // and — per join-key column — a *signature*: the sorted set of distinct key
-// values of its members. Signature intersection decides at coarse level
-// whether a pair of cells can produce any join result for a predicate.
+// values of its members, plus the members grouped by signature entry.
+// Signature intersection decides at coarse level whether a pair of cells can
+// produce any join result for a predicate; the groups turn each shared key
+// into its row pairs.
 #ifndef CAQE_PARTITION_PARTITIONER_H_
 #define CAQE_PARTITION_PARTITIONER_H_
 
@@ -34,13 +36,27 @@ struct LeafCell {
   /// equals signatures[k][i]. Lets callers compute exact equi-join output
   /// sizes between two cells without touching tuples.
   std::vector<std::vector<int32_t>> signature_counts;
+  /// key_groups[k] = positions in `rows` of the members grouped by
+  /// signature entry of key column k: the members whose key equals
+  /// signatures[k][i] are key_groups[k][key_group_starts[k][i] ..
+  /// key_group_starts[k][i + 1]), ascending. key_group_starts[k] holds
+  /// signatures[k].size() + 1 offsets.
+  std::vector<std::vector<int32_t>> key_groups;
+  std::vector<std::vector<int32_t>> key_group_starts;
+};
+
+/// A key value two signatures share: its entry index in the first (`a`)
+/// and in the second (`b`).
+struct KeyMatch {
+  int32_t a = 0;
+  int32_t b = 0;
 };
 
 /// Sorts `keys[0, n)` in place and appends its runs — the ascending
 /// distinct values and the multiplicity of each, i.e. a signature and its
 /// counts — to `values` and `counts`. Linear time: an LSD radix sort over
 /// three 11-bit digits of the sign-flipped key that skips each pass whose
-/// digit is the same for every key (short inputs use std::sort).
+/// digit is the same for every key (inputs under 128 keys use std::sort).
 /// `scratch` must hold n entries. Requires n <= INT32_MAX.
 void AppendKeyRuns(int32_t* keys, int64_t n, int32_t* scratch,
                    std::vector<int32_t>* values, std::vector<int32_t>* counts);
@@ -55,12 +71,16 @@ int64_t ExactJoinSize(const std::vector<int32_t>& keys_a,
                       const std::vector<int32_t>& counts_b,
                       int64_t* ops = nullptr);
 
-/// True when sorted signature vectors `a` and `b` share a value, i.e. the
-/// coarse join test |Sig_a ∩ Sig_b| != 0 of Section 5.1 passes. If `ops` is
-/// non-null, it is incremented by the number of elementary comparison steps.
-bool SignaturesIntersect(const std::vector<int32_t>& a,
-                         const std::vector<int32_t>& b,
-                         int64_t* ops = nullptr);
+/// ExactJoinSize's merge that also writes the entry pair of every shared
+/// key, in ascending key order, to `matches`, which must have room for
+/// min(keys_a.size(), keys_b.size()) entries. Sets `*num_matches` to the
+/// number written and charges `ops` exactly as ExactJoinSize does.
+int64_t MatchSignatures(const std::vector<int32_t>& keys_a,
+                        const std::vector<int32_t>& counts_a,
+                        const std::vector<int32_t>& keys_b,
+                        const std::vector<int32_t>& counts_b,
+                        KeyMatch* matches, int64_t* num_matches,
+                        int64_t* ops = nullptr);
 
 /// A table partitioned into non-empty leaf cells.
 class PartitionedTable {

@@ -22,13 +22,45 @@ SelectionCoarse CoarseSelectionTest(const SjQuery& query,
 
 namespace {
 
+/// Key matches per block of a stripe's match store: 32 KB, small enough for
+/// the allocator to serve from chunks earlier builds freed.
+constexpr size_t kMatchBlock = 4096;
+
 /// Per-stripe scratch of the parallel region scan: regions in (a, b) order
-/// with ids unassigned, plus the stripe's share of the work counters.
+/// with ids unassigned, their key matches with stripe-relative offsets (one
+/// per region and slot), plus the stripe's share of the work counters.
 struct RegionStripe {
   std::vector<OutputRegion> regions;
+  /// The key matches in fixed-size blocks. Appending never moves stored
+  /// matches: a growing array's chain of ever larger copies would touch
+  /// fresh pages on every build, a cost the final exact-size array avoids.
+  std::vector<std::vector<KeyMatch>> match_blocks;
+  int64_t num_matches = 0;
+  std::vector<int64_t> key_match_starts;
+  /// MatchSignatures' room per slot, grown to the largest merge's need:
+  /// the merge writes a candidate every step, so it needs room for
+  /// min(|sig_r|, |sig_t|) entries, and only a region that is emitted
+  /// keeps its matches.
+  std::vector<std::vector<KeyMatch>> merge_rooms;
+  std::vector<int64_t> found;
   std::vector<int64_t> total_join_sizes;
   int64_t coarse_ops = 0;
   int64_t scan_equiv = 0;
+
+  void AppendMatches(const KeyMatch* first, int64_t count) {
+    num_matches += count;
+    while (count > 0) {
+      if (match_blocks.empty() || match_blocks.back().size() == kMatchBlock) {
+        match_blocks.emplace_back().reserve(kMatchBlock);
+      }
+      std::vector<KeyMatch>& block = match_blocks.back();
+      const int64_t take = std::min<int64_t>(
+          count, static_cast<int64_t>(kMatchBlock - block.size()));
+      block.insert(block.end(), first, first + take);
+      first += take;
+      count -= take;
+    }
+  }
 };
 
 /// Classifies one side's cells against every query's ranges on that side.
@@ -134,6 +166,8 @@ Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
     const auto [a_begin, a_end] = ChunkRange(num_r_cells, chunks, c);
     RegionStripe& stripe = stripes[c];
     stripe.total_join_sizes.assign(num_slots, 0);
+    stripe.merge_rooms.resize(num_slots);
+    stripe.found.assign(num_slots, 0);
     for (int64_t a = a_begin; a < a_end; ++a) {
       const LeafCell& cell_r = part_r.cell(static_cast<int>(a));
       for (int b = 0; b < part_t.num_cells(); ++b) {
@@ -142,9 +176,14 @@ Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
         region.join_sizes.assign(num_slots, 0);
         for (int s = 0; s < num_slots; ++s) {
           const int key = rc.predicate_slots[s];
-          const int64_t size = ExactJoinSize(
-              cell_r.signatures[key], cell_r.signature_counts[key],
-              cell_t.signatures[key], cell_t.signature_counts[key],
+          const std::vector<int32_t>& sig_r = cell_r.signatures[key];
+          const std::vector<int32_t>& sig_t = cell_t.signatures[key];
+          std::vector<KeyMatch>& room = stripe.merge_rooms[s];
+          const size_t need = std::min(sig_r.size(), sig_t.size());
+          if (room.size() < need) room.resize(need);
+          const int64_t size = MatchSignatures(
+              sig_r, cell_r.signature_counts[key], sig_t,
+              cell_t.signature_counts[key], room.data(), &stripe.found[s],
               &stripe.coarse_ops);
           region.join_sizes[s] = size;
           if (size <= 0) continue;
@@ -185,6 +224,10 @@ Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
           });
         }
         if (region.rql.empty()) continue;
+        for (int s = 0; s < num_slots; ++s) {
+          stripe.key_match_starts.push_back(stripe.num_matches);
+          stripe.AppendMatches(stripe.merge_rooms[s].data(), stripe.found[s]);
+        }
 
         region.cell_r = static_cast<int>(a);
         region.cell_t = b;
@@ -205,12 +248,24 @@ Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
     }
   });
 
-  // Merge stripes in stripe order: region ids, counter totals, and region
-  // order come out exactly as in a serial (a, b) scan.
+  // Merge stripes in stripe order: region ids, key matches, counter totals,
+  // and region order come out exactly as in a serial (a, b) scan.
+  int64_t total_matches = 0;
+  for (const RegionStripe& stripe : stripes) {
+    total_matches += stripe.num_matches;
+  }
+  rc.key_matches.reserve(static_cast<size_t>(total_matches));
   for (RegionStripe& stripe : stripes) {
     for (OutputRegion& region : stripe.regions) {
       region.id = static_cast<int>(rc.regions.size());
       rc.regions.push_back(std::move(region));
+    }
+    const int64_t base = static_cast<int64_t>(rc.key_matches.size());
+    for (const int64_t start : stripe.key_match_starts) {
+      rc.key_match_starts.push_back(base + start);
+    }
+    for (const std::vector<KeyMatch>& block : stripe.match_blocks) {
+      rc.key_matches.insert(rc.key_matches.end(), block.begin(), block.end());
     }
     for (int s = 0; s < num_slots; ++s) {
       rc.total_join_sizes[s] += stripe.total_join_sizes[s];
@@ -220,6 +275,7 @@ Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
       options.index_stats->scan_equiv += stripe.scan_equiv;
     }
   }
+  rc.key_match_starts.push_back(static_cast<int64_t>(rc.key_matches.size()));
   return rc;
 }
 

@@ -4,6 +4,7 @@
 #define CAQE_REGION_REGION_BUILDER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -34,6 +35,26 @@ struct RegionCollection {
   /// Coarse-level operations spent building (signature merges, bound
   /// computations).
   int64_t coarse_ops = 0;
+  /// The shared keys the build's signature merges found, for every region
+  /// and slot, ascending by key: match.a indexes the R cell's signature of
+  /// the slot's key column, match.b the T cell's. Regions follow one
+  /// another in id order, and each region's slots in slot order. The join
+  /// expands them into row pairs through the cells' key groups.
+  std::vector<KeyMatch> key_matches;
+  /// key_matches offsets: region r's matches on slot s are
+  /// [key_match_starts[r * S + s], key_match_starts[r * S + s + 1]) with
+  /// S = predicate_slots.size(). Holds regions.size() * S + 1 entries.
+  std::vector<int64_t> key_match_starts;
+
+  /// Region `region`'s key matches on slot `slot`, as [first, last).
+  std::pair<const KeyMatch*, const KeyMatch*> KeyMatchesOf(int region,
+                                                           int slot) const {
+    const size_t at =
+        static_cast<size_t>(region) * predicate_slots.size() +
+        static_cast<size_t>(slot);
+    return {key_matches.data() + key_match_starts[at],
+            key_matches.data() + key_match_starts[at + 1]};
+  }
 };
 
 /// Coarse outcome of one query's selection ranges against a cell pair:
@@ -52,11 +73,13 @@ SelectionCoarse CoarseSelectionTest(const SjQuery& query,
 /// A region is emitted per (cell_r, cell_t) pair whose signatures intersect
 /// on at least one workload predicate; its lineage holds exactly the
 /// queries whose predicate matched (guaranteeing >= 1 join result each,
-/// per the signature containment argument of Section 5.1).
+/// per the signature containment argument of Section 5.1). The signature
+/// merges also record every emitted region's key matches.
 ///
 /// With a pool, R-cell stripes are scanned concurrently and the per-stripe
-/// results merged in stripe order, so regions, ids, and coarse-op totals
-/// are identical to the serial build regardless of thread count.
+/// results merged in stripe order, so regions, ids, key matches, and
+/// coarse-op totals are identical to the serial build regardless of thread
+/// count.
 Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
                                       const PartitionedTable& part_t,
                                       const Workload& workload,

@@ -77,9 +77,10 @@ struct ServeOptions {
   /// Cache-conscious steady-state layout (see ExecOptions::compact_layout).
   /// Reports stay byte-identical.
   bool compact_layout = true;
-  /// Join-index cache bound — matters most here, where a long trace
-  /// would otherwise grow the index cache without bound (see
-  /// ExecOptions::join_index_cache_entries).
+  /// Map-layout join-index cache bound — matters most here, where a long
+  /// trace would otherwise grow the index cache without bound (see
+  /// ExecOptions::join_index_cache_entries). The compact layout builds no
+  /// index.
   int64_t join_index_cache_entries = 4096;
   /// Input partitioning structure and granularity (see ExecOptions).
   PartitionStrategy partition_strategy = PartitionStrategy::kGrid;

@@ -10,6 +10,8 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "data/generator.h"
@@ -110,16 +112,6 @@ TEST(PartitionTest, SignaturesHoldExactlyMemberKeys) {
   }
 }
 
-TEST(SignatureTest, IntersectionCases) {
-  EXPECT_TRUE(SignaturesIntersect({1, 3, 5}, {5, 9}));
-  EXPECT_FALSE(SignaturesIntersect({1, 3, 5}, {2, 4, 6}));
-  EXPECT_FALSE(SignaturesIntersect({}, {1}));
-  EXPECT_FALSE(SignaturesIntersect({}, {}));
-  int64_t ops = 0;
-  EXPECT_TRUE(SignaturesIntersect({1, 2, 3}, {3}, &ops));
-  EXPECT_GT(ops, 0);
-}
-
 TEST(SignatureTest, ExactJoinSizeMatchesBruteForce) {
   // keys/counts: a = {1:2, 3:1, 7:4}, b = {3:5, 7:2, 9:1}.
   const std::vector<int32_t> ka = {1, 3, 7};
@@ -152,9 +144,6 @@ TEST(SignatureTest, ExactJoinSizeAgainstNestedLoop) {
       EXPECT_EQ(ExactJoinSize(cr.signatures[0], cr.signature_counts[0],
                               ct.signatures[0], ct.signature_counts[0]),
                 brute);
-      // Intersection test agrees with size > 0.
-      EXPECT_EQ(SignaturesIntersect(cr.signatures[0], ct.signatures[0]),
-                brute > 0);
     }
   }
 }
@@ -311,8 +300,9 @@ TEST(QuadTreeTest, IdenticalPointsTerminate) {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Oracle leaf finalizer: sorts the rows, folds tight bounds over them, and
-// builds each signature with std::sort plus a run-length scan.
+// Oracle leaf finalizer: sorts the rows, folds tight bounds over them,
+// builds each signature with std::sort plus a run-length scan, and each
+// key group by scanning the members for the entry's key.
 LeafCell OracleLeaf(const Table& table, std::vector<int64_t> rows) {
   const int d = table.num_attrs();
   LeafCell cell;
@@ -340,6 +330,21 @@ LeafCell OracleLeaf(const Table& table, std::vector<int64_t> rows) {
       cell.signature_counts[j].push_back(static_cast<int32_t>(end - i));
       i = end;
     }
+  }
+  cell.key_groups.resize(table.num_keys());
+  cell.key_group_starts.resize(table.num_keys());
+  for (int j = 0; j < table.num_keys(); ++j) {
+    for (int32_t key : cell.signatures[j]) {
+      cell.key_group_starts[j].push_back(
+          static_cast<int32_t>(cell.key_groups[j].size()));
+      for (size_t i = 0; i < cell.rows.size(); ++i) {
+        if (table.key(cell.rows[i], j) == key) {
+          cell.key_groups[j].push_back(static_cast<int32_t>(i));
+        }
+      }
+    }
+    cell.key_group_starts[j].push_back(
+        static_cast<int32_t>(cell.key_groups[j].size()));
   }
   return cell;
 }
@@ -395,6 +400,17 @@ void ExpectSameCell(const LeafCell& expected, const LeafCell& actual,
   EXPECT_EQ(Bits(actual.upper), Bits(expected.upper)) << label;
   EXPECT_EQ(actual.signatures, expected.signatures) << label;
   EXPECT_EQ(actual.signature_counts, expected.signature_counts) << label;
+  EXPECT_EQ(actual.key_groups, expected.key_groups) << label;
+  EXPECT_EQ(actual.key_group_starts, expected.key_group_starts) << label;
+}
+
+// Counts cells below and at-or-above the 128-member cutoff where the
+// partitioner's key sort switches from std::sort to the radix passes.
+void CountSortPaths(const PartitionedTable& p, int64_t* short_cells,
+                    int64_t* radix_cells) {
+  for (const LeafCell& cell : p.cells()) {
+    ++*(cell.rows.size() < 128 ? short_cells : radix_cells);
+  }
 }
 
 void ExpectSameCells(const std::vector<LeafCell>& expected,
@@ -467,6 +483,8 @@ std::string SlicesLabel(const std::vector<int>& slices) {
 
 TEST(PartitionDifferentialTest, GridMatchesMapBasedBuilder) {
   uint64_t seed = 100;
+  int64_t short_cells = 0;
+  int64_t radix_cells = 0;
   for (int dims = 1; dims <= 6; ++dims) {
     for (Distribution dist :
          {Distribution::kIndependent, Distribution::kCorrelated,
@@ -476,11 +494,14 @@ TEST(PartitionDifferentialTest, GridMatchesMapBasedBuilder) {
         const std::string label = "dims " + std::to_string(dims) + " dist " +
                                   std::to_string(static_cast<int>(dist)) +
                                   " " + SlicesLabel(slices);
-        ExpectSameCells(OracleGrid(t, slices),
-                        PartitionTableSlices(t, slices).value(), label);
+        const PartitionedTable p = PartitionTableSlices(t, slices).value();
+        ExpectSameCells(OracleGrid(t, slices), p, label);
+        CountSortPaths(p, &short_cells, &radix_cells);
       }
     }
   }
+  EXPECT_GT(short_cells, 0);
+  EXPECT_GT(radix_cells, 0);
 }
 
 TEST(PartitionDifferentialTest, GridMatchesOnZeroSpanAndOneRow) {
@@ -505,6 +526,8 @@ TEST(PartitionDifferentialTest, GridMatchesOnZeroSpanAndOneRow) {
 // come out of the shared finalizer exactly as the sort-based one builds it.
 TEST(PartitionDifferentialTest, QuadTreeLeavesMatchSortBasedFinalizer) {
   uint64_t seed = 400;
+  int64_t short_cells = 0;
+  int64_t radix_cells = 0;
   for (int dims = 1; dims <= 6; ++dims) {
     for (Distribution dist :
          {Distribution::kIndependent, Distribution::kCorrelated,
@@ -520,14 +543,17 @@ TEST(PartitionDifferentialTest, QuadTreeLeavesMatchSortBasedFinalizer) {
                              std::to_string(target) + " cell " +
                              std::to_string(c));
         }
+        CountSortPaths(p, &short_cells, &radix_cells);
       }
     }
   }
+  EXPECT_GT(short_cells, 0);
+  EXPECT_GT(radix_cells, 0);
 }
 
 TEST(SignatureTest, AppendKeyRunsMatchesSortAndCount) {
   std::mt19937_64 rng(7);
-  for (int64_t n : {0, 1, 2, 255, 256, 257, 1000, 5000}) {
+  for (int64_t n : {0, 1, 2, 127, 128, 129, 255, 256, 1000, 5000}) {
     for (int domain : {0, 3, 1 << 20}) {
       std::vector<int32_t> keys(static_cast<size_t>(n));
       for (int32_t& key : keys) {
@@ -605,20 +631,51 @@ KeyRuns RandomRuns(std::mt19937_64& rng, int size, int32_t max_count,
   return runs;
 }
 
+// Every (entry in a, entry in b) pair with equal keys, by nested loop.
+std::vector<std::pair<int32_t, int32_t>> OracleKeyMatches(const KeyRuns& a,
+                                                          const KeyRuns& b) {
+  std::vector<std::pair<int32_t, int32_t>> matches;
+  for (size_t i = 0; i < a.keys.size(); ++i) {
+    for (size_t j = 0; j < b.keys.size(); ++j) {
+      if (a.keys[i] == b.keys[j]) {
+        matches.emplace_back(static_cast<int32_t>(i), static_cast<int32_t>(j));
+      }
+    }
+  }
+  return matches;
+}
+
 TEST(SignatureTest, ExactJoinSizeMatchesMergeLoopOnRandomInputs) {
   std::mt19937_64 rng(11);
   const auto check = [](const KeyRuns& a, const KeyRuns& b,
                         const std::string& label) {
     int64_t ops = 5;
     int64_t oracle_ops = 5;
-    EXPECT_EQ(ExactJoinSize(a.keys, a.counts, b.keys, b.counts, &ops),
-              OracleExactJoinSize(a.keys, a.counts, b.keys, b.counts,
-                                  &oracle_ops))
+    const int64_t size =
+        ExactJoinSize(a.keys, a.counts, b.keys, b.counts, &ops);
+    EXPECT_EQ(size, OracleExactJoinSize(a.keys, a.counts, b.keys, b.counts,
+                                        &oracle_ops))
         << label;
     EXPECT_EQ(ops, oracle_ops) << label;
     EXPECT_EQ(ExactJoinSize(a.keys, a.counts, b.keys, b.counts),
               ExactJoinSize(b.keys, b.counts, a.keys, a.counts))
         << label;
+    // MatchSignatures: the same size and ops, plus every shared key's
+    // entry pair, written into exactly min(|a|, |b|) entries of room.
+    std::vector<KeyMatch> room(std::min(a.keys.size(), b.keys.size()));
+    int64_t found = -1;
+    int64_t match_ops = 5;
+    EXPECT_EQ(MatchSignatures(a.keys, a.counts, b.keys, b.counts, room.data(),
+                              &found, &match_ops),
+              size)
+        << label;
+    EXPECT_EQ(match_ops, ops) << label;
+    std::vector<std::pair<int32_t, int32_t>> matches;
+    for (int64_t m = 0; m < found; ++m) {
+      matches.emplace_back(room[static_cast<size_t>(m)].a,
+                           room[static_cast<size_t>(m)].b);
+    }
+    EXPECT_EQ(matches, OracleKeyMatches(a, b)) << label;
   };
   for (int round = 0; round < 200; ++round) {
     const int size_a = static_cast<int>(rng() % 300);

@@ -4,7 +4,11 @@
 
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "common/thread_pool.h"
+#include "data/generator.h"
 #include "partition/partitioner.h"
 #include "query/query.h"
 #include "query/workload_generator.h"
@@ -207,6 +211,111 @@ TEST_F(RegionBuilderTest, BoundsContainEveryJoinResult) {
       }
     }
   }
+}
+
+// Checks every region's recorded key matches against a nested-loop
+// intersection of its cells' signatures, and their count products against
+// the region's join sizes.
+void ExpectKeyMatchesAreSignatureIntersections(const RegionCollection& rc,
+                                               const PartitionedTable& pr,
+                                               const PartitionedTable& pt) {
+  const size_t num_slots = rc.predicate_slots.size();
+  ASSERT_EQ(rc.key_match_starts.size(), rc.regions.size() * num_slots + 1);
+  EXPECT_EQ(rc.key_match_starts.back(),
+            static_cast<int64_t>(rc.key_matches.size()));
+  for (const OutputRegion& region : rc.regions) {
+    const LeafCell& cr = pr.cell(region.cell_r);
+    const LeafCell& ct = pt.cell(region.cell_t);
+    for (size_t s = 0; s < num_slots; ++s) {
+      const int key = rc.predicate_slots[s];
+      std::vector<std::pair<int32_t, int32_t>> expected;
+      for (size_t i = 0; i < cr.signatures[key].size(); ++i) {
+        for (size_t j = 0; j < ct.signatures[key].size(); ++j) {
+          if (cr.signatures[key][i] == ct.signatures[key][j]) {
+            expected.emplace_back(static_cast<int32_t>(i),
+                                  static_cast<int32_t>(j));
+          }
+        }
+      }
+      std::vector<std::pair<int32_t, int32_t>> actual;
+      int64_t products = 0;
+      const auto [first, last] =
+          rc.KeyMatchesOf(region.id, static_cast<int>(s));
+      for (const KeyMatch* m = first; m != last; ++m) {
+        actual.emplace_back(m->a, m->b);
+        products += static_cast<int64_t>(cr.signature_counts[key][m->a]) *
+                    ct.signature_counts[key][m->b];
+      }
+      EXPECT_EQ(actual, expected) << "region " << region.id << " slot " << s;
+      EXPECT_EQ(products, region.join_sizes[s])
+          << "region " << region.id << " slot " << s;
+    }
+  }
+}
+
+TEST_F(RegionBuilderTest, KeyMatchesAreSignatureIntersections) {
+  ExpectKeyMatchesAreSignatureIntersections(*rc_, *part_r_, *part_t_);
+  EXPECT_FALSE(rc_->key_matches.empty());
+}
+
+/// Tables with two key columns and a workload with one query per key, both
+/// restricted to R attribute 0 in [1, 30]: cell pairs outside the range
+/// have matching signatures but an empty lineage, so the build must drop
+/// the key matches it recorded for them.
+struct TwoKeyFixture {
+  Table r;
+  Table t;
+  Workload workload;
+
+  explicit TwoKeyFixture(int64_t rows) : r("R", 2, 2), t("T", 2, 2) {
+    GeneratorConfig cfg;
+    cfg.num_rows = rows;
+    cfg.num_attrs = 2;
+    cfg.join_selectivities = {0.05, 0.2};
+    cfg.seed = 5;
+    r = GenerateTable("R", cfg).value();
+    cfg.seed = 6;
+    t = GenerateTable("T", cfg).value();
+    workload.AddOutputDim({0, 0, 1.0, 1.0});
+    workload.AddOutputDim({1, 1, 1.0, 1.0});
+    const std::vector<SelectionRange> sel = {{true, 0, 1.0, 30.0}};
+    workload.AddQuery({"Q0", 0, {0, 1}, 1.0, sel});
+    workload.AddQuery({"Q1", 1, {0}, 1.0, sel});
+  }
+};
+
+TEST(RegionKeyMatchTest, MultiSlotMatchesSurviveDroppedRegions) {
+  const TwoKeyFixture fx(600);
+  const PartitionedTable pr = PartitionTable(fx.r, 4).value();
+  const PartitionedTable pt = PartitionTable(fx.t, 4).value();
+  const RegionCollection rc = BuildRegions(pr, pt, fx.workload).value();
+  ASSERT_EQ(rc.predicate_slots, (std::vector<int>{0, 1}));
+  // The selection dropped some cell pairs whose signatures matched.
+  EXPECT_LT(rc.regions.size(),
+            static_cast<size_t>(pr.num_cells()) * pt.num_cells());
+  EXPECT_FALSE(rc.regions.empty());
+  ExpectKeyMatchesAreSignatureIntersections(rc, pr, pt);
+}
+
+TEST(RegionKeyMatchTest, ParallelBuildRecordsSerialArray) {
+  const TwoKeyFixture fx(3000);
+  const PartitionedTable pr = PartitionTable(fx.r, 8).value();
+  const PartitionedTable pt = PartitionTable(fx.t, 8).value();
+  // Enough cell pairs for the build to take the pool.
+  ASSERT_GE(static_cast<int64_t>(pr.num_cells()) * pt.num_cells(), 1024);
+  const RegionCollection serial = BuildRegions(pr, pt, fx.workload).value();
+  ThreadPool pool(3);
+  const RegionCollection parallel =
+      BuildRegions(pr, pt, fx.workload, &pool).value();
+  ASSERT_EQ(parallel.regions.size(), serial.regions.size());
+  EXPECT_EQ(parallel.key_match_starts, serial.key_match_starts);
+  ASSERT_EQ(parallel.key_matches.size(), serial.key_matches.size());
+  for (size_t i = 0; i < serial.key_matches.size(); ++i) {
+    EXPECT_EQ(parallel.key_matches[i].a, serial.key_matches[i].a) << i;
+    EXPECT_EQ(parallel.key_matches[i].b, serial.key_matches[i].b) << i;
+  }
+  EXPECT_EQ(parallel.coarse_ops, serial.coarse_ops);
+  ExpectKeyMatchesAreSignatureIntersections(parallel, pr, pt);
 }
 
 TEST_F(RegionBuilderTest, LineageMatchesSignatureIntersection) {
