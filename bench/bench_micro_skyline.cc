@@ -95,7 +95,7 @@ void BM_IncrementalSkylineInsert(benchmark::State& state) {
       RandomPoints(Distribution::kIndependent, state.range(0), 4, 9);
   const std::vector<int> dims = AllDims(4);
   for (auto _ : state) {
-    IncrementalSkyline inc(4, dims);
+    IncrementalSkyline inc(dims);
     for (int64_t i = 0; i < points.size(); ++i) {
       inc.Insert(points.row(i), i);
     }
@@ -117,7 +117,7 @@ void BM_SharedEvaluator(benchmark::State& state) {
   }
   const MinMaxCuboid cuboid = MinMaxCuboid::Build(prefs).value();
   for (auto _ : state) {
-    SharedSkylineEvaluator eval(4, &cuboid, dva);
+    SharedSkylineEvaluator eval(&cuboid, dva);
     for (int64_t i = 0; i < points.size(); ++i) {
       eval.Insert(points.row(i), i);
     }

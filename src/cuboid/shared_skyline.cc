@@ -2,22 +2,19 @@
 
 namespace caqe {
 
-SharedSkylineEvaluator::SharedSkylineEvaluator(int width,
-                                               const MinMaxCuboid* cuboid,
-                                               bool dva_mode,
-                                               const PointSet* backing)
-    : width_(width), cuboid_(cuboid), dva_mode_(dva_mode) {
+SharedSkylineEvaluator::SharedSkylineEvaluator(const MinMaxCuboid* cuboid,
+                                               bool dva_mode)
+    : cuboid_(cuboid), dva_mode_(dva_mode) {
   CAQE_CHECK(cuboid_ != nullptr);
-  root_ = std::make_unique<IncrementalSkyline>(
-      width_, cuboid_->union_space().Dims(), backing);
+  root_ = std::make_unique<IncrementalSkyline>(cuboid_->union_space().Dims());
   const auto& nodes = cuboid_->nodes();
   node_skylines_.resize(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i].subspace == cuboid_->union_space()) {
       root_alias_node_ = static_cast<int>(i);
     } else {
-      node_skylines_[i] = std::make_unique<IncrementalSkyline>(
-          width_, nodes[i].subspace.Dims(), backing);
+      node_skylines_[i] =
+          std::make_unique<IncrementalSkyline>(nodes[i].subspace.Dims());
     }
   }
   accepted_scratch_.resize(nodes.size(), 0);

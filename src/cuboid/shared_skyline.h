@@ -46,15 +46,12 @@ struct SharedInsertOutcome {
 /// skyline over the union space, with Theorem-1 feeder gating in DVA mode.
 class SharedSkylineEvaluator {
  public:
-  /// `width` is the global output dimensionality; `cuboid` must outlive the
-  /// evaluator. A non-null `backing` store (row index == inserted id) is
-  /// forwarded to every node skyline so accepted points are referenced, not
-  /// copied (see IncrementalSkyline's backing constructor).
-  SharedSkylineEvaluator(int width, const MinMaxCuboid* cuboid, bool dva_mode,
-                         const PointSet* backing = nullptr);
+  /// `cuboid` must outlive the evaluator.
+  SharedSkylineEvaluator(const MinMaxCuboid* cuboid, bool dva_mode);
 
-  /// Inserts one projected join tuple (width() values) with external id.
-  /// Comparison counts accumulate into `comparisons` when non-null.
+  /// Inserts one projected join tuple (a row of the global output space)
+  /// with external id. Comparison counts accumulate into `comparisons` when
+  /// non-null.
   SharedInsertOutcome Insert(const double* values, int64_t id,
                              int64_t* comparisons = nullptr);
 
@@ -87,7 +84,6 @@ class SharedSkylineEvaluator {
   const MinMaxCuboid& cuboid() const { return *cuboid_; }
 
  private:
-  int width_;
   const MinMaxCuboid* cuboid_;
   bool dva_mode_;
   std::unique_ptr<IncrementalSkyline> root_;

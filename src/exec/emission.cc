@@ -8,7 +8,7 @@ namespace caqe {
 
 EmissionManager::EmissionManager(const Workload* workload,
                                  const RegionCollection* rc,
-                                 const PointSet* store,
+                                 const TupleStore* store,
                                  const std::vector<char>* pending)
     : workload_(workload), rc_(rc), store_(store), pending_(pending) {
   shards_.resize(workload_->num_queries());

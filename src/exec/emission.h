@@ -37,11 +37,12 @@ namespace caqe {
 /// Manages safe progressive emission for all queries of one engine run.
 class EmissionManager {
  public:
-  /// `store` maps tuple id -> output values (id == row). `pending` flags
-  /// regions still awaiting tuple-level processing; the engine mutates it.
-  /// All pointers must outlive the manager; `rc` lineages may shrink.
+  /// `store` maps tuple id -> output values and must hold every id passed
+  /// to OnAccepted/FlushRegion before the call. `pending` flags regions
+  /// still awaiting tuple-level processing; the engine mutates it. All
+  /// pointers must outlive the manager; `rc` lineages may shrink.
   EmissionManager(const Workload* workload, const RegionCollection* rc,
-                  const PointSet* store, const std::vector<char>* pending);
+                  const TupleStore* store, const std::vector<char>* pending);
 
   /// Registers a tuple newly accepted into query `q`'s skyline. If it is
   /// already safe it is appended to `emit_now`; otherwise it is parked
@@ -163,7 +164,7 @@ class EmissionManager {
 
   const Workload* workload_;
   const RegionCollection* rc_;
-  const PointSet* store_;
+  const TupleStore* store_;
   const std::vector<char>* pending_;
   std::vector<QueryShard> shards_;
 };

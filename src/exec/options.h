@@ -113,13 +113,15 @@ struct ExecOptions {
   /// Cache-conscious steady-state layout for the region hot path: the
   /// key-match join (each region expands the shared keys the region build
   /// recorded, instead of hash-probing every R row against a cached index
-  /// over the T cell), arena/SoA scratch for the discard scan, and
-  /// store-backed incremental skylines. Match order and every charge are
-  /// identical either way, so reports are byte-identical with the flag on
-  /// or off — only memory layout, steady-state allocation counts, and wall
-  /// time change. Default on; the off position keeps the hash join as the
-  /// reference for the alloc/perf A-B benchmark and as a determinism
-  /// cross-check in the matrix scripts.
+  /// over the T cell) and arena/SoA scratch for the discard scan (a
+  /// column-major transpose of the region's row block). The row block and
+  /// the accepted-only tuple store are the same in both layouts (see
+  /// RegionPipeline). Match order and every charge are identical either
+  /// way, so reports are byte-identical with the flag on or off — only
+  /// memory layout, steady-state allocation counts, and wall time change.
+  /// Default on; the off position keeps the hash join as the reference for
+  /// the alloc/perf A-B benchmark and as a determinism cross-check in the
+  /// matrix scripts.
   bool compact_layout = true;
   /// Bound on built join-index cache entries kept across regions by the
   /// map layout (compact_layout off; the compact layout builds no index);

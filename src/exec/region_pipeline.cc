@@ -58,6 +58,7 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
       options_(std::move(options)),
       kernel_(part_r, part_t),
       store_(workload->num_output_dims()),
+      block_(workload->num_output_dims()),
       emission_(workload, rc, &store_, pending),
       active_groups_(&arena_),
       group_cmps_(&arena_),
@@ -162,8 +163,7 @@ Status RegionPipeline::AddPlanGroup(int slot, std::vector<int> queries) {
   CAQE_RETURN_NOT_OK(cuboid.status());
   group->cuboid = std::move(cuboid).value();
   group->evaluator = std::make_unique<SharedSkylineEvaluator>(
-      workload_->num_output_dims(), &group->cuboid, options_.dva_mode,
-      options_.compact_layout ? &store_ : nullptr);
+      &group->cuboid, options_.dva_mode);
   groups_.push_back(std::move(group));
   return Status::OK();
 }
@@ -205,7 +205,8 @@ void RegionPipeline::EmitResult(int q, int64_t id) {
     result.tuple_id = id;
     result.time = now;
     result.utility = utility;
-    result.values.assign(store_.row(id), store_.row(id) + store_.width());
+    const double* values = store_.row(id);
+    result.values.assign(values, values + store_.width());
     (*reports_)[global_q].tuples.push_back(std::move(result));
   }
 }
@@ -265,16 +266,22 @@ void RegionPipeline::ProcessRegion(int rid) {
   for (auto& events : evicted_events_) events.clear();
   const int64_t cmps_before = stats.dominance_cmps;
   const int64_t num_matches = static_cast<int64_t>(matches_.size());
-  const int64_t base_id = store_.size();
+  // Tuple ids count join matches across the pipeline's life: match i of
+  // this region is tuple base_id + i, and block_ row i holds its values.
+  const int64_t base_id = next_tuple_id_;
+  next_tuple_id_ += num_matches;
   {
     TraceSpan span(spans, "eval", "pipeline", &stats.wall_eval_seconds);
     span.set_region(rid);
     span.set_parent(trace_ctx_.parent_span, trace_ctx_.root_span);
-    // Materialize every match into the store first (ids are sequential in
-    // match order, exactly as the serial append-per-match produced them);
-    // rows are disjoint, so chunks project concurrently.
-    store_.Reserve(store_.size() + num_matches);
-    store_.AppendUninitialized(num_matches);
+    // Project every match into the region's row block first (rows are
+    // disjoint, so chunks project concurrently). The block keeps its
+    // capacity across regions and grows geometrically past it (a resize
+    // of the cleared block alone would reallocate to the exact size at
+    // every new largest region).
+    block_.Clear();
+    block_.Reserve(num_matches);
+    block_.AppendUninitialized(num_matches);
     const int project_chunks = NumChunks(pool_, num_matches,
                                          /*min_chunk=*/512);
     if (project_scratch_.size() < static_cast<size_t>(project_chunks)) {
@@ -287,8 +294,7 @@ void RegionPipeline::ProcessRegion(int rid) {
         const JoinMatch& match = matches_[i];
         workload.Project(part_r_->table(), match.row_r, part_t_->table(),
                          match.row_t, values);
-        std::copy(values.begin(), values.end(),
-                  store_.mutable_row(base_id + i));
+        std::copy(values.begin(), values.end(), block_.mutable_row(i));
       }
     });
 
@@ -329,7 +335,7 @@ void RegionPipeline::ProcessRegion(int rid) {
         if (!passes) continue;
         const int64_t id = base_id + i;
         const SharedInsertOutcome& outcome =
-            group->evaluator->InsertReusing(store_.row(id), id, &cmps);
+            group->evaluator->InsertReusing(block_.row(i), id, &cmps);
         outcome.accepted.ForEach([&](int local) {
           const int q = group->queries[local];
           // Retired members keep their cuboid node alive until the whole
@@ -347,6 +353,24 @@ void RegionPipeline::ProcessRegion(int rid) {
     });
     for (int64_t cmps : group_cmps_) stats.dominance_cmps += cmps;
     span.set_arg("dominance_cmps", stats.dominance_cmps - cmps_before);
+
+    // Retain the rows some query accepted, in ascending id order; the
+    // block is overwritten by the next region. Only an accepted tuple can
+    // ever be parked, emitted or captured, and the emission flush below
+    // reads the rows it registers, so this precedes discard and emission.
+    // The marks are all zero between regions (the scan below resets what
+    // it reads), so a region pays only for its own matches.
+    if (accepted_marks_.size() < static_cast<size_t>(num_matches)) {
+      accepted_marks_.resize(static_cast<size_t>(num_matches), 0);
+    }
+    for (const auto& events : accepted_events_) {
+      for (int64_t id : events) accepted_marks_[id - base_id] = 1;
+    }
+    for (int64_t i = 0; i < num_matches; ++i) {
+      if (!accepted_marks_[i]) continue;
+      accepted_marks_[i] = 0;
+      store_.Append(base_id + i, block_.row(i));
+    }
   }
   clock_->ChargeDominanceCmps(stats.dominance_cmps - cmps_before);
   take_phase(alloc_phase_eval_counter_);
@@ -405,15 +429,14 @@ void RegionPipeline::ProcessRegion(int rid) {
       const int64_t accepted_n =
           static_cast<int64_t>(accepted_events_[q].size());
       accepted_view_.Reset(dims);
+      // Accepted ids all lie in [base_id, base_id + num_matches) (they
+      // were accepted this region), so their values are block rows.
       if (options_.compact_layout) {
-        // Slice the region's SoA transpose: accepted ids all lie in
-        // [base_id, base_id + num_matches) (they were accepted this
-        // region), so each compared dimension is one unit-stride gather
-        // from the block's column. The block is built lazily at the first
-        // discarding query of the region and shared by the rest.
-        if (column_block_.size() == 0) {
-          column_block_.BuildFrom(store_, base_id, num_matches);
-        }
+        // Slice the region's SoA transpose: each compared dimension is one
+        // unit-stride gather from the block's column. The transpose is
+        // built lazily at the first discarding query of the region and
+        // shared by the rest.
+        if (column_block_.size() == 0) column_block_.BuildFrom(block_);
         dim_cols_.clear();
         for (int d : dims) dim_cols_.push_back(column_block_.col(d));
         accepted_view_.AssignFromColumns(dim_cols_.data(), base_id,
@@ -422,7 +445,7 @@ void RegionPipeline::ProcessRegion(int rid) {
       } else {
         accepted_view_.Reserve(accepted_n);
         for (int64_t id : accepted_events_[q]) {
-          accepted_view_.PushPoint(store_.row(id));
+          accepted_view_.PushPoint(block_.row(id - base_id));
         }
       }
       // Below this much total work (region × tuple tests) the fork/join

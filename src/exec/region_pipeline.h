@@ -3,12 +3,23 @@
 // layer (src/serve/) can drive it.
 //
 // A RegionPipeline owns everything a region's tuple-level processing needs
-// — join kernel, tuple store, plan groups (min-max cuboids + shared skyline
-// evaluators), and the safe-emission manager — while the caller owns the
-// scheduling state (pending flags, scheduler, the loop itself). Calling
-// ProcessRegion(rid) performs exactly the batch loop body: join, project,
-// shared skyline evaluation, dominated-region discarding, and progressive
-// emission, charging the identical operation counts to the virtual clock.
+// — join kernel, row block, tuple store, plan groups (min-max cuboids +
+// shared skyline evaluators), and the safe-emission manager — while the
+// caller owns the scheduling state (pending flags, scheduler, the loop
+// itself). Calling ProcessRegion(rid) performs exactly the batch loop body:
+// join, project, shared skyline evaluation, dominated-region discarding,
+// and progressive emission, charging the identical operation counts to the
+// virtual clock.
+//
+// Every join match gets a tuple id: the running count of matches the
+// pipeline has produced. A region projects its matches into one row block
+// that every region reuses; evaluation and the discard scan read it there.
+// Only the rows some query accepted outlive the region: they are copied
+// into the tuple store (store()), keyed by tuple id, before discard and
+// emission, so everything that reads a row later — the emission witness
+// scan, result capture, serving callbacks — finds every accepted tuple
+// there. The store grows with the tuples accepted, not with the join
+// results produced.
 //
 // The serving layer additionally mutates the pipeline between regions:
 // AddPlanGroup splices a grafted query batch in, RemoveQueryFromGroups
@@ -83,7 +94,8 @@ struct PipelineOptions {
   std::function<void(int query, double time, double utility)> on_result;
   /// Serving-layer emission hook: (global query, tuple id, virtual time,
   /// utility) for every emitted result, fired after on_result. The tuple id
-  /// indexes store().
+  /// is the result's running join-match count; store().row(id) holds its
+  /// values for the pipeline's life.
   std::function<void(int query, int64_t id, double time, double utility)>
       on_emit;
   /// Optional tracing/metrics/health bundle (see ExecOptions::obs).
@@ -93,8 +105,8 @@ struct PipelineOptions {
   /// byte-identical reports either way.
   bool pipeline_regions = false;
   /// Cache-conscious steady-state layout (see ExecOptions::compact_layout):
-  /// key-match join, SoA column-block discard gathers, store-backed
-  /// incremental skylines. Reports stay byte-identical.
+  /// key-match join and SoA column-block discard gathers. Reports stay
+  /// byte-identical.
   bool compact_layout = true;
   /// Map-layout join-index cache bound (see
   /// ExecOptions::join_index_cache_entries).
@@ -165,7 +177,8 @@ class RegionPipeline {
 
   EmissionManager& emission() { return emission_; }
   CellJoinKernel& kernel() { return kernel_; }
-  const PointSet& store() const { return store_; }
+  /// Values of every tuple some query accepted, by tuple id.
+  const TupleStore& store() const { return store_; }
 
  private:
   void EmitResult(int q, int64_t id);
@@ -218,7 +231,13 @@ class RegionPipeline {
   /// (emission latency = emit vtime - this).
   double region_vstart_ = 0.0;
   CellJoinKernel kernel_;
-  PointSet store_;
+  /// Accepted tuples' rows, ascending tuple id (see file comment).
+  TupleStore store_;
+  /// The current region's projected matches: row i is tuple
+  /// base id + i. Grow-only, reused by every region.
+  PointSet block_;
+  /// Tuple id of the next join match (running match count).
+  int64_t next_tuple_id_ = 0;
   EmissionManager emission_;
   std::vector<std::unique_ptr<PlanGroup>> groups_;
 
@@ -229,6 +248,9 @@ class RegionPipeline {
   std::vector<JoinMatch> matches_;
   std::vector<std::vector<int64_t>> accepted_events_;
   std::vector<std::vector<int64_t>> evicted_events_;
+  /// Per block row: accepted by some query this region. All zero between
+  /// regions; grow-only.
+  std::vector<char> accepted_marks_;
   std::vector<int64_t> discard_tests_;
   std::vector<char> discard_hits_;
   SubspaceView accepted_view_;
@@ -250,9 +272,9 @@ class RegionPipeline {
   ArenaVector<int64_t> group_cmps_;
   ArenaVector<int64_t> emitted_per_query_;
   ArenaVector<const double*> dim_cols_;
-  /// SoA transpose of this region's appended store rows (compact_layout):
-  /// built lazily at the first discard scan of a region, sliced per query
-  /// into accepted_view_ via AssignFromColumns.
+  /// SoA transpose of the region's row block (compact_layout): built
+  /// lazily at the first discard scan of a region, sliced per query into
+  /// accepted_view_ via AssignFromColumns.
   ColumnBlock column_block_;
 };
 

@@ -72,9 +72,10 @@ class AuditLedger;
 
 class CaqeServer {
  public:
-  /// Streaming consumer of one request's results: (request id, tuple id
-  /// into store(), virtual report time, contract utility). Invoked
-  /// synchronously from Run() in emission order.
+  /// Streaming consumer of one request's results: (request id, tuple id,
+  /// virtual report time, contract utility). Invoked synchronously from
+  /// Run() in emission order. store().row(tuple id) reads the result's
+  /// values for every streamed id, during and after Run().
   using ResultCallback =
       std::function<void(int request_id, int64_t tuple_id, double vtime,
                          double utility)>;
@@ -170,8 +171,10 @@ class CaqeServer {
   /// submitted queries must stay below this).
   int num_output_dims() const { return workload_.num_output_dims(); }
 
-  /// Tuple store backing the callbacks' tuple ids (output values).
-  const PointSet& store() const { return pipeline_->store(); }
+  /// Output values of every tuple a query accepted, by tuple id — which
+  /// covers every id a ResultCallback streams. Tuple ids are running join
+  /// match counts, so the store holds a sparse, ascending subset of them.
+  const TupleStore& store() const { return pipeline_->store(); }
 
   int num_requests() const { return static_cast<int>(requests_.size()); }
 

@@ -134,12 +134,7 @@ bool IncrementalSkyline::InsertInto(const double* values, int64_t external_id,
   members_.resize(keep);
   members_view_.Truncate(static_cast<int64_t>(keep));
 
-  // With a backing store the member references the caller's row (row index
-  // == external id by the store invariant) instead of copying the point.
-  const int64_t row =
-      backing_ != nullptr ? external_id : points_.Append(values);
-  members_.insert(members_.begin() + insert_at,
-                  Member{row, external_id, score});
+  members_.insert(members_.begin() + insert_at, Member{external_id, score});
   members_view_.InsertGathered(static_cast<int64_t>(insert_at),
                                probe_.data());
   return true;

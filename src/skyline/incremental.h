@@ -9,11 +9,11 @@
 #define CAQE_SKYLINE_INCREMENTAL_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "skyline/dominance.h"
 #include "skyline/dominance_batch.h"
-#include "skyline/point_set.h"
 
 namespace caqe {
 
@@ -34,20 +34,12 @@ struct InsertOutcome {
 /// subset. Points carry caller-provided external ids.
 class IncrementalSkyline {
  public:
-  /// `width` is the point dimensionality; `dims` the compared subset.
-  /// With a `backing` store (whose row index == the external id passed to
-  /// Insert — the engine's tuple store invariant) members reference the
-  /// caller's rows instead of copying every accepted point full-width into
-  /// an internal set: the dominance state lives entirely in the gathered
-  /// members_view_, so accepting a point allocates nothing beyond the
-  /// view's amortized column growth. Without it (default) the legacy
-  /// internal copy keeps standalone uses working.
-  explicit IncrementalSkyline(int width, std::vector<int> dims,
-                              const PointSet* backing = nullptr)
-      : points_(width),
-        backing_(backing),
-        dims_(std::move(dims)),
-        probe_(dims_.size()) {
+  /// `dims` is the compared dimension subset of the inserted points. The
+  /// skyline keeps no copy of a point: its dominance state is the
+  /// gathered members_view_, so accepting a point allocates nothing beyond
+  /// the view's amortized column growth.
+  explicit IncrementalSkyline(std::vector<int> dims)
+      : dims_(std::move(dims)), probe_(dims_.size()) {
     members_view_.Reset(dims_);
   }
 
@@ -70,28 +62,14 @@ class IncrementalSkyline {
   /// External ids of the current skyline members (unordered).
   std::vector<int64_t> MemberIds() const;
 
-  /// Invokes fn(external_id, const double* values) per member.
-  template <typename Fn>
-  void ForEachMember(Fn&& fn) const {
-    for (const Member& m : members_) {
-      fn(m.external_id,
-         backing_ != nullptr ? backing_->row(m.row) : points_.row(m.row));
-    }
-  }
-
   const std::vector<int>& dims() const { return dims_; }
 
  private:
   struct Member {
-    int64_t row;          // Row in points_ (or in *backing_ == external_id).
     int64_t external_id;  // Caller-provided id.
     double score;         // Monotone sum over dims_ (window sort key).
   };
 
-  PointSet points_;  // Append-only storage; evicted rows become garbage.
-  /// Optional external row store (see constructor); when set, points_
-  /// stays empty and members reference backing_ rows by external id.
-  const PointSet* backing_ = nullptr;
   std::vector<int> dims_;
   /// Current skyline, sorted by ascending score: only the smaller-score
   /// prefix can dominate a new point, only the larger-score suffix can be

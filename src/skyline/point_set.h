@@ -71,44 +71,69 @@ class PointSet {
   std::vector<double> data_;
 };
 
-/// Column-major (structure-of-arrays) transpose of a contiguous row range
-/// [base, base + size) of a PointSet. Built once per region over the rows
-/// the region appended, it lets subspace consumers hand whole columns to
-/// SubspaceView::AssignFromColumns — a unit-stride gather per compared
-/// dimension — instead of walking row-major storage point by point. The
-/// column buffers are reused across BuildFrom calls (grow-only), so a
-/// steady-state region transposes without allocating.
+/// The rows of a sparse, ascending set of tuple ids: the tuples an engine
+/// keeps after their region is done. Ids are the caller's (the pipeline's
+/// running join-match count), so they have gaps wherever a match was never
+/// accepted; `row(id)` finds one by binary search over the id column.
+class TupleStore {
+ public:
+  explicit TupleStore(int width) : rows_(width) {}
+
+  int width() const { return rows_.width(); }
+  /// Number of rows held (not the largest id).
+  int64_t size() const { return rows_.size(); }
+
+  /// Appends the row of tuple `id`. Ids must be strictly ascending.
+  void Append(int64_t id, const double* values) {
+    CAQE_DCHECK(ids_.empty() || id > ids_.back());
+    ids_.push_back(id);
+    rows_.Append(values);
+  }
+
+  /// Pointer to tuple `id`'s width() values. CHECK-fails when the store
+  /// does not hold `id`.
+  const double* row(int64_t id) const {
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+    CAQE_CHECK(it != ids_.end() && *it == id);
+    return rows_.row(it - ids_.begin());
+  }
+
+ private:
+  std::vector<int64_t> ids_;
+  PointSet rows_;
+};
+
+/// Column-major (structure-of-arrays) transpose of a PointSet. Built once
+/// per region over the region's projected rows, it lets subspace consumers
+/// hand whole columns to SubspaceView::AssignFromColumns — a unit-stride
+/// gather per compared dimension — instead of walking row-major storage
+/// point by point. The column buffers are reused across BuildFrom calls
+/// (grow-only), so a steady-state region transposes without allocating.
 class ColumnBlock {
  public:
-  /// (Re)builds the transpose over rows [base, base + n) of `store`.
-  void BuildFrom(const PointSet& store, int64_t base, int64_t n) {
-    CAQE_DCHECK(base >= 0 && n >= 0 && base + n <= store.size());
-    const int width = store.width();
+  /// (Re)builds the transpose over every row of `rows`.
+  void BuildFrom(const PointSet& rows) {
+    const int width = rows.width();
+    const int64_t n = rows.size();
     if (static_cast<int>(cols_.size()) < width) cols_.resize(width);
     for (int d = 0; d < width; ++d) {
       cols_[d].resize(static_cast<size_t>(n));
     }
     for (int64_t i = 0; i < n; ++i) {
-      const double* r = store.row(base + i);
+      const double* r = rows.row(i);
       for (int d = 0; d < width; ++d) {
         cols_[d][static_cast<size_t>(i)] = r[d];
       }
     }
-    base_ = base;
     n_ = n;
     width_ = width;
   }
 
   void Clear() { n_ = 0; }
 
-  int64_t base() const { return base_; }
   int64_t size() const { return n_; }
-  int width() const { return width_; }
-  /// True when row id `id` (a PointSet row index) is inside the block.
-  bool Contains(int64_t id) const { return id >= base_ && id < base_ + n_; }
 
-  /// Contiguous values of dimension `d`, one per row, for rows
-  /// [base(), base() + size()).
+  /// Contiguous values of dimension `d`, one per row.
   const double* col(int d) const {
     CAQE_DCHECK(d >= 0 && d < width_);
     return cols_[static_cast<size_t>(d)].data();
@@ -116,7 +141,6 @@ class ColumnBlock {
 
  private:
   std::vector<std::vector<double>> cols_;
-  int64_t base_ = 0;
   int64_t n_ = 0;
   int width_ = 0;
 };

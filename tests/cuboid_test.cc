@@ -171,7 +171,7 @@ TEST_P(SharedSkylineTest, QuerySkylinesMatchBruteForce) {
   for (Distribution dist :
        {Distribution::kIndependent, Distribution::kAntiCorrelated}) {
     const PointSet points = RandomPoints(dist, 400, 4, 9);
-    SharedSkylineEvaluator eval(4, &cuboid, dva);
+    SharedSkylineEvaluator eval(&cuboid, dva);
     for (int64_t i = 0; i < points.size(); ++i) {
       eval.Insert(points.row(i), i);
     }
@@ -189,7 +189,7 @@ TEST_P(SharedSkylineTest, ReportsAcceptanceAndEvictionPerQuery) {
   const bool dva = GetParam();
   const MinMaxCuboid cuboid =
       MinMaxCuboid::Build({Subspace::FromDims({0, 1})}).value();
-  SharedSkylineEvaluator eval(2, &cuboid, dva);
+  SharedSkylineEvaluator eval(&cuboid, dva);
   const SharedInsertOutcome first =
       eval.Insert(std::vector<double>{5, 5}.data(), 1);
   EXPECT_TRUE(first.accepted.Contains(0));
@@ -204,6 +204,44 @@ TEST_P(SharedSkylineTest, ReportsAcceptanceAndEvictionPerQuery) {
   EXPECT_TRUE(third.accepted.empty());
 }
 
+// Serving retirement: releasing the nodes only retired queries need stops
+// their events and their comparisons, while every surviving query's
+// skyline stays exactly SKY of all tuples inserted, before and after.
+TEST_P(SharedSkylineTest, ReleasedQueriesStopWhileSurvivorsStayExact) {
+  const bool dva = GetParam();
+  const std::vector<Subspace> prefs = RunningExample();
+  const MinMaxCuboid cuboid = MinMaxCuboid::Build(prefs).value();
+  const PointSet points =
+      RandomPoints(Distribution::kAntiCorrelated, 400, 4, 21);
+  SharedSkylineEvaluator released(&cuboid, dva);
+  SharedSkylineEvaluator full(&cuboid, dva);
+  const int64_t half = points.size() / 2;
+  for (int64_t i = 0; i < half; ++i) {
+    released.Insert(points.row(i), i);
+    full.Insert(points.row(i), i);
+  }
+  // Q0 ({d0,d1}) retires: no survivor's gating chain runs through its node.
+  QuerySet survivors;
+  for (int q : {1, 2, 3}) survivors.Add(q);
+  released.ReleaseQueries(survivors);
+  int64_t cmps_released = 0;
+  int64_t cmps_full = 0;
+  for (int64_t i = half; i < points.size(); ++i) {
+    const SharedInsertOutcome out =
+        released.Insert(points.row(i), i, &cmps_released);
+    full.Insert(points.row(i), i, &cmps_full);
+    EXPECT_FALSE(out.accepted.Contains(0)) << "tuple " << i;
+    for (const auto& [q, id] : out.evictions) EXPECT_NE(q, 0) << id;
+  }
+  EXPECT_LT(cmps_released, cmps_full);
+  for (int q : {1, 2, 3}) {
+    std::vector<int64_t> members = released.query_skyline(q).MemberIds();
+    std::sort(members.begin(), members.end());
+    EXPECT_EQ(members, BruteForceSkyline(points, prefs[q].Dims()))
+        << "query " << q << " dva=" << dva;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(DvaModes, SharedSkylineTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "dva" : "tiesafe";
@@ -216,8 +254,8 @@ TEST(SharedSkylineTest, DvaGatingSavesComparisons) {
       RandomPoints(Distribution::kIndependent, 800, 4, 13);
   int64_t cmps_dva = 0;
   int64_t cmps_safe = 0;
-  SharedSkylineEvaluator dva(4, &cuboid, true);
-  SharedSkylineEvaluator safe(4, &cuboid, false);
+  SharedSkylineEvaluator dva(&cuboid, true);
+  SharedSkylineEvaluator safe(&cuboid, false);
   for (int64_t i = 0; i < points.size(); ++i) {
     dva.Insert(points.row(i), i, &cmps_dva);
     safe.Insert(points.row(i), i, &cmps_safe);

@@ -1,9 +1,10 @@
 // Concurrency stress suite for the sharded emission park set.
 //
 // Three EmissionManager replicas over one shared frozen world (workload,
-// regions, tuple store, pending flags) are driven through identical
-// randomized adversarial schedules — region flushes, evictions, lineage
-// prunes, query retirements and re-grafts — and must agree byte for byte:
+// regions, tuple store under sparse ids, pending flags) are driven through
+// identical randomized adversarial schedules — region flushes, evictions,
+// lineage prunes, query retirements and re-grafts — and must agree byte for
+// byte:
 //
 //   * `pooled`  flushes every region barrier through a real ThreadPool,
 //   * `serial`  flushes with pool == nullptr (the reference q-order sweep),
@@ -49,7 +50,11 @@ double UnitUniform(std::mt19937_64& rng) {
 struct StressWorld {
   Workload workload;
   RegionCollection rc;
-  std::unique_ptr<PointSet> store;
+  std::unique_ptr<TupleStore> store;
+  /// Id of the next sampled tuple. Ids are sparse, like the engine's (its
+  /// ids skip every join match no query accepted), so every witness scan
+  /// reads through the store's id lookup.
+  int64_t next_id = 2;
   std::vector<char> pending;
   int num_queries = 0;
   int dims = 0;
@@ -97,7 +102,7 @@ StressWorld MakeWorld(uint64_t seed, int num_queries, int num_regions) {
     region.join_sizes = {2};
     world.rc.regions.push_back(std::move(region));
   }
-  world.store = std::make_unique<PointSet>(world.dims);
+  world.store = std::make_unique<TupleStore>(world.dims);
   world.pending.assign(num_regions, 1);
   return world;
 }
@@ -116,7 +121,11 @@ int64_t SamplePoint(StressWorld& world, const OutputRegion& region,
       values[d] = region.lower[d] + (UnitUniform(rng) * 3.0 - 1.0) * span;
     }
   }
-  return world.store->Append(values);
+  // The gap cycles through 1..4 without drawing from the schedule's rng.
+  const int64_t id = world.next_id;
+  world.next_id += 1 + world.store->size() % 4;
+  world.store->Append(id, values.data());
+  return id;
 }
 
 /// Groups OnRegionResolved's (q, id) pairs into per-query sequences, the

@@ -315,22 +315,32 @@ class EmissionTest : public ::testing::Test {
     far.rql = QuerySet::Of(0);
     far.join_sizes = {2};
     rc_.regions = {near, far};
-    store_ = std::make_unique<PointSet>(1);
+    store_ = std::make_unique<TupleStore>(1);
     pending_ = {1, 1};
     manager_ = std::make_unique<EmissionManager>(&workload_, &rc_,
                                                  store_.get(), &pending_);
   }
 
+  /// Stores a one-dim tuple under the next sparse id. The gaps between
+  /// ids (the engine's ids skip every unaccepted join match) make each
+  /// witness scan read through the store's id lookup.
+  int64_t AddTuple(double value) {
+    next_id_ += 7;
+    store_->Append(next_id_, &value);
+    return next_id_;
+  }
+
   Workload workload_;
   RegionCollection rc_;
-  std::unique_ptr<PointSet> store_;
+  std::unique_ptr<TupleStore> store_;
+  int64_t next_id_ = 3;
   std::vector<char> pending_;
   std::unique_ptr<EmissionManager> manager_;
 };
 
 TEST_F(EmissionTest, SafeTupleEmitsImmediately) {
   // A tuple better than every pending region's best corner is safe.
-  const int64_t id = store_->Append({-1.0});
+  const int64_t id = AddTuple(-1.0);
   pending_[0] = 0;  // Its own region was just processed.
   std::vector<int64_t> now;
   manager_->OnAccepted(0, id, now);
@@ -342,7 +352,7 @@ TEST_F(EmissionTest, ThreatenedTupleParksUntilWitnessResolves) {
   // Tuple 5.5 from region 0's processing can be dominated by region 1
   // (lower corner 5.0).
   pending_[0] = 0;
-  const int64_t id = store_->Append({5.5});
+  const int64_t id = AddTuple(5.5);
   std::vector<int64_t> now;
   manager_->OnAccepted(0, id, now);
   EXPECT_TRUE(now.empty());
@@ -358,7 +368,7 @@ TEST_F(EmissionTest, ThreatenedTupleParksUntilWitnessResolves) {
 
 TEST_F(EmissionTest, EvictedCandidateNeverEmits) {
   pending_[0] = 0;
-  const int64_t id = store_->Append({5.5});
+  const int64_t id = AddTuple(5.5);
   std::vector<int64_t> now;
   manager_->OnAccepted(0, id, now);
   ASSERT_TRUE(now.empty());
@@ -373,7 +383,7 @@ TEST_F(EmissionTest, EvictedCandidateNeverEmits) {
 
 TEST_F(EmissionTest, PruningAQueryResolvesThreat) {
   pending_[0] = 0;
-  const int64_t id = store_->Append({5.5});
+  const int64_t id = AddTuple(5.5);
   std::vector<int64_t> now;
   manager_->OnAccepted(0, id, now);
   ASSERT_TRUE(now.empty());
@@ -386,7 +396,7 @@ TEST_F(EmissionTest, PruningAQueryResolvesThreat) {
 }
 
 TEST_F(EmissionTest, DrainFlushesLeftovers) {
-  const int64_t id = store_->Append({5.5});
+  const int64_t id = AddTuple(5.5);
   pending_[0] = 0;
   std::vector<int64_t> now;
   manager_->OnAccepted(0, id, now);

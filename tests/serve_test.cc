@@ -60,9 +60,11 @@ TEST(CaqeServerTest, CreateValidatesInputs) {
 
 // A single admitted query must stream exactly its oracle skyline: the graft
 // path (bootstrap regions + re-derived lineage) loses and invents nothing
-// relative to a batch run over the same data.
+// relative to a batch run over the same data. Every streamed id reads its
+// values back from store(), which keeps only the tuples the query
+// accepted — a small fraction of the join results.
 TEST(CaqeServerTest, SingleQueryStreamsExactSkyline) {
-  auto [r, t] = MakeServeTables(1, 300);
+  auto [r, t] = MakeServeTables(1, 1200);
   Workload reference;
   for (const MappingFunction& f : ThreeDims()) reference.AddOutputDim(f);
   const SjQuery query{"Q0", 0, {0, 1, 2}, 1.0, {}};
@@ -92,6 +94,8 @@ TEST(CaqeServerTest, SingleQueryStreamsExactSkyline) {
   EXPECT_GT(request.pscore, 0.0);
   EXPECT_EQ(report.completed, 1);
   EXPECT_EQ(report.admission_rate, 1.0);
+  EXPECT_GE(report.stats.join_results, 10000);
+  EXPECT_LT(server->store().size() * 100, report.stats.join_results);
 
   std::vector<std::vector<double>> rows;
   for (int64_t tuple : streamed) {
@@ -431,11 +435,14 @@ TEST(CaqeServerTest, TraceRecordsAdmissionAndRetirement) {
 // ---- Emission-manager park/flush interplay with retirement ----
 
 /// One pending region whose box can still dominate the store's candidates,
-/// shared by two queries.
+/// shared by two queries. The two candidates sit under sparse tuple ids, as
+/// the engine's do (its ids skip every join match no query accepted).
 struct EmissionFixture {
+  static constexpr int64_t kFirst = 4;
+  static constexpr int64_t kSecond = 11;
   Workload workload;
   RegionCollection rc;
-  PointSet store{2};
+  TupleStore store{2};
   std::vector<char> pending{1};
 
   EmissionFixture() {
@@ -454,26 +461,28 @@ struct EmissionFixture {
     rc.regions.push_back(std::move(blocker));
     const double first[2] = {5.0, 5.0};
     const double second[2] = {6.0, 4.0};
-    store.Append(first);
-    store.Append(second);
+    store.Append(kFirst, first);
+    store.Append(kSecond, second);
   }
 };
 
 TEST(EmissionRetirementTest, RetiredQueryParkedTuplesAreDroppedNotEmitted) {
+  constexpr int64_t kFirst = EmissionFixture::kFirst;
+  constexpr int64_t kSecond = EmissionFixture::kSecond;
   EmissionFixture fx;
   EmissionManager manager(&fx.workload, &fx.rc, &fx.store, &fx.pending);
   std::vector<int64_t> now;
-  manager.OnAccepted(0, 0, now);
-  manager.OnAccepted(0, 1, now);
-  manager.OnAccepted(1, 0, now);
-  manager.OnAccepted(1, 1, now);
+  manager.OnAccepted(0, kFirst, now);
+  manager.OnAccepted(0, kSecond, now);
+  manager.OnAccepted(1, kFirst, now);
+  manager.OnAccepted(1, kSecond, now);
   EXPECT_TRUE(now.empty());  // All parked behind the pending blocker.
   EXPECT_EQ(manager.parked(0), 2);
   EXPECT_EQ(manager.parked(1), 2);
 
   std::vector<int64_t> flushed;
   manager.RetireQuery(0, &flushed);
-  EXPECT_EQ(flushed, (std::vector<int64_t>{0, 1}));  // Ascending ids.
+  EXPECT_EQ(flushed, (std::vector<int64_t>{kFirst, kSecond}));  // Ascending.
   EXPECT_EQ(manager.parked(0), 0);
   EXPECT_EQ(manager.parked(1), 2);
 
@@ -491,14 +500,16 @@ TEST(EmissionRetirementTest, RetiredQueryParkedTuplesAreDroppedNotEmitted) {
 TEST(EmissionRetirementTest, SurvivorOrderingUnchangedByRetirement) {
   // The survivor's emission sequence must be identical whether or not the
   // other query existed and was retired.
+  constexpr int64_t kFirst = EmissionFixture::kFirst;
+  constexpr int64_t kSecond = EmissionFixture::kSecond;
   EmissionFixture with_retiree;
   EmissionManager noisy(&with_retiree.workload, &with_retiree.rc,
                         &with_retiree.store, &with_retiree.pending);
   std::vector<int64_t> now;
-  noisy.OnAccepted(0, 1, now);
-  noisy.OnAccepted(1, 0, now);
-  noisy.OnAccepted(0, 0, now);
-  noisy.OnAccepted(1, 1, now);
+  noisy.OnAccepted(0, kSecond, now);
+  noisy.OnAccepted(1, kFirst, now);
+  noisy.OnAccepted(0, kFirst, now);
+  noisy.OnAccepted(1, kSecond, now);
   noisy.RetireQuery(0, nullptr);
   with_retiree.pending[0] = 0;
   std::vector<std::pair<int, int64_t>> noisy_emitted;
@@ -507,8 +518,8 @@ TEST(EmissionRetirementTest, SurvivorOrderingUnchangedByRetirement) {
   EmissionFixture clean_fx;
   EmissionManager clean(&clean_fx.workload, &clean_fx.rc, &clean_fx.store,
                         &clean_fx.pending);
-  clean.OnAccepted(1, 0, now);
-  clean.OnAccepted(1, 1, now);
+  clean.OnAccepted(1, kFirst, now);
+  clean.OnAccepted(1, kSecond, now);
   clean_fx.pending[0] = 0;
   std::vector<std::pair<int, int64_t>> clean_emitted;
   clean.OnRegionResolved(0, clean_emitted);

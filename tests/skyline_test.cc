@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/generator.h"
@@ -201,7 +202,7 @@ TEST(IncrementalSkylineTest, MatchesBatchUnderRandomInserts) {
        {Distribution::kIndependent, Distribution::kAntiCorrelated}) {
     const PointSet points = RandomPoints(dist, 300, 3, 42);
     const std::vector<int> dims = {0, 1, 2};
-    IncrementalSkyline inc(3, dims);
+    IncrementalSkyline inc(dims);
     for (int64_t i = 0; i < points.size(); ++i) {
       inc.Insert(points.row(i), i);
     }
@@ -212,7 +213,7 @@ TEST(IncrementalSkylineTest, MatchesBatchUnderRandomInserts) {
 }
 
 TEST(IncrementalSkylineTest, ReportsEvictions) {
-  IncrementalSkyline inc(2, {0, 1});
+  IncrementalSkyline inc({0, 1});
   EXPECT_TRUE(inc.Insert(std::vector<double>{5, 5}.data(), 1).accepted);
   EXPECT_TRUE(inc.Insert(std::vector<double>{4, 6}.data(), 2).accepted);
   // (4.5, 4.5) dominates (5, 5) but is incomparable with (4, 6).
@@ -223,7 +224,7 @@ TEST(IncrementalSkylineTest, ReportsEvictions) {
 }
 
 TEST(IncrementalSkylineTest, RejectsDominatedWithoutEvicting) {
-  IncrementalSkyline inc(2, {0, 1});
+  IncrementalSkyline inc({0, 1});
   inc.Insert(std::vector<double>{1, 1}.data(), 1);
   const InsertOutcome out = inc.Insert(std::vector<double>{2, 2}.data(), 2);
   EXPECT_FALSE(out.accepted);
@@ -232,17 +233,53 @@ TEST(IncrementalSkylineTest, RejectsDominatedWithoutEvicting) {
 }
 
 TEST(IncrementalSkylineTest, EqualPointsCoexist) {
-  IncrementalSkyline inc(2, {0, 1});
+  IncrementalSkyline inc({0, 1});
   EXPECT_TRUE(inc.Insert(std::vector<double>{1, 2}.data(), 1).accepted);
   EXPECT_TRUE(inc.Insert(std::vector<double>{1, 2}.data(), 2).accepted);
   EXPECT_EQ(inc.size(), 2);
 }
 
 TEST(IncrementalSkylineTest, SubspaceDimsRespected) {
-  IncrementalSkyline inc(3, {0, 2});  // Ignore dim 1.
+  IncrementalSkyline inc({0, 2});  // Ignore dim 1.
   inc.Insert(std::vector<double>{1, 100, 1}.data(), 1);
   // Dominated on {0,2} despite better dim 1.
   EXPECT_FALSE(inc.Insert(std::vector<double>{2, 0, 2}.data(), 2).accepted);
+}
+
+// The engine's retained-tuple store: ids arrive ascending with gaps (the
+// join matches no query accepted), and each lookup is a binary search.
+TEST(TupleStoreTest, SparseAscendingIdsReadBack) {
+  const int64_t ids[] = {3, 4, 17, 250, 1000000007};
+  const double rows[][2] = {{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}};
+  TupleStore store(2);
+  EXPECT_EQ(store.size(), 0);
+  for (int i = 0; i < 5; ++i) store.Append(ids[i], rows[i]);
+  EXPECT_EQ(store.size(), 5);
+  EXPECT_EQ(store.width(), 2);
+  // First, middle and last ids, plus both neighbors of the widest gaps.
+  for (int i : {0, 2, 4, 1, 3}) {
+    EXPECT_EQ(store.row(ids[i])[0], rows[i][0]) << "id " << ids[i];
+    EXPECT_EQ(store.row(ids[i])[1], rows[i][1]) << "id " << ids[i];
+  }
+}
+
+TEST(TupleStoreDeathTest, MissingIdCheckFails) {
+  const double value = 1.0;
+  TupleStore store(1);
+  store.Append(2, &value);
+  store.Append(9, &value);
+  EXPECT_DEATH((void)store.row(5), "CAQE_CHECK failed");   // In a gap.
+  EXPECT_DEATH((void)store.row(0), "CAQE_CHECK failed");   // Below the first.
+  EXPECT_DEATH((void)store.row(10), "CAQE_CHECK failed");  // Past the last.
+  const TupleStore empty(1);
+  EXPECT_DEATH((void)empty.row(0), "CAQE_CHECK failed");
+}
+
+TEST(TupleStoreDeathTest, NonAscendingAppendDebugCheckFails) {
+  const double value = 1.0;
+  TupleStore store(1);
+  store.Append(5, &value);
+  EXPECT_DEBUG_DEATH(store.Append(5, &value), "CAQE_CHECK failed");
 }
 
 TEST(CardinalityTest, BuchtaFormulaValues) {
