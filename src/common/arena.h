@@ -1,7 +1,7 @@
 // Epoch-based bump allocator for per-region scratch memory.
 //
 // The region hot path re-creates the same transient buffers every region
-// (SoA column blocks, gather targets, flattened event lists). Routing them
+// (group lists, per-group counts, emission tallies). Routing them
 // through an Arena turns each region into one epoch: allocation is a bump
 // of a cursor inside a block the arena already owns, and Reset() recycles
 // everything at the region boundary in O(number of blocks). After warmup

@@ -62,8 +62,7 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
       emission_(workload, rc, &store_, pending),
       active_groups_(&arena_),
       group_cmps_(&arena_),
-      emitted_per_query_(&arena_),
-      dim_cols_(&arena_) {
+      emitted_per_query_(&arena_) {
   // Configure the kernel before any join: the layout and cache bound are
   // fixed for the pipeline's life.
   kernel_.set_compact_layout(options_.compact_layout);
@@ -234,8 +233,6 @@ void RegionPipeline::ProcessRegion(int rid) {
   active_groups_.OnEpochReset();
   group_cmps_.OnEpochReset();
   emitted_per_query_.OnEpochReset();
-  dim_cols_.OnEpochReset();
-  column_block_.Clear();
   EnsureQueryCapacity();
   clock_->ChargeScheduleSteps(1);
   region_vstart_ = clock_->Now();
@@ -431,22 +428,9 @@ void RegionPipeline::ProcessRegion(int rid) {
       accepted_view_.Reset(dims);
       // Accepted ids all lie in [base_id, base_id + num_matches) (they
       // were accepted this region), so their values are block rows.
-      if (options_.compact_layout) {
-        // Slice the region's SoA transpose: each compared dimension is one
-        // unit-stride gather from the block's column. The transpose is
-        // built lazily at the first discarding query of the region and
-        // shared by the rest.
-        if (column_block_.size() == 0) column_block_.BuildFrom(block_);
-        dim_cols_.clear();
-        for (int d : dims) dim_cols_.push_back(column_block_.col(d));
-        accepted_view_.AssignFromColumns(dim_cols_.data(), base_id,
-                                         accepted_events_[q].data(),
-                                         accepted_n);
-      } else {
-        accepted_view_.Reserve(accepted_n);
-        for (int64_t id : accepted_events_[q]) {
-          accepted_view_.PushPoint(block_.row(id - base_id));
-        }
+      accepted_view_.Reserve(accepted_n);
+      for (int64_t id : accepted_events_[q]) {
+        accepted_view_.PushPoint(block_.row(id - base_id));
       }
       // Below this much total work (region × tuple tests) the fork/join
       // overhead exceeds the scan itself; stay on the calling thread.

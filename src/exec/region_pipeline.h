@@ -104,9 +104,8 @@ struct PipelineOptions {
   /// ExecOptions::pipeline_regions). Requires a pool to have any effect;
   /// byte-identical reports either way.
   bool pipeline_regions = false;
-  /// Cache-conscious steady-state layout (see ExecOptions::compact_layout):
-  /// key-match join and SoA column-block discard gathers. Reports stay
-  /// byte-identical.
+  /// Key-match join (see ExecOptions::compact_layout); off selects the
+  /// hash join. Reports stay byte-identical.
   bool compact_layout = true;
   /// Map-layout join-index cache bound (see
   /// ExecOptions::join_index_cache_entries).
@@ -264,18 +263,12 @@ class RegionPipeline {
   std::vector<std::vector<double>> project_scratch_;
 
   /// Epoch arena for the small per-region control scratch (active-group
-  /// list, per-group comparison counts, emission tallies, column-pointer
-  /// tables). Reset at each ProcessRegion entry; only the control thread
-  /// allocates from it.
+  /// list, per-group comparison counts, emission tallies). Reset at each
+  /// ProcessRegion entry; only the control thread allocates from it.
   Arena arena_;
   ArenaVector<PlanGroup*> active_groups_;
   ArenaVector<int64_t> group_cmps_;
   ArenaVector<int64_t> emitted_per_query_;
-  ArenaVector<const double*> dim_cols_;
-  /// SoA transpose of the region's row block (compact_layout): built
-  /// lazily at the first discard scan of a region, sliced per query into
-  /// accepted_view_ via AssignFromColumns.
-  ColumnBlock column_block_;
 };
 
 }  // namespace caqe

@@ -39,7 +39,7 @@ struct CoreOptions {
   /// been sized consistently with num_threads); callers that partition
   /// with the same pool avoid a second thread spin-up.
   ThreadPool* pool = nullptr;
-  /// Cache-conscious steady-state layout (see ExecOptions::compact_layout).
+  /// Key-match join on, hash join off (see ExecOptions::compact_layout).
   /// Reports stay byte-identical.
   bool compact_layout = true;
   /// Join-index cache bound (see ExecOptions::join_index_cache_entries).

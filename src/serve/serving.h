@@ -74,7 +74,7 @@ struct ServeOptions {
   /// bootstrap region build classifies selections through packed box
   /// trees over the cells. Reports stay byte-identical.
   bool coarse_index = false;
-  /// Cache-conscious steady-state layout (see ExecOptions::compact_layout).
+  /// Key-match join on, hash join off (see ExecOptions::compact_layout).
   /// Reports stay byte-identical.
   bool compact_layout = true;
   /// Map-layout join-index cache bound — matters most here, where a long

@@ -103,25 +103,6 @@ class SubspaceView {
     ++n_;
   }
 
-  /// Replaces the view contents wholesale from per-dimension source
-  /// columns: row i takes cols_of_dim[k][ids[i] - base] for each compared
-  /// dimension k. This is the bulk companion of PushPoint for callers that
-  /// already hold their points column-major (e.g. a region's ColumnBlock
-  /// transpose): one pass per column, unit-stride writes, no per-row
-  /// dimension remapping.
-  void AssignFromColumns(const double* const* cols_of_dim, int64_t base,
-                         const int64_t* ids, int64_t n) {
-    for (size_t k = 0; k < dims_.size(); ++k) {
-      std::vector<double>& col = cols_[k];
-      col.resize(static_cast<size_t>(n));
-      const double* src = cols_of_dim[k];
-      for (int64_t i = 0; i < n; ++i) {
-        col[static_cast<size_t>(i)] = src[ids[i] - base];
-      }
-    }
-    n_ = n;
-  }
-
   /// Copies row `src` onto row `dst` (dst <= src): the stable-compaction
   /// primitive mirroring the consumers' window[keep++] = window[i] loops.
   void MoveRow(int64_t dst, int64_t src) {

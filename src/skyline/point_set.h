@@ -103,48 +103,6 @@ class TupleStore {
   PointSet rows_;
 };
 
-/// Column-major (structure-of-arrays) transpose of a PointSet. Built once
-/// per region over the region's projected rows, it lets subspace consumers
-/// hand whole columns to SubspaceView::AssignFromColumns — a unit-stride
-/// gather per compared dimension — instead of walking row-major storage
-/// point by point. The column buffers are reused across BuildFrom calls
-/// (grow-only), so a steady-state region transposes without allocating.
-class ColumnBlock {
- public:
-  /// (Re)builds the transpose over every row of `rows`.
-  void BuildFrom(const PointSet& rows) {
-    const int width = rows.width();
-    const int64_t n = rows.size();
-    if (static_cast<int>(cols_.size()) < width) cols_.resize(width);
-    for (int d = 0; d < width; ++d) {
-      cols_[d].resize(static_cast<size_t>(n));
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      const double* r = rows.row(i);
-      for (int d = 0; d < width; ++d) {
-        cols_[d][static_cast<size_t>(i)] = r[d];
-      }
-    }
-    n_ = n;
-    width_ = width;
-  }
-
-  void Clear() { n_ = 0; }
-
-  int64_t size() const { return n_; }
-
-  /// Contiguous values of dimension `d`, one per row.
-  const double* col(int d) const {
-    CAQE_DCHECK(d >= 0 && d < width_);
-    return cols_[static_cast<size_t>(d)].data();
-  }
-
- private:
-  std::vector<std::vector<double>> cols_;
-  int64_t n_ = 0;
-  int width_ = 0;
-};
-
 }  // namespace caqe
 
 #endif  // CAQE_SKYLINE_POINT_SET_H_
