@@ -1,15 +1,15 @@
 // Overhead of the observability layer (src/obs): the Figure 9 workload runs
 // repeatedly with tracing OFF (ExecOptions::obs null — disabled spans cost
-// one branch) and ON (full span + metrics + contract-health collection),
+// one branch) and ON (full span + metrics + contract-event collection),
 // comparing median wall times. The run aborts if any deterministic counter
 // or the contract objective moves between the two modes — observability
 // must be invisible to the engine.
 //
 // A second cell measures the serving layer the same way: a synthetic trace
 // is served with observability detached and attached, where "attached" now
-// also means the contract audit ledger records every admission decision /
+// also means the contract event log records every admission decision /
 // weight update / completion and the always-on flight recorder mirrors
-// every span and ledger record through its lock-free ring. The
+// every span and ledger event through its lock-free ring. The
 // deterministic ServingReportText must be byte-identical off/on.
 //
 // Flags: --rows=N --sel=SIGMA --dist=... --queries=K --seed=S --repeats=R
@@ -113,7 +113,9 @@ int Main(int argc, char** argv) {
     if (rep == 0) {
       face_on = DeterministicFace(on);
       span_count = obs.spans.size();
-      health_count = obs.health.size();
+      for (const ContractEvent& event : obs.events.Snapshot()) {
+        if (event.kind == ContractEventKind::kRegionStep) ++health_count;
+      }
       const std::string prom = obs.metrics.PrometheusText();
       for (size_t pos = prom.find("# TYPE"); pos != std::string::npos;
            pos = prom.find("# TYPE", pos + 1)) {
@@ -138,11 +140,11 @@ int Main(int argc, char** argv) {
   std::printf("deterministic counters identical off/on: yes\n");
 
   // ---- Serving cell: audit ledger + flight recorder ----------------------
-  // The ledger and flight recorder only run in the serving layer, so this
-  // cell serves a synthetic trace instead of the batch workload. Attaching
-  // an Observability turns on spans, metrics, health, the audit ledger,
-  // and the span/ledger flight-recorder mirror all at once — the budget
-  // covers their sum.
+  // Request lifecycle events (the ledger's kinds) only occur in the serving
+  // layer, so this cell serves a synthetic trace instead of the batch
+  // workload. Attaching an Observability turns on spans, metrics, the
+  // contract event log, and the span/ledger flight-recorder mirror all at
+  // once — the budget covers their sum.
   GeneratorConfig serve_cfg;
   serve_cfg.num_rows = args.GetInt("serve_rows", 2000);
   serve_cfg.num_attrs = 3;
@@ -196,10 +198,12 @@ int Main(int argc, char** argv) {
     // Observed or not, the serving report must not move a byte.
     CAQE_CHECK(on_text == serve_text);
     if (rep == 0) {
-      ledger_records = obs.ledger.size();
+      for (const ContractEvent& event : obs.events.Snapshot()) {
+        if (IsLedgerEvent(event)) ++ledger_records;
+      }
       flight_total = obs.flight.total();
       CAQE_CHECK(ledger_records > 0);
-      CAQE_CHECK(obs.ledger.dropped() == 0);
+      CAQE_CHECK(obs.events.dropped() == 0);
       CAQE_CHECK(flight_total >= ledger_records);
     }
   }

@@ -43,7 +43,7 @@
 #include "exec/shared_plan_engine.h"
 #include "metrics/printer.h"
 #include "metrics/report.h"
-#include "obs/health.h"
+#include "obs/event_log.h"
 #include "obs/metrics_registry.h"
 #include "obs/observability.h"
 #include "obs/span.h"

@@ -11,36 +11,6 @@ namespace caqe {
 
 struct Observability;
 
-/// One observable event of an engine execution, for debugging and
-/// post-hoc analysis of scheduling decisions.
-struct ExecEvent {
-  enum class Kind {
-    /// A region was picked for tuple-level processing.
-    kRegionScheduled,
-    /// A region was discarded without processing (lineage emptied).
-    kRegionDiscarded,
-    /// One query was pruned from a region's lineage.
-    kQueryPruned,
-    /// `count` results of `query` were emitted.
-    kResultsEmitted,
-    /// Serving layer: `query` was admitted and grafted into the running
-    /// workload (`count` = number of live regions in its lineage).
-    kQueryAdmitted,
-    /// Serving layer: `query` was retired mid-run (`count` = parked
-    /// candidates dropped with it).
-    kQueryRetired,
-    /// Serving layer: a calibration shift re-previewed deferred request
-    /// `query` (`count` = 1 when the re-preview upgraded it to an admit).
-    kQueryRepreviewed,
-  };
-  Kind kind = Kind::kRegionScheduled;
-  /// Virtual time of the event.
-  double vtime = 0.0;
-  int region = -1;
-  int query = -1;
-  int64_t count = 0;
-};
-
 /// Input partitioning structure used by region-based engines.
 enum class PartitionStrategy {
   /// Equi-width grid with an auto-chosen per-dimension slice vector.
@@ -133,17 +103,15 @@ struct ExecOptions {
   /// <= 0 fall back to the estimate. The benchmark harness fills this from
   /// a calibration run so all engines are scored identically.
   std::vector<double> known_result_counts;
-  /// When non-null, region-based engines append their scheduling /
-  /// discarding / emission events here (caller keeps ownership; must
-  /// outlive the Execute call).
-  std::vector<ExecEvent>* trace = nullptr;
   /// Streaming consumer: invoked synchronously for every reported result,
   /// in report order — (query index, virtual report time, utility). This is
   /// how an application consumes progressive results instead of waiting
   /// for the final report.
   std::function<void(int query, double time, double utility)> on_result;
-  /// Tracing + metrics + contract-health bundle (src/obs/). Null (default)
-  /// disables all observability at the cost of one branch per span.
+  /// Tracing + metrics + contract-event bundle (src/obs/). Null (default)
+  /// disables all observability at the cost of one branch per span. When
+  /// set, region-based engines append their scheduling, discarding and
+  /// emission events and every query's region steps to its event log.
   /// Observability never feeds the deterministic counters or the virtual
   /// clock: reports are byte-identical with or without it.
   Observability* obs = nullptr;

@@ -67,6 +67,7 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
   // fixed for the pipeline's life.
   kernel_.set_compact_layout(options_.compact_layout);
   kernel_.set_cache_capacity(options_.join_index_cache_entries);
+  events_ = Observability::Events(options_.obs);
   if (options_.obs != nullptr) {
     // Resolve hot-path metrics once; observations are virtual-time deltas,
     // so the histograms are identical across thread counts.
@@ -113,13 +114,6 @@ uint32_t RegionPipeline::ComputeSlotsMask(const OutputRegion& region) const {
     }
   }
   return mask;
-}
-
-void RegionPipeline::Record(ExecEvent::Kind kind, int region, int query,
-                            int64_t count) {
-  if (options_.trace == nullptr) return;
-  options_.trace->push_back(
-      ExecEvent{kind, clock_->Now(), region, query, count});
 }
 
 void RegionPipeline::EnsureQueryCapacity() {
@@ -236,7 +230,11 @@ void RegionPipeline::ProcessRegion(int rid) {
   EnsureQueryCapacity();
   clock_->ChargeScheduleSteps(1);
   region_vstart_ = clock_->Now();
-  Record(ExecEvent::Kind::kRegionScheduled, rid, -1, 0);
+  if (events_ != nullptr) {
+    events_->Append({.kind = ContractEventKind::kRegionScheduled,
+                     .region = rid,
+                     .vtime = region_vstart_});
+  }
   OutputRegion& region = rc_->regions[rid];
   EngineStats& stats = *stats_;
   const Workload& workload = *workload_;
@@ -456,13 +454,22 @@ void RegionPipeline::ProcessRegion(int rid) {
         if (!discard_hits_[i]) continue;
         OutputRegion& other = rc_->regions[i];
         other.rql.Remove(q);
-        Record(ExecEvent::Kind::kQueryPruned, other.id, q, 0);
+        if (events_ != nullptr) {
+          events_->Append({.kind = ContractEventKind::kQueryPruned,
+                           .query = q,
+                           .region = other.id,
+                           .vtime = clock_->Now()});
+        }
         emission_.OnRegionResolvedForQuery(other.id, q, resolved_emits);
         if (other.rql.empty()) {
           (*pending_)[other.id] = 0;
           --(*pending_count_);
           ++stats.regions_discarded;
-          Record(ExecEvent::Kind::kRegionDiscarded, other.id, -1, 0);
+          if (events_ != nullptr) {
+            events_->Append({.kind = ContractEventKind::kRegionDiscarded,
+                             .region = other.id,
+                             .vtime = clock_->Now()});
+          }
           if (scheduler_ != nullptr) scheduler_->OnRegionRemoved(other.id);
           emission_.OnRegionResolved(other.id, resolved_emits);
         }
@@ -515,9 +522,12 @@ void RegionPipeline::ProcessRegion(int rid) {
       }
     }
     for (int q = 0; q < workload.num_queries(); ++q) {
-      if (emitted_per_query_[q] > 0) {
-        Record(ExecEvent::Kind::kResultsEmitted, rid, q,
-               emitted_per_query_[q]);
+      if (emitted_per_query_[q] > 0 && events_ != nullptr) {
+        events_->Append({.kind = ContractEventKind::kResultsEmitted,
+                         .query = q,
+                         .region = rid,
+                         .vtime = clock_->Now(),
+                         .count = emitted_per_query_[q]});
       }
     }
     const int64_t emission_ops = emission_.coarse_ops() - emission_ops_before;

@@ -55,6 +55,7 @@
 
 namespace caqe {
 
+class ContractEventLog;
 class Counter;
 class Histogram;
 struct Observability;
@@ -88,8 +89,6 @@ struct PipelineOptions {
   bool dva_mode = true;
   /// Capture per-result values into the reports vector.
   bool capture_results = false;
-  /// Optional event sink (see ExecOptions::trace).
-  std::vector<ExecEvent>* trace = nullptr;
   /// Optional streaming consumer, called with global query ids.
   std::function<void(int query, double time, double utility)> on_result;
   /// Serving-layer emission hook: (global query, tuple id, virtual time,
@@ -98,7 +97,7 @@ struct PipelineOptions {
   /// values for the pipeline's life.
   std::function<void(int query, int64_t id, double time, double utility)>
       on_emit;
-  /// Optional tracing/metrics/health bundle (see ExecOptions::obs).
+  /// Optional tracing/metrics/event-log bundle (see ExecOptions::obs).
   Observability* obs = nullptr;
   /// Flush the sharded emission park set in parallel (see
   /// ExecOptions::pipeline_regions). Requires a pool to have any effect;
@@ -181,7 +180,6 @@ class RegionPipeline {
 
  private:
   void EmitResult(int q, int64_t id);
-  void Record(ExecEvent::Kind kind, int region, int query, int64_t count);
   /// Grows per-query scratch to the workload's current size (no-op in the
   /// batch path where the workload never grows).
   void EnsureQueryCapacity();
@@ -205,6 +203,9 @@ class RegionPipeline {
   RequestTraceContext trace_ctx_;
 
   std::vector<int> global_query_ids_;
+  /// Event log of the attached Observability (null without one): the
+  /// scheduling, discarding and emission events land here.
+  ContractEventLog* events_ = nullptr;
   // Metrics resolved once at construction when an Observability is attached
   // (null otherwise). Virtual-time histograms: deterministic observations.
   Histogram* region_service_hist_ = nullptr;

@@ -80,7 +80,6 @@ Status RunSharedCore(const PartitionedTable& part_r,
   pipe_options.tuple_discard = core_options.tuple_discard;
   pipe_options.dva_mode = core_options.dva_mode;
   pipe_options.capture_results = core_options.capture_results;
-  pipe_options.trace = core_options.trace;
   pipe_options.on_result = core_options.on_result;
   pipe_options.obs = obs;
   pipe_options.pipeline_regions = core_options.pipeline_regions;
@@ -150,26 +149,33 @@ Status RunSharedCore(const PartitionedTable& part_r,
   }
   int static_cursor = 0;
 
-  // Contract-health introspection: bind query names once, then sample the
-  // (pScore, results, weight) triple after every region at virtual time —
-  // deduped by ContractHealth, deterministic across thread counts.
-  if (obs != nullptr) {
+  // Contract-health introspection: bind query names once, then append
+  // every query's (results, pScore, weight) after every region at virtual
+  // time — the event log keeps only the steps that moved, deterministic
+  // across thread counts.
+  ContractEventLog* const events = Observability::Events(obs);
+  if (events != nullptr) {
     for (int q = 0; q < workload.num_queries(); ++q) {
-      obs->health.SetName(global_query_ids[q], workload.query(q).name);
+      events->SetName(global_query_ids[q], workload.query(q).name);
     }
   }
-  auto sample_health = [&] {
-    if (obs == nullptr) return;
+  auto record_steps = [&](int region) {
+    if (events == nullptr) return;
     const double now = clock.Now();
     for (int q = 0; q < workload.num_queries(); ++q) {
       const int global_q = global_query_ids[q];
       const QuerySatisfaction& sat = tracker.satisfaction(global_q);
-      const double weight =
-          scheduler.has_value() ? scheduler->weight(q) : 1.0;
-      obs->health.Sample(now, global_q, sat.results, sat.pscore, weight);
+      events->Append({.kind = ContractEventKind::kRegionStep,
+                      .request_id = global_q,
+                      .region = region,
+                      .vtime = now,
+                      .results = sat.results,
+                      .pscore = sat.pscore,
+                      .weight = scheduler.has_value() ? scheduler->weight(q)
+                                                      : 1.0});
     }
   };
-  sample_health();
+  record_steps(/*region=*/-1);
 
   while (pending_count > 0) {
     // ---- Pick the next region. ----
@@ -205,7 +211,7 @@ Status RunSharedCore(const PartitionedTable& part_r,
 
     // ---- Satisfaction feedback (Eq. 11). ----
     if (scheduler.has_value()) scheduler->UpdateWeights();
-    sample_health();
+    record_steps(rid);
   }
 
   return pipeline.FinalDrain();

@@ -56,12 +56,10 @@ struct CoreOptions {
   /// ExecOptions::known_result_counts). Empty or non-positive entries fall
   /// back to the Buchta estimate.
   std::vector<double> known_result_counts;
-  /// Optional event sink (see ExecOptions::trace).
-  std::vector<ExecEvent>* trace = nullptr;
   /// Optional streaming consumer, called with *global* query ids (see
   /// ExecOptions::on_result).
   std::function<void(int query, double time, double utility)> on_result;
-  /// Optional tracing/metrics/health bundle (see ExecOptions::obs).
+  /// Optional tracing/metrics/event-log bundle (see ExecOptions::obs).
   Observability* obs = nullptr;
 };
 

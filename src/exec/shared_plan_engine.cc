@@ -64,7 +64,6 @@ Result<ExecutionReport> SharedPlanEngine::Execute(
   core.dva_mode = options.dva_mode;
   core.capture_results = options.capture_results;
   core.known_result_counts = options.known_result_counts;
-  core.trace = options.trace;
   core.on_result = options.on_result;
   core.obs = options.obs;
 

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "common/json_util.h"
 #include "metrics/printer.h"
 
 namespace caqe {
@@ -50,50 +49,6 @@ std::string UtilityTraceCsv(const ExecutionReport& report) {
     }
   }
   return table.RenderCsv();
-}
-
-const char* ExecEventKindName(ExecEvent::Kind kind) {
-  switch (kind) {
-    case ExecEvent::Kind::kRegionScheduled:
-      return "region_scheduled";
-    case ExecEvent::Kind::kRegionDiscarded:
-      return "region_discarded";
-    case ExecEvent::Kind::kQueryPruned:
-      return "query_pruned";
-    case ExecEvent::Kind::kResultsEmitted:
-      return "results_emitted";
-    case ExecEvent::Kind::kQueryAdmitted:
-      return "query_admitted";
-    case ExecEvent::Kind::kQueryRetired:
-      return "query_retired";
-    case ExecEvent::Kind::kQueryRepreviewed:
-      return "query_repreviewed";
-  }
-  return "unknown";
-}
-
-std::string ExecEventsJsonl(const std::vector<ExecEvent>& events,
-                            const std::vector<std::string>& query_names) {
-  std::string out;
-  for (const ExecEvent& event : events) {
-    out += "{\"kind\":\"";
-    out += ExecEventKindName(event.kind);
-    out += "\",\"vtime\":";
-    out += FormatDouble(event.vtime, 9);
-    out += ",\"region\":";
-    out += std::to_string(event.region);
-    out += ",\"query\":";
-    out += std::to_string(event.query);
-    if (event.query >= 0 &&
-        event.query < static_cast<int>(query_names.size())) {
-      out += ",\"name\":";
-      JsonAppendString(out, query_names[event.query]);
-    }
-    out += ",\"count\":";
-    out += std::to_string(event.count);
-    out += "}\n";
-  }
-  return out;
 }
 
 Status WriteTextFile(const std::string& path, const std::string& content) {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/options.h"
 #include "metrics/report.h"
 
 namespace caqe {
@@ -25,25 +24,6 @@ std::string QueryBreakdownCsv(const ExecutionReport& report);
 /// curves behind the progressiveness plots).
 /// Columns: engine, query, time, utility.
 std::string UtilityTraceCsv(const ExecutionReport& report);
-
-/// Human/tool-readable name of an ExecEvent kind (stable identifiers:
-/// "region_scheduled", "region_discarded", "query_pruned",
-/// "results_emitted", "query_admitted", "query_retired").
-const char* ExecEventKindName(ExecEvent::Kind kind);
-
-/// One JSON object per line per event, in stream order:
-///   {"kind":"region_scheduled","vtime":0.000123,"region":4,"query":-1,
-///    "count":0}
-/// Virtual times print with 9 decimals (the repository's deterministic
-/// time format), so two runs' exports byte-match iff their event streams
-/// match. This makes serving-mode scheduling decisions post-hoc
-/// inspectable with standard JSONL tooling.
-///
-/// `query_names`, when non-empty, adds a `"name"` field to every event with
-/// a resolvable query index (names[event.query]). Names are caller data and
-/// are JSON-escaped — a query named `a"b\c` exports as `"a\"b\\c"`.
-std::string ExecEventsJsonl(const std::vector<ExecEvent>& events,
-                            const std::vector<std::string>& query_names = {});
 
 /// Writes `content` to `path`, overwriting. Returns an error Status on I/O
 /// failure.

@@ -16,7 +16,7 @@
 #include "common/json_util.h"
 #include "common/macros.h"
 #include "metrics/printer.h"
-#include "obs/ledger.h"
+#include "obs/event_log.h"
 
 namespace caqe {
 namespace net {
@@ -528,15 +528,15 @@ void NetServer::HandleTrace(Connection& conn, const std::string& name) {
     ReplyErr(conn, "unknown-request");
     return;
   }
-  const std::vector<AuditRecord> records =
-      options_.obs->ledger.Tail(id, kTraceTailMax);
+  const std::vector<ContractEvent> records =
+      options_.obs->events.Tail(id, kTraceTailMax);
   // Reply can close a slow-consumer connection mid-loop; re-check the fd.
   const int fd = conn.fd;
   Reply(conn, "TRACE " + std::to_string(id) +
                   " records=" + std::to_string(records.size()));
-  for (const AuditRecord& record : records) {
+  for (const ContractEvent& record : records) {
     if (conns_.count(fd) == 0) return;
-    Reply(conn, AuditRecordJson(record));
+    Reply(conn, LedgerEventJson(record));
   }
   if (conns_.count(fd) != 0) Reply(conn, "TRACE-END");
 }
@@ -565,8 +565,8 @@ std::string NetServer::StatuszBody() const {
           " record=" +
           (options_.record_path.empty() ? "off" : options_.record_path) + "\n";
   if (options_.obs != nullptr) {
-    body += "ledger: records=" + std::to_string(options_.obs->ledger.size()) +
-            " dropped=" + std::to_string(options_.obs->ledger.dropped()) +
+    body += "events: records=" + std::to_string(options_.obs->events.size()) +
+            " dropped=" + std::to_string(options_.obs->events.dropped()) +
             "\n";
     body += "flight: entries=" + std::to_string(options_.obs->flight.total()) +
             " capacity=" + std::to_string(options_.obs->flight.capacity()) +
@@ -611,14 +611,15 @@ std::string NetServer::TracezResponse(std::string_view id_text) const {
   body += ",\"status\":\"";
   body += RequestStatusName(brief.status);
   body += "\",\"root_span\":" + std::to_string(brief.root_span);
-  // The causal tree: audit-ledger records (always retained) plus whatever
-  // spans the incremental trace flusher has not drained yet.
+  // The causal tree: audit-ledger records (kept up to the event log's
+  // capacity) plus whatever spans the incremental trace flusher has not
+  // drained yet.
   body += ",\"records\":[";
-  const std::vector<AuditRecord> records =
-      options_.obs->ledger.Tail(id, kTracezMaxRecords);
+  const std::vector<ContractEvent> records =
+      options_.obs->events.Tail(id, kTracezMaxRecords);
   for (size_t i = 0; i < records.size(); ++i) {
     if (i > 0) body += ',';
-    body += AuditRecordJson(records[i]);
+    body += LedgerEventJson(records[i]);
   }
   body += "],\"spans\":[";
   bool first = true;

@@ -1,5 +1,5 @@
 // Observability bundle: one object owning the trace sink, the metrics
-// registry, and the contract-health sampler for a run.
+// registry, the contract event log and the flight recorder for a run.
 //
 // Pass a pointer to an Observability through ExecOptions / ServeOptions to
 // enable tracing and metrics; leave it null (the default) for zero-cost
@@ -10,9 +10,8 @@
 #ifndef CAQE_OBS_OBSERVABILITY_H_
 #define CAQE_OBS_OBSERVABILITY_H_
 
+#include "obs/event_log.h"
 #include "obs/flight_recorder.h"
-#include "obs/health.h"
-#include "obs/ledger.h"
 #include "obs/metrics_registry.h"
 #include "obs/span.h"
 
@@ -24,16 +23,17 @@ struct EngineStats;
 struct Observability {
   TraceSink spans;
   MetricsRegistry metrics;
-  ContractHealth health;
-  AuditLedger ledger;
+  /// Every contract event of the run: exec events, the audit ledger and
+  /// the contract-health timeline are views over it (obs/event_log.h).
+  ContractEventLog events;
   FlightRecorder flight;
 
-  /// The flight recorder mirrors every span and ledger record (always-on,
+  /// The flight recorder mirrors every span and ledger event (always-on,
   /// pre-sampling), so the ring is a complete recent-history view even
-  /// when span sampling or the ledger capacity cap is active.
+  /// when span sampling or the event log's capacity cap is active.
   Observability() {
     spans.set_flight(&flight);
-    ledger.set_flight(&flight);
+    events.set_flight(&flight);
   }
 
   /// Convenience: sink for spans, or nullptr when `obs` is null.
@@ -41,14 +41,14 @@ struct Observability {
     return obs == nullptr ? nullptr : &obs->spans;
   }
 
-  /// Convenience: audit ledger, or nullptr when `obs` is null.
-  static AuditLedger* Ledger(Observability* obs) {
-    return obs == nullptr ? nullptr : &obs->ledger;
+  /// Convenience: event log, or nullptr when `obs` is null.
+  static ContractEventLog* Events(Observability* obs) {
+    return obs == nullptr ? nullptr : &obs->events;
   }
 
   /// Chrome/Perfetto trace of everything collected (spans + health tracks).
   std::string ChromeTrace() const {
-    return ChromeTraceJson(spans.Snapshot(), &health);
+    return ChromeTraceJson(spans.Snapshot(), &events);
   }
 };
 

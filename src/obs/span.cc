@@ -5,7 +5,7 @@
 
 #include "common/json_util.h"
 #include "obs/flight_recorder.h"
-#include "obs/health.h"
+#include "obs/event_log.h"
 
 namespace caqe {
 
@@ -120,7 +120,7 @@ std::string ChromeSpanJson(const SpanRecord& span) {
 }
 
 std::string ChromeTraceJson(const std::vector<SpanRecord>& spans,
-                            const ContractHealth* health) {
+                            const ContractEventLog* events) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
   auto append_event = [&](const std::string& body) {
@@ -135,7 +135,7 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans,
   append_event(
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
       "\"args\":{\"name\":\"caqe wall clock\"}}");
-  if (health != nullptr) {
+  if (events != nullptr) {
     append_event(
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
         "\"args\":{\"name\":\"caqe virtual clock (contract health)\"}}");
@@ -145,11 +145,12 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans,
     append_event(ChromeSpanJson(span));
   }
 
-  if (health != nullptr) {
+  if (events != nullptr) {
     // Counter tracks: one pScore and one weight series per query, stamped
     // in virtual microseconds so trajectories render as Perfetto counters.
-    for (const HealthSample& sample : health->Snapshot()) {
-      const std::string label = health->LabelOf(sample.id);
+    for (const ContractEvent& sample : events->Snapshot()) {
+      if (sample.kind != ContractEventKind::kRegionStep) continue;
+      const std::string label = events->LabelOf(sample.request_id);
       std::string event = "{\"name\":";
       JsonAppendString(event, "pscore " + label);
       event += ",\"ph\":\"C\",\"ts\":" + JsonDouble(sample.vtime * 1e6);

@@ -216,15 +216,16 @@ class TraceSpan {
   uint64_t root_ = 0;
 };
 
-class ContractHealth;
+class ContractEventLog;
 
 /// Chrome/Perfetto `trace_event` JSON of `spans` (complete "X" events,
-/// ts/dur in microseconds). When `health` is non-null its per-query pScore
-/// and weight timelines are appended as counter ("C") tracks on a separate
-/// virtual-time process, so contract health is inspectable on the same
-/// timeline. Load at ui.perfetto.dev or chrome://tracing.
+/// ts/dur in microseconds). When `events` is non-null its region steps —
+/// per-query pScore and weight timelines — are appended as counter ("C")
+/// tracks on a separate virtual-time process, so contract health is
+/// inspectable on the same timeline. Load at ui.perfetto.dev or
+/// chrome://tracing.
 std::string ChromeTraceJson(const std::vector<SpanRecord>& spans,
-                            const ContractHealth* health = nullptr);
+                            const ContractEventLog* events = nullptr);
 
 /// One span as a Chrome trace_event JSON object (the element form used
 /// inside ChromeTraceJson's traceEvents array) — the unit the streaming

@@ -122,7 +122,6 @@ Status CaqeServer::Bootstrap(std::vector<MappingFunction> output_dims,
   pipe_options.tuple_discard = options_.tuple_discard;
   pipe_options.dva_mode = options_.dva_mode;
   pipe_options.capture_results = false;
-  pipe_options.trace = options_.trace;
   pipe_options.obs = options_.obs;
   pipe_options.pipeline_regions = options_.pipeline_regions;
   pipe_options.compact_layout = options_.compact_layout;
@@ -138,20 +137,18 @@ Status CaqeServer::Bootstrap(std::vector<MappingFunction> output_dims,
         ttfr_hist_->Observe(request.time_to_first_result);
       }
       // Emission runs synchronously on the driver thread, so this append
-      // keeps the ledger's serial order (and replay determinism).
-      if (ledger_ != nullptr) {
-        AuditRecord record;
-        record.kind = AuditKind::kFirstResult;
-        record.request_id = request_id;
-        record.vtime = time;
-        record.parent = request.graft_span;
-        record.results = 1;
-        ledger_->Append(record);
+      // keeps the log's serial order (and replay determinism).
+      if (event_log_ != nullptr) {
+        event_log_->Append({.kind = ContractEventKind::kFirstResult,
+                            .request_id = request_id,
+                            .vtime = time,
+                            .parent = request.graft_span,
+                            .results = 1});
       }
     }
     if (request.callback) request.callback(request_id, id, time, utility);
   };
-  ledger_ = Observability::Ledger(options_.obs);
+  event_log_ = Observability::Events(options_.obs);
   if (options_.calibrate) calibrator_.emplace();
   if (options_.obs != nullptr) {
     ttfr_hist_ = &options_.obs->metrics.histogram(
@@ -300,37 +297,30 @@ bool CaqeServer::SlotAvailable() const {
          workload_.num_queries() < QuerySet::kMaxQueries;
 }
 
-void CaqeServer::RecordEvent(ExecEvent::Kind kind, int region, int query,
-                             int64_t count) {
-  if (options_.trace == nullptr) return;
-  options_.trace->push_back(
-      ExecEvent{kind, clock_.Now(), region, query, count});
-}
-
-void CaqeServer::NotifyFinished(const RequestState& request) {
+void CaqeServer::NotifyFinished(const RequestState& request, int ran_slot) {
   // Single point every terminal transition passes through (retire, reject,
-  // cancel-before-admission, expiry, forced drain reject): the ledger's
-  // terminal record with estimate-vs-observed service time lands here.
-  if (ledger_ != nullptr) {
-    AuditRecord record;
-    record.kind = AuditKind::kFinish;
-    record.request_id = request.id;
-    record.vtime = request.finish_time >= 0.0 ? request.finish_time
-                                              : clock_.Now();
-    record.parent = request.graft_span != 0
-                        ? request.graft_span
-                        : (request.decision_span != 0 ? request.decision_span
-                                                      : request.root_span);
-    record.phase = RequestStatusName(request.status);
-    record.reason = request.reason;
-    record.results = request.results;
-    record.pscore = request.pscore;
-    record.est_finish_seconds = request.est_finish_seconds;
-    record.observed_seconds = request.finish_time >= 0.0
-                                  ? request.finish_time - request.submit_time
-                                  : 0.0;
-    record.expected_utility = request.expected_utility;
-    ledger_->Append(record);
+  // cancel-before-admission, expiry, forced drain reject): the terminal
+  // event with estimate-vs-observed service time lands here.
+  if (event_log_ != nullptr) {
+    const bool finished = request.finish_time >= 0.0;
+    event_log_->Append(
+        {.kind = ContractEventKind::kFinish,
+         .request_id = request.id,
+         .query = ran_slot,
+         .vtime = finished ? request.finish_time : clock_.Now(),
+         .parent = request.graft_span != 0
+                       ? request.graft_span
+                       : (request.decision_span != 0 ? request.decision_span
+                                                     : request.root_span),
+         .phase = RequestStatusName(request.status),
+         .reason = request.reason,
+         .results = request.results,
+         .count = request.parked_dropped,
+         .pscore = request.pscore,
+         .est_finish_seconds = request.est_finish_seconds,
+         .observed_seconds =
+             finished ? request.finish_time - request.submit_time : 0.0,
+         .expected_utility = request.expected_utility});
   }
   if (options_.on_finish) options_.on_finish(request.id, request.status);
 }
@@ -377,19 +367,17 @@ AdmissionDecision CaqeServer::Decide(RequestState& request) {
                  est.reason + "\"}")
         .Inc();
   }
-  if (ledger_ != nullptr) {
-    AuditRecord record;
-    record.kind = AuditKind::kDecision;
-    record.request_id = request.id;
-    record.vtime = clock_.Now();
-    record.span = request.decision_span;
-    record.parent = request.root_span;
-    record.phase = AdmissionDecisionName(est.decision);
-    record.reason = est.reason;
-    record.est_first_seconds = est.est_first_seconds;
-    record.est_finish_seconds = est.est_finish_seconds;
-    record.expected_utility = est.expected_utility;
-    ledger_->Append(record);
+  if (event_log_ != nullptr) {
+    event_log_->Append({.kind = ContractEventKind::kDecision,
+                        .request_id = request.id,
+                        .vtime = clock_.Now(),
+                        .span = request.decision_span,
+                        .parent = request.root_span,
+                        .phase = AdmissionDecisionName(est.decision),
+                        .reason = est.reason,
+                        .est_first_seconds = est.est_first_seconds,
+                        .est_finish_seconds = est.est_finish_seconds,
+                        .expected_utility = est.expected_utility});
   }
   switch (est.decision) {
     case AdmissionDecision::kAdmit: {
@@ -507,22 +495,25 @@ Status CaqeServer::Graft(RequestState& request) {
 
   slot_request_[slot] = request.id;
   request.slot = slot;
-  if (options_.obs != nullptr) {
-    options_.obs->health.SetName(request.id, request.query.name);
-  }
   span.set_arg("lineage_regions", live);
-  if (ledger_ != nullptr) {
-    AuditRecord record;
-    record.kind = AuditKind::kGraft;
-    record.request_id = request.id;
-    record.vtime = clock_.Now();
-    record.span = request.graft_span;
-    record.parent = request.decision_span != 0 ? request.decision_span
-                                               : request.root_span;
-    record.lineage_regions = live;
-    ledger_->Append(record);
+  if (event_log_ != nullptr) {
+    // The graft's (results, pscore, weight) is the baseline the request's
+    // first region step is audited against.
+    const QuerySatisfaction& sat = tracker_->satisfaction(slot);
+    event_log_->SetName(request.id, request.query.name);
+    event_log_->Append(
+        {.kind = ContractEventKind::kGraft,
+         .request_id = request.id,
+         .query = slot,
+         .vtime = clock_.Now(),
+         .span = request.graft_span,
+         .parent = request.decision_span != 0 ? request.decision_span
+                                              : request.root_span,
+         .results = sat.results,
+         .count = live,
+         .pscore = sat.pscore,
+         .weight = scheduler_.has_value() ? scheduler_->weight(slot) : 1.0});
   }
-  RecordEvent(ExecEvent::Kind::kQueryAdmitted, -1, slot, live);
   return Status::OK();
 }
 
@@ -620,41 +611,35 @@ void CaqeServer::Retire(RequestState& request, RequestStatus final_status) {
                              request.est_finish_seconds);
     }
   }
-  RecordEvent(ExecEvent::Kind::kQueryRetired, -1, slot,
-              request.parked_dropped);
-  NotifyFinished(request);
+  NotifyFinished(request, slot);
 }
 
 void CaqeServer::HandleArrival(RequestState& request) {
   if (request.status != RequestStatus::kQueued) return;  // Pre-cancelled.
   // Root of the request's causal tree: admission (and through it graft and
-  // the ledger's records) parents under this span. Arrivals fire at event
-  // time on the driver thread, so span ids and ledger order are identical
-  // between a live session and its replay.
+  // the later contract events) parents under this span. Arrivals fire at
+  // event time on the driver thread, so span ids and event order are
+  // identical between a live session and its replay.
   TraceSpan root(Observability::Spans(options_.obs), "request", "serve");
   root.set_query(request.id);
   request.root_span = root.id();
-  if (ledger_ != nullptr) {
-    AuditRecord record;
-    record.kind = AuditKind::kArrival;
-    record.request_id = request.id;
-    record.vtime = clock_.Now();
-    record.span = request.root_span;
-    ledger_->Append(record);
+  if (event_log_ != nullptr) {
+    event_log_->Append({.kind = ContractEventKind::kArrival,
+                        .request_id = request.id,
+                        .vtime = clock_.Now(),
+                        .span = request.root_span});
   }
   Decide(request);
 }
 
 void CaqeServer::HandleCancel(RequestState& request) {
-  if (ledger_ != nullptr) {
-    AuditRecord record;
-    record.kind = AuditKind::kCancel;
-    record.request_id = request.id;
-    record.vtime = clock_.Now();
-    record.parent = request.root_span;
+  if (event_log_ != nullptr) {
     // Status *before* the transition: what the cancel interrupted.
-    record.phase = RequestStatusName(request.status);
-    ledger_->Append(record);
+    event_log_->Append({.kind = ContractEventKind::kCancel,
+                        .request_id = request.id,
+                        .vtime = clock_.Now(),
+                        .parent = request.root_span,
+                        .phase = RequestStatusName(request.status)});
   }
   switch (request.status) {
     case RequestStatus::kQueued:
@@ -730,23 +715,20 @@ void CaqeServer::RepreviewDeferred() {
       const AdmissionDecision committed = Decide(request);
       CAQE_CHECK(committed == AdmissionDecision::kAdmit);
     }
-    RecordEvent(ExecEvent::Kind::kQueryRepreviewed, -1, request.id,
-                upgraded ? 1 : 0);
     if (calib_repreviews_ != nullptr) calib_repreviews_->Inc();
     if (upgraded && calib_upgrades_ != nullptr) calib_upgrades_->Inc();
-    if (ledger_ != nullptr) {
-      AuditRecord record;
-      record.kind = AuditKind::kRepreview;
-      record.request_id = request.id;
-      record.vtime = clock_.Now();
-      record.parent = request.root_span;
-      record.phase = AdmissionDecisionName(preview.decision);
-      record.reason = preview.reason;
-      record.est_first_before_seconds = before_first;
-      record.est_finish_before_seconds = before_finish;
-      record.est_first_seconds = preview.est_first_seconds;
-      record.est_finish_seconds = preview.est_finish_seconds;
-      ledger_->Append(record);
+    if (event_log_ != nullptr) {
+      event_log_->Append({.kind = ContractEventKind::kRepreview,
+                          .request_id = request.id,
+                          .vtime = clock_.Now(),
+                          .parent = request.root_span,
+                          .phase = AdmissionDecisionName(preview.decision),
+                          .reason = preview.reason,
+                          .count = upgraded ? 1 : 0,
+                          .est_first_seconds = preview.est_first_seconds,
+                          .est_finish_seconds = preview.est_finish_seconds,
+                          .est_first_before_seconds = before_first,
+                          .est_finish_before_seconds = before_finish});
     }
   }
 }
@@ -847,27 +829,6 @@ bool CaqeServer::StepInternal() {
   }
 
   if (pending_count_ > 0) {
-    // Snapshot every live slot's (results, pscore, weight) so the ledger's
-    // region_step records carry before/after pairs. Scratch vectors keep
-    // their capacity across steps (alloc-gate discipline).
-    if (ledger_ != nullptr) {
-      const size_t slots = slot_request_.size();
-      if (step_results_before_.size() < slots) {
-        step_results_before_.resize(slots, 0);
-        step_pscore_before_.resize(slots, 0.0);
-        step_weight_before_.resize(slots, 0.0);
-      }
-      for (size_t slot = 0; slot < slots; ++slot) {
-        if (slot_request_[slot] < 0) continue;
-        const QuerySatisfaction& sat =
-            tracker_->satisfaction(static_cast<int>(slot));
-        step_results_before_[slot] = sat.results;
-        step_pscore_before_[slot] = sat.pscore;
-        step_weight_before_[slot] =
-            scheduler_.has_value() ? scheduler_->weight(static_cast<int>(slot))
-                                   : 1.0;
-      }
-    }
     const int rid = PickRegion();
     {
       // Umbrella span for this region step: the pipeline's phase spans
@@ -884,37 +845,27 @@ bool CaqeServer::StepInternal() {
       pipeline_->ProcessRegion(rid);
     }
     if (scheduler_.has_value()) scheduler_->UpdateWeights();
-    // Contract-health trajectories, keyed by *request id* (workload slots
-    // are reused across requests; request ids are not).
-    if (options_.obs != nullptr) {
+    // Every live request's contract state after the step, keyed by
+    // *request id* (workload slots are reused across requests; request ids
+    // are not). The log keeps the steps that moved (see
+    // ContractEventLog::Append).
+    if (event_log_ != nullptr) {
       const double now = clock_.Now();
       for (int slot = 0; slot < static_cast<int>(slot_request_.size());
            ++slot) {
         const int request_id = slot_request_[slot];
         if (request_id < 0) continue;
         const QuerySatisfaction& sat = tracker_->satisfaction(slot);
-        const double weight =
-            scheduler_.has_value() ? scheduler_->weight(slot) : 1.0;
-        options_.obs->health.Sample(now, request_id, sat.results,
-                                    sat.pscore, weight);
-        // Ledger: one region_step record per request whose contract state
-        // this region moved (same dedup triple as the health timeline).
-        if (ledger_ != nullptr &&
-            (sat.results != step_results_before_[slot] ||
-             sat.pscore != step_pscore_before_[slot] ||
-             weight != step_weight_before_[slot])) {
-          AuditRecord record;
-          record.kind = AuditKind::kRegionStep;
-          record.request_id = request_id;
-          record.vtime = now;
-          record.region = rid;
-          record.parent = requests_[request_id].graft_span;
-          record.results = sat.results;
-          record.pscore_before = step_pscore_before_[slot];
-          record.pscore = sat.pscore;
-          record.weight = weight;
-          ledger_->Append(record);
-        }
+        event_log_->Append(
+            {.kind = ContractEventKind::kRegionStep,
+             .request_id = request_id,
+             .region = rid,
+             .vtime = now,
+             .parent = requests_[request_id].graft_span,
+             .results = sat.results,
+             .pscore = sat.pscore,
+             .weight =
+                 scheduler_.has_value() ? scheduler_->weight(slot) : 1.0});
       }
     }
   }

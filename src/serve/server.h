@@ -68,7 +68,7 @@
 
 namespace caqe {
 
-class AuditLedger;
+class ContractEventLog;
 
 class CaqeServer {
  public:
@@ -245,7 +245,7 @@ class CaqeServer {
     const char* reason = "";
     /// Causal span ids (0 = none yet): the root "request" span and the
     /// latest admission/graft spans — parents for downstream spans and the
-    /// audit ledger's causal links (DESIGN.md §15).
+    /// contract events' causal links (DESIGN.md §15).
     uint64_t root_span = 0;
     uint64_t decision_span = 0;
     uint64_t graft_span = 0;
@@ -286,8 +286,8 @@ class CaqeServer {
   /// committed — the wait-inflated estimate will deliver that verdict at
   /// the next genuine capacity event via RetryDeferred, and downgrading
   /// here would let a mid-saturation shift discard requests the static
-  /// controller would have served. Emits a kQueryRepreviewed event +
-  /// kRepreview ledger record (with before/after estimates) per request.
+  /// controller would have served. Appends one repreview event (with
+  /// before/after estimates and the upgrade flag) per request.
   void RepreviewDeferred();
   /// Side-effect-free admission score of `request` at the current virtual
   /// time (counts control_ops, mutates nothing else).
@@ -304,8 +304,6 @@ class CaqeServer {
   void Retire(RequestState& request, RequestStatus final_status);
   /// Picks the next region per the configured policy.
   int PickRegion();
-  void RecordEvent(ExecEvent::Kind kind, int region, int query,
-                   int64_t count);
   int ActiveQueries() const;
   bool SlotAvailable() const;
   /// One iteration of the serving loop (shared by Run and StepLive).
@@ -313,8 +311,10 @@ class CaqeServer {
   /// Drain tail shared by Run and FinishLive: forced deferred retry, final
   /// emission flush, report assembly.
   Result<ServingReport> Finish();
-  /// Fires on_finish for a request that just reached a terminal status.
-  void NotifyFinished(const RequestState& request);
+  /// Appends the request's finish event and fires on_finish, for a request
+  /// that just reached a terminal status. `ran_slot` is the workload slot a
+  /// retired request ran in (-1 when it never ran).
+  void NotifyFinished(const RequestState& request, int ran_slot = -1);
 
   ServeOptions options_;
   Table r_;
@@ -342,19 +342,14 @@ class CaqeServer {
   std::vector<RequestState> requests_;
   std::vector<TraceEvent> events_;
   int64_t control_ops_ = 0;
-  /// Audit ledger resolved once in Bootstrap (null without an
-  /// Observability). Appends happen only on the serial driver thread at
-  /// virtual timestamps, which is what makes the ledger's normalized JSONL
-  /// byte-identical between a live session and its replay.
-  AuditLedger* ledger_ = nullptr;
-  /// Per-slot (results, pscore, weight) snapshots taken immediately before
-  /// ProcessRegion, so region_step ledger records carry before/after pairs
-  /// without allocating per step.
-  std::vector<int64_t> step_results_before_;
-  std::vector<double> step_pscore_before_;
-  std::vector<double> step_weight_before_;
+  /// Event log resolved once in Bootstrap (null without an Observability).
+  /// Appends happen only on the serial driver thread at virtual timestamps,
+  /// which is what makes every view of it (the ledger minus wall_us, the
+  /// health and exec streams) byte-identical between a live session and
+  /// its replay.
+  ContractEventLog* event_log_ = nullptr;
   /// Admission-estimate calibrator (engaged by options.calibrate). Updated
-  /// only from the serial driver step — same rule as the ledger — which is
+  /// only from the serial driver step — same rule as the event log — which is
   /// what keeps calibrated reports byte-identical across threads/pipeline/
   /// compact_layout and live-vs-replay.
   std::optional<Calibrator> calibrator_;

@@ -113,9 +113,6 @@ struct ServeOptions {
   double min_expected_utility = 0.05;
   /// Defer arrivals while this many queries are running.
   int max_active_queries = 16;
-  /// Optional event sink: admission/retirement/scheduling events land here
-  /// with virtual timestamps (export with ExecEventsJsonl).
-  std::vector<ExecEvent>* trace = nullptr;
   /// ---- Live-mode observers (wall-clock front-end) ----
   /// Invoked synchronously on the driver thread when a request receives an
   /// admission verdict (including every re-evaluation of a deferred
@@ -129,9 +126,10 @@ struct ServeOptions {
   /// Invoked synchronously when a request reaches a terminal status
   /// (completed/cancelled/expired/rejected). Same contract as on_decision.
   std::function<void(int request_id, RequestStatus status)> on_finish;
-  /// Tracing + metrics + contract-health bundle (see ExecOptions::obs).
-  /// Admission decisions, TTFR, and service-time estimation error are
-  /// recorded here; never read back — reports stay byte-identical.
+  /// Tracing + metrics + contract-event bundle (see ExecOptions::obs).
+  /// Admission decisions, TTFR, service-time estimation error, and every
+  /// request's contract events (obs/event_log.h) are recorded here; never
+  /// read back — reports stay byte-identical.
   Observability* obs = nullptr;
 };
 

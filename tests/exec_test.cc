@@ -18,6 +18,7 @@
 #include "exec/join_kernel.h"
 #include "metrics/export.h"
 #include "metrics/printer.h"
+#include "obs/observability.h"
 #include "partition/partitioner.h"
 #include "query/workload_generator.h"
 #include "region/region_builder.h"
@@ -218,7 +219,8 @@ TEST(ParallelDeterminismTest, ReportsAreIdenticalAcrossThreadCounts) {
   for (PartitionStrategy strategy :
        {PartitionStrategy::kGrid, PartitionStrategy::kQuadTree}) {
     ExecutionReport reference;
-    std::vector<ExecEvent> reference_trace;
+    std::string reference_exec;
+    std::string reference_health;
     for (int threads : {1, 2, 8}) {
       SCOPED_TRACE("strategy=" +
                    std::to_string(static_cast<int>(strategy)) +
@@ -227,15 +229,16 @@ TEST(ParallelDeterminismTest, ReportsAreIdenticalAcrossThreadCounts) {
       options.partition_strategy = strategy;
       options.capture_results = true;
       options.num_threads = threads;
-      std::vector<ExecEvent> trace;
-      options.trace = &trace;
+      Observability obs;
+      options.obs = &obs;
       std::unique_ptr<Engine> engine = MakeEngine("CAQE").value();
       const Result<ExecutionReport> result =
           engine->Execute(r, t, workload, contracts, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       if (threads == 1) {
         reference = *result;
-        reference_trace = std::move(trace);
+        reference_exec = ExecEventsJsonl(obs.events.Snapshot());
+        reference_health = obs.events.HealthJsonl();
         EXPECT_GT(reference.stats.emitted_results, 0);
         continue;
       }
@@ -276,15 +279,10 @@ TEST(ParallelDeterminismTest, ReportsAreIdenticalAcrossThreadCounts) {
           EXPECT_EQ(got.tuples[i].values, want.tuples[i].values);
         }
       }
-      ASSERT_EQ(trace.size(), reference_trace.size());
-      for (size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(static_cast<int>(trace[i].kind),
-                  static_cast<int>(reference_trace[i].kind));
-        EXPECT_EQ(trace[i].vtime, reference_trace[i].vtime);
-        EXPECT_EQ(trace[i].region, reference_trace[i].region);
-        EXPECT_EQ(trace[i].query, reference_trace[i].query);
-        EXPECT_EQ(trace[i].count, reference_trace[i].count);
-      }
+      // Event streams print every field (vtimes to 9 decimals), so
+      // byte-equal views mean identical events.
+      EXPECT_EQ(ExecEventsJsonl(obs.events.Snapshot()), reference_exec);
+      EXPECT_EQ(obs.events.HealthJsonl(), reference_health);
     }
   }
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "caqe/session.h"
+#include "obs/observability.h"
 #include "skyline/dominance.h"
 #include "query/workload_generator.h"
 #include "test_util.h"
@@ -587,8 +588,8 @@ TEST(TraceTest, EventTraceIsCoherent) {
   std::vector<Contract> contracts(workload.num_queries(),
                                   MakeLogDecayContract(0.01));
   ExecOptions options;
-  std::vector<ExecEvent> events;
-  options.trace = &events;
+  Observability obs;
+  options.obs = &obs;
 
   const ExecutionReport report = MakeEngine("CAQE")
                                      .value()
@@ -599,26 +600,27 @@ TEST(TraceTest, EventTraceIsCoherent) {
   int64_t discarded = 0;
   int64_t emitted = 0;
   double last_time = 0.0;
-  for (const ExecEvent& event : events) {
+  for (const ContractEvent& event : obs.events.Snapshot()) {
     EXPECT_GE(event.vtime, last_time);
     last_time = event.vtime;
     switch (event.kind) {
-      case ExecEvent::Kind::kRegionScheduled:
+      case ContractEventKind::kRegionScheduled:
         ++scheduled;
         EXPECT_GE(event.region, 0);
         break;
-      case ExecEvent::Kind::kRegionDiscarded:
+      case ContractEventKind::kRegionDiscarded:
         ++discarded;
         break;
-      case ExecEvent::Kind::kResultsEmitted:
+      case ContractEventKind::kResultsEmitted:
         emitted += event.count;
         EXPECT_GE(event.query, 0);
         break;
-      case ExecEvent::Kind::kQueryPruned:
-      case ExecEvent::Kind::kQueryAdmitted:
-      case ExecEvent::Kind::kQueryRetired:
-      case ExecEvent::Kind::kQueryRepreviewed:
+      case ContractEventKind::kRegionStep:
+      case ContractEventKind::kQueryPruned:
         break;
+      default:
+        ADD_FAILURE() << "batch run recorded a serving event: "
+                      << ContractEventKindName(event.kind);
     }
   }
   EXPECT_EQ(scheduled, report.stats.regions_processed);

@@ -153,17 +153,19 @@ class RawClient {
 
 // The oracle: a live wall-clock session over loopback, recorded, then
 // replayed through Submit()+Run() on the virtual clock. The serving report
-// and the exec event stream must both be byte-identical.
+// and every view of the contract event log — the exec event stream, the
+// audit ledger (minus its wall-clock field) and the health timeline — must
+// all be byte-identical.
 TEST(NetE2eTest, RecordReplayByteIdentical) {
   const std::string trace_path =
       ::testing::TempDir() + "/caqe_e2e_session.trace";
 
-  std::vector<ExecEvent> live_events;
+  Observability live_obs;
   std::string live_report_text;
   {
     auto [r, t] = MakeServeTables(2, 200);
     ServeOptions serve_options = SmallServeOptions();
-    serve_options.trace = &live_events;
+    serve_options.obs = &live_obs;
     auto server =
         CaqeServer::Create(std::move(r), std::move(t), ThreeDims(), {0, 1},
                            serve_options)
@@ -216,10 +218,10 @@ TEST(NetE2eTest, RecordReplayByteIdentical) {
   EXPECT_EQ(trace->Attr("suite", ""), "e2e");
   ASSERT_GE(trace->events.size(), 3u);
 
-  std::vector<ExecEvent> replay_events;
+  Observability replay_obs;
   auto [r, t] = MakeServeTables(2, 200);
   ServeOptions serve_options = SmallServeOptions();
-  serve_options.trace = &replay_events;
+  serve_options.obs = &replay_obs;
   auto replay =
       CaqeServer::Create(std::move(r), std::move(t), ThreeDims(), {0, 1},
                          serve_options)
@@ -241,8 +243,19 @@ TEST(NetE2eTest, RecordReplayByteIdentical) {
 
   EXPECT_EQ(live_report_text, ServingReportText(*replay_report))
       << "live and replayed serving reports must be byte-identical";
-  EXPECT_EQ(ExecEventsJsonl(live_events), ExecEventsJsonl(replay_events))
+  const std::string live_exec = ExecEventsJsonl(live_obs.events.Snapshot());
+  EXPECT_NE(live_exec.find("\"kind\":\"query_admitted\""),
+            std::string::npos);
+  EXPECT_EQ(live_exec, ExecEventsJsonl(replay_obs.events.Snapshot()))
       << "live and replayed exec event streams must be byte-identical";
+  const std::string live_ledger = live_obs.events.LedgerJsonl(false);
+  EXPECT_NE(live_ledger.find("\"kind\":\"region_step\""), std::string::npos);
+  EXPECT_EQ(live_ledger, replay_obs.events.LedgerJsonl(false))
+      << "live and replayed audit ledgers must be byte-identical";
+  const std::string live_health = live_obs.events.HealthJsonl();
+  EXPECT_FALSE(live_health.empty());
+  EXPECT_EQ(live_health, replay_obs.events.HealthJsonl())
+      << "live and replayed health timelines must be byte-identical";
 
   std::remove(trace_path.c_str());
 }

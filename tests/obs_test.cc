@@ -1,5 +1,6 @@
 // Observability layer tests (src/obs/): span sink thread safety, metrics
-// registry exposition formats, contract-health timelines, export escaping,
+// registry exposition formats, the contract event log and its views
+// (ledger, health, exec stream), export escaping,
 // and — most importantly — the determinism guarantees: attaching an
 // Observability must not change a single deterministic byte of any engine
 // or serving report.
@@ -15,9 +16,8 @@
 #include <vector>
 
 #include "caqe/caqe.h"
-#include "metrics/export.h"
+#include "obs/event_log.h"
 #include "obs/flight_recorder.h"
-#include "obs/ledger.h"
 #include "obs/stream_writer.h"
 #include "test_util.h"
 
@@ -179,10 +179,15 @@ TEST(TraceExportTest, ChromeTraceJsonShape) {
     span.set_region(1);
     span.set_arg("join_results", 42);
   }
-  ContractHealth health;
-  health.SetName(0, "S\"3\\");  // Hostile name must be escaped.
-  health.Sample(0.5, 0, 10, 1.25, 0.75);
-  const std::string json = ChromeTraceJson(sink.Snapshot(), &health);
+  ContractEventLog events;
+  events.SetName(0, "S\"3\\");  // Hostile name must be escaped.
+  events.Append({.kind = ContractEventKind::kRegionStep,
+                 .request_id = 0,
+                 .vtime = 0.5,
+                 .results = 10,
+                 .pscore = 1.25,
+                 .weight = 0.75});
+  const std::string json = ChromeTraceJson(sink.Snapshot(), &events);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // Span event.
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);  // Counter track.
@@ -346,74 +351,93 @@ TEST(StreamingTraceWriterTest, JsonlFormatWritesOneLinePerSpan) {
 }
 
 // ---------------------------------------------------------------------------
-// Contract audit ledger.
+// Contract event log: the audit ledger view.
 
-TEST(AuditLedgerTest, AppendAssignsSeqAndTailFiltersByRequest) {
-  AuditLedger ledger;
-  AuditRecord a;
-  a.kind = AuditKind::kArrival;
-  a.request_id = 0;
-  a.vtime = 0.1;
-  AuditRecord b;
-  b.kind = AuditKind::kDecision;
-  b.request_id = 1;
-  b.phase = "admit";
-  b.reason = "feasible";
-  AuditRecord c;
-  c.kind = AuditKind::kFinish;
-  c.request_id = 0;
-  c.phase = "completed";
-  ledger.Append(a);
-  ledger.Append(b);
-  ledger.Append(c);
+TEST(ContractEventLogTest, AppendAssignsLedgerSeqAndTailFiltersByRequest) {
+  ContractEventLog log;
+  log.Append({.kind = ContractEventKind::kArrival,
+              .request_id = 0,
+              .vtime = 0.1});
+  // An exec event between ledger events takes no ledger seq.
+  log.Append({.kind = ContractEventKind::kRegionScheduled, .region = 4});
+  log.Append({.kind = ContractEventKind::kDecision,
+              .request_id = 1,
+              .phase = "admit",
+              .reason = "feasible"});
+  log.Append({.kind = ContractEventKind::kFinish,
+              .request_id = 0,
+              .phase = "completed"});
 
-  const std::vector<AuditRecord> all = ledger.Snapshot();
-  ASSERT_EQ(all.size(), 3u);
+  const std::vector<ContractEvent> all = log.Snapshot();
+  ASSERT_EQ(all.size(), 4u);
   EXPECT_EQ(all[0].seq, 0u);
-  EXPECT_EQ(all[1].seq, 1u);
-  EXPECT_EQ(all[2].seq, 2u);
+  EXPECT_EQ(all[2].seq, 1u);
+  EXPECT_EQ(all[3].seq, 2u);
+  EXPECT_FALSE(IsLedgerEvent(all[1]));
+  const std::string ledger = log.LedgerJsonl(/*include_wall=*/false);
+  EXPECT_EQ(ledger.find("region_scheduled"), std::string::npos);
+  EXPECT_NE(ledger.find("{\"seq\":2,\"kind\":\"finish\""),
+            std::string::npos);
 
-  const std::vector<AuditRecord> tail = ledger.Tail(0, 8);
+  const std::vector<ContractEvent> tail = log.Tail(0, 8);
   ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].kind, AuditKind::kArrival);
-  EXPECT_EQ(tail[1].kind, AuditKind::kFinish);
+  EXPECT_EQ(tail[0].kind, ContractEventKind::kArrival);
+  EXPECT_EQ(tail[1].kind, ContractEventKind::kFinish);
   // With a smaller cap the *latest* records win.
-  const std::vector<AuditRecord> last = ledger.Tail(0, 1);
+  const std::vector<ContractEvent> last = log.Tail(0, 1);
   ASSERT_EQ(last.size(), 1u);
-  EXPECT_EQ(last[0].kind, AuditKind::kFinish);
-  EXPECT_TRUE(ledger.Tail(9, 4).empty());
+  EXPECT_EQ(last[0].kind, ContractEventKind::kFinish);
+  EXPECT_TRUE(log.Tail(9, 4).empty());
+  // The exec event (request -1) is not a ledger record of request -1.
+  EXPECT_TRUE(log.Tail(-1, 4).empty());
 }
 
-TEST(AuditLedgerTest, CapacityBoundsRecordsAndCountsDropped) {
-  AuditLedger ledger;
-  ledger.set_capacity(2);
+TEST(ContractEventLogTest, CapacityBoundsLedgerEventsAndCountsDropped) {
+  ContractEventLog log;
+  log.set_capacity(2);
   for (int i = 0; i < 5; ++i) {
-    AuditRecord record;
-    record.kind = AuditKind::kRegionStep;
-    record.request_id = i;
-    ledger.Append(record);
+    log.Append({.kind = ContractEventKind::kArrival, .request_id = i});
   }
-  EXPECT_EQ(ledger.size(), 2u);
-  EXPECT_EQ(ledger.dropped(), 3);
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.dropped(), 3);
+  // Dropped events still took their ledger seq: the kept prefix is intact
+  // and the next kept record would not reuse a number.
+  const std::vector<ContractEvent> kept = log.Snapshot();
+  EXPECT_EQ(kept[1].seq, 1u);
 }
 
-TEST(AuditLedgerTest, WallClockIsAlwaysTheLastJsonField) {
-  AuditLedger ledger;
-  AuditRecord record;
-  record.kind = AuditKind::kDecision;
-  record.request_id = 3;
-  record.vtime = 0.25;
-  record.phase = "admit";
-  record.reason = "contract-feasible";
-  record.est_first_seconds = 0.5;
-  record.est_finish_seconds = 1.5;
-  record.expected_utility = 0.75;
-  ledger.Append(record);
+// One cap covers every kind: engine scheduling events count against it
+// and are dropped (and counted) past it like ledger events.
+TEST(ContractEventLogTest, CapacityAlsoBoundsExecEvents) {
+  ContractEventLog log;
+  log.set_capacity(3);
+  log.Append({.kind = ContractEventKind::kArrival, .request_id = 0});
+  for (int region = 0; region < 4; ++region) {
+    log.Append({.kind = ContractEventKind::kRegionScheduled,
+                .region = region});
+  }
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.dropped(), 2);
+  const std::string exec = ExecEventsJsonl(log.Snapshot());
+  EXPECT_NE(exec.find("\"region\":1,"), std::string::npos);
+  EXPECT_EQ(exec.find("\"region\":2,"), std::string::npos);
+}
 
-  const std::string with_wall = ledger.Jsonl(true);
-  const std::string without = ledger.Jsonl(false);
+TEST(ContractEventLogTest, WallClockIsAlwaysTheLastLedgerField) {
+  ContractEventLog log;
+  log.Append({.kind = ContractEventKind::kDecision,
+              .request_id = 3,
+              .vtime = 0.25,
+              .phase = "admit",
+              .reason = "contract-feasible",
+              .est_first_seconds = 0.5,
+              .est_finish_seconds = 1.5,
+              .expected_utility = 0.75});
+
+  const std::string with_wall = log.LedgerJsonl(true);
+  const std::string without = log.LedgerJsonl(false);
   // wall_us — the only nondeterministic field — is emitted last so that
-  // stripping the `,"wall_us":...` suffix yields exactly Jsonl(false),
+  // stripping the `,"wall_us":...` suffix yields exactly LedgerJsonl(false),
   // which is what the replay determinism gates byte-compare.
   const size_t wall_pos = with_wall.find(",\"wall_us\":");
   ASSERT_NE(wall_pos, std::string::npos);
@@ -424,6 +448,96 @@ TEST(AuditLedgerTest, WallClockIsAlwaysTheLastJsonField) {
   EXPECT_NE(without.find("\"phase\":\"admit\""), std::string::npos);
   EXPECT_NE(without.find("\"reason\":\"contract-feasible\""),
             std::string::npos);
+}
+
+// A grafted request's region steps reach the ledger when they moved its
+// (results, pScore, weight): the first against the graft's state, the rest
+// against the previous step. An unmoved first step, and every step of a
+// query that was never grafted (batch runs), reach the health view only.
+TEST(ContractEventLogTest, LedgerAuditsRegionStepsThatMovedAGraftedRequest) {
+  ContractEventLog log;
+  log.Append({.kind = ContractEventKind::kGraft,
+              .request_id = 1,
+              .query = 0,
+              .weight = 1.0});
+  log.Append({.kind = ContractEventKind::kGraft,
+              .request_id = 2,
+              .query = 1,
+              .weight = 1.0});
+  // Request 1: first step unmoved, then moved.
+  log.Append({.kind = ContractEventKind::kRegionStep,
+              .request_id = 1,
+              .region = 7,
+              .vtime = 0.1,
+              .weight = 1.0});
+  log.Append({.kind = ContractEventKind::kRegionStep,
+              .request_id = 1,
+              .region = 8,
+              .vtime = 0.2,
+              .results = 2,
+              .pscore = 0.5,
+              .weight = 1.0});
+  // Request 2: first step moved its weight only.
+  log.Append({.kind = ContractEventKind::kRegionStep,
+              .request_id = 2,
+              .region = 7,
+              .vtime = 0.1,
+              .weight = 1.25});
+  // Batch query 5: never grafted.
+  log.Append({.kind = ContractEventKind::kRegionStep,
+              .request_id = 5,
+              .vtime = 0.1,
+              .results = 1,
+              .pscore = 0.25,
+              .weight = 1.0});
+  log.Append({.kind = ContractEventKind::kRegionStep,
+              .request_id = 5,
+              .vtime = 0.2,
+              .results = 2,
+              .pscore = 0.5,
+              .weight = 1.0});
+
+  int health_lines = 0;
+  for (const char c : log.HealthJsonl()) health_lines += c == '\n';
+  EXPECT_EQ(health_lines, 5);
+  const std::string ledger = log.LedgerJsonl(/*include_wall=*/false);
+  EXPECT_EQ(ledger,
+            "{\"seq\":0,\"kind\":\"graft\",\"req\":1,\"vtime\":0,"
+            "\"span\":0,\"parent\":0,\"lineage_regions\":0}\n"
+            "{\"seq\":1,\"kind\":\"graft\",\"req\":2,\"vtime\":0,"
+            "\"span\":0,\"parent\":0,\"lineage_regions\":0}\n"
+            "{\"seq\":2,\"kind\":\"region_step\",\"req\":1,\"vtime\":0.2,"
+            "\"span\":0,\"parent\":0,\"region\":8,\"results\":2,"
+            "\"pscore_before\":0,\"pscore\":0.5,\"weight\":1}\n"
+            "{\"seq\":3,\"kind\":\"region_step\",\"req\":2,\"vtime\":0.1,"
+            "\"span\":0,\"parent\":0,\"region\":7,\"results\":0,"
+            "\"pscore_before\":0,\"pscore\":0,\"weight\":1.25}\n");
+}
+
+// The flight ring receives every ledger event, kept or dropped past the
+// capacity — and nothing else the log records.
+TEST(ContractEventLogTest, MirrorsLedgerEventsIntoTheFlightRing) {
+  FlightRecorder flight(16);
+  ContractEventLog log;
+  log.set_flight(&flight);
+  log.set_capacity(2);
+  log.Append({.kind = ContractEventKind::kRegionScheduled, .region = 1});
+  log.Append({.kind = ContractEventKind::kRegionStep,
+              .request_id = 5,
+              .results = 1,
+              .pscore = 0.5,
+              .weight = 1.0});  // Batch step: health only.
+  log.Append({.kind = ContractEventKind::kFirstResult,
+              .request_id = 3,
+              .vtime = 0.5,
+              .results = 1});  // Past the capacity: dropped, still mirrored.
+  EXPECT_EQ(log.dropped(), 1);
+  const std::vector<FlightEntry> dump = flight.Dump();
+  ASSERT_EQ(dump.size(), 1u);
+  EXPECT_EQ(dump[0].kind, 'a');
+  EXPECT_STREQ(dump[0].name, "first_result");
+  EXPECT_EQ(dump[0].request_id, 3);
+  EXPECT_EQ(dump[0].value, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -507,69 +621,118 @@ TEST(FlightRecorderTest, JsonlExportsBothKinds) {
 }
 
 // ---------------------------------------------------------------------------
-// Contract health.
+// Contract event log: the health view.
 
-TEST(ContractHealthTest, DeduplicatesUnchangedSamples) {
-  ContractHealth health;
-  health.Sample(0.1, 3, 5, 1.0, 1.0);
-  health.Sample(0.2, 3, 5, 1.0, 1.0);  // Identical triple: dropped.
-  health.Sample(0.3, 3, 6, 1.2, 1.0);  // Results moved: recorded.
-  health.Sample(0.4, 3, 6, 1.2, 0.8);  // Weight moved: recorded.
-  const std::vector<HealthSample> samples = health.Snapshot();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(samples[0].vtime, 0.1);
-  EXPECT_DOUBLE_EQ(samples[1].vtime, 0.3);
-  EXPECT_DOUBLE_EQ(samples[2].weight, 0.8);
+ContractEvent Step(double vtime, int id, int64_t results, double pscore,
+                   double weight) {
+  return {.kind = ContractEventKind::kRegionStep,
+          .request_id = id,
+          .vtime = vtime,
+          .results = results,
+          .pscore = pscore,
+          .weight = weight};
 }
 
-TEST(ContractHealthTest, CapacityBoundsTheTimeline) {
-  ContractHealth health;
-  health.set_capacity(2);
-  health.Sample(0.1, 0, 1, 0.1, 1.0);
-  health.Sample(0.2, 0, 2, 0.2, 1.0);
-  health.Sample(0.3, 0, 3, 0.3, 1.0);  // Over capacity: counted as dropped.
-  EXPECT_EQ(health.size(), 2u);
-  EXPECT_EQ(health.dropped(), 1);
+TEST(ContractEventLogTest, DeduplicatesUnchangedRegionSteps) {
+  ContractEventLog log;
+  log.Append(Step(0.1, 3, 5, 1.0, 1.0));
+  log.Append(Step(0.2, 3, 5, 1.0, 1.0));  // Identical triple: dropped.
+  log.Append(Step(0.3, 3, 6, 1.2, 1.0));  // Results moved: recorded.
+  log.Append(Step(0.4, 3, 6, 1.2, 0.8));  // Weight moved: recorded.
+  const std::vector<ContractEvent> steps = log.Snapshot();
+  ASSERT_EQ(steps.size(), 3u);
+  EXPECT_DOUBLE_EQ(steps[0].vtime, 0.1);
+  EXPECT_DOUBLE_EQ(steps[1].vtime, 0.3);
+  EXPECT_DOUBLE_EQ(steps[2].weight, 0.8);
+  // pscore_before follows the id's previous kept step (0 at its first).
+  EXPECT_DOUBLE_EQ(steps[0].pscore_before, 0.0);
+  EXPECT_DOUBLE_EQ(steps[1].pscore_before, 1.0);
+  EXPECT_DOUBLE_EQ(steps[2].pscore_before, 1.2);
+  // A deduplicated step is not a dropped one.
+  EXPECT_EQ(log.dropped(), 0);
 }
 
-TEST(ContractHealthTest, JsonlEscapesNames) {
-  ContractHealth health;
-  health.SetName(5, "q\"uote\\slash");
-  health.Sample(0.25, 5, 2, 0.5, 1.0);
-  const std::string jsonl = health.Jsonl();
-  EXPECT_NE(jsonl.find("\"id\":5"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"name\":\"q\\\"uote\\\\slash\""),
-            std::string::npos);
-  EXPECT_NE(jsonl.find("\"results\":2"), std::string::npos);
-  EXPECT_EQ(health.LabelOf(5), "q\"uote\\slash#5");
-  EXPECT_EQ(health.LabelOf(6), "#6");
+TEST(ContractEventLogTest, CapacityBoundsTheHealthTimeline) {
+  ContractEventLog log;
+  log.set_capacity(2);
+  log.Append(Step(0.1, 0, 1, 0.1, 1.0));
+  log.Append(Step(0.2, 0, 2, 0.2, 1.0));
+  log.Append(Step(0.3, 0, 3, 0.3, 1.0));  // Over capacity: counted.
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.dropped(), 1);
+}
+
+TEST(ContractEventLogTest, HealthJsonlEscapesNames) {
+  ContractEventLog log;
+  log.SetName(5, "q\"uote\\slash");
+  log.Append(Step(0.25, 5, 2, 0.5, 1.0));
+  const std::string jsonl = log.HealthJsonl();
+  EXPECT_EQ(jsonl,
+            "{\"vtime\":0.250000000,\"id\":5,\"name\":\"q\\\"uote\\\\slash\","
+            "\"results\":2,\"pscore\":0.500000000,\"weight\":1.000000000}\n");
+  EXPECT_EQ(log.LabelOf(5), "q\"uote\\slash#5");
+  EXPECT_EQ(log.LabelOf(6), "#6");
 }
 
 // ---------------------------------------------------------------------------
-// ExecEventsJsonl escaping (export-layer satellite).
+// Contract event log: the exec view.
 
 TEST(ExecEventsJsonlTest, EscapesHostileQueryNames) {
-  std::vector<ExecEvent> events;
-  ExecEvent event;
-  event.kind = ExecEvent::Kind::kResultsEmitted;
-  event.vtime = 0.5;
-  event.query = 0;
-  event.count = 3;
-  events.push_back(event);
-  const std::string jsonl = ExecEventsJsonl(events, {"a\"b\\c"});
+  const ContractEvent event{.kind = ContractEventKind::kResultsEmitted,
+                            .query = 0,
+                            .vtime = 0.5,
+                            .count = 3};
+  const std::string jsonl = ExecEventsJsonl({event}, {"a\"b\\c"});
   EXPECT_NE(jsonl.find("\"kind\":\"results_emitted\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"name\":\"a\\\"b\\\\c\""), std::string::npos);
   // The raw, unescaped name must not appear anywhere.
   EXPECT_EQ(jsonl.find("a\"b\\c"), std::string::npos);
 
   // Out-of-range or negative query indices simply omit the name field.
-  event.query = 7;
-  const std::string no_name = ExecEventsJsonl({event}, {"only-one"});
+  ContractEvent far = event;
+  far.query = 7;
+  const std::string no_name = ExecEventsJsonl({far}, {"only-one"});
   EXPECT_EQ(no_name.find("\"name\""), std::string::npos);
+}
+
+// The serving kinds print under their exec names, with `query` the
+// workload slot (admitted/retired) or the request id (repreviewed); a
+// finish of a request that never ran and the ledger-only kinds are not
+// exec events.
+TEST(ExecEventsJsonlTest, PrintsServingKindsUnderTheirExecNames) {
+  const std::vector<ContractEvent> events = {
+      {.kind = ContractEventKind::kArrival, .request_id = 9},
+      {.kind = ContractEventKind::kGraft,
+       .request_id = 9,
+       .query = 2,
+       .count = 14},
+      {.kind = ContractEventKind::kRepreview, .request_id = 9, .count = 1},
+      {.kind = ContractEventKind::kFinish,
+       .request_id = 9,
+       .query = 2,
+       .count = 3},
+      {.kind = ContractEventKind::kFinish, .request_id = 10},
+  };
+  EXPECT_EQ(ExecEventsJsonl(events),
+            "{\"kind\":\"query_admitted\",\"vtime\":0.000000000,"
+            "\"region\":-1,\"query\":2,\"count\":14}\n"
+            "{\"kind\":\"query_repreviewed\",\"vtime\":0.000000000,"
+            "\"region\":-1,\"query\":9,\"count\":1}\n"
+            "{\"kind\":\"query_retired\",\"vtime\":0.000000000,"
+            "\"region\":-1,\"query\":2,\"count\":3}\n");
 }
 
 // ---------------------------------------------------------------------------
 // Engine integration: determinism, wall-phase accounting, span coverage.
+
+/// Region steps in `obs`'s event log (the health view's lines).
+size_t RegionSteps(const Observability& obs) {
+  size_t n = 0;
+  for (const ContractEvent& event : obs.events.Snapshot()) {
+    if (event.kind == ContractEventKind::kRegionStep) ++n;
+  }
+  return n;
+}
 
 ExecutionReport RunCaqe(const Table& r, const Table& t,
                         const Workload& workload, int num_threads,
@@ -611,7 +774,7 @@ TEST(ObsIntegrationTest, AttachingObservabilityIsDeterminismNeutral) {
 
   // The traced run actually produced telemetry.
   EXPECT_GT(obs.spans.size(), 0u);
-  EXPECT_GT(obs.health.size(), 0u);
+  EXPECT_GT(RegionSteps(obs), 0u);
   const std::string prom = obs.metrics.PrometheusText();
   EXPECT_NE(prom.find("caqe_engine_dominance_cmps_total"),
             std::string::npos);
@@ -704,7 +867,7 @@ TEST(ObsServingTest, ServingReportIdenticalWithObservabilityAttached) {
             std::string::npos);
   EXPECT_NE(prom.find("caqe_serve_time_to_first_result_vseconds_bucket"),
             std::string::npos);
-  EXPECT_GT(obs.health.size(), 0u);
+  EXPECT_GT(RegionSteps(obs), 0u);
   bool saw_admission = false;
   for (const SpanRecord& span : obs.spans.Snapshot()) {
     if (std::string(span.name) == "admission" && span.query >= 0) {
@@ -717,7 +880,7 @@ TEST(ObsServingTest, ServingReportIdenticalWithObservabilityAttached) {
 // The tentpole determinism gate, in-process: the audit ledger (minus wall
 // time) must be byte-identical across thread counts, and every record must
 // hang off the causal tree of its own request — no orphaned children.
-TEST(ObsServingTest, AuditLedgerIsDeterministicAndCausallyConnected) {
+TEST(ObsServingTest, LedgerIsDeterministicAndCausallyConnected) {
   GeneratorConfig cfg;
   cfg.num_rows = 300;
   cfg.num_attrs = 3;
@@ -748,8 +911,12 @@ TEST(ObsServingTest, AuditLedgerIsDeterministicAndCausallyConnected) {
     auto server = CaqeServer::Create(r, t, dims, keys, options).value();
     SubmitTrace(*server, trace);
     server->Run().value();
-    return std::make_pair(obs.ledger.Jsonl(/*include_wall=*/false),
-                          obs.ledger.Snapshot());
+    std::vector<ContractEvent> ledger;
+    for (const ContractEvent& event : obs.events.Snapshot()) {
+      if (IsLedgerEvent(event)) ledger.push_back(event);
+    }
+    return std::make_pair(obs.events.LedgerJsonl(/*include_wall=*/false),
+                          ledger);
   };
 
   const auto [jsonl_t1, records] = run(1);
@@ -760,13 +927,13 @@ TEST(ObsServingTest, AuditLedgerIsDeterministicAndCausallyConnected) {
   // Connectivity: a record's parent is either 0 (the root arrival) or the
   // span of another record of the same request.
   std::map<int, std::set<uint64_t>> spans_of;
-  for (const AuditRecord& record : records) {
+  for (const ContractEvent& record : records) {
     if (record.span != 0) spans_of[record.request_id].insert(record.span);
   }
-  for (const AuditRecord& record : records) {
+  for (const ContractEvent& record : records) {
     if (record.parent == 0) continue;
     EXPECT_NE(spans_of[record.request_id].count(record.parent), 0u)
-        << AuditRecordJson(record);
+        << LedgerEventJson(record);
   }
 
   // Every submitted request reached a single terminal finish record, and
@@ -774,10 +941,14 @@ TEST(ObsServingTest, AuditLedgerIsDeterministicAndCausallyConnected) {
   std::map<int, int> finishes;
   std::set<int> arrived;
   std::set<int> decided;
-  for (const AuditRecord& record : records) {
-    if (record.kind == AuditKind::kFinish) finishes[record.request_id]++;
-    if (record.kind == AuditKind::kArrival) arrived.insert(record.request_id);
-    if (record.kind == AuditKind::kDecision) {
+  for (const ContractEvent& record : records) {
+    if (record.kind == ContractEventKind::kFinish) {
+      finishes[record.request_id]++;
+    }
+    if (record.kind == ContractEventKind::kArrival) {
+      arrived.insert(record.request_id);
+    }
+    if (record.kind == ContractEventKind::kDecision) {
       decided.insert(record.request_id);
     }
   }

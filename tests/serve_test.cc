@@ -11,6 +11,7 @@
 #include "contracts/utility.h"
 #include "data/generator.h"
 #include "exec/emission.h"
+#include "obs/observability.h"
 #include "serve/admission.h"
 #include "serve/server.h"
 #include "serve/serving.h"
@@ -406,13 +407,14 @@ TEST(CaqeServerTest, CancelBeforeArrivalIsCleanRejectionOfWork) {
   EXPECT_EQ(report.admitted, 0);
 }
 
-// Serving lifecycle events flow through the ExecEvent trace with
-// monotonically nondecreasing virtual timestamps.
+// Serving lifecycle events flow through the event log with monotonically
+// nondecreasing virtual timestamps; the exec view shows the graft as
+// query_admitted and the retirement as query_retired, both at the slot.
 TEST(CaqeServerTest, TraceRecordsAdmissionAndRetirement) {
   auto [r, t] = MakeServeTables(1, 200);
-  std::vector<ExecEvent> events;
+  Observability obs;
   ServeOptions options = SmallServeOptions();
-  options.trace = &events;
+  options.obs = &obs;
   auto server = CaqeServer::Create(std::move(r), std::move(t), ThreeDims(),
                                    {0}, options)
                     .value();
@@ -422,14 +424,20 @@ TEST(CaqeServerTest, TraceRecordsAdmissionAndRetirement) {
   int admitted = 0;
   int retired = 0;
   double last_time = 0.0;
-  for (const ExecEvent& event : events) {
+  const std::vector<ContractEvent> events = obs.events.Snapshot();
+  for (const ContractEvent& event : events) {
     EXPECT_GE(event.vtime, last_time);
     last_time = event.vtime;
-    if (event.kind == ExecEvent::Kind::kQueryAdmitted) ++admitted;
-    if (event.kind == ExecEvent::Kind::kQueryRetired) ++retired;
+    if (event.kind == ContractEventKind::kGraft) ++admitted;
+    if (event.kind == ContractEventKind::kFinish && event.query >= 0) {
+      ++retired;
+    }
   }
   EXPECT_EQ(admitted, 1);
   EXPECT_EQ(retired, 1);
+  const std::string exec = ExecEventsJsonl(events);
+  EXPECT_NE(exec.find("\"kind\":\"query_admitted\""), std::string::npos);
+  EXPECT_NE(exec.find("\"kind\":\"query_retired\""), std::string::npos);
 }
 
 // ---- Emission-manager park/flush interplay with retirement ----

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "caqe/caqe.h"
-#include "metrics/export.h"
 #include "test_util.h"
 
 namespace caqe {
@@ -51,12 +50,12 @@ std::string ChromePid1Lines(const std::string& trace) {
   return out;
 }
 
-Views ViewsOf(const std::vector<ExecEvent>& events, const Observability& obs,
+Views ViewsOf(const Observability& obs,
               const std::vector<std::string>& query_names = {}) {
   Views views;
-  views.exec = ExecEventsJsonl(events, query_names);
-  views.ledger = obs.ledger.Jsonl(/*include_wall=*/false);
-  views.health = obs.health.Jsonl();
+  views.exec = ExecEventsJsonl(obs.events.Snapshot(), query_names);
+  views.ledger = obs.events.LedgerJsonl(/*include_wall=*/false);
+  views.health = obs.events.HealthJsonl();
   views.chrome_pid1 = ChromePid1Lines(obs.ChromeTrace());
   return views;
 }
@@ -76,12 +75,10 @@ Views RunServe(int requests, double rate, bool calibrate) {
       MappingFunction{0, 0}, MappingFunction{1, 1}, MappingFunction{2, 2}};
   const std::vector<int> keys = {0, 1};
 
-  std::vector<ExecEvent> events;
   Observability obs;
   ServeOptions options;
   options.target_regions = 128;
   options.calibrate = calibrate;
-  options.trace = &events;
   options.obs = &obs;
   auto server = CaqeServer::Create(r, t, dims, keys, options).value();
 
@@ -94,7 +91,7 @@ Views RunServe(int requests, double rate, bool calibrate) {
   trace_config.cancel_fraction = 0.1;
   SubmitTrace(*server, MakeSyntheticTrace(trace_config, keys, 3));
   server->Run().value();
-  return ViewsOf(events, obs);
+  return ViewsOf(obs);
 }
 
 Views RunBatch() {
@@ -105,10 +102,8 @@ Views RunBatch() {
       MakeSubspaceWorkload(4, 0, 9, PriorityPolicy::kUniform).value();
   const std::vector<Contract> contracts(workload.num_queries(),
                                         MakeLogDecayContract());
-  std::vector<ExecEvent> events;
   Observability obs;
   ExecOptions options;
-  options.trace = &events;
   options.obs = &obs;
   MakeEngine("CAQE").value()->Execute(r, t, workload, contracts, options)
       .value();
@@ -116,7 +111,7 @@ Views RunBatch() {
   for (int q = 0; q < workload.num_queries(); ++q) {
     names.push_back(workload.query(q).name);
   }
-  return ViewsOf(events, obs, names);
+  return ViewsOf(obs, names);
 }
 
 uint64_t Fnv1a(const std::string& text) {

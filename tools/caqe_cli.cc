@@ -170,8 +170,8 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s (%zu spans, %zu health samples)\n",
-                trace_out.c_str(), obs.spans.size(), obs.health.size());
+    std::printf("wrote %s (%zu spans)\n", trace_out.c_str(),
+                obs.spans.size());
   }
   if (!metrics_out.empty()) {
     const Status status =

@@ -12,7 +12,7 @@
 //              [--deadline-fraction=0.25] [--admit-all=0]
 //              [--calibrate=0]          # self-tuning admission estimates
 //              [--report-out=PATH]      # write ServingReportText to PATH
-//              [--trace-out=PATH]       # write the ExecEvent stream as JSONL
+//              [--trace-out=PATH]       # write the exec event stream (JSONL)
 //              [--trace_out=PATH]       # write a Chrome/Perfetto trace
 //              [--metrics_out=PATH]     # write a Prometheus text snapshot
 //              [--health_out=PATH]      # write contract-health JSONL
@@ -143,7 +143,6 @@ ServeWorld MakeWorld(const DataConfig& config) {
 /// Engine knobs: free to vary between a live session and its replay.
 Result<ServeOptions> OptionsFromArgs(const bench::Args& args,
                                      const DataConfig& config,
-                                     std::vector<ExecEvent>* events,
                                      Observability* obs) {
   ServeOptions options;
   options.num_threads = bench::ThreadsFromArgs(args);
@@ -154,7 +153,6 @@ Result<ServeOptions> OptionsFromArgs(const bench::Args& args,
   options.target_regions = config.target_regions;
   options.admit_all = config.admit_all;
   options.calibrate = config.calibrate;
-  options.trace = events;
   options.obs = obs;
   if (config.policy == "contract") {
     options.policy = SchedulePolicy::kContractDriven;
@@ -167,10 +165,11 @@ Result<ServeOptions> OptionsFromArgs(const bench::Args& args,
   return options;
 }
 
-/// Writes the report and every requested artifact; returns nonzero on a
-/// write failure.
+/// Writes the report and every requested artifact (the event-log views
+/// only when `obs` is attached, which WantsObs guarantees whenever one is
+/// requested); returns nonzero on a write failure.
 int WriteArtifacts(const bench::Args& args, const ServingReport& report,
-                   const std::vector<ExecEvent>& events, Observability* obs) {
+                   Observability* obs) {
   const std::string text = ServingReportText(report);
   std::printf("%s", text.c_str());
 
@@ -187,22 +186,25 @@ int WriteArtifacts(const bench::Args& args, const ServingReport& report,
 
   const std::string report_out = args.GetString("report-out", "");
   if (!report_out.empty() && !write(report_out, text)) return 1;
-  const std::string trace_out = args.GetString("trace-out", "");
-  if (!trace_out.empty() && !write(trace_out, ExecEventsJsonl(events))) {
-    return 1;
-  }
   if (obs != nullptr) {
+    const std::string trace_out = args.GetString("trace-out", "");
+    if (!trace_out.empty() &&
+        !write(trace_out, ExecEventsJsonl(obs->events.Snapshot()))) {
+      return 1;
+    }
     const std::string metrics_out = args.GetString("metrics_out", "");
     if (!metrics_out.empty() &&
         !write(metrics_out, obs->metrics.PrometheusText())) {
       return 1;
     }
     const std::string health_out = args.GetString("health_out", "");
-    if (!health_out.empty() && !write(health_out, obs->health.Jsonl())) {
+    if (!health_out.empty() &&
+        !write(health_out, obs->events.HealthJsonl())) {
       return 1;
     }
     const std::string ledger_out = args.GetString("ledger_out", "");
-    if (!ledger_out.empty() && !write(ledger_out, obs->ledger.Jsonl())) {
+    if (!ledger_out.empty() &&
+        !write(ledger_out, obs->events.LedgerJsonl())) {
       return 1;
     }
     const std::string flight_out = args.GetString("flight_out", "");
@@ -214,7 +216,8 @@ int WriteArtifacts(const bench::Args& args, const ServingReport& report,
 }
 
 bool WantsObs(const bench::Args& args) {
-  return !args.GetString("trace_out", "").empty() ||
+  return !args.GetString("trace-out", "").empty() ||
+         !args.GetString("trace_out", "").empty() ||
          !args.GetString("metrics_out", "").empty() ||
          !args.GetString("health_out", "").empty() ||
          !args.GetString("ledger_out", "").empty() ||
@@ -227,10 +230,9 @@ int RunBatch(const bench::Args& args) {
   const DataConfig config = DataConfigFromArgs(args);
   const ServeWorld world = MakeWorld(config);
 
-  std::vector<ExecEvent> events;
   Observability obs;
-  Result<ServeOptions> options = OptionsFromArgs(
-      args, config, &events, WantsObs(args) ? &obs : nullptr);
+  Result<ServeOptions> options =
+      OptionsFromArgs(args, config, WantsObs(args) ? &obs : nullptr);
   if (!options.ok()) {
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return 1;
@@ -265,10 +267,10 @@ int RunBatch(const bench::Args& args) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s (%zu spans, %zu health samples)\n",
-                obs_trace_out.c_str(), obs.spans.size(), obs.health.size());
+    std::printf("wrote %s (%zu spans)\n", obs_trace_out.c_str(),
+                obs.spans.size());
   }
-  return WriteArtifacts(args, *report, events, WantsObs(args) ? &obs : nullptr);
+  return WriteArtifacts(args, *report, WantsObs(args) ? &obs : nullptr);
 }
 
 // ---- Listen mode (wall-clock TCP front-end) ----
@@ -316,12 +318,10 @@ int RunListen(const bench::Args& args) {
   net_options.record_attrs = DataConfigAttrs(config);
   const ServeWorld world = MakeWorld(config);
 
-  std::vector<ExecEvent> events;
   Observability obs;  // Always on: the point of --listen is /metrics.
   obs.spans.set_sample_every(
       static_cast<int>(args.GetInt("sample_every", 1)));
-  Result<ServeOptions> options =
-      OptionsFromArgs(args, config, &events, &obs);
+  Result<ServeOptions> options = OptionsFromArgs(args, config, &obs);
   if (!options.ok()) {
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return 1;
@@ -394,7 +394,7 @@ int RunListen(const bench::Args& args) {
     std::fprintf(stderr, "%s\n", served.ToString().c_str());
     return 1;
   }
-  return WriteArtifacts(args, (*net)->report(), events, &obs);
+  return WriteArtifacts(args, (*net)->report(), &obs);
 }
 
 // ---- Replay mode (virtual-clock re-run of a recorded session) ----
@@ -409,10 +409,9 @@ int RunReplay(const bench::Args& args) {
   const DataConfig config = DataConfigFromTrace(*trace);
   const ServeWorld world = MakeWorld(config);
 
-  std::vector<ExecEvent> events;
   Observability obs;
-  Result<ServeOptions> options = OptionsFromArgs(
-      args, config, &events, WantsObs(args) ? &obs : nullptr);
+  Result<ServeOptions> options =
+      OptionsFromArgs(args, config, WantsObs(args) ? &obs : nullptr);
   if (!options.ok()) {
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return 1;
@@ -453,8 +452,7 @@ int RunReplay(const bench::Args& args) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
   }
-  return WriteArtifacts(args, *report, events,
-                        WantsObs(args) ? &obs : nullptr);
+  return WriteArtifacts(args, *report, WantsObs(args) ? &obs : nullptr);
 }
 
 int Main(int argc, char** argv) {
