@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 #include "common/json_util.h"
+#include "metrics/printer.h"
 #include "obs/flight_recorder.h"
 
 namespace caqe {
@@ -28,19 +30,6 @@ std::string JsonExact(double v) {
   return buf;
 }
 
-/// The health and exec views' fixed 9-decimal format.
-std::string Fixed9(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9f", v);
-  return buf;
-}
-
-std::string JsonWall(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
 double NowNs() {
   return static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -50,65 +39,32 @@ double NowNs() {
 
 /// The exec stream's name for `event`, or nullptr when the stream skips it.
 const char* ExecKindName(const ContractEvent& event) {
-  switch (event.kind) {
-    case ContractEventKind::kGraft:
-      return "query_admitted";
-    case ContractEventKind::kFinish:
-      return event.query >= 0 ? "query_retired" : nullptr;
-    case ContractEventKind::kRepreview:
-      return "query_repreviewed";
-    case ContractEventKind::kRegionScheduled:
-    case ContractEventKind::kRegionDiscarded:
-    case ContractEventKind::kQueryPruned:
-    case ContractEventKind::kResultsEmitted:
-      return ContractEventKindName(event.kind);
-    default:
-      return nullptr;
+  if (event.kind >= ContractEventKind::kRegionScheduled) {
+    return ContractEventKindName(event.kind);
   }
+  if (event.kind == ContractEventKind::kGraft) return "query_admitted";
+  if (event.kind == ContractEventKind::kRepreview) return "query_repreviewed";
+  if (event.kind == ContractEventKind::kFinish && event.query >= 0) {
+    return "query_retired";
+  }
+  return nullptr;
 }
 
-void AppendPhase(std::string& out, const char* phase) {
-  out += ",\"phase\":\"";
-  out += phase == nullptr ? "" : phase;
-  out += "\"";
-}
-
-void AppendReason(std::string& out, const char* reason) {
-  out += ",\"reason\":\"";
-  out += reason == nullptr ? "" : reason;
-  out += "\"";
+/// `,"key":"value"` for a string-literal field (phase, reason).
+void AppendLiteral(std::string& out, const char* key, const char* value) {
+  out += ",\"" + std::string(key) + "\":\"" + (value ? value : "") + "\"";
 }
 
 }  // namespace
 
 const char* ContractEventKindName(ContractEventKind kind) {
-  switch (kind) {
-    case ContractEventKind::kArrival:
-      return "arrival";
-    case ContractEventKind::kDecision:
-      return "decision";
-    case ContractEventKind::kGraft:
-      return "graft";
-    case ContractEventKind::kRegionStep:
-      return "region_step";
-    case ContractEventKind::kFirstResult:
-      return "first_result";
-    case ContractEventKind::kCancel:
-      return "cancel";
-    case ContractEventKind::kFinish:
-      return "finish";
-    case ContractEventKind::kRepreview:
-      return "repreview";
-    case ContractEventKind::kRegionScheduled:
-      return "region_scheduled";
-    case ContractEventKind::kRegionDiscarded:
-      return "region_discarded";
-    case ContractEventKind::kQueryPruned:
-      return "query_pruned";
-    case ContractEventKind::kResultsEmitted:
-      return "results_emitted";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+      "arrival",          "decision",         "graft",
+      "region_step",      "first_result",     "cancel",
+      "finish",           "repreview",        "region_scheduled",
+      "region_discarded", "query_pruned",     "results_emitted"};
+  const size_t index = static_cast<size_t>(kind);
+  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
 bool IsLedgerEvent(const ContractEvent& event) {
@@ -126,8 +82,8 @@ std::string LedgerEventJson(const ContractEvent& event, bool include_wall) {
   out += ",\"parent\":" + std::to_string(event.parent);
   switch (event.kind) {
     case ContractEventKind::kDecision:
-      AppendPhase(out, event.phase);
-      AppendReason(out, event.reason);
+      AppendLiteral(out, "phase", event.phase);
+      AppendLiteral(out, "reason", event.reason);
       out += ",\"est_first\":" + JsonExact(event.est_first_seconds);
       out += ",\"est_finish\":" + JsonExact(event.est_finish_seconds);
       out += ",\"utility\":" + JsonExact(event.expected_utility);
@@ -146,11 +102,11 @@ std::string LedgerEventJson(const ContractEvent& event, bool include_wall) {
       out += ",\"results\":" + std::to_string(event.results);
       break;
     case ContractEventKind::kCancel:
-      AppendPhase(out, event.phase);
+      AppendLiteral(out, "phase", event.phase);
       break;
     case ContractEventKind::kFinish:
-      AppendPhase(out, event.phase);
-      AppendReason(out, event.reason);
+      AppendLiteral(out, "phase", event.phase);
+      AppendLiteral(out, "reason", event.reason);
       out += ",\"results\":" + std::to_string(event.results);
       out += ",\"pscore\":" + JsonExact(event.pscore);
       out += ",\"est_finish\":" + JsonExact(event.est_finish_seconds);
@@ -158,8 +114,8 @@ std::string LedgerEventJson(const ContractEvent& event, bool include_wall) {
       out += ",\"utility\":" + JsonExact(event.expected_utility);
       break;
     case ContractEventKind::kRepreview:
-      AppendPhase(out, event.phase);
-      AppendReason(out, event.reason);
+      AppendLiteral(out, "phase", event.phase);
+      AppendLiteral(out, "reason", event.reason);
       out += ",\"est_first_before\":" +
              JsonExact(event.est_first_before_seconds);
       out += ",\"est_finish_before\":" +
@@ -170,7 +126,7 @@ std::string LedgerEventJson(const ContractEvent& event, bool include_wall) {
     default:
       break;
   }
-  if (include_wall) out += ",\"wall_us\":" + JsonWall(event.wall_us);
+  if (include_wall) out += ",\"wall_us\":" + FormatDouble(event.wall_us, 3);
   out += "}";
   return out;
 }
@@ -186,7 +142,7 @@ std::string ExecEventsJsonl(const std::vector<ContractEvent>& events,
                           : event.query;
     out += "{\"kind\":\"";
     out += name;
-    out += "\",\"vtime\":" + Fixed9(event.vtime);
+    out += "\",\"vtime\":" + FormatDouble(event.vtime, 9);
     out += ",\"region\":" + std::to_string(event.region);
     out += ",\"query\":" + std::to_string(query);
     if (query >= 0 && query < static_cast<int>(query_names.size())) {
@@ -290,7 +246,7 @@ std::string ContractEventLog::HealthJsonl() const {
   std::string out;
   for (const ContractEvent& event : events_) {
     if (event.kind != ContractEventKind::kRegionStep) continue;
-    out += "{\"vtime\":" + Fixed9(event.vtime);
+    out += "{\"vtime\":" + FormatDouble(event.vtime, 9);
     out += ",\"id\":" + std::to_string(event.request_id);
     const auto it = names_.find(event.request_id);
     if (it != names_.end()) {
@@ -298,8 +254,8 @@ std::string ContractEventLog::HealthJsonl() const {
       JsonAppendString(out, it->second);
     }
     out += ",\"results\":" + std::to_string(event.results);
-    out += ",\"pscore\":" + Fixed9(event.pscore);
-    out += ",\"weight\":" + Fixed9(event.weight);
+    out += ",\"pscore\":" + FormatDouble(event.pscore, 9);
+    out += ",\"weight\":" + FormatDouble(event.weight, 9);
     out += "}\n";
   }
   return out;

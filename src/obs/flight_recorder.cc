@@ -1,9 +1,9 @@
 #include "obs/flight_recorder.h"
 
-#include <cstdio>
 #include <cstring>
 
 #include "common/json_util.h"
+#include "metrics/printer.h"
 
 namespace caqe {
 
@@ -25,12 +25,6 @@ size_t RoundUpPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-std::string JsonDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
 }
 
 }  // namespace
@@ -98,9 +92,9 @@ std::string FlightRecorder::Jsonl() const {
     JsonAppendString(out, entry.name);
     out += ",\"req\":" + std::to_string(entry.request_id);
     out += ",\"region\":" + std::to_string(entry.region);
-    out += ",\"vtime\":" + JsonDouble(entry.vtime);
+    out += ",\"vtime\":" + FormatDouble(entry.vtime, 3);
     out += ",\"value\":" + std::to_string(entry.value);
-    out += ",\"wall_us\":" + JsonDouble(entry.wall_us);
+    out += ",\"wall_us\":" + FormatDouble(entry.wall_us, 3);
     out += "}\n";
   }
   return out;

@@ -1,23 +1,15 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/json_util.h"
-#include "obs/flight_recorder.h"
+#include "metrics/printer.h"
 #include "obs/event_log.h"
+#include "obs/flight_recorder.h"
 
 namespace caqe {
 
 namespace {
-
-/// Fixed-width double formatting for JSON (enough digits for microsecond
-/// timestamps, no locale dependence).
-std::string JsonDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
 
 std::atomic<int> g_next_thread_id{0};
 
@@ -98,8 +90,8 @@ std::string ChromeSpanJson(const SpanRecord& span) {
   JsonAppendString(event, span.name);
   event += ",\"cat\":";
   JsonAppendString(event, span.category);
-  event += ",\"ph\":\"X\",\"ts\":" + JsonDouble(span.start_us);
-  event += ",\"dur\":" + JsonDouble(span.dur_us);
+  event += ",\"ph\":\"X\",\"ts\":" + FormatDouble(span.start_us, 3);
+  event += ",\"dur\":" + FormatDouble(span.dur_us, 3);
   event += ",\"pid\":0,\"tid\":" + std::to_string(span.tid);
   event += ",\"args\":{\"seq\":" + std::to_string(span.seq);
   if (span.id != 0) {
@@ -151,18 +143,16 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans,
     for (const ContractEvent& sample : events->Snapshot()) {
       if (sample.kind != ContractEventKind::kRegionStep) continue;
       const std::string label = events->LabelOf(sample.request_id);
-      std::string event = "{\"name\":";
-      JsonAppendString(event, "pscore " + label);
-      event += ",\"ph\":\"C\",\"ts\":" + JsonDouble(sample.vtime * 1e6);
-      event += ",\"pid\":1,\"tid\":0,\"args\":{\"pscore\":" +
-               JsonDouble(sample.pscore) + "}}";
-      append_event(event);
-      event = "{\"name\":";
-      JsonAppendString(event, "weight " + label);
-      event += ",\"ph\":\"C\",\"ts\":" + JsonDouble(sample.vtime * 1e6);
-      event += ",\"pid\":1,\"tid\":0,\"args\":{\"weight\":" +
-               JsonDouble(sample.weight) + "}}";
-      append_event(event);
+      const auto counter = [&](const std::string& series, double value) {
+        std::string event = "{\"name\":";
+        JsonAppendString(event, series + " " + label);
+        event += ",\"ph\":\"C\",\"ts\":" + FormatDouble(sample.vtime * 1e6, 3);
+        event += ",\"pid\":1,\"tid\":0,\"args\":{\"" + series +
+                 "\":" + FormatDouble(value, 3) + "}}";
+        append_event(event);
+      };
+      counter("pscore", sample.pscore);
+      counter("weight", sample.weight);
     }
   }
   out += "\n]}\n";
@@ -189,8 +179,8 @@ std::string SpansJsonl(const std::vector<SpanRecord>& spans,
       out += ",\"value\":" + std::to_string(span.arg_value);
     }
     if (include_timing) {
-      out += ",\"ts_us\":" + JsonDouble(span.start_us);
-      out += ",\"dur_us\":" + JsonDouble(span.dur_us);
+      out += ",\"ts_us\":" + FormatDouble(span.start_us, 3);
+      out += ",\"dur_us\":" + FormatDouble(span.dur_us, 3);
       out += ",\"tid\":" + std::to_string(span.tid);
     }
     out += "}\n";
