@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Line-coverage report for the serving, net, partition, region, execution,
-# cuboid and skyline layers.
+# cuboid, skyline and observability layers.
 #
 # Builds the tree with -DCAQE_COVERAGE=ON (gcov instrumentation, -O0 so
 # inlining cannot hide lines), runs the full ctest suite, then walks every
 # source file under src/serve, src/net, src/partition, src/region, src/exec,
-# src/cuboid and src/skyline with gcov (or llvm-cov gcov when the compiler
-# is clang) and prints a per-file line-coverage table.
+# src/cuboid, src/skyline and src/obs with gcov (or llvm-cov gcov when the
+# compiler is clang) and prints a per-file line-coverage table.
 #
 # Documented floors (enforced, non-zero exit below them):
 #   src/serve/calibration.cc        >= 80%   (self-tuning admission loop)
@@ -25,12 +25,15 @@
 #   src/skyline/incremental.cc      >= 80%   (incremental skyline windows)
 #   src/cuboid/shared_skyline.cc    >= 80%   (shared cuboid evaluation and
 #                                             query release)
+#   src/obs/event_log.cc            >= 80%   (contract event log and its
+#                                             ledger/health/exec views)
 # The rest of the table is informational — floors are only added for files
 # whose tests explicitly claim coverage (see tests/calibration_test.cc,
 # tests/net_fuzz_test.cc, tests/partition_test.cc, tests/region_test.cc,
 # tests/oracle_test.cc, tests/flat_index_test.cc,
 # tests/dominance_batch_test.cc, tests/emission_stress_test.cc,
-# tests/skyline_test.cc and tests/cuboid_test.cc).
+# tests/skyline_test.cc, tests/cuboid_test.cc, tests/obs_test.cc and
+# tests/views_pin_test.cc).
 #
 #   scripts/run_coverage.sh [EXTRA_CMAKE_FLAGS...]
 set -euo pipefail
@@ -76,7 +79,7 @@ coverage_of() {
 status=0
 printf '%-34s %10s %8s\n' "file" "coverage" "floor"
 for src in src/serve/*.cc src/net/*.cc src/partition/*.cc src/region/*.cc \
-    src/exec/*.cc src/cuboid/*.cc src/skyline/*.cc; do
+    src/exec/*.cc src/cuboid/*.cc src/skyline/*.cc src/obs/*.cc; do
   floor=0
   case "${src}" in
     src/serve/calibration.cc) floor=80 ;;
@@ -89,6 +92,7 @@ for src in src/serve/*.cc src/net/*.cc src/partition/*.cc src/region/*.cc \
     src/skyline/dominance_batch.cc) floor=80 ;;
     src/skyline/incremental.cc) floor=80 ;;
     src/cuboid/shared_skyline.cc) floor=80 ;;
+    src/obs/event_log.cc) floor=80 ;;
   esac
   pct=$(coverage_of "${src}")
   floor_text="-"

@@ -12,15 +12,17 @@
 #      full engine-knob matrix — threads {1,8} x pipeline {0,1} x
 #      compact_layout {0,1} — and byte-diff every replayed serving report
 #      (and exec event stream) against the live session's. Each replay also
-#      writes its audit ledger; after stripping the wall-clock field
-#      (report_diff.sh --normalize-wall) every replayed ledger must match
-#      the live session's byte for byte.
+#      writes its audit ledger and contract-health timeline; every replayed
+#      health timeline, and every ledger after stripping the wall-clock
+#      field (report_diff.sh --normalize-wall), must match the live
+#      session's byte for byte.
 #   3. Diff the live /metrics scrape against the server's --metrics_out
 #      snapshot, excluding the caqe_net_* series (the scrape itself perturbs
 #      the net counters; every engine series must match exactly).
 #   4. SIGTERM cell: a second live session is drained by SIGTERM instead of
 #      a DRAIN command; the exit code must report drain success and its
-#      trace must replay byte-identically too.
+#      trace must replay byte-identically too (report, exec events, ledger
+#      and health timeline).
 #
 # The wall clock chooses the arrival quantum indices, so the live report is
 # only comparable to replays of the *same* recorded session — every diff in
@@ -71,6 +73,7 @@ wait_for_port() {
   --trace-out="${out}/live_events.jsonl" \
   --metrics_out="${out}/live_metrics.prom" \
   --ledger_out="${out}/live_ledger.jsonl" \
+  --health_out="${out}/live_health.jsonl" \
   --flight_out="${out}/live_flight.jsonl" \
   > "${out}/live_stdout.txt" 2>&1 &
 server_pid=$!
@@ -150,6 +153,7 @@ grep -q '^caqe_net_connections_total' "${out}/scrape_metrics.prom"
 status=0
 diff_args=()
 ledger_args=()
+health_args=()
 for threads in 1 8; do
   for pipeline in 0 1; do
     for compact in 0 1; do
@@ -159,9 +163,11 @@ for threads in 1 8; do
         --compact_layout="${compact}" \
         --report-out="${out}/replay_${tag}.txt" \
         --trace-out="${out}/replay_${tag}.jsonl" \
-        --ledger_out="${out}/replay_${tag}_ledger.jsonl" > /dev/null
+        --ledger_out="${out}/replay_${tag}_ledger.jsonl" \
+        --health_out="${out}/replay_${tag}_health.jsonl" > /dev/null
       diff_args+=("${tag}=${out}/replay_${tag}.txt")
       ledger_args+=("${tag}=${out}/replay_${tag}_ledger.jsonl")
+      health_args+=("${tag}=${out}/replay_${tag}_health.jsonl")
       if ! cmp -s "${out}/live_events.jsonl" "${out}/replay_${tag}.jsonl"; then
         echo "FAIL: exec event stream ${tag} diverges from live session" >&2
         status=1
@@ -175,6 +181,11 @@ tools/report_diff.sh "net replay vs live session" "${out}/live_report.txt" \
 # minus its wall-clock field it must replay byte-for-byte.
 tools/report_diff.sh --normalize-wall "audit ledger replay vs live" \
   "${out}/live_ledger.jsonl" "${ledger_args[@]}" || status=1
+# The contract-health timeline is virtual-time only: it must replay
+# byte-for-byte as written.
+grep -q '"pscore":' "${out}/live_health.jsonl"
+tools/report_diff.sh "health timeline replay vs live" \
+  "${out}/live_health.jsonl" "${health_args[@]}" || status=1
 
 # ---- SIGTERM cell: graceful drain by signal ------------------------------
 "${serve}" --listen=127.0.0.1:0 "${DATA_ARGS[@]}" \
@@ -184,6 +195,7 @@ tools/report_diff.sh --normalize-wall "audit ledger replay vs live" \
   --report-out="${out}/sig_report.txt" \
   --trace-out="${out}/sig_events.jsonl" \
   --ledger_out="${out}/sig_ledger.jsonl" \
+  --health_out="${out}/sig_health.jsonl" \
   > "${out}/sig_stdout.txt" 2>&1 &
 sig_pid=$!
 wait_for_port "${out}/sig_port" || { kill "${sig_pid}" 2>/dev/null; exit 1; }
@@ -209,7 +221,8 @@ echo "SIGTERM drain completed with exit 0"
 "${serve}" --replay="${out}/sig.trace" \
   --report-out="${out}/sig_replay.txt" \
   --trace-out="${out}/sig_replay.jsonl" \
-  --ledger_out="${out}/sig_replay_ledger.jsonl" > /dev/null
+  --ledger_out="${out}/sig_replay_ledger.jsonl" \
+  --health_out="${out}/sig_replay_health.jsonl" > /dev/null
 tools/report_diff.sh "SIGTERM session replay vs live" \
   "${out}/sig_report.txt" "replay=${out}/sig_replay.txt" || status=1
 cmp -s "${out}/sig_events.jsonl" "${out}/sig_replay.jsonl" || {
@@ -218,6 +231,9 @@ cmp -s "${out}/sig_events.jsonl" "${out}/sig_replay.jsonl" || {
 }
 tools/report_diff.sh --normalize-wall "SIGTERM ledger replay vs live" \
   "${out}/sig_ledger.jsonl" "replay=${out}/sig_replay_ledger.jsonl" \
+  || status=1
+tools/report_diff.sh "SIGTERM health replay vs live" \
+  "${out}/sig_health.jsonl" "replay=${out}/sig_replay_health.jsonl" \
   || status=1
 
 # ---- Calibrated cell: self-tuning admission, live -> replay --------------

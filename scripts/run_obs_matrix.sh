@@ -10,11 +10,13 @@
 # tree-indexed coarse phase (--coarse_index=1) at 1 and 8 threads —
 # neither the flush nor the coarse index may move a byte, traced or not.
 #
-# A second matrix drives caqe_serve (batch mode) with --ledger_out across
-# threads {1,8} x pipeline {0,1} per build: the contract audit ledger,
-# after stripping its single wall-clock field (report_diff.sh
-# --normalize-wall), must be byte-identical down every column — the
-# DESIGN.md §15 determinism contract for per-request causal audit records.
+# A second matrix drives caqe_serve (batch mode) with --ledger_out,
+# --health_out and --trace-out across threads {1,8} x pipeline {0,1} per
+# build. Every view of the contract event log must be byte-identical down
+# every column: the audit ledger after stripping its single wall-clock
+# field (report_diff.sh --normalize-wall), the contract-health timeline
+# and the exec event stream as written — the DESIGN.md §15 determinism
+# contract for per-request causal audit records.
 #
 #   scripts/run_obs_matrix.sh [EXTRA_CMAKE_FLAGS...]
 #
@@ -33,6 +35,8 @@ SERVE_ARGS=(--rows=400 --sel=0.02 --requests=10 --seed=2014
             --target-regions=64)
 declare -A REPORTS
 declare -A LEDGERS
+declare -A HEALTHS
+declare -A EXEC_EVENTS
 declare -A SERVE_REPORTS
 
 for simd in OFF ON; do
@@ -68,8 +72,9 @@ for simd in OFF ON; do
       --threads="${threads}" --coarse_index=1 > "${out}"
     REPORTS["${simd}_coarse_t${threads}"]="${out}"
   done
-  # Audit-ledger cells: the serving layer's per-request causal records
-  # must not move a byte (wall field aside) under threads x pipeline.
+  # Event-log cells: the serving layer's ledger, health timeline and exec
+  # events must not move a byte (wall field aside) under threads x
+  # pipeline.
   serve_bin="./${build_dir}/tools/caqe_serve"
   [[ -x "${serve_bin}" ]] || serve_bin="./${build_dir}/caqe_serve"
   for threads in 1 8; do
@@ -78,8 +83,12 @@ for simd in OFF ON; do
       "${serve_bin}" "${SERVE_ARGS[@]}" \
         --threads="${threads}" --pipeline="${pipeline}" \
         --ledger_out="${build_dir}/ledger_${cell}.jsonl" \
+        --health_out="${build_dir}/health_${cell}.jsonl" \
+        --trace-out="${build_dir}/exec_events_${cell}.jsonl" \
         --report-out="${build_dir}/serve_report_${cell}.txt" > /dev/null
       LEDGERS["${simd}_${cell}"]="${build_dir}/ledger_${cell}.jsonl"
+      HEALTHS["${simd}_${cell}"]="${build_dir}/health_${cell}.jsonl"
+      EXEC_EVENTS["${simd}_${cell}"]="${build_dir}/exec_events_${cell}.jsonl"
       SERVE_REPORTS["${simd}_${cell}"]="${build_dir}/serve_report_${cell}.txt"
     done
   done
@@ -87,6 +96,8 @@ for simd in OFF ON; do
   grep -q '"kind":"arrival"' "${build_dir}/ledger_t1_p0.jsonl"
   grep -q '"kind":"decision"' "${build_dir}/ledger_t1_p0.jsonl"
   grep -q '"kind":"finish"' "${build_dir}/ledger_t1_p0.jsonl"
+  grep -q '"pscore":' "${build_dir}/health_t1_p0.jsonl"
+  grep -q '"kind":"query_admitted"' "${build_dir}/exec_events_t1_p0.jsonl"
   # The traced cell must have written real artifacts.
   grep -q '"traceEvents"' "${build_dir}/fig9_trace.json"
   grep -q '^# TYPE caqe_engine_dominance_cmps_total counter$' \
@@ -110,17 +121,26 @@ tools/report_diff.sh "fig9 stdout vs OFF_off" "${REPORTS[OFF_off]}" \
   "ON_coarse_t1=${REPORTS[ON_coarse_t1]}" \
   "ON_coarse_t8=${REPORTS[ON_coarse_t8]}" || status=1
 
-# Audit ledgers (wall field stripped) must match the scalar t1/p0 baseline
-# across threads x pipeline x SIMD; the serving reports alongside them too.
+# Audit ledgers (wall field stripped), health timelines and exec event
+# streams must match the scalar t1/p0 baseline across threads x pipeline x
+# SIMD; the serving reports alongside them too.
 ledger_cells=()
+health_cells=()
+exec_cells=()
 serve_cells=()
 for key in "${!LEDGERS[@]}"; do
   [[ "${key}" == "OFF_t1_p0" ]] && continue
   ledger_cells+=("${key}=${LEDGERS[${key}]}")
+  health_cells+=("${key}=${HEALTHS[${key}]}")
+  exec_cells+=("${key}=${EXEC_EVENTS[${key}]}")
   serve_cells+=("${key}=${SERVE_REPORTS[${key}]}")
 done
 tools/report_diff.sh --normalize-wall "audit ledger vs OFF_t1_p0" \
   "${LEDGERS[OFF_t1_p0]}" "${ledger_cells[@]}" || status=1
+tools/report_diff.sh "health timeline vs OFF_t1_p0" \
+  "${HEALTHS[OFF_t1_p0]}" "${health_cells[@]}" || status=1
+tools/report_diff.sh "exec events vs OFF_t1_p0" \
+  "${EXEC_EVENTS[OFF_t1_p0]}" "${exec_cells[@]}" || status=1
 tools/report_diff.sh "serve report vs OFF_t1_p0" \
   "${SERVE_REPORTS[OFF_t1_p0]}" "${serve_cells[@]}" || status=1
 exit "${status}"

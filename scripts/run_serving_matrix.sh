@@ -5,8 +5,10 @@
 # counts (1 and 8), and the parallel emission flush (--pipeline=0/1), plus
 # tree-indexed coarse-phase cells (--coarse_index=1 at both worker counts)
 # and one cell per build with the observability layer attached
-# (--trace_out/--metrics_out) — tracing is read-only with respect to the
-# engine, so it must not move a byte either. A composed
+# (--trace_out/--metrics_out/--health_out) — tracing is read-only with
+# respect to the engine, so it must not move a byte either, and the traced
+# cells' contract-health timelines must match across the SIMD builds. A
+# composed
 # coarse-index x compact-layout-off cell checks the orthogonal knobs
 # together, and a second matrix runs the same trace with --calibrate=1:
 # self-tuning admission changes decisions by design (data-shape
@@ -140,4 +142,9 @@ tools/report_diff.sh "calibrated serving report vs OFF_1_0_calib" \
   "ON_1_pipeline_calib=${REPORTS[ON_1_1_calib]}" \
   "ON_8_calib=${REPORTS[ON_8_0_calib]}" \
   "ON_8_pipeline_calib=${REPORTS[ON_8_1_calib]}" || status=1
+# The traced cells' contract-health timelines (virtual time only) must not
+# depend on the SIMD build either.
+tools/report_diff.sh "traced health timeline vs OFF" \
+  build-simd-off/serving_health.jsonl \
+  "ON=build-simd-on/serving_health.jsonl" || status=1
 exit "${status}"

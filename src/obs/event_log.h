@@ -160,8 +160,8 @@ std::string ExecEventsJsonl(const std::vector<ContractEvent>& events,
 class ContractEventLog {
  public:
   /// One cap for every kind: the room the audit ledger and the health
-  /// timeline had together (2^18 each). At ~160 bytes an event a full log
-  /// holds ~84 MB.
+  /// timeline had together (2^18 each). At 168 bytes an event (x86-64) a
+  /// full log holds ~88 MB.
   static constexpr size_t kDefaultCapacity = size_t{1} << 19;
 
   ContractEventLog();

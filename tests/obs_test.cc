@@ -1,9 +1,11 @@
 // Observability layer tests (src/obs/): span sink thread safety, metrics
 // registry exposition formats, the contract event log and its views
-// (ledger, health, exec stream), export escaping,
-// and — most importantly — the determinism guarantees: attaching an
-// Observability must not change a single deterministic byte of any engine
-// or serving report.
+// (ledger, health, exec stream), export escaping, and — most importantly —
+// the determinism guarantees: attaching an Observability must not change
+// a single deterministic byte of any engine or serving report. With
+// views_pin_test these tests hold
+// src/obs/event_log.cc above its 80% line-coverage floor
+// (scripts/run_coverage.sh).
 #include <gtest/gtest.h>
 
 #include <atomic>
