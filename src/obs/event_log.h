@@ -159,9 +159,8 @@ std::string ExecEventsJsonl(const std::vector<ContractEvent>& events,
 
 class ContractEventLog {
  public:
-  /// One cap for every kind: the room the audit ledger and the health
-  /// timeline had together (2^18 each). At 168 bytes an event (x86-64) a
-  /// full log holds ~88 MB.
+  /// One cap for every kind, sized for 2^18 ledger events plus 2^18 region
+  /// steps. At 168 bytes an event (x86-64) a full log holds ~88 MB.
   static constexpr size_t kDefaultCapacity = size_t{1} << 19;
 
   ContractEventLog();

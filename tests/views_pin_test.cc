@@ -2,8 +2,8 @@
 // audit ledger (without its wall-clock field), the contract-health JSONL and
 // the Chrome trace's virtual-clock (pid 1) counter lines. Each view is
 // regenerated in-process and compared, as an FNV-1a digest plus a line
-// count, against constants recorded before the views were rebuilt over one
-// event log. Any refactor of the event model must leave these untouched.
+// count, against pinned constants: tools parse these views, so a refactor
+// of the event model must leave the constants untouched.
 //
 // Three runs cover the emitters:
 //   (a) the caqe_serve batch-mode world and trace at --requests=120
