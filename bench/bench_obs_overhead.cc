@@ -6,7 +6,7 @@
 // must be invisible to the engine.
 //
 // A second cell measures the serving layer the same way: a synthetic trace
-// is served with observability detached and attached, where "attached" now
+// is served with observability detached and attached, where "attached"
 // also means the contract event log records every admission decision /
 // weight update / completion and the always-on flight recorder mirrors
 // every span and ledger event through its lock-free ring. The

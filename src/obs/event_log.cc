@@ -131,30 +131,6 @@ std::string LedgerEventJson(const ContractEvent& event, bool include_wall) {
   return out;
 }
 
-std::string ExecEventsJsonl(const std::vector<ContractEvent>& events,
-                            const std::vector<std::string>& query_names) {
-  std::string out;
-  for (const ContractEvent& event : events) {
-    const char* name = ExecKindName(event);
-    if (name == nullptr) continue;
-    const int query = event.kind == ContractEventKind::kRepreview
-                          ? event.request_id
-                          : event.query;
-    out += "{\"kind\":\"";
-    out += name;
-    out += "\",\"vtime\":" + FormatDouble(event.vtime, 9);
-    out += ",\"region\":" + std::to_string(event.region);
-    out += ",\"query\":" + std::to_string(query);
-    if (query >= 0 && query < static_cast<int>(query_names.size())) {
-      out += ",\"name\":";
-      JsonAppendString(out, query_names[query]);
-    }
-    out += ",\"count\":" + std::to_string(event.count);
-    out += "}\n";
-  }
-  return out;
-}
-
 ContractEventLog::ContractEventLog() : epoch_ns_(NowNs()) {
   events_.reserve(1024);
 }
@@ -176,9 +152,9 @@ void ContractEventLog::Append(ContractEvent event) {
     last = Progress{event.results, event.pscore, event.weight,
                     /*sampled=*/true, last.grafted};
   }
-  event.wall_us = (NowNs() - epoch_ns_) / 1000.0;
   if (IsLedgerEvent(event)) {
     event.seq = next_seq_++;
+    event.wall_us = (NowNs() - epoch_ns_) / 1000.0;
     if (flight_ != nullptr) {
       FlightEntry entry;
       entry.kind = 'a';
@@ -201,13 +177,6 @@ void ContractEventLog::Append(ContractEvent event) {
 void ContractEventLog::SetName(int id, std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
   names_[id] = std::move(name);
-}
-
-std::string ContractEventLog::LabelOf(int id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = names_.find(id);
-  const std::string name = it == names_.end() ? "" : it->second;
-  return name + "#" + std::to_string(id);
 }
 
 std::vector<ContractEvent> ContractEventLog::Snapshot() const {
@@ -257,6 +226,53 @@ std::string ContractEventLog::HealthJsonl() const {
     out += ",\"pscore\":" + FormatDouble(event.pscore, 9);
     out += ",\"weight\":" + FormatDouble(event.weight, 9);
     out += "}\n";
+  }
+  return out;
+}
+
+std::string ContractEventLog::ExecEventsJsonl(
+    const std::vector<std::string>& query_names) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string out;
+  for (const ContractEvent& event : events_) {
+    const char* name = ExecKindName(event);
+    if (name == nullptr) continue;
+    const int query = event.kind == ContractEventKind::kRepreview
+                          ? event.request_id
+                          : event.query;
+    out += "{\"kind\":\"";
+    out += name;
+    out += "\",\"vtime\":" + FormatDouble(event.vtime, 9);
+    out += ",\"region\":" + std::to_string(event.region);
+    out += ",\"query\":" + std::to_string(query);
+    if (query >= 0 && query < static_cast<int>(query_names.size())) {
+      out += ",\"name\":";
+      JsonAppendString(out, query_names[query]);
+    }
+    out += ",\"count\":" + std::to_string(event.count);
+    out += "}\n";
+  }
+  return out;
+}
+
+std::string ContractEventLog::ChromeCounterEvents() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string out;
+  for (const ContractEvent& step : events_) {
+    if (step.kind != ContractEventKind::kRegionStep) continue;
+    const auto it = names_.find(step.request_id);
+    const std::string label = (it == names_.end() ? "" : it->second) + "#" +
+                              std::to_string(step.request_id);
+    const auto counter = [&](const std::string& series, double value) {
+      if (!out.empty()) out += ",\n";
+      out += "{\"name\":";
+      JsonAppendString(out, series + " " + label);
+      out += ",\"ph\":\"C\",\"ts\":" + FormatDouble(step.vtime * 1e6, 3);
+      out += ",\"pid\":1,\"tid\":0,\"args\":{\"" + series +
+             "\":" + FormatDouble(value, 3) + "}}";
+    };
+    counter("pscore", step.pscore);
+    counter("weight", step.weight);
   }
   return out;
 }

@@ -15,8 +15,8 @@
 //   HealthJsonl                    the contract-health timeline
 //                                  (--health_out): every region step;
 //   ExecEventsJsonl                the engine event stream (--trace-out);
-//   ChromeTraceJson (obs/span.h)   pScore/weight counter tracks from the
-//                                  region steps.
+//   ChromeCounterEvents            pScore/weight counter tracks from the
+//                                  region steps (ChromeTraceJson's pid 1).
 //
 // Determinism contract (DESIGN.md §15): events are appended only from the
 // serial driver thread at virtual timestamps, so every view except the
@@ -126,8 +126,9 @@ struct ContractEvent {
   double pscore_before = 0.0;
   /// kRegionStep: whether the ledger shows this step (see Append).
   bool audited = false;
-  /// Wall microseconds against the log's epoch. Always the *last* ledger
-  /// JSON field so `--normalize-wall` diffs can strip it.
+  /// Ledger events: wall microseconds against the log's epoch (0 for every
+  /// other kind). Always the *last* ledger JSON field so
+  /// `--normalize-wall` diffs can strip it.
   double wall_us = 0.0;
 };
 
@@ -141,22 +142,6 @@ bool IsLedgerEvent(const ContractEvent& event);
 std::string LedgerEventJson(const ContractEvent& event,
                             bool include_wall = true);
 
-/// The engine event stream: one JSON object per line for every scheduling
-/// event, graft (query_admitted), finish of a request that ran
-/// (query_retired) and repreview (query_repreviewed), in log order:
-///   {"kind":"region_scheduled","vtime":0.000123000,"region":4,
-///    "query":-1,"count":0}
-/// `query` is the workload slot for query_admitted/query_retired, the
-/// request id for query_repreviewed, and the workload query index for the
-/// scheduling kinds. Virtual times print with 9 decimals, so two runs'
-/// exports byte-match iff their event streams match.
-///
-/// `query_names`, when non-empty, adds a `"name"` field to every event with
-/// a resolvable query (names[query]). Names are caller data and are
-/// JSON-escaped — a query named `a"b\c` exports as `"a\"b\\c"`.
-std::string ExecEventsJsonl(const std::vector<ContractEvent>& events,
-                            const std::vector<std::string>& query_names = {});
-
 class ContractEventLog {
  public:
   /// One cap for every kind, sized for 2^18 ledger events plus 2^18 region
@@ -165,8 +150,8 @@ class ContractEventLog {
 
   ContractEventLog();
 
-  /// Appends one event: assigns `wall_us`, and `seq` to ledger events, and
-  /// mirrors ledger events (kept or dropped) into the flight recorder.
+  /// Appends one event: assigns `seq` and `wall_us` to ledger events, and
+  /// mirrors them (kept or dropped) into the flight recorder.
   ///
   /// kGraft seeds its request's progress with the event's (results,
   /// pscore, weight). kRegionStep is deduplicated per request_id: it is
@@ -183,9 +168,6 @@ class ContractEventLog {
   /// Binds a display name to `id` (query/request name; escaped at export).
   void SetName(int id, std::string name);
 
-  /// "name#id" when a name is bound, "#id" otherwise.
-  std::string LabelOf(int id) const;
-
   /// All kept events in append order.
   std::vector<ContractEvent> Snapshot() const;
 
@@ -200,6 +182,28 @@ class ContractEventLog {
   ///    "weight":0.75}
   /// (`name` only when bound; numbers with 9 decimals).
   std::string HealthJsonl() const;
+
+  /// The engine event stream (--trace-out): one JSON object per line for
+  /// every scheduling event, graft (query_admitted), finish of a request
+  /// that ran (query_retired) and repreview (query_repreviewed):
+  ///   {"kind":"region_scheduled","vtime":0.000123000,"region":4,
+  ///    "query":-1,"count":0}
+  /// `query` is the workload slot for query_admitted/query_retired, the
+  /// request id for query_repreviewed, and the workload query index for
+  /// the scheduling kinds. Virtual times print with 9 decimals.
+  ///
+  /// `query_names`, when non-empty, adds a `"name"` field to every event
+  /// with a resolvable query (names[query]). Names are caller data and are
+  /// JSON-escaped — a query named `a"b\c` exports as `"a\"b\\c"`.
+  std::string ExecEventsJsonl(
+      const std::vector<std::string>& query_names = {}) const;
+
+  /// The Chrome trace's contract-health counter tracks: a pScore and a
+  /// weight counter ("C") event per region step on pid 1, stamped in
+  /// virtual microseconds and labelled "name#id" ("#id" when no name is
+  /// bound), joined by ",\n" for ChromeTraceJson's traceEvents array.
+  /// Empty when the log holds no region step.
+  std::string ChromeCounterEvents() const;
 
   /// Kept events (every kind).
   size_t size() const;

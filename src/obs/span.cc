@@ -140,20 +140,8 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans,
   if (events != nullptr) {
     // Counter tracks: one pScore and one weight series per query, stamped
     // in virtual microseconds so trajectories render as Perfetto counters.
-    for (const ContractEvent& sample : events->Snapshot()) {
-      if (sample.kind != ContractEventKind::kRegionStep) continue;
-      const std::string label = events->LabelOf(sample.request_id);
-      const auto counter = [&](const std::string& series, double value) {
-        std::string event = "{\"name\":";
-        JsonAppendString(event, series + " " + label);
-        event += ",\"ph\":\"C\",\"ts\":" + FormatDouble(sample.vtime * 1e6, 3);
-        event += ",\"pid\":1,\"tid\":0,\"args\":{\"" + series +
-                 "\":" + FormatDouble(value, 3) + "}}";
-        append_event(event);
-      };
-      counter("pscore", sample.pscore);
-      counter("weight", sample.weight);
-    }
+    const std::string counters = events->ChromeCounterEvents();
+    if (!counters.empty()) append_event(counters);
   }
   out += "\n]}\n";
   return out;

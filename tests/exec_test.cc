@@ -219,6 +219,7 @@ TEST(ParallelDeterminismTest, ReportsAreIdenticalAcrossThreadCounts) {
   for (PartitionStrategy strategy :
        {PartitionStrategy::kGrid, PartitionStrategy::kQuadTree}) {
     ExecutionReport reference;
+    std::vector<ContractEvent> reference_events;
     std::string reference_exec;
     std::string reference_health;
     for (int threads : {1, 2, 8}) {
@@ -237,7 +238,8 @@ TEST(ParallelDeterminismTest, ReportsAreIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       if (threads == 1) {
         reference = *result;
-        reference_exec = ExecEventsJsonl(obs.events.Snapshot());
+        reference_events = obs.events.Snapshot();
+        reference_exec = obs.events.ExecEventsJsonl();
         reference_health = obs.events.HealthJsonl();
         EXPECT_GT(reference.stats.emitted_results, 0);
         continue;
@@ -279,9 +281,25 @@ TEST(ParallelDeterminismTest, ReportsAreIdenticalAcrossThreadCounts) {
           EXPECT_EQ(got.tuples[i].values, want.tuples[i].values);
         }
       }
-      // Event streams print every field (vtimes to 9 decimals), so
-      // byte-equal views mean identical events.
-      EXPECT_EQ(ExecEventsJsonl(obs.events.Snapshot()), reference_exec);
+      // Every logged event, compared exactly: the views below print vtime
+      // and pScore to 9 decimals only.
+      const std::vector<ContractEvent> events = obs.events.Snapshot();
+      ASSERT_EQ(events.size(), reference_events.size());
+      for (size_t i = 0; i < events.size(); ++i) {
+        const ContractEvent& got = events[i];
+        const ContractEvent& want = reference_events[i];
+        EXPECT_EQ(static_cast<int>(got.kind), static_cast<int>(want.kind));
+        EXPECT_EQ(got.vtime, want.vtime);
+        EXPECT_EQ(got.region, want.region);
+        EXPECT_EQ(got.query, want.query);
+        EXPECT_EQ(got.request_id, want.request_id);
+        EXPECT_EQ(got.count, want.count);
+        EXPECT_EQ(got.results, want.results);
+        EXPECT_EQ(got.pscore, want.pscore);
+        EXPECT_EQ(got.pscore_before, want.pscore_before);
+        EXPECT_EQ(got.weight, want.weight);
+      }
+      EXPECT_EQ(obs.events.ExecEventsJsonl(), reference_exec);
       EXPECT_EQ(obs.events.HealthJsonl(), reference_health);
     }
   }

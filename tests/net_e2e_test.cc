@@ -243,10 +243,10 @@ TEST(NetE2eTest, RecordReplayByteIdentical) {
 
   EXPECT_EQ(live_report_text, ServingReportText(*replay_report))
       << "live and replayed serving reports must be byte-identical";
-  const std::string live_exec = ExecEventsJsonl(live_obs.events.Snapshot());
+  const std::string live_exec = live_obs.events.ExecEventsJsonl();
   EXPECT_NE(live_exec.find("\"kind\":\"query_admitted\""),
             std::string::npos);
-  EXPECT_EQ(live_exec, ExecEventsJsonl(replay_obs.events.Snapshot()))
+  EXPECT_EQ(live_exec, replay_obs.events.ExecEventsJsonl())
       << "live and replayed exec event streams must be byte-identical";
   const std::string live_ledger = live_obs.events.LedgerJsonl(false);
   EXPECT_NE(live_ledger.find("\"kind\":\"region_step\""), std::string::npos);

@@ -189,6 +189,13 @@ TEST(TraceExportTest, ChromeTraceJsonShape) {
                  .results = 10,
                  .pscore = 1.25,
                  .weight = 0.75});
+  // No name bound: the track is labelled by id alone.
+  events.Append({.kind = ContractEventKind::kRegionStep,
+                 .request_id = 1,
+                 .vtime = 0.5,
+                 .results = 2,
+                 .pscore = 0.5,
+                 .weight = 1.0});
   const std::string json = ChromeTraceJson(sink.Snapshot(), &events);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // Span event.
@@ -199,6 +206,10 @@ TEST(TraceExportTest, ChromeTraceJsonShape) {
   EXPECT_NE(json.find("pscore S\\\"3\\\\#0"), std::string::npos);
   // No raw (unescaped) quote inside the hostile name.
   EXPECT_EQ(json.find("S\"3"), std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"pscore #1\",\"ph\":\"C\",\"ts\":500000.000,"
+                      "\"pid\":1,\"tid\":0,\"args\":{\"pscore\":0.500}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"weight #1\""), std::string::npos);
 }
 
 TEST(TraceExportTest, SpansJsonlExcludesTimingByDefault) {
@@ -376,6 +387,9 @@ TEST(ContractEventLogTest, AppendAssignsLedgerSeqAndTailFiltersByRequest) {
   EXPECT_EQ(all[2].seq, 1u);
   EXPECT_EQ(all[3].seq, 2u);
   EXPECT_FALSE(IsLedgerEvent(all[1]));
+  // Only ledger events read the wall clock; no view prints an exec
+  // event's wall_us.
+  EXPECT_EQ(all[1].wall_us, 0.0);
   const std::string ledger = log.LedgerJsonl(/*include_wall=*/false);
   EXPECT_EQ(ledger.find("region_scheduled"), std::string::npos);
   EXPECT_NE(ledger.find("{\"seq\":2,\"kind\":\"finish\""),
@@ -420,7 +434,7 @@ TEST(ContractEventLogTest, CapacityAlsoBoundsExecEvents) {
   }
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.dropped(), 2);
-  const std::string exec = ExecEventsJsonl(log.Snapshot());
+  const std::string exec = log.ExecEventsJsonl();
   EXPECT_NE(exec.find("\"region\":1,"), std::string::npos);
   EXPECT_EQ(exec.find("\"region\":2,"), std::string::npos);
 }
@@ -672,8 +686,6 @@ TEST(ContractEventLogTest, HealthJsonlEscapesNames) {
   EXPECT_EQ(jsonl,
             "{\"vtime\":0.250000000,\"id\":5,\"name\":\"q\\\"uote\\\\slash\","
             "\"results\":2,\"pscore\":0.500000000,\"weight\":1.000000000}\n");
-  EXPECT_EQ(log.LabelOf(5), "q\"uote\\slash#5");
-  EXPECT_EQ(log.LabelOf(6), "#6");
 }
 
 // ---------------------------------------------------------------------------
@@ -684,7 +696,9 @@ TEST(ExecEventsJsonlTest, EscapesHostileQueryNames) {
                             .query = 0,
                             .vtime = 0.5,
                             .count = 3};
-  const std::string jsonl = ExecEventsJsonl({event}, {"a\"b\\c"});
+  ContractEventLog log;
+  log.Append(event);
+  const std::string jsonl = log.ExecEventsJsonl({"a\"b\\c"});
   EXPECT_NE(jsonl.find("\"kind\":\"results_emitted\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"name\":\"a\\\"b\\\\c\""), std::string::npos);
   // The raw, unescaped name must not appear anywhere.
@@ -693,7 +707,9 @@ TEST(ExecEventsJsonlTest, EscapesHostileQueryNames) {
   // Out-of-range or negative query indices simply omit the name field.
   ContractEvent far = event;
   far.query = 7;
-  const std::string no_name = ExecEventsJsonl({far}, {"only-one"});
+  ContractEventLog far_log;
+  far_log.Append(far);
+  const std::string no_name = far_log.ExecEventsJsonl({"only-one"});
   EXPECT_EQ(no_name.find("\"name\""), std::string::npos);
 }
 
@@ -702,20 +718,20 @@ TEST(ExecEventsJsonlTest, EscapesHostileQueryNames) {
 // finish of a request that never ran and the ledger-only kinds are not
 // exec events.
 TEST(ExecEventsJsonlTest, PrintsServingKindsUnderTheirExecNames) {
-  const std::vector<ContractEvent> events = {
-      {.kind = ContractEventKind::kArrival, .request_id = 9},
-      {.kind = ContractEventKind::kGraft,
-       .request_id = 9,
-       .query = 2,
-       .count = 14},
-      {.kind = ContractEventKind::kRepreview, .request_id = 9, .count = 1},
-      {.kind = ContractEventKind::kFinish,
-       .request_id = 9,
-       .query = 2,
-       .count = 3},
-      {.kind = ContractEventKind::kFinish, .request_id = 10},
-  };
-  EXPECT_EQ(ExecEventsJsonl(events),
+  ContractEventLog log;
+  log.Append({.kind = ContractEventKind::kArrival, .request_id = 9});
+  log.Append({.kind = ContractEventKind::kGraft,
+              .request_id = 9,
+              .query = 2,
+              .count = 14});
+  log.Append(
+      {.kind = ContractEventKind::kRepreview, .request_id = 9, .count = 1});
+  log.Append({.kind = ContractEventKind::kFinish,
+              .request_id = 9,
+              .query = 2,
+              .count = 3});
+  log.Append({.kind = ContractEventKind::kFinish, .request_id = 10});
+  EXPECT_EQ(log.ExecEventsJsonl(),
             "{\"kind\":\"query_admitted\",\"vtime\":0.000000000,"
             "\"region\":-1,\"query\":2,\"count\":14}\n"
             "{\"kind\":\"query_repreviewed\",\"vtime\":0.000000000,"

@@ -435,7 +435,7 @@ TEST(CaqeServerTest, TraceRecordsAdmissionAndRetirement) {
   }
   EXPECT_EQ(admitted, 1);
   EXPECT_EQ(retired, 1);
-  const std::string exec = ExecEventsJsonl(events);
+  const std::string exec = obs.events.ExecEventsJsonl();
   EXPECT_NE(exec.find("\"kind\":\"query_admitted\""), std::string::npos);
   EXPECT_NE(exec.find("\"kind\":\"query_retired\""), std::string::npos);
 }

@@ -189,7 +189,7 @@ int WriteArtifacts(const bench::Args& args, const ServingReport& report,
   if (obs != nullptr) {
     const std::string trace_out = args.GetString("trace-out", "");
     if (!trace_out.empty() &&
-        !write(trace_out, ExecEventsJsonl(obs->events.Snapshot()))) {
+        !write(trace_out, obs->events.ExecEventsJsonl())) {
       return 1;
     }
     const std::string metrics_out = args.GetString("metrics_out", "");
