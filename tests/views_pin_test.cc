@@ -53,7 +53,7 @@ std::string ChromePid1Lines(const std::string& trace) {
 Views ViewsOf(const Observability& obs,
               const std::vector<std::string>& query_names = {}) {
   Views views;
-  views.exec = ExecEventsJsonl(obs.events.Snapshot(), query_names);
+  views.exec = obs.events.ExecEventsJsonl(query_names);
   views.ledger = obs.events.LedgerJsonl(/*include_wall=*/false);
   views.health = obs.events.HealthJsonl();
   views.chrome_pid1 = ChromePid1Lines(obs.ChromeTrace());
@@ -178,6 +178,9 @@ std::set<std::string> KindsIn(const std::string& jsonl) {
   return kinds;
 }
 
+// The calibrated run exercises every kind the ledger and exec views can
+// print, so a kind an emitter stops producing cannot go unnoticed behind a
+// matching digest.
 TEST(ViewsPinTest, CalibratedServeRunMatchesPinnedViews) {
   const Views views = RunServe(/*requests=*/120, /*rate=*/80.0,
                                /*calibrate=*/true);
@@ -186,6 +189,15 @@ TEST(ViewsPinTest, CalibratedServeRunMatchesPinnedViews) {
                             {0xcfc42499d7b1470bull, 2093},
                             {0xb4eb4e55e680642aull, 1412},
                             {0xb42677297adbb4edull, 2825}});
+  EXPECT_EQ(KindsIn(views.ledger),
+            (std::set<std::string>{"arrival", "decision", "graft",
+                                   "region_step", "first_result", "cancel",
+                                   "finish", "repreview"}));
+  EXPECT_EQ(KindsIn(views.exec),
+            (std::set<std::string>{"region_scheduled", "region_discarded",
+                                   "query_pruned", "results_emitted",
+                                   "query_admitted", "query_retired",
+                                   "query_repreviewed"}));
 }
 
 TEST(ViewsPinTest, UncalibratedServeRunMatchesPinnedViews) {
@@ -205,27 +217,15 @@ TEST(ViewsPinTest, BatchExecuteMatchesPinnedViews) {
                             {0xcbf29ce484222325ull, 0},
                             {0x458949938f999e7aull, 512},
                             {0xa6c8a6db19cdb20full, 1025}});
-}
-
-// The pinned runs exercise every kind each view can print, so a kind an
-// emitter stops producing cannot go unnoticed behind a matching digest.
-TEST(ViewsPinTest, PinnedRunsCoverEveryKind) {
-  const Views calibrated = RunServe(120, 80.0, true);
-  const Views batch = RunBatch();
-  std::set<std::string> ledger_kinds = KindsIn(calibrated.ledger);
-  EXPECT_EQ(ledger_kinds,
-            (std::set<std::string>{"arrival", "decision", "graft",
-                                   "region_step", "first_result", "cancel",
-                                   "finish", "repreview"}));
-  std::set<std::string> exec_kinds = KindsIn(calibrated.exec);
-  for (const std::string& kind : KindsIn(batch.exec)) exec_kinds.insert(kind);
-  EXPECT_EQ(exec_kinds,
-            (std::set<std::string>{"region_scheduled", "region_discarded",
-                                   "query_pruned", "results_emitted",
-                                   "query_admitted", "query_retired",
-                                   "query_repreviewed"}));
-  // Batch runs audit no requests: their ledger view stays empty.
-  EXPECT_EQ(batch.ledger, "");
+  // Batch runs audit no requests: the ledger view stays empty, and the
+  // exec view holds the engine's scheduling kinds only.
+  EXPECT_EQ(views.ledger, "");
+  const std::set<std::string> engine_kinds = {
+      "region_scheduled", "region_discarded", "query_pruned",
+      "results_emitted"};
+  for (const std::string& kind : KindsIn(views.exec)) {
+    EXPECT_EQ(engine_kinds.count(kind), 1u) << kind;
+  }
 }
 
 }  // namespace
