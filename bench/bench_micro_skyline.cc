@@ -90,10 +90,18 @@ void BM_SfsSkylineAntiCorrelated(benchmark::State& state) {
 }
 BENCHMARK(BM_SfsSkylineAntiCorrelated)->Arg(1000)->Arg(4000);
 
+// Args: stream length, dims, anti-correlated (0/1). Independent streams
+// are mostly rejected by one of the lowest-score members, which the
+// insert's head scan finds without a kernel call; anti-correlated streams
+// have few early dominators and large skylines, so their inserts mostly
+// walk the batch kernel blocks.
 void BM_IncrementalSkylineInsert(benchmark::State& state) {
-  const PointSet points =
-      RandomPoints(Distribution::kIndependent, state.range(0), 4, 9);
-  const std::vector<int> dims = AllDims(4);
+  const int d = static_cast<int>(state.range(1));
+  const bool anti = state.range(2) != 0;
+  const PointSet points = RandomPoints(
+      anti ? Distribution::kAntiCorrelated : Distribution::kIndependent,
+      state.range(0), d, 9);
+  const std::vector<int> dims = AllDims(d);
   for (auto _ : state) {
     IncrementalSkyline inc(dims);
     for (int64_t i = 0; i < points.size(); ++i) {
@@ -102,8 +110,13 @@ void BM_IncrementalSkylineInsert(benchmark::State& state) {
     benchmark::DoNotOptimize(inc.size());
   }
   state.SetItemsProcessed(state.iterations() * points.size());
+  state.SetLabel(anti ? "anti_correlated" : "independent");
 }
-BENCHMARK(BM_IncrementalSkylineInsert)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_IncrementalSkylineInsert)
+    ->Args({1000, 4, 0})
+    ->Args({10000, 4, 0})
+    ->Args({10000, 4, 1})
+    ->Args({10000, 6, 1});
 
 void BM_SharedEvaluator(benchmark::State& state) {
   const bool dva = state.range(1) != 0;

@@ -32,15 +32,20 @@ const SharedInsertOutcome& SharedSkylineEvaluator::InsertReusing(
   out.accepted = QuerySet{};
   out.evictions.clear();
 
-  // Every per-node insert below runs the batched dominance scans of
-  // IncrementalSkyline::InsertInto (one SIMD kernel call per window phase);
-  // the strictly_dominated bit feeding the Theorem-1 gate comes from the
-  // kernel's all-dimension strict flag, so gating decisions are identical
-  // to the scalar path's.
+  // Every insert below runs IncrementalSkyline::InsertInto, whose
+  // strictly_dominated bit (the all-dimension strict flag of the head scan
+  // or the batch kernel) feeds the Theorem-1 gate, so gating decisions are
+  // identical to the scalar path's.
   evicted_scratch_.clear();
   bool root_strict = false;
   const bool root_accepted = root_->InsertInto(
       values, id, evicted_scratch_, &root_strict, comparisons);
+  if (dva_mode_ && root_strict) {
+    // A strict dominator in the union space gates every node (the loop
+    // below would mark each one 0 without inserting), and a dominated
+    // tuple evicts nothing, so the outcome is already final: empty.
+    return out;
+  }
   const auto& nodes = cuboid_->nodes();
 
   // Scratch codes: 0 = rejected by a strict dominator (gate children),

@@ -162,22 +162,25 @@ Status RegionPipeline::AddPlanGroup(int slot, std::vector<int> queries) {
 }
 
 void RegionPipeline::RemoveQueryFromGroups(int q) {
-  for (auto& group : groups_) {
-    if (!group->query_set.Contains(q)) continue;
-    group->query_set.Remove(q);
-    if (group->query_set.empty()) {
-      // Dormant group: no member can ever receive events again (serving
-      // grafts always form new groups), so free the evaluator state.
-      group->evaluator.reset();
-    } else if (group->evaluator != nullptr) {
-      QuerySet active_locals;
-      for (size_t local = 0; local < group->queries.size(); ++local) {
-        if (group->query_set.Contains(group->queries[local])) {
-          active_locals.Add(static_cast<int>(local));
-        }
-      }
-      group->evaluator->ReleaseQueries(active_locals);
+  for (auto it = groups_.begin(); it != groups_.end(); ++it) {
+    PlanGroup& group = **it;
+    if (!group.query_set.Contains(q)) continue;
+    group.query_set.Remove(q);
+    if (group.query_set.empty()) {
+      // No member can ever receive events again (serving grafts always
+      // form new groups), so the group goes. Group order reaches no
+      // output: a query's events come from the one group holding it, and
+      // comparison counts are summed.
+      groups_.erase(it);
+      return;
     }
+    QuerySet active_locals;
+    for (size_t local = 0; local < group.queries.size(); ++local) {
+      if (group.query_set.Contains(group.queries[local])) {
+        active_locals.Add(static_cast<int>(local));
+      }
+    }
+    group.evaluator->ReleaseQueries(active_locals);
     return;
   }
 }
@@ -300,7 +303,6 @@ void RegionPipeline::ProcessRegion(int rid) {
     // serial interleaving.
     active_groups_.clear();
     for (const auto& group : groups_) {
-      if (group->evaluator == nullptr) continue;
       if (((slots_mask >> group->slot) & 1) == 0) continue;
       if (!region.rql.Intersects(group->query_set)) continue;
       active_groups_.push_back(group.get());

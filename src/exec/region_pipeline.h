@@ -159,10 +159,16 @@ class RegionPipeline {
   Status AddPlanGroup(int slot, std::vector<int> queries);
 
   /// Serving retirement: removes query `q` from its plan group. A group
-  /// left without members drops its evaluator; otherwise the evaluator
-  /// releases the subspace skylines only `q` needed (see
+  /// left without members is erased; otherwise its evaluator releases the
+  /// subspace skylines only `q` needed (see
   /// SharedSkylineEvaluator::ReleaseQueries).
   void RemoveQueryFromGroups(int q);
+
+  /// Plan groups currently held: one per batch sharing group, one per live
+  /// serving graft.
+  int64_t num_plan_groups() const {
+    return static_cast<int64_t>(groups_.size());
+  }
 
   /// Processes region `rid` tuple-level: the exact batch loop body (charge
   /// schedule step, join, project, evaluate, discard scan, emission).

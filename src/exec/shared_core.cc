@@ -204,7 +204,7 @@ Status RunSharedCore(const PartitionedTable& part_r,
       region_span.set_region(rid);
       if (spans != nullptr) {
         pipeline.set_trace_context(RequestTraceContext{
-            /*request_id=*/-1, region_span.id(), region_span.id()});
+            .root_span = region_span.id(), .parent_span = region_span.id()});
       }
       pipeline.ProcessRegion(rid);
     }

@@ -1,17 +1,18 @@
 // Per-request causal trace context.
 //
-// A RequestTraceContext names the causal position of the work currently
-// running: which request it serves (if any) and which span is its causal
-// parent. The serving layer threads one through admission -> graft ->
-// region processing -> emission -> retire so every span a request touches
-// links back to a single root "request" span, and the audit ledger's
-// records carry the same span ids — together they reconstruct one
+// A RequestTraceContext names the causal position of the work a region
+// step runs: the root of its span tree and its immediate causal parent.
+// RunSharedCore and the server's step set one before each ProcessRegion,
+// so the pipeline's join/eval/discard/emission spans parent under the
+// step's umbrella "process_region" span. Request-scoped spans
+// (request, admission, graft, retire) and the audit ledger's records carry
+// span ids kept in the request state — together they reconstruct one
 // connected causal tree per request (see DESIGN.md §15).
 //
 // The context is plain data: copying it is two words, and a
-// default-constructed context means "no attribution" (batch runs, engine
-// warm-up). It never feeds a deterministic decision — like every obs
-// structure it is write-only from the engine's point of view.
+// default-constructed context means "no attribution" (batch runs without
+// spans, engine warm-up). It never feeds a deterministic decision — like
+// every obs structure it is write-only from the engine's point of view.
 #ifndef CAQE_OBS_TRACE_CONTEXT_H_
 #define CAQE_OBS_TRACE_CONTEXT_H_
 
@@ -20,9 +21,6 @@
 namespace caqe {
 
 struct RequestTraceContext {
-  /// Request id the current work is attributed to; -1 = not request-scoped
-  /// (e.g. a shared region step serving every live query).
-  int request_id = -1;
   /// Span id of the tree root ("request" span, or the umbrella
   /// "process_region" span for shared work); 0 = unattributed.
   uint64_t root_span = 0;

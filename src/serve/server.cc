@@ -840,7 +840,7 @@ bool CaqeServer::StepInternal() {
       region_span.set_region(rid);
       if (region_span.id() != 0) {
         pipeline_->set_trace_context(RequestTraceContext{
-            /*request_id=*/-1, region_span.id(), region_span.id()});
+            .root_span = region_span.id(), .parent_span = region_span.id()});
       }
       pipeline_->ProcessRegion(rid);
     }

@@ -176,6 +176,10 @@ class CaqeServer {
   /// match counts, so the store holds a sparse, ascending subset of them.
   const TupleStore& store() const { return pipeline_->store(); }
 
+  /// Plan groups the pipeline holds: one per live grafted request, since a
+  /// group is erased when its last member retires.
+  int64_t num_plan_groups() const { return pipeline_->num_plan_groups(); }
+
   int num_requests() const { return static_cast<int>(requests_.size()); }
 
   /// Introspection snapshot of one request for /statusz, /tracez, and the

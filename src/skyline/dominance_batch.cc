@@ -28,27 +28,7 @@ using WeakFn = void (*)(const double* a, const double* const* cols,
 void FlagsScalar(const double* a, const double* const* cols, int64_t n,
                  int ndims, uint8_t* out) {
   for (int64_t j = 0; j < n; ++j) {
-    uint8_t any = 0;
-    uint8_t all = kBatchAStrict | kBatchBStrict;
-    for (int k = 0; k < ndims; ++k) {
-      const double av = a[k];
-      const double bv = cols[k][j];
-      if (av < bv) {
-        any |= kBatchABetter;
-        all &= static_cast<uint8_t>(~kBatchBStrict);
-      } else if (bv < av) {
-        any |= kBatchBBetter;
-        all &= static_cast<uint8_t>(~kBatchAStrict);
-      } else {
-        all = 0;
-      }
-      if (any == (kBatchABetter | kBatchBBetter)) {
-        // Incomparable is final and excludes both strict bits.
-        all = 0;
-        break;
-      }
-    }
-    out[j] = static_cast<uint8_t>(any | all);
+    out[j] = CandidateDominanceFlags(a, cols, j, ndims);
   }
 }
 
@@ -228,15 +208,6 @@ const KernelTable& ActiveKernels() {
   return table;
 }
 
-// Builds the per-call offset column-pointer array.
-inline int PrepareCols(const SubspaceView& view, int64_t begin,
-                       const double** cols) {
-  const int ndims = view.ndims();
-  CAQE_DCHECK(ndims <= kBatchMaxDims);
-  for (int k = 0; k < ndims; ++k) cols[k] = view.col(k) + begin;
-  return ndims;
-}
-
 }  // namespace
 
 void BatchDominanceFlags(const double* a, const SubspaceView& view,
@@ -244,13 +215,10 @@ void BatchDominanceFlags(const double* a, const SubspaceView& view,
   CAQE_DCHECK(begin >= 0 && begin <= end && end <= view.size());
   if (begin == end) return;
   const double* cols[kBatchMaxDims];
-  const int ndims = PrepareCols(view, begin, cols);
+  const int ndims = view.ColumnPointers(begin, cols);
   const int64_t n = end - begin;
-  // Small batches (the common case: incremental skylines average O(1)
-  // candidates per insert) go straight to the scalar reference kernel —
-  // the vector backends would only run their scalar tail anyway, and the
-  // indirect dispatch plus vector-function prologue costs more than the
-  // comparisons themselves. Bit-identical by construction: every backend
+  // Small batches go straight to the scalar reference kernel (see
+  // kBatchSmallN). Bit-identical by construction: every backend
   // reproduces FlagsScalar byte for byte.
   if (n < kBatchSmallN) {
     FlagsScalar(a, cols, n, ndims, out);
@@ -264,7 +232,7 @@ void BatchDominanceFlagsScalar(const double* a, const SubspaceView& view,
   CAQE_DCHECK(begin >= 0 && begin <= end && end <= view.size());
   if (begin == end) return;
   const double* cols[kBatchMaxDims];
-  const int ndims = PrepareCols(view, begin, cols);
+  const int ndims = view.ColumnPointers(begin, cols);
   FlagsScalar(a, cols, end - begin, ndims, out);
 }
 
@@ -288,7 +256,7 @@ void BatchWeaklyDominates(const double* a, const SubspaceView& view,
   CAQE_DCHECK(begin >= 0 && begin <= end && end <= view.size());
   if (begin == end) return;
   const double* cols[kBatchMaxDims];
-  const int ndims = PrepareCols(view, begin, cols);
+  const int ndims = view.ColumnPointers(begin, cols);
   const int64_t n = end - begin;
   if (n < kBatchSmallN) {
     WeakScalar(a, cols, n, ndims, out);
@@ -302,7 +270,7 @@ void BatchWeaklyDominatesScalar(const double* a, const SubspaceView& view,
   CAQE_DCHECK(begin >= 0 && begin <= end && end <= view.size());
   if (begin == end) return;
   const double* cols[kBatchMaxDims];
-  const int ndims = PrepareCols(view, begin, cols);
+  const int ndims = view.ColumnPointers(begin, cols);
   WeakScalar(a, cols, end - begin, ndims, out);
 }
 

@@ -33,11 +33,14 @@ namespace caqe {
 inline constexpr int kBatchMaxDims = 64;
 
 /// Batches smaller than this bypass the ISA dispatch and run the scalar
-/// reference kernel directly. Incremental skylines average O(1) candidates
-/// per insert on typical workloads, where the indirect call + vector
-/// prologue cost more than the comparisons; the vector backends would
-/// execute only their scalar tail at these sizes anyway. Outcomes are
-/// bit-identical regardless of the path taken.
+/// reference kernel directly. Short batches remain common — the last
+/// galloping block of an incremental prefix scan, short eviction suffixes,
+/// small BNL/SFS windows — and at these sizes the vector backends would
+/// execute mostly their scalar tail while the indirect call and vector
+/// prologue cost more than the comparisons. (The incremental maintainer's
+/// usual stop, at one of its first few members, never reaches a batch
+/// call: its head scan calls CandidateDominanceFlags directly.) Outcomes
+/// are bit-identical regardless of the path taken.
 inline constexpr int64_t kBatchSmallN = 16;
 
 /// Column-major (structure-of-arrays) gather of one dimension subset over a
@@ -124,6 +127,16 @@ class SubspaceView {
   /// global dimension id), one per row.
   const double* col(int k) const { return cols_[k].data(); }
 
+  /// Writes every column pointer, offset to row `begin`, into
+  /// cols[0..ndims()) and returns ndims(): the column array the flag
+  /// kernels and CandidateDominanceFlags read.
+  int ColumnPointers(int64_t begin, const double** cols) const {
+    for (size_t k = 0; k < dims_.size(); ++k) {
+      cols[k] = cols_[k].data() + begin;
+    }
+    return ndims();
+  }
+
   double at(int64_t row, int k) const {
     CAQE_DCHECK(row >= 0 && row < n_);
     return cols_[k][static_cast<size_t>(row)];
@@ -160,6 +173,36 @@ inline DomResult BatchDomResult(uint8_t flags) {
   if (a) return DomResult::kDominates;
   if (b) return DomResult::kDominatedBy;
   return DomResult::kEqual;
+}
+
+/// Flag byte of one candidate: gathered probe `a` against the candidate
+/// whose value of compared dimension k is cols[k][j]. This is the one
+/// definition of the per-candidate comparison: the scalar kernel runs it
+/// for every candidate of a batch, the incremental maintainer's head scan
+/// calls it directly, and the vector backends reproduce it lane for lane.
+inline uint8_t CandidateDominanceFlags(const double* a,
+                                       const double* const* cols, int64_t j,
+                                       int ndims) {
+  uint8_t any = 0;
+  uint8_t all = kBatchAStrict | kBatchBStrict;
+  for (int k = 0; k < ndims; ++k) {
+    const double av = a[k];
+    const double bv = cols[k][j];
+    if (av < bv) {
+      any |= kBatchABetter;
+      all &= static_cast<uint8_t>(~kBatchBStrict);
+    } else if (bv < av) {
+      any |= kBatchBBetter;
+      all &= static_cast<uint8_t>(~kBatchAStrict);
+    } else {
+      all = 0;
+    }
+    if (any == (kBatchABetter | kBatchBBetter)) {
+      // Incomparable is final and excludes both strict bits.
+      return any;
+    }
+  }
+  return static_cast<uint8_t>(any | all);
 }
 
 /// Compares gathered probe `a` (view.ndims() values) against view rows

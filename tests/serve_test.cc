@@ -253,6 +253,26 @@ TEST(CaqeServerTest, SlotsRecycleAcrossManyRequests) {
   }
 }
 
+// A plan group is erased when its last member retires, so a long session
+// holds groups only for its live requests: none once every request is done.
+TEST(CaqeServerTest, RetiredRequestsLeaveNoPlanGroups) {
+  auto [r, t] = MakeServeTables(1, 200);
+  ServeOptions options = SmallServeOptions();
+  options.max_active_queries = 4;
+  auto server = CaqeServer::Create(std::move(r), std::move(t), ThreeDims(),
+                                   {0}, options)
+                    .value();
+  constexpr int kRequests = 120;
+  for (int i = 0; i < kRequests; ++i) {
+    server->Submit(SjQuery{"G" + std::to_string(i), 0,
+                           {i % 3, (i + 1) % 3}, 1.0, {}},
+                   MakeTimeStepContract(1e6), 0.0);
+  }
+  const ServingReport report = server->Run().value();
+  EXPECT_EQ(report.completed, kRequests);
+  EXPECT_EQ(server->num_plan_groups(), 0);
+}
+
 // A deadlined query admitted under admit_all expires mid-run; the other
 // query's stream and report stay valid.
 TEST(CaqeServerTest, ExpiresMidRunWithoutDisturbingSurvivors) {

@@ -1,6 +1,7 @@
 // Unit and property tests for the skyline kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -244,6 +245,231 @@ TEST(IncrementalSkylineTest, SubspaceDimsRespected) {
   inc.Insert(std::vector<double>{1, 100, 1}.data(), 1);
   // Dominated on {0,2} despite better dim 1.
   EXPECT_FALSE(inc.Insert(std::vector<double>{2, 0, 2}.data(), 2).accepted);
+}
+
+// Serial reference for IncrementalSkyline::InsertInto. Members are kept
+// sorted by ascending score (sum over the compared dims), ties in arrival
+// order. The smaller-score prefix is walked with scalar CompareDominance
+// plus an all-dimension strict test, one comparison per member visited,
+// and the walk breaks at the first strict dominator (a non-strict
+// dominator alone is charged the whole prefix). An undominated point is
+// compared with every larger-score member and evicts those it dominates.
+class SerialSkylineReference {
+ public:
+  struct Step {
+    bool accepted = false;
+    bool strictly_dominated = false;
+    std::vector<int64_t> evicted;
+    int64_t comparisons = 0;
+    int64_t prefix = 0;     // Members with a smaller score.
+    int64_t strict_at = -1;  // Position of the strict dominator, if any.
+    bool non_strict_first = false;  // A non-strict dominator came earlier.
+  };
+
+  explicit SerialSkylineReference(std::vector<int> dims)
+      : dims_(std::move(dims)) {
+    for (size_t k = 0; k < dims_.size(); ++k) {
+      gathered_dims_.push_back(static_cast<int>(k));
+    }
+  }
+
+  Step Insert(const double* values, int64_t id) {
+    Member point{id, 0.0, {}};
+    for (int k : dims_) {
+      point.values.push_back(values[k]);
+      point.score += values[k];
+    }
+    Step step;
+    size_t end = 0;
+    while (end < members_.size() && members_[end].score < point.score) ++end;
+    step.prefix = static_cast<int64_t>(end);
+    bool dominated = false;
+    for (size_t i = 0; i < end; ++i) {
+      ++step.comparisons;
+      if (CompareDominance(members_[i].values.data(), point.values.data(),
+                           gathered_dims_) != DomResult::kDominates) {
+        continue;
+      }
+      if (StrictlyBetter(members_[i], point)) {
+        step.strictly_dominated = true;
+        step.strict_at = static_cast<int64_t>(i);
+        step.non_strict_first = dominated;
+        dominated = true;
+        break;
+      }
+      dominated = true;
+    }
+    if (dominated) return step;
+
+    size_t insert_at = end;
+    while (insert_at < members_.size() &&
+           members_[insert_at].score == point.score) {
+      ++insert_at;
+    }
+    std::vector<Member> kept(members_.begin(), members_.begin() + insert_at);
+    kept.push_back(point);
+    for (size_t i = insert_at; i < members_.size(); ++i) {
+      ++step.comparisons;
+      if (CompareDominance(point.values.data(), members_[i].values.data(),
+                           gathered_dims_) == DomResult::kDominates) {
+        step.evicted.push_back(members_[i].id);
+      } else {
+        kept.push_back(members_[i]);
+      }
+    }
+    members_ = std::move(kept);
+    step.accepted = true;
+    return step;
+  }
+
+  std::vector<int64_t> MemberIds() const {
+    std::vector<int64_t> ids;
+    for (const Member& m : members_) ids.push_back(m.id);
+    return ids;
+  }
+
+ private:
+  struct Member {
+    int64_t id;
+    double score;
+    std::vector<double> values;
+  };
+
+  static bool StrictlyBetter(const Member& a, const Member& b) {
+    for (size_t k = 0; k < a.values.size(); ++k) {
+      if (!(a.values[k] < b.values[k])) return false;
+    }
+    return true;
+  }
+
+  std::vector<int> dims_;
+  std::vector<int> gathered_dims_;
+  std::vector<Member> members_;
+};
+
+/// Integer-coordinate points of width 8. Independent points draw each
+/// coordinate from [0, range); anti-correlated ones split a near-constant
+/// sum across the dims, so most points are mutually incomparable and the
+/// skyline grows large. Small ranges produce value ties, equal scores and
+/// duplicate points.
+PointSet IntegerPoints(bool anti_correlated, int64_t n, int range,
+                       uint64_t seed) {
+  constexpr int kWidth = 8;
+  Rng rng(seed);
+  PointSet points(kWidth);
+  std::vector<double> row(kWidth);
+  for (int64_t i = 0; i < n; ++i) {
+    if (anti_correlated) {
+      int64_t weights[kWidth];
+      int64_t total = 0;
+      for (int k = 0; k < kWidth; ++k) {
+        weights[k] = rng.UniformInt(1, 100);
+        total += weights[k];
+      }
+      for (int k = 0; k < kWidth; ++k) {
+        row[k] = static_cast<double>(range * weights[k] / total +
+                                     rng.UniformInt(0, 2));
+      }
+    } else {
+      for (int k = 0; k < kWidth; ++k) {
+        row[k] = static_cast<double>(rng.UniformInt(0, range - 1));
+      }
+    }
+    points.Append(row);
+  }
+  return points;
+}
+
+// InsertInto stops at the first strict dominator inside its head scan and
+// hands the rest of the prefix to galloping kernel blocks. Every insert
+// must still match the serial walk: outcome, strictness, evicted ids in
+// order and the comparison charge, over streams whose skylines grow past
+// the head and past the block edges.
+TEST(IncrementalSkylineTest, InsertIntoMatchesSerialWalk) {
+  const std::vector<int> order = {5, 2, 7, 0, 3, 6, 1, 4};
+  int64_t max_prefix = 0;
+  int64_t max_strict_at = -1;
+  int64_t head_stops = 0;
+  int64_t non_strict_first = 0;
+  int64_t evictions = 0;
+  uint64_t seed = 100;
+  for (int d = 1; d <= 8; ++d) {
+    const std::vector<int> dims(order.begin(), order.begin() + d);
+    for (bool anti : {false, true}) {
+      for (int range : {6, 400}) {
+        SCOPED_TRACE(::testing::Message() << "d=" << d << " anti=" << anti
+                                          << " range=" << range);
+        const PointSet points = IntegerPoints(anti, 1200, range, ++seed);
+        IncrementalSkyline inc(dims);
+        SerialSkylineReference ref(dims);
+        std::vector<int64_t> evicted;
+        for (int64_t i = 0; i < points.size(); ++i) {
+          const SerialSkylineReference::Step want =
+              ref.Insert(points.row(i), i);
+          evicted.clear();
+          bool strict = false;
+          int64_t cmps = 0;
+          const bool accepted =
+              inc.InsertInto(points.row(i), i, evicted, &strict, &cmps);
+          ASSERT_EQ(accepted, want.accepted) << "insert " << i;
+          ASSERT_EQ(strict, want.strictly_dominated) << "insert " << i;
+          ASSERT_EQ(evicted, want.evicted) << "insert " << i;
+          ASSERT_EQ(cmps, want.comparisons) << "insert " << i;
+          max_prefix = std::max(max_prefix, want.prefix);
+          max_strict_at = std::max(max_strict_at, want.strict_at);
+          if (want.strict_at >= 0 && want.strict_at < 4) ++head_stops;
+          if (want.non_strict_first) ++non_strict_first;
+          evictions += static_cast<int64_t>(want.evicted.size());
+        }
+        EXPECT_EQ(inc.MemberIds(), ref.MemberIds());
+      }
+    }
+  }
+  // The streams reach past the head and every galloping block edge.
+  EXPECT_GT(max_prefix, 340);
+  EXPECT_GT(max_strict_at, 84);
+  EXPECT_GT(head_stops, 0);
+  EXPECT_GT(non_strict_first, 0);
+  EXPECT_GT(evictions, 0);
+}
+
+// A staircase of 500 mutually incomparable members with rising scores;
+// each probe is strictly dominated only by the member at `t`, right after
+// a tying (non-strict) dominator at t - 1, so the walk must stop exactly
+// at t wherever t falls: in the head, at its edge, or inside any galloping
+// block. Each rejected probe is followed by an undominated one, which
+// must not inherit the rejected probe's non-strict hit.
+TEST(IncrementalSkylineTest, StrictDominatorStopsTheWalkAtEveryDepth) {
+  const std::vector<int> dims = {0, 1};
+  IncrementalSkyline inc(dims);
+  SerialSkylineReference ref(dims);
+  int64_t id = 0;
+  std::vector<int64_t> evicted;
+  const auto insert = [&](double x, double y, bool want_accepted,
+                          int64_t want_cmps) {
+    const double values[] = {x, y};
+    const SerialSkylineReference::Step want = ref.Insert(values, id);
+    evicted.clear();
+    bool strict = false;
+    int64_t cmps = 0;
+    const bool accepted = inc.InsertInto(values, id, evicted, &strict, &cmps);
+    ++id;
+    EXPECT_EQ(accepted, want_accepted) << "point " << x << "," << y;
+    EXPECT_EQ(strict, !want_accepted) << "point " << x << "," << y;
+    if (want_cmps >= 0) {
+      EXPECT_EQ(cmps, want_cmps);
+    }
+    EXPECT_EQ(accepted, want.accepted);
+    EXPECT_EQ(strict, want.strictly_dominated);
+    EXPECT_EQ(cmps, want.comparisons);
+    EXPECT_EQ(evicted, want.evicted);
+  };
+  for (int i = 0; i < 500; ++i) insert(2 * i, 2000 - i, true, i);
+  for (int t : {0, 1, 2, 3, 4, 5, 19, 20, 21, 83, 84, 85, 339, 340, 341, 499}) {
+    insert(2 * t + 1, 2001 - t, /*want_accepted=*/false, t + 1);
+    insert(-1 - t, 3000 + t, /*want_accepted=*/true, /*want_cmps=*/-1);
+  }
+  EXPECT_EQ(inc.MemberIds(), ref.MemberIds());
 }
 
 // The engine's retained-tuple store: ids arrive ascending with gaps (the
