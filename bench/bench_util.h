@@ -80,7 +80,7 @@ inline int ThreadsFromArgs(const Args& args) {
 }
 
 /// Reads the shared --pipeline flag (flush the sharded emission park set in
-/// parallel; see ExecOptions::pipeline_regions). Like --threads it never
+/// parallel; see EngineOptions::pipeline_regions). Like --threads it never
 /// changes a report — only wall time.
 inline bool PipelineFromArgs(const Args& args) {
   return args.GetInt("pipeline", 0) != 0;
@@ -94,18 +94,18 @@ inline bool CoarseIndexFromArgs(const Args& args) {
   return args.GetInt("coarse_index", 0) != 0;
 }
 
-/// Reads the shared --compact_layout flag (default ON: key-match join,
-/// SoA column-block discard gathers, store-backed skylines — see
-/// ExecOptions::compact_layout). Pure layout change: match order, charge
-/// accounting, and every report byte are identical in both positions, so
-/// the matrix scripts cross-check it like --threads and --pipeline.
+/// Reads the shared --compact_layout flag (default ON: the key-match join;
+/// OFF: the hash join — see EngineOptions::compact_layout). It selects only
+/// the join: match order, charge accounting, and every report byte are
+/// identical in both positions, so the matrix scripts cross-check it like
+/// --threads and --pipeline.
 inline bool CompactLayoutFromArgs(const Args& args) {
   return args.GetInt("compact_layout", 1) != 0;
 }
 
 /// Reads the shared --join_cache_entries flag (bound on built join-kernel
 /// indexes the map layout holds at once; the compact layout builds none;
-/// see ExecOptions::join_index_cache_entries). First-use charging
+/// see EngineOptions::join_index_cache_entries). First-use charging
 /// survives eviction, so reports are identical at any bound.
 inline int64_t JoinCacheEntriesFromArgs(const Args& args) {
   return args.GetInt("join_cache_entries", 4096);

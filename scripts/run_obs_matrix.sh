@@ -41,9 +41,11 @@ declare -A SERVE_REPORTS
 
 for simd in OFF ON; do
   build_dir="build-simd-${simd,,}"
+  # caqe_serve lives under tools/, gated by CAQE_BUILD_EXAMPLES.
   cmake -B "${build_dir}" -S . \
     -DCMAKE_BUILD_TYPE=Release \
     -DCAQE_SIMD="${simd}" \
+    -DCAQE_BUILD_EXAMPLES=ON \
     "$@"
   cmake --build "${build_dir}" -j"$(nproc)" --target bench_fig9 caqe_serve_cli
   for tracing in off on; do

@@ -1,9 +1,11 @@
 #include "baselines/progxe.h"
 
-#include <cmath>
+#include <memory>
 
 #include "baselines/baseline_util.h"
+#include "common/thread_pool.h"
 #include "exec/shared_core.h"
+#include "obs/observability.h"
 #include "partition/partitioner.h"
 
 namespace caqe {
@@ -44,28 +46,26 @@ Result<ExecutionReport> ProgXeEngine::Execute(
     report.queries[q].name = workload.query(q).name;
   }
 
+  // One pool serves partitioning and every per-query core run.
+  const std::unique_ptr<ThreadPool> pool_owner =
+      MakeWorkerPool(options.num_threads);
+  ThreadPool* const pool = pool_owner.get();
+
   // Input partitioning is query-independent; build it once (ProgXe
   // pre-partitions its inputs the same way).
   const int target_regions = AdaptiveTargetRegions(options, r, t, workload);
   Result<PartitionedTable> part_r =
-      PartitionForRegions(r, options, target_regions);
+      PartitionForRegions(r, options, target_regions, pool);
   CAQE_RETURN_NOT_OK(part_r.status());
   Result<PartitionedTable> part_t =
-      PartitionForRegions(t, options, target_regions);
+      PartitionForRegions(t, options, target_regions, pool);
   CAQE_RETURN_NOT_OK(part_t.status());
 
-  CoreOptions core;
+  CoreOptions core(options);
   core.policy = SchedulePolicy::kCountDriven;
-  core.num_threads = options.num_threads;
-  core.pipeline_regions = options.pipeline_regions;
-  core.compact_layout = options.compact_layout;
-  core.join_index_cache_entries = options.join_index_cache_entries;
+  core.pool = pool;
   core.coarse_prune = true;  // ProgXe prunes its output space.
   core.feedback = false;     // Count-driven, not satisfaction-driven.
-  core.dva_mode = options.dva_mode;
-  core.capture_results = options.capture_results;
-  core.known_result_counts = options.known_result_counts;
-  core.on_result = options.on_result;
 
   // One independent run per query on the shared clock; joins, regions, and
   // skylines are all re-done per query.
@@ -78,6 +78,9 @@ Result<ExecutionReport> ProgXeEngine::Execute(
   }
 
   FinalizeReport(tracker, clock, timer, report);
+  if (options.obs != nullptr) {
+    RecordEngineStats(options.obs->metrics, report.stats);
+  }
   return report;
 }
 

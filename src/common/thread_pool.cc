@@ -12,6 +12,12 @@ int ResolveNumThreads(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+std::unique_ptr<ThreadPool> MakeWorkerPool(int requested) {
+  const int num_threads = ResolveNumThreads(requested);
+  if (num_threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(num_threads - 1);
+}
+
 ThreadPool::ThreadPool(int num_threads) {
   CAQE_CHECK(num_threads >= 1);
   workers_.reserve(num_threads);

@@ -20,6 +20,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -27,7 +28,7 @@
 
 namespace caqe {
 
-/// Resolves an ExecOptions-style thread-count request: <= 0 means "all
+/// Resolves an EngineOptions-style thread-count request: <= 0 means "all
 /// hardware threads" (at least 1); anything else is taken literally.
 int ResolveNumThreads(int requested);
 
@@ -58,6 +59,12 @@ class ThreadPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Worker pool for a `requested` total thread count (see
+/// ResolveNumThreads). The calling thread always runs chunks too, so N
+/// threads means N - 1 workers; null when that leaves none (the serial
+/// path).
+std::unique_ptr<ThreadPool> MakeWorkerPool(int requested);
 
 /// Number of contiguous chunks a chunked phase should split `n` items into:
 /// 1 without a pool (or when n / min_chunk allows no more), otherwise up to

@@ -5,7 +5,7 @@
 
 namespace caqe {
 
-int ChooseCellsPerDim(const ExecOptions& options, int num_attrs,
+int ChooseCellsPerDim(const EngineOptions& options, int num_attrs,
                       int64_t num_rows) {
   if (options.cells_per_dim > 0) return options.cells_per_dim;
   // Region count is (cells per table)^2, so aim each table at
@@ -23,7 +23,7 @@ int ChooseCellsPerDim(const ExecOptions& options, int num_attrs,
 }
 
 Result<PartitionedTable> PartitionForRegions(const Table& table,
-                                             const ExecOptions& options,
+                                             const EngineOptions& options,
                                              int target_regions,
                                              ThreadPool* pool) {
   int64_t target_cells = std::max<int64_t>(
@@ -69,7 +69,7 @@ int64_t ExactTotalJoinSize(const Table& r, const Table& t, int key) {
   return ExactJoinSize(r_keys, r_counts, t_keys, t_counts);
 }
 
-int AdaptiveTargetRegions(const ExecOptions& options, const Table& r,
+int AdaptiveTargetRegions(const EngineOptions& options, const Table& r,
                           const Table& t, const Workload& workload) {
   if (options.cells_per_dim > 0) return options.target_regions;
   int64_t max_join = 0;

@@ -33,7 +33,7 @@ class Engine {
 
 /// Picks a grid granularity so that the number of cell pairs stays near
 /// `options.target_regions` (used by every region-based engine).
-int ChooseCellsPerDim(const ExecOptions& options, int num_attrs,
+int ChooseCellsPerDim(const EngineOptions& options, int num_attrs,
                       int64_t num_rows);
 
 /// Exact equi-join output size of key column `key` between R and T: the
@@ -47,7 +47,7 @@ int64_t ExactTotalJoinSize(const Table& r, const Table& t, int key);
 /// With a pool, the quad-tree strategy finalizes cells concurrently
 /// (deterministic stripes — identical cells at any thread count).
 Result<PartitionedTable> PartitionForRegions(const Table& table,
-                                             const ExecOptions& options,
+                                             const EngineOptions& options,
                                              int target_regions,
                                              ThreadPool* pool = nullptr);
 
@@ -55,7 +55,7 @@ Result<PartitionedTable> PartitionForRegions(const Table& table,
 /// machinery (region build, dependency graph, benefit scans) stays
 /// proportional to the tuple-level work: aims for at least ~500 expected
 /// join results per region, within [16, options.target_regions].
-int AdaptiveTargetRegions(const ExecOptions& options, const Table& r,
+int AdaptiveTargetRegions(const EngineOptions& options, const Table& r,
                           const Table& t, const Workload& workload);
 
 }  // namespace caqe

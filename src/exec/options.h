@@ -1,7 +1,9 @@
-// Engine execution options.
+// Engine execution options: the shared region-engine knobs and the batch
+// fields on top of them.
 #ifndef CAQE_EXEC_OPTIONS_H_
 #define CAQE_EXEC_OPTIONS_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -32,8 +34,11 @@ enum class SchedulePolicy {
   kStaticScan,
 };
 
-/// Options accepted by every engine.
-struct ExecOptions {
+/// The knobs of the shared region engine (paper Sections 4-6), declared
+/// once for both of its drivers: batch Execute (ExecOptions) and the
+/// long-lived server (ServeOptions) add their own fields on top. Engines
+/// without a region core (JFSL, SSMJ) read only `cost`.
+struct EngineOptions {
   /// Virtual-time cost model used for contract timestamps.
   CostModel cost;
   /// Worker threads for the parallel execution phases of region-based
@@ -56,10 +61,8 @@ struct ExecOptions {
   /// (strict-dominator form — exact even under value ties). Turning it off
   /// disables the comparison-sharing shortcut; results are identical.
   bool dva_mode = true;
-  /// Capture per-result values and timestamps in the report (tests and
-  /// examples; benchmarks leave it off).
-  bool capture_results = false;
-  /// Apply Eq. 11 satisfaction feedback (CAQE default; ablation knob).
+  /// Apply Eq. 11 satisfaction feedback to the scheduler weights (CAQE
+  /// default; ablation knob).
   bool feedback_enabled = true;
   /// Flush the sharded emission park set in parallel at each region's
   /// emission barrier: per query, resolve the region's parked bucket and
@@ -77,9 +80,6 @@ struct ExecOptions {
   /// off at any num_threads — only wall time and the caqe_coarse_index_*
   /// metrics change. Default off.
   bool coarse_index = false;
-  /// Run the coarse-level (MQLA) skyline prune before scheduling (CAQE
-  /// default; ablation knob).
-  bool coarse_prune = true;
   /// Selects the region join: on, the key-match join (each region expands
   /// the shared keys the region build recorded); off, the hash join
   /// (hash-probing every R row against a cached index over the T cell).
@@ -97,6 +97,24 @@ struct ExecOptions {
   /// (<= 0 means unbounded — the pre-bound behavior). First-use charge
   /// state survives eviction, so reports are identical at any value.
   int64_t join_index_cache_entries = 4096;
+  /// Tracing + metrics + contract-event bundle (src/obs/). Null (default)
+  /// disables all observability at the cost of one branch per span. When
+  /// set, region-based engines and the server append their scheduling,
+  /// discarding and emission events and every query's region steps to its
+  /// event log. Observability never feeds the deterministic counters or the
+  /// virtual clock: reports are byte-identical with or without it.
+  Observability* obs = nullptr;
+};
+
+/// Options accepted by every batch engine: the engine knobs plus the
+/// fields only a one-shot Execute reads.
+struct ExecOptions : EngineOptions {
+  /// Capture per-result values and timestamps in the report (tests and
+  /// examples; benchmarks leave it off).
+  bool capture_results = false;
+  /// Run the coarse-level (MQLA) skyline prune before scheduling (CAQE
+  /// default; ablation knob).
+  bool coarse_prune = true;
   /// Optional exact final result cardinalities, one per query (index =
   /// query index). When provided, cardinality contracts (C4/C5) score
   /// against the true N of Table 2 instead of the Buchta estimate; entries
@@ -108,13 +126,6 @@ struct ExecOptions {
   /// how an application consumes progressive results instead of waiting
   /// for the final report.
   std::function<void(int query, double time, double utility)> on_result;
-  /// Tracing + metrics + contract-event bundle (src/obs/). Null (default)
-  /// disables all observability at the cost of one branch per span. When
-  /// set, region-based engines append their scheduling, discarding and
-  /// emission events and every query's region steps to its event log.
-  /// Observability never feeds the deterministic counters or the virtual
-  /// clock: reports are byte-identical with or without it.
-  Observability* obs = nullptr;
 };
 
 }  // namespace caqe

@@ -43,7 +43,8 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
                                SatisfactionTracker* tracker,
                                VirtualClock* clock, EngineStats* stats,
                                std::vector<QueryReport>* reports,
-                               ThreadPool* pool, PipelineOptions options)
+                               ThreadPool* pool, const CoreOptions& options,
+                               EmitCallback on_emit)
     : part_r_(part_r),
       part_t_(part_t),
       workload_(workload),
@@ -55,7 +56,8 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
       stats_(stats),
       reports_(reports),
       pool_(pool),
-      options_(std::move(options)),
+      options_(options),
+      on_emit_(std::move(on_emit)),
       kernel_(part_r, part_t),
       store_(workload->num_output_dims()),
       block_(workload->num_output_dims()),
@@ -192,7 +194,7 @@ void RegionPipeline::EmitResult(int q, int64_t id) {
   clock_->ChargeEmits(1);
   ++stats_->emitted_results;
   if (options_.on_result) options_.on_result(global_q, now, utility);
-  if (options_.on_emit) options_.on_emit(global_q, id, now, utility);
+  if (on_emit_) on_emit_(global_q, id, now, utility);
   if (emission_latency_hist_ != nullptr) {
     emission_latency_hist_->Observe(now - region_vstart_);
   }

@@ -43,7 +43,7 @@
 #include "cuboid/shared_skyline.h"
 #include "exec/emission.h"
 #include "exec/join_kernel.h"
-#include "exec/options.h"
+#include "exec/shared_core.h"
 #include "metrics/report.h"
 #include "obs/trace_context.h"
 #include "optimizer/scheduler.h"
@@ -81,53 +81,32 @@ struct PlanGroup {
 /// Canonical grouping key for a query's selections (order-insensitive).
 std::string PlanGroupSelectionKey(const SjQuery& query);
 
-/// Knobs of the per-region pipeline (reduced from CoreOptions).
-struct PipelineOptions {
-  /// Tuple-level dominated-region discarding (Section 6).
-  bool tuple_discard = true;
-  /// Theorem-1 feeder gating in the shared skyline evaluators.
-  bool dva_mode = true;
-  /// Capture per-result values into the reports vector.
-  bool capture_results = false;
-  /// Optional streaming consumer, called with global query ids.
-  std::function<void(int query, double time, double utility)> on_result;
-  /// Serving-layer emission hook: (global query, tuple id, virtual time,
-  /// utility) for every emitted result, fired after on_result. The tuple id
-  /// is the result's running join-match count; store().row(id) holds its
-  /// values for the pipeline's life.
-  std::function<void(int query, int64_t id, double time, double utility)>
-      on_emit;
-  /// Optional tracing/metrics/event-log bundle (see ExecOptions::obs).
-  Observability* obs = nullptr;
-  /// Flush the sharded emission park set in parallel (see
-  /// ExecOptions::pipeline_regions). Requires a pool to have any effect;
-  /// byte-identical reports either way.
-  bool pipeline_regions = false;
-  /// Key-match join (see ExecOptions::compact_layout); off selects the
-  /// hash join. Reports stay byte-identical.
-  bool compact_layout = true;
-  /// Map-layout join-index cache bound (see
-  /// ExecOptions::join_index_cache_entries).
-  int64_t join_index_cache_entries = 4096;
-};
-
 /// Tuple-level processing of one region collection. See file comment.
 class RegionPipeline {
  public:
-  /// All pointers must outlive the pipeline. `pending`/`pending_count` are
-  /// caller-owned scheduling state mutated by ProcessRegion (the processed
-  /// region completes; discard scans may resolve others). The emission
-  /// manager's witness scan lists are built from the current lineages
-  /// (safe to build before a coarse prune — resolved entries are skipped by
-  /// the pending/lineage checks without charging, so operation counts are
-  /// unchanged).
+  /// Serving-layer emission hook: (global query, tuple id, virtual time,
+  /// utility) for every emitted result, fired after the options' on_result.
+  /// The tuple id is the result's running join-match count; store().row(id)
+  /// holds its values for the pipeline's life.
+  using EmitCallback =
+      std::function<void(int query, int64_t id, double time, double utility)>;
+
+  /// Of the driver's `options` the pipeline reads result capture and
+  /// streaming, DVA gating, tuple discarding, the join layout, the emission
+  /// flush (run on `pool`) and obs. All pointers must outlive the pipeline.
+  /// `pending`/`pending_count` are caller-owned scheduling state mutated
+  /// by ProcessRegion (the processed region completes; discard scans may
+  /// resolve others). The emission manager's witness scan lists are built
+  /// from the current lineages (safe to build before a coarse prune —
+  /// resolved entries are skipped by the pending/lineage checks without
+  /// charging, so operation counts are unchanged).
   RegionPipeline(const PartitionedTable* part_r,
                  const PartitionedTable* part_t, const Workload* workload,
                  RegionCollection* rc, std::vector<char>* pending,
                  int64_t* pending_count, SatisfactionTracker* tracker,
                  VirtualClock* clock, EngineStats* stats,
                  std::vector<QueryReport>* reports, ThreadPool* pool,
-                 PipelineOptions options);
+                 const CoreOptions& options, EmitCallback on_emit = nullptr);
 
   /// Maps workload query index -> tracker/report index. Identity for the
   /// shared engines and the server; a singleton for per-query baselines.
@@ -204,7 +183,8 @@ class RegionPipeline {
   EngineStats* stats_;
   std::vector<QueryReport>* reports_;
   ThreadPool* pool_;
-  PipelineOptions options_;
+  CoreOptions options_;
+  EmitCallback on_emit_;
   ContractDrivenScheduler* scheduler_ = nullptr;
   RequestTraceContext trace_ctx_;
 

@@ -14,6 +14,24 @@
 
 namespace caqe {
 
+CoreOptions::CoreOptions(const EngineOptions& engine)
+    : num_threads(engine.num_threads),
+      pipeline_regions(engine.pipeline_regions),
+      coarse_index(engine.coarse_index),
+      compact_layout(engine.compact_layout),
+      join_index_cache_entries(engine.join_index_cache_entries),
+      feedback(engine.feedback_enabled),
+      dva_mode(engine.dva_mode),
+      obs(engine.obs) {}
+
+CoreOptions::CoreOptions(const ExecOptions& exec)
+    : CoreOptions(static_cast<const EngineOptions&>(exec)) {
+  coarse_prune = exec.coarse_prune;
+  capture_results = exec.capture_results;
+  known_result_counts = exec.known_result_counts;
+  on_result = exec.on_result;
+}
+
 Status RunSharedCore(const PartitionedTable& part_r,
                      const PartitionedTable& part_t, const Workload& workload,
                      const std::vector<int>& global_query_ids,
@@ -24,14 +42,11 @@ Status RunSharedCore(const PartitionedTable& part_r,
     return Status::InvalidArgument("global_query_ids size mismatch");
   }
 
-  // Worker pool for the parallel phases. The calling thread always
-  // participates in chunked work, so `num_threads` total threads means
-  // `num_threads - 1` pool workers; 1 keeps today's fully serial path.
-  const int num_threads = ResolveNumThreads(core_options.num_threads);
+  // Worker pool for the parallel phases, unless the caller lent one.
   std::unique_ptr<ThreadPool> pool_owner;
   ThreadPool* pool = core_options.pool;
-  if (pool == nullptr && num_threads > 1) {
-    pool_owner = std::make_unique<ThreadPool>(num_threads - 1);
+  if (pool == nullptr) {
+    pool_owner = MakeWorkerPool(core_options.num_threads);
     pool = pool_owner.get();
   }
 
@@ -76,19 +91,9 @@ Status RunSharedCore(const PartitionedTable& part_r,
   // which charges the identical operation counts (the witness scan skips
   // non-pending regions and non-serving lineage entries before charging
   // anything).
-  PipelineOptions pipe_options;
-  pipe_options.tuple_discard = core_options.tuple_discard;
-  pipe_options.dva_mode = core_options.dva_mode;
-  pipe_options.capture_results = core_options.capture_results;
-  pipe_options.on_result = core_options.on_result;
-  pipe_options.obs = obs;
-  pipe_options.pipeline_regions = core_options.pipeline_regions;
-  pipe_options.compact_layout = core_options.compact_layout;
-  pipe_options.join_index_cache_entries =
-      core_options.join_index_cache_entries;
   RegionPipeline pipeline(&part_r, &part_t, &workload, &rc, &pending,
                           &pending_count, &tracker, &clock, &stats, &reports,
-                          pool, std::move(pipe_options));
+                          pool, core_options);
   pipeline.SetGlobalQueryIds(global_query_ids);
 
   // ---- Coarse skyline prune (MQLA). ----

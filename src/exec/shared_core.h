@@ -18,8 +18,20 @@
 
 namespace caqe {
 
-/// Core execution knobs (reduced from ExecOptions by each engine).
+/// Core execution knobs: what RunSharedCore and its RegionPipeline read.
+/// Drivers fill them through the two conversions below and then set the
+/// policy fields their engine fixes. The fields stay declared here, rather
+/// than on top of EngineOptions, because perfbench/ assigns them by name.
 struct CoreOptions {
+  CoreOptions() = default;
+  /// The engine knobs the core reads: threads, the emission flush, the
+  /// coarse index, the join layout and its cache bound, DVA gating,
+  /// feedback and obs. Every other field keeps its default.
+  explicit CoreOptions(const EngineOptions& engine);
+  /// The engine knobs plus the batch fields: coarse prune, result capture,
+  /// known result counts and the result stream.
+  explicit CoreOptions(const ExecOptions& exec);
+
   SchedulePolicy policy = SchedulePolicy::kContractDriven;
   /// Worker threads for the parallel phases (region build, join kernel,
   /// plan-group evaluation, discard scans). 1 = serial, 0 = all hardware
@@ -27,10 +39,10 @@ struct CoreOptions {
   /// the virtual clock charge the same totals (see DESIGN.md, "Concurrency
   /// model").
   int num_threads = 1;
-  /// Parallel emission flush (see ExecOptions::pipeline_regions). Needs
+  /// Parallel emission flush (see EngineOptions::pipeline_regions). Needs
   /// num_threads > 1 to have any effect; reports stay bit-identical.
   bool pipeline_regions = false;
-  /// Tree-indexed coarse phase (see ExecOptions::coarse_index): drive the
+  /// Tree-indexed coarse phase (see EngineOptions::coarse_index): drive the
   /// region build's selection tests and the coarse prune from packed box
   /// trees instead of flat scans. Reports stay bit-identical.
   bool coarse_index = false;
@@ -39,12 +51,13 @@ struct CoreOptions {
   /// been sized consistently with num_threads); callers that partition
   /// with the same pool avoid a second thread spin-up.
   ThreadPool* pool = nullptr;
-  /// Key-match join on, hash join off (see ExecOptions::compact_layout).
+  /// Key-match join on, hash join off (see EngineOptions::compact_layout).
   /// Reports stay byte-identical.
   bool compact_layout = true;
-  /// Join-index cache bound (see ExecOptions::join_index_cache_entries).
+  /// Join-index cache bound (see EngineOptions::join_index_cache_entries).
   int64_t join_index_cache_entries = 4096;
   bool coarse_prune = true;
+  /// Eq. 11 satisfaction feedback (EngineOptions::feedback_enabled).
   bool feedback = true;
   /// Tuple-level dominated-region discarding (Section 6). CAQE's source of
   /// the "20x fewer join results" claim; the S-JFSL strawman pipelines
@@ -59,7 +72,7 @@ struct CoreOptions {
   /// Optional streaming consumer, called with *global* query ids (see
   /// ExecOptions::on_result).
   std::function<void(int query, double time, double utility)> on_result;
-  /// Optional tracing/metrics/event-log bundle (see ExecOptions::obs).
+  /// Optional tracing/metrics/event-log bundle (see EngineOptions::obs).
   Observability* obs = nullptr;
 };
 

@@ -10,7 +10,6 @@
 
 namespace caqe {
 
-
 Result<ExecutionReport> SharedPlanEngine::Execute(
     const Table& r, const Table& t, const Workload& workload,
     const std::vector<Contract>& contracts, const ExecOptions& options) {
@@ -21,13 +20,9 @@ Result<ExecutionReport> SharedPlanEngine::Execute(
   const auto wall_start = std::chrono::steady_clock::now();
 
   // One pool serves partitioning and the execution core (the core only
-  // creates its own when none is handed in). The calling thread always
-  // participates in chunked work, so num_threads total = pool size + 1.
-  const int num_threads = ResolveNumThreads(options.num_threads);
-  std::unique_ptr<ThreadPool> pool_owner;
-  if (num_threads > 1) {
-    pool_owner = std::make_unique<ThreadPool>(num_threads - 1);
-  }
+  // creates its own when none is handed in).
+  const std::unique_ptr<ThreadPool> pool_owner =
+      MakeWorkerPool(options.num_threads);
   ThreadPool* const pool = pool_owner.get();
 
   const int target_regions = AdaptiveTargetRegions(options, r, t, workload);
@@ -50,22 +45,12 @@ Result<ExecutionReport> SharedPlanEngine::Execute(
   std::vector<int> identity(workload.num_queries());
   std::iota(identity.begin(), identity.end(), 0);
 
-  CoreOptions core;
+  CoreOptions core(options);
   core.policy = policy_;
-  core.num_threads = options.num_threads;
-  core.pipeline_regions = options.pipeline_regions;
-  core.coarse_index = options.coarse_index;
-  core.compact_layout = options.compact_layout;
-  core.join_index_cache_entries = options.join_index_cache_entries;
   core.pool = pool;
   core.coarse_prune = coarse_prune_ && options.coarse_prune;
   core.feedback = feedback_ && options.feedback_enabled;
   core.tuple_discard = tuple_discard_;
-  core.dva_mode = options.dva_mode;
-  core.capture_results = options.capture_results;
-  core.known_result_counts = options.known_result_counts;
-  core.on_result = options.on_result;
-  core.obs = options.obs;
 
   CAQE_RETURN_NOT_OK(RunSharedCore(*part_r, *part_t, workload, identity,
                                    tracker, clock, report.stats,

@@ -7,6 +7,14 @@
 
 namespace caqe {
 
+namespace {
+
+/// Reject when the expected per-result utility over the request's
+/// estimated service window falls below this floor.
+constexpr double kMinExpectedUtility = 0.05;
+
+}  // namespace
+
 double RegionSlotCost(const OutputRegion& region, int slot,
                       const CostModel& cost) {
   const double probes = static_cast<double>(region.rows_r + region.rows_t);
@@ -181,7 +189,7 @@ AdmissionEstimate EvaluateAdmission(const SjQuery& query,
     const double u_first = contract->Utility(first_ctx);
     const double u_last = contract->Utility(last_ctx);
     est.expected_utility = 0.5 * (u_first + u_last);
-    if (est.expected_utility < options.min_expected_utility) {
+    if (est.expected_utility < kMinExpectedUtility) {
       est.decision = AdmissionDecision::kReject;
       est.reason = "low-utility";
       return est;

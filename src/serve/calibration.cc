@@ -21,7 +21,7 @@ std::string FormatFactor(int64_t factor) {
 
 }  // namespace
 
-Calibrator::Calibrator(CalibrationOptions options) : options_(options) {
+Calibrator::Calibrator() {
   // Long traces observe one sample per completion; reserving up front keeps
   // the steady state allocation-free (alloc-gate discipline).
   error_series_.reserve(4096);
@@ -69,14 +69,13 @@ double Calibrator::CorrectCardinality(BucketKey key, double raw_value) const {
                       static_cast<double>(kOne));
 }
 
-int64_t Calibrator::ClampFactor(int64_t value) const {
-  return std::max(options_.min_factor, std::min(options_.max_factor, value));
+int64_t Calibrator::ClampFactor(int64_t value) {
+  return std::max(kMinFactor, std::min(kMaxFactor, value));
 }
 
-int64_t Calibrator::UpdateFactor(int64_t factor, int64_t ratio_fp) const {
+int64_t Calibrator::UpdateFactor(int64_t factor, int64_t ratio_fp) {
   const int64_t ratio = ClampFactor(ratio_fp);
-  const int64_t next =
-      factor + ((ratio - factor) * options_.alpha_num) / options_.alpha_den;
+  const int64_t next = factor + ((ratio - factor) * kAlphaNum) / kAlphaDen;
   return ClampFactor(next);
 }
 
@@ -118,7 +117,7 @@ void Calibrator::ObserveCompletion(BucketKey key,
       std::abs(bucket.time_factor - bucket.applied_time_factor);
   const int64_t card_drift =
       std::abs(bucket.card_factor - bucket.applied_card_factor);
-  if (time_drift > options_.hysteresis || card_drift > options_.hysteresis) {
+  if (time_drift > kHysteresis || card_drift > kHysteresis) {
     bucket.applied_time_factor = bucket.time_factor;
     bucket.applied_card_factor = bucket.card_factor;
     shift_pending_ = true;
@@ -148,7 +147,7 @@ int64_t Calibrator::samples(BucketKey key) const {
 }
 
 bool Calibrator::Trusted(BucketKey key) const {
-  return samples(key) >= options_.trust_samples;
+  return samples(key) >= kTrustSamples;
 }
 
 std::string Calibrator::StatusText() const {

@@ -25,11 +25,11 @@
 // Each bucket holds fixed-point (scale kOne = 2^16) correction factors,
 // updated by an integer EWMA over the clamped observed/estimated ratio:
 //
-//   factor += (ratio_fp - factor) * alpha_num / alpha_den
+//   factor += (ratio_fp - factor) * kAlphaNum / kAlphaDen
 //
 // Integer state means no accumulation-order float drift can ever creep into
-// admission decisions, and saturation clamps ([kOne/8, 8*kOne]) bound the
-// damage any adversarial trace can do. A bucket's factor is compared
+// admission decisions, and saturation clamps ([kMinFactor, kMaxFactor])
+// bound the damage any adversarial trace can do. A bucket's factor is compared
 // against the factor last *applied* to decisions; only when the gap exceeds
 // the hysteresis threshold does the calibrator raise its shift flag, which
 // the server consumes to re-preview the deferred queue (repreview storms
@@ -52,27 +52,22 @@
 
 namespace caqe {
 
-/// Calibration policy knobs. All thresholds are fixed-point against
-/// Calibrator::kOne.
-struct CalibrationOptions {
-  /// EWMA weight alpha_num/alpha_den applied to each new ratio sample.
-  int64_t alpha_num = 1;
-  int64_t alpha_den = 4;
-  /// Repreview the deferred queue when a bucket's factor drifts this far
-  /// (fixed-point) from the factor last applied to decisions.
-  int64_t hysteresis = (1 << 16) / 8;
-  /// Saturation clamps on both the ratio samples and the factors.
-  int64_t min_factor = (1 << 16) / 8;
-  int64_t max_factor = (1 << 16) * 8;
-  /// Completions a bucket must absorb before its factors are decision-grade
-  /// (gates the admission feasibility test; see Trusted()).
-  int64_t trust_samples = 8;
-};
-
 class Calibrator {
  public:
   /// Fixed-point scale: a factor of kOne multiplies by exactly 1.0.
   static constexpr int64_t kOne = 1 << 16;
+  /// EWMA weight kAlphaNum/kAlphaDen applied to each new ratio sample.
+  static constexpr int64_t kAlphaNum = 1;
+  static constexpr int64_t kAlphaDen = 4;
+  /// Repreview the deferred queue when a bucket's factor drifts this far
+  /// (fixed-point) from the factor last applied to decisions.
+  static constexpr int64_t kHysteresis = kOne / 8;
+  /// Saturation clamps on both the ratio samples and the factors.
+  static constexpr int64_t kMinFactor = kOne / 8;
+  static constexpr int64_t kMaxFactor = kOne * 8;
+  /// Completions a bucket must absorb before its factors are decision-grade
+  /// (gates the admission feasibility test; see Trusted()).
+  static constexpr int64_t kTrustSamples = 8;
   /// Bucket-axis sizes (see file comment for the scheme).
   static constexpr int kDimsBuckets = 8;
   static constexpr int kSelBuckets = 8;
@@ -102,7 +97,7 @@ class Calibrator {
     double corrected_abs_rel_error = 0.0;
   };
 
-  explicit Calibrator(CalibrationOptions options = {});
+  Calibrator();
 
   /// Integer-only workload signature: `dims` preference dimensions,
   /// `join_total` summed exact join output over the `lineage_regions`
@@ -136,7 +131,7 @@ class Calibrator {
   int64_t card_factor(BucketKey key) const;
   /// Completions folded into the bucket so far.
   int64_t samples(BucketKey key) const;
-  /// True once the bucket has absorbed trust_samples completions — its
+  /// True once the bucket has absorbed kTrustSamples completions — its
   /// factors are decision-grade, unlocking the admission-side
   /// completion-feasibility test (a fresh or invalid bucket never is).
   bool Trusted(BucketKey key) const;
@@ -163,10 +158,9 @@ class Calibrator {
   };
 
   /// Clamped integer EWMA update; returns the new factor.
-  int64_t UpdateFactor(int64_t factor, int64_t ratio_fp) const;
-  int64_t ClampFactor(int64_t value) const;
+  static int64_t UpdateFactor(int64_t factor, int64_t ratio_fp);
+  static int64_t ClampFactor(int64_t value);
 
-  CalibrationOptions options_;
   std::array<Bucket, kNumBuckets> buckets_;
   int64_t completions_ = 0;
   int64_t shifts_ = 0;

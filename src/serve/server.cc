@@ -53,24 +53,16 @@ Status CaqeServer::Bootstrap(std::vector<MappingFunction> output_dims,
 
   // The pool is created before partitioning so the quad-tree build and the
   // region build share it.
-  const int num_threads = ResolveNumThreads(options_.num_threads);
-  if (num_threads > 1) {
-    pool_owner_ = std::make_unique<ThreadPool>(num_threads - 1);
-  }
+  pool_owner_ = MakeWorkerPool(options_.num_threads);
   pool_ = pool_owner_.get();
 
-  ExecOptions exec;
-  exec.cost = options_.cost;
-  exec.partition_strategy = options_.partition_strategy;
-  exec.cells_per_dim = options_.cells_per_dim;
-  exec.target_regions = options_.target_regions;
-  const int target = AdaptiveTargetRegions(exec, r_, t_, workload_);
+  const int target = AdaptiveTargetRegions(options_, r_, t_, workload_);
   Result<PartitionedTable> part_r =
-      PartitionForRegions(r_, exec, target, pool_);
+      PartitionForRegions(r_, options_, target, pool_);
   CAQE_RETURN_NOT_OK(part_r.status());
   part_r_.emplace(std::move(part_r).value());
   Result<PartitionedTable> part_t =
-      PartitionForRegions(t_, exec, target, pool_);
+      PartitionForRegions(t_, options_, target, pool_);
   CAQE_RETURN_NOT_OK(part_t.status());
   part_t_.emplace(std::move(part_t).value());
 
@@ -118,16 +110,7 @@ Status CaqeServer::Bootstrap(std::vector<MappingFunction> output_dims,
   free_slots_.resize(slots);
   for (int q = 0; q < slots; ++q) free_slots_[q] = q;
 
-  PipelineOptions pipe_options;
-  pipe_options.tuple_discard = options_.tuple_discard;
-  pipe_options.dva_mode = options_.dva_mode;
-  pipe_options.capture_results = false;
-  pipe_options.obs = options_.obs;
-  pipe_options.pipeline_regions = options_.pipeline_regions;
-  pipe_options.compact_layout = options_.compact_layout;
-  pipe_options.join_index_cache_entries = options_.join_index_cache_entries;
-  pipe_options.on_emit = [this](int query, int64_t id, double time,
-                                double utility) {
+  auto on_emit = [this](int query, int64_t id, double time, double utility) {
     const int request_id = slot_request_[query];
     if (request_id < 0) return;
     RequestState& request = requests_[request_id];
@@ -172,12 +155,12 @@ Status CaqeServer::Bootstrap(std::vector<MappingFunction> output_dims,
   pipeline_ = std::make_unique<RegionPipeline>(
       &*part_r_, &*part_t_, &workload_, &rc_, &pending_, &pending_count_,
       &*tracker_, &clock_, &stats_, &query_reports_, pool_,
-      std::move(pipe_options));
+      CoreOptions(options_), std::move(on_emit));
   pipeline_->SetGlobalQueryIds(identity_);
 
   if (options_.policy != SchedulePolicy::kStaticScan) {
     SchedulerOptions sched_options;
-    sched_options.feedback_enabled = options_.feedback;
+    sched_options.feedback_enabled = options_.feedback_enabled;
     sched_options.contract_driven =
         options_.policy == SchedulePolicy::kContractDriven;
     sched_options.dynamic_workload = true;
@@ -322,7 +305,7 @@ void CaqeServer::NotifyFinished(const RequestState& request, int ran_slot) {
              finished ? request.finish_time - request.submit_time : 0.0,
          .expected_utility = request.expected_utility});
   }
-  if (options_.on_finish) options_.on_finish(request.id, request.status);
+  if (on_finish_) on_finish_(request.id, request.status);
 }
 
 AdmissionEstimate CaqeServer::PreviewAdmission(const RequestState& request) {
@@ -398,8 +381,8 @@ AdmissionDecision CaqeServer::Decide(RequestState& request) {
       request.status = RequestStatus::kRejected;
       break;
   }
-  if (options_.on_decision) {
-    options_.on_decision(request.id, est.decision, est.reason);
+  if (on_decision_) {
+    on_decision_(request.id, est.decision, est.reason);
   }
   if (est.decision == AdmissionDecision::kReject) NotifyFinished(request);
   return est.decision;

@@ -147,16 +147,24 @@ class CaqeServer {
   /// SubmitLive/CancelLive/StepLive may follow.
   Result<ServingReport> FinishLive();
 
-  /// Installs the live-mode observers after construction (ServeOptions is
-  /// copied at Create time, so a front-end built around an existing server
-  /// attaches its hooks here). Call before the first StepLive.
-  void SetLiveObservers(
-      std::function<void(int request_id, AdmissionDecision decision,
-                         const char* reason)>
-          on_decision,
-      std::function<void(int request_id, RequestStatus status)> on_finish) {
-    options_.on_decision = std::move(on_decision);
-    options_.on_finish = std::move(on_finish);
+  /// Live-mode observers of a wall-clock front-end. `on_decision` fires
+  /// when a request receives an admission verdict (including every
+  /// re-evaluation of a deferred request), `on_finish` when it reaches a
+  /// terminal status (completed/cancelled/expired/rejected); both run
+  /// synchronously on the driver thread. Observers are write-only with
+  /// respect to the engine: they must not call back into the server, and
+  /// attaching them never changes a report byte — a recorded live session
+  /// replayed without observers produces the identical ServingReportText.
+  using DecisionObserver = std::function<void(
+      int request_id, AdmissionDecision decision, const char* reason)>;
+  using FinishObserver =
+      std::function<void(int request_id, RequestStatus status)>;
+
+  /// Installs the live-mode observers. Call before the first StepLive.
+  void SetLiveObservers(DecisionObserver on_decision,
+                        FinishObserver on_finish) {
+    on_decision_ = std::move(on_decision);
+    on_finish_ = std::move(on_finish);
   }
 
   /// Current virtual time (live mode: what the quantizer stamps against).
@@ -321,6 +329,9 @@ class CaqeServer {
   void NotifyFinished(const RequestState& request, int ran_slot = -1);
 
   ServeOptions options_;
+  /// Live-mode observers (see SetLiveObservers); empty by default.
+  DecisionObserver on_decision_;
+  FinishObserver on_finish_;
   Table r_;
   Table t_;
   Workload workload_;

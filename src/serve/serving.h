@@ -15,11 +15,9 @@
 #define CAQE_SERVE_SERVING_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/virtual_clock.h"
 #include "exec/options.h"
 #include "metrics/report.h"
 
@@ -59,44 +57,14 @@ enum class RequestStatus {
 
 const char* RequestStatusName(RequestStatus status);
 
-/// Serving knobs: the batch execution knobs plus the admission policy.
-struct ServeOptions {
-  /// Virtual-time cost model used for contract timestamps.
-  CostModel cost;
-  /// Worker threads for the parallel execution phases; reports are
-  /// bit-identical at every value (only wall time changes).
-  int num_threads = 1;
-  /// Parallel emission flush (see ExecOptions::pipeline_regions): the
-  /// sharded park set is flushed on the worker pool. Needs num_threads > 1;
-  /// reports stay byte-identical.
-  bool pipeline_regions = false;
-  /// Tree-indexed coarse phase (see ExecOptions::coarse_index): the
-  /// bootstrap region build classifies selections through packed box
-  /// trees over the cells. Reports stay byte-identical.
-  bool coarse_index = false;
-  /// Key-match join on, hash join off (see ExecOptions::compact_layout).
-  /// Reports stay byte-identical.
-  bool compact_layout = true;
-  /// Map-layout join-index cache bound — matters most here, where a long
-  /// trace would otherwise grow the index cache without bound (see
-  /// ExecOptions::join_index_cache_entries). The compact layout builds no
-  /// index.
-  int64_t join_index_cache_entries = 4096;
-  /// Input partitioning structure and granularity (see ExecOptions).
-  PartitionStrategy partition_strategy = PartitionStrategy::kGrid;
-  int cells_per_dim = 0;
-  int target_regions = 512;
+/// Serving knobs: the shared engine knobs (EngineOptions; the server reads
+/// every one of them) plus the scheduling and admission policy. Tuple-level
+/// discarding is always on.
+struct ServeOptions : EngineOptions {
   /// Region scheduling policy for admitted work. Contract-driven is the
   /// CAQE default; count-driven is the ProgXe+-style ablation the serving
   /// benchmark compares against.
   SchedulePolicy policy = SchedulePolicy::kContractDriven;
-  /// Eq. 11 satisfaction feedback on the scheduler weights.
-  bool feedback = true;
-  /// Tuple-level dominated-region discarding (Section 6).
-  bool tuple_discard = true;
-  /// Theorem-1 feeder gating in the shared skyline evaluators.
-  bool dva_mode = true;
-  /// ---- Admission policy ----
   /// Bypass the utility/deadline rejection tests (structural rejects — an
   /// unknown join predicate — still apply). Capacity deferral still holds.
   bool admit_all = false;
@@ -108,29 +76,8 @@ struct ServeOptions {
   /// byte-identical across threads/pipeline/compact_layout and
   /// live-vs-replay (the calibrator updates on the serial driver step).
   bool calibrate = false;
-  /// Reject when the expected per-result utility over the request's
-  /// estimated service window falls below this floor.
-  double min_expected_utility = 0.05;
   /// Defer arrivals while this many queries are running.
   int max_active_queries = 16;
-  /// ---- Live-mode observers (wall-clock front-end) ----
-  /// Invoked synchronously on the driver thread when a request receives an
-  /// admission verdict (including every re-evaluation of a deferred
-  /// request). Observers are write-only with respect to the engine: they
-  /// must not call back into the server, and attaching them never changes a
-  /// report byte — a recorded live session replayed without observers
-  /// produces the identical ServingReportText.
-  std::function<void(int request_id, AdmissionDecision decision,
-                     const char* reason)>
-      on_decision;
-  /// Invoked synchronously when a request reaches a terminal status
-  /// (completed/cancelled/expired/rejected). Same contract as on_decision.
-  std::function<void(int request_id, RequestStatus status)> on_finish;
-  /// Tracing + metrics + contract-event bundle (see ExecOptions::obs).
-  /// Admission decisions, TTFR, service-time estimation error, and every
-  /// request's contract events (obs/event_log.h) are recorded here; never
-  /// read back — reports stay byte-identical.
-  Observability* obs = nullptr;
 };
 
 /// Final per-request outcome, embedded in the ServingReport.

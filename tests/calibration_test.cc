@@ -69,26 +69,25 @@ TEST(CalibratorTest, IntegerEwmaIsExact) {
 }
 
 TEST(CalibratorTest, SaturationClampsBoundTheFactors) {
-  CalibrationOptions options;
-  Calibrator calibrator(options);
+  Calibrator calibrator;
   const Calibrator::BucketKey key = Calibrator::KeyFor(1, 4, 1, 0, false);
   ASSERT_GE(key.index, 0);
 
   // Adversarially huge ratios: the factor may approach but never exceed
-  // max_factor, no matter how many samples arrive.
+  // kMaxFactor, no matter how many samples arrive.
   for (int i = 0; i < 200; ++i) {
     calibrator.ObserveCompletion(key, MakeSample(0.001, 1e9));
   }
-  EXPECT_LE(calibrator.time_factor(key), options.max_factor);
-  EXPECT_GT(calibrator.time_factor(key), options.max_factor / 2);
+  EXPECT_LE(calibrator.time_factor(key), Calibrator::kMaxFactor);
+  EXPECT_GT(calibrator.time_factor(key), Calibrator::kMaxFactor / 2);
 
   // And the symmetric floor for near-zero ratios.
-  Calibrator floor_cal(options);
+  Calibrator floor_cal;
   for (int i = 0; i < 200; ++i) {
     floor_cal.ObserveCompletion(key, MakeSample(1e9, 0.001));
   }
-  EXPECT_GE(floor_cal.time_factor(key), options.min_factor);
-  EXPECT_LT(floor_cal.time_factor(key), options.min_factor * 2);
+  EXPECT_GE(floor_cal.time_factor(key), Calibrator::kMinFactor);
+  EXPECT_LT(floor_cal.time_factor(key), Calibrator::kMinFactor * 2);
 }
 
 TEST(CalibratorTest, HysteresisGatesTheShiftFlag) {
@@ -116,11 +115,10 @@ TEST(CalibratorTest, HysteresisGatesTheShiftFlag) {
 }
 
 TEST(CalibratorTest, TrustRequiresEnoughSamples) {
-  CalibrationOptions options;
-  Calibrator calibrator(options);
+  Calibrator calibrator;
   const Calibrator::BucketKey key = Calibrator::KeyFor(2, 64, 4, 0, false);
   ASSERT_GE(key.index, 0);
-  for (int i = 0; i < options.trust_samples; ++i) {
+  for (int i = 0; i < Calibrator::kTrustSamples; ++i) {
     EXPECT_FALSE(calibrator.Trusted(key));
     calibrator.ObserveCompletion(key, MakeSample(1.0, 0.9));
   }

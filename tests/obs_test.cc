@@ -818,6 +818,45 @@ TEST(ObsIntegrationTest, AttachingObservabilityIsDeterminismNeutral) {
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
 }
 
+// ProgXe+ runs the shared region core once per query, so it records what
+// the shared engines record — a process_region span per region step and
+// the region engine's metrics — and reports the same bytes with or without
+// obs and at any thread count.
+TEST(ObsIntegrationTest, ProgXeRecordsRegionTelemetryDeterminismNeutrally) {
+  auto [r, t] = MakeTables(Distribution::kIndependent, /*rows=*/400,
+                           /*attrs=*/4, /*selectivity=*/0.02);
+  const Workload workload =
+      MakeSubspaceWorkload(4, 0, 5, PriorityPolicy::kUniform).value();
+  const std::vector<Contract> contracts(workload.num_queries(),
+                                        MakeLogDecayContract());
+  const auto run = [&](int num_threads, Observability* obs) {
+    ExecOptions options;
+    options.num_threads = num_threads;
+    options.capture_results = true;
+    options.obs = obs;
+    std::unique_ptr<Engine> engine = MakeEngine("ProgXe+").value();
+    return engine->Execute(r, t, workload, contracts, options).value();
+  };
+
+  const ExecutionReport plain = run(1, nullptr);
+  Observability obs;
+  ::caqe::testing::ExpectReportsIdentical(run(1, &obs), plain);
+  ::caqe::testing::ExpectReportsIdentical(run(4, nullptr), plain);
+
+  int64_t region_spans = 0;
+  for (const SpanRecord& span : obs.spans.Snapshot()) {
+    if (std::string(span.name) == "process_region") ++region_spans;
+  }
+  EXPECT_GT(region_spans, 0);
+  EXPECT_GT(RegionSteps(obs), 0u);
+  const std::string prom = obs.metrics.PrometheusText();
+  EXPECT_NE(prom.find("caqe_region_service_virtual_seconds_bucket"),
+            std::string::npos);
+  EXPECT_NE(prom.find("caqe_scheduler_picks_total"), std::string::npos);
+  EXPECT_NE(prom.find("caqe_engine_dominance_cmps_total"),
+            std::string::npos);
+}
+
 // Wall-phase buckets are measured on the serial driver thread inside the
 // engine's overall wall interval, so their sum can never exceed
 // wall_seconds — at any thread count (the phase spans bracket the parallel

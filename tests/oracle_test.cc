@@ -95,41 +95,6 @@ std::vector<std::vector<double>> SortedReportedValues(
   return rows;
 }
 
-/// Asserts bit-identity of every determinism-contract report field.
-void ExpectReportsIdentical(const ExecutionReport& got,
-                            const ExecutionReport& want) {
-  EXPECT_EQ(got.stats.join_probes, want.stats.join_probes);
-  EXPECT_EQ(got.stats.join_results, want.stats.join_results);
-  EXPECT_EQ(got.stats.dominance_cmps, want.stats.dominance_cmps);
-  EXPECT_EQ(got.stats.coarse_ops, want.stats.coarse_ops);
-  EXPECT_EQ(got.stats.emitted_results, want.stats.emitted_results);
-  EXPECT_EQ(got.stats.regions_built, want.stats.regions_built);
-  EXPECT_EQ(got.stats.regions_processed, want.stats.regions_processed);
-  EXPECT_EQ(got.stats.regions_discarded, want.stats.regions_discarded);
-  EXPECT_EQ(got.stats.virtual_seconds, want.stats.virtual_seconds);
-  EXPECT_EQ(got.workload_pscore, want.workload_pscore);
-  EXPECT_EQ(got.average_satisfaction, want.average_satisfaction);
-  ASSERT_EQ(got.queries.size(), want.queries.size());
-  for (size_t q = 0; q < got.queries.size(); ++q) {
-    const QueryReport& g = got.queries[q];
-    const QueryReport& w = want.queries[q];
-    EXPECT_EQ(g.results, w.results);
-    EXPECT_EQ(g.pscore, w.pscore);
-    EXPECT_EQ(g.satisfaction, w.satisfaction);
-    ASSERT_EQ(g.utility_trace.size(), w.utility_trace.size());
-    for (size_t i = 0; i < g.utility_trace.size(); ++i) {
-      EXPECT_EQ(g.utility_trace[i].time, w.utility_trace[i].time);
-      EXPECT_EQ(g.utility_trace[i].utility, w.utility_trace[i].utility);
-    }
-    ASSERT_EQ(g.tuples.size(), w.tuples.size());
-    for (size_t i = 0; i < g.tuples.size(); ++i) {
-      EXPECT_EQ(g.tuples[i].tuple_id, w.tuples[i].tuple_id);
-      EXPECT_EQ(g.tuples[i].time, w.tuples[i].time);
-      EXPECT_EQ(g.tuples[i].values, w.tuples[i].values);
-    }
-  }
-}
-
 /// One randomized differential case. Workload flavors: "subspace" uses a
 /// single shared join key (maximum sharing), "random" draws per-query join
 /// keys from `num_join_keys` predicates (partial sharing).
@@ -246,7 +211,7 @@ TEST_P(OracleDifferentialTest, EngineMatchesNaiveExecutorAtEveryCell) {
         reference = report;
         have_reference = true;
       } else {
-        ExpectReportsIdentical(report, reference);
+        ::caqe::testing::ExpectReportsIdentical(report, reference);
       }
     }
   }

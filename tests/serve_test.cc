@@ -47,6 +47,22 @@ ServeOptions SmallServeOptions() {
   return options;
 }
 
+/// Values of the `streamed` tuple ids, projected onto `reference`'s query
+/// 0 and sorted: comparable with OracleSkyline.
+std::vector<std::vector<double>> StreamedRows(
+    const CaqeServer& server, const std::vector<int64_t>& streamed,
+    const Workload& reference) {
+  std::vector<std::vector<double>> rows;
+  for (int64_t tuple : streamed) {
+    const double* values = server.store().row(tuple);
+    rows.push_back(::caqe::testing::ProjectReported(
+        std::vector<double>(values, values + reference.num_output_dims()),
+        reference, 0));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
 TEST(CaqeServerTest, CreateValidatesInputs) {
   auto [r, t] = MakeServeTables(1);
   EXPECT_EQ(CaqeServer::Create(r, t, {}, {0}, SmallServeOptions())
@@ -98,14 +114,37 @@ TEST(CaqeServerTest, SingleQueryStreamsExactSkyline) {
   EXPECT_GE(report.stats.join_results, 10000);
   EXPECT_LT(server->store().size() * 100, report.stats.join_results);
 
-  std::vector<std::vector<double>> rows;
-  for (int64_t tuple : streamed) {
-    const double* values = server->store().row(tuple);
-    rows.push_back(::caqe::testing::ProjectReported(
-        std::vector<double>(values, values + 3), reference, 0));
-  }
-  std::sort(rows.begin(), rows.end());
-  EXPECT_EQ(rows, ::caqe::testing::OracleSkyline(r, t, reference, 0));
+  EXPECT_EQ(StreamedRows(*server, streamed, reference),
+            ::caqe::testing::OracleSkyline(r, t, reference, 0));
+}
+
+// The server partitions with its own options: on quad-tree cells a
+// full-dims query streams exactly its oracle skyline too, though the
+// regions it runs over differ from the grid's.
+TEST(CaqeServerTest, QuadTreePartitionsStreamExactSkyline) {
+  auto [r, t] = MakeServeTables(1, 1200);
+  Workload reference;
+  for (const MappingFunction& f : ThreeDims()) reference.AddOutputDim(f);
+  const SjQuery query{"Q0", 0, {0, 1, 2}, 1.0, {}};
+  reference.AddQuery(query);
+  const std::vector<std::vector<double>> oracle =
+      ::caqe::testing::OracleSkyline(r, t, reference, 0);
+
+  const auto run = [&](PartitionStrategy strategy) {
+    ServeOptions options = SmallServeOptions();
+    options.partition_strategy = strategy;
+    auto server = CaqeServer::Create(r, t, ThreeDims(), {0}, options).value();
+    std::vector<int64_t> streamed;
+    server->Submit(query, MakeTimeStepContract(10.0), 0.0, 0.0,
+                   [&](int, int64_t tuple_id, double, double) {
+                     streamed.push_back(tuple_id);
+                   });
+    const ServingReport report = server->Run().value();
+    EXPECT_EQ(report.completed, 1);
+    EXPECT_EQ(StreamedRows(*server, streamed, reference), oracle);
+    return ServingReportText(report);
+  };
+  EXPECT_NE(run(PartitionStrategy::kQuadTree), run(PartitionStrategy::kGrid));
 }
 
 // The full trace replay is a pure function of the trace: byte-identical

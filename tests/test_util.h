@@ -1,12 +1,16 @@
-// Shared helpers for CAQE tests: oracle computation and data setup.
+// Shared helpers for CAQE tests: oracle computation, data setup and report
+// comparison.
 #ifndef CAQE_TESTS_TEST_UTIL_H_
 #define CAQE_TESTS_TEST_UTIL_H_
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "data/generator.h"
 #include "data/table.h"
+#include "metrics/report.h"
 #include "query/query.h"
 #include "skyline/algorithms.h"
 #include "skyline/point_set.h"
@@ -78,6 +82,41 @@ inline std::pair<Table, Table> MakeTables(Distribution dist, int64_t rows,
   cfg.seed = seed + 1;
   Table t = GenerateTable("T", cfg).value();
   return {std::move(r), std::move(t)};
+}
+
+/// Asserts bit-identity of every determinism-contract report field.
+inline void ExpectReportsIdentical(const ExecutionReport& got,
+                                   const ExecutionReport& want) {
+  EXPECT_EQ(got.stats.join_probes, want.stats.join_probes);
+  EXPECT_EQ(got.stats.join_results, want.stats.join_results);
+  EXPECT_EQ(got.stats.dominance_cmps, want.stats.dominance_cmps);
+  EXPECT_EQ(got.stats.coarse_ops, want.stats.coarse_ops);
+  EXPECT_EQ(got.stats.emitted_results, want.stats.emitted_results);
+  EXPECT_EQ(got.stats.regions_built, want.stats.regions_built);
+  EXPECT_EQ(got.stats.regions_processed, want.stats.regions_processed);
+  EXPECT_EQ(got.stats.regions_discarded, want.stats.regions_discarded);
+  EXPECT_EQ(got.stats.virtual_seconds, want.stats.virtual_seconds);
+  EXPECT_EQ(got.workload_pscore, want.workload_pscore);
+  EXPECT_EQ(got.average_satisfaction, want.average_satisfaction);
+  ASSERT_EQ(got.queries.size(), want.queries.size());
+  for (size_t q = 0; q < got.queries.size(); ++q) {
+    const QueryReport& g = got.queries[q];
+    const QueryReport& w = want.queries[q];
+    EXPECT_EQ(g.results, w.results);
+    EXPECT_EQ(g.pscore, w.pscore);
+    EXPECT_EQ(g.satisfaction, w.satisfaction);
+    ASSERT_EQ(g.utility_trace.size(), w.utility_trace.size());
+    for (size_t i = 0; i < g.utility_trace.size(); ++i) {
+      EXPECT_EQ(g.utility_trace[i].time, w.utility_trace[i].time);
+      EXPECT_EQ(g.utility_trace[i].utility, w.utility_trace[i].utility);
+    }
+    ASSERT_EQ(g.tuples.size(), w.tuples.size());
+    for (size_t i = 0; i < g.tuples.size(); ++i) {
+      EXPECT_EQ(g.tuples[i].tuple_id, w.tuples[i].tuple_id);
+      EXPECT_EQ(g.tuples[i].time, w.tuples[i].time);
+      EXPECT_EQ(g.tuples[i].values, w.tuples[i].values);
+    }
+  }
 }
 
 }  // namespace testing

@@ -10,8 +10,9 @@
 //            [--engines=CAQE,S-JFSL,JFSL,ProgXe+,SSMJ]
 //            [--out=PREFIX]          # write PREFIX_{summary,queries,trace}.csv
 //            [--trace=1]             # print per-query first/last emission
-//            [--trace_out=PATH]      # Chrome/Perfetto trace of every engine
-//                                    # run (spans + contract-health tracks)
+//            [--trace_out=PATH]      # Chrome/Perfetto trace: spans of the
+//                                    # region engines + contract-health
+//                                    # tracks (JFSL and SSMJ record none)
 //            [--metrics_out=PATH]    # Prometheus text snapshot
 //
 // The contract's deadline/interval parameters are calibrated automatically
