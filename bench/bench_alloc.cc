@@ -16,10 +16,11 @@
 // The alloc gate itself: with the compact layout on, steady-state regions
 // (past the pipeline's 32-region warmup window) must average at most
 // --max_allocs_per_region heap allocations (default 5). The warmup window
-// is where caches, arenas, and scratch grow to their high-water marks;
+// is where caches and reused scratch grow to their high-water marks;
 // steady state is where a resident decision-support service spends its
-// life, and where the arena + reuse architecture pins allocation churn to
-// ~zero.
+// life, and where buffer reuse pins allocation churn to ~zero.
+// tests/alloc_hook_test.cc checks the same budget on the compact-layout
+// cells in the test suite.
 //
 // Flags: --rows=4000 --queries=8 --dims=4 --seed=2014
 //        --serve_rows=8000 --serve_requests=80

@@ -4,7 +4,7 @@
 //
 // Flags: --rows=N --sel=SIGMA --dist=correlated|independent|anticorrelated
 //        --queries=K --seed=S --csv=1
-//        --trace-out=PATH --metrics-out=PATH   # attach the observability
+//        --trace_out=PATH --metrics_out=PATH   # attach the observability
 //        layer and dump a Chrome/Perfetto trace / Prometheus snapshot.
 //        Deliberately silent on stdout: the printed tables must stay
 //        byte-identical with tracing on or off (scripts/run_obs_matrix.sh
@@ -99,8 +99,8 @@ int Main(int argc, char** argv) {
   const Args args(argc, argv);
   std::printf(
       "CAQE reproduction: Figure 9 — average contract satisfaction\n\n");
-  const std::string trace_out = args.GetString("trace-out", "");
-  const std::string metrics_out = args.GetString("metrics-out", "");
+  const std::string trace_out = args.GetString("trace_out", "");
+  const std::string metrics_out = args.GetString("metrics_out", "");
   Observability obs;
   Observability* const obs_ptr =
       (!trace_out.empty() || !metrics_out.empty()) ? &obs : nullptr;

@@ -70,7 +70,7 @@ wait_for_port() {
   --port_file="${out}/port" \
   --linger=1 \
   --report-out="${out}/live_report.txt" \
-  --trace-out="${out}/live_events.jsonl" \
+  --events_out="${out}/live_events.jsonl" \
   --metrics_out="${out}/live_metrics.prom" \
   --ledger_out="${out}/live_ledger.jsonl" \
   --health_out="${out}/live_health.jsonl" \
@@ -162,7 +162,7 @@ for threads in 1 8; do
         --threads="${threads}" --pipeline="${pipeline}" \
         --compact_layout="${compact}" \
         --report-out="${out}/replay_${tag}.txt" \
-        --trace-out="${out}/replay_${tag}.jsonl" \
+        --events_out="${out}/replay_${tag}.jsonl" \
         --ledger_out="${out}/replay_${tag}_ledger.jsonl" \
         --health_out="${out}/replay_${tag}_health.jsonl" > /dev/null
       diff_args+=("${tag}=${out}/replay_${tag}.txt")
@@ -193,7 +193,7 @@ tools/report_diff.sh "health timeline replay vs live" \
   --port_file="${out}/sig_port" \
   --linger=0 \
   --report-out="${out}/sig_report.txt" \
-  --trace-out="${out}/sig_events.jsonl" \
+  --events_out="${out}/sig_events.jsonl" \
   --ledger_out="${out}/sig_ledger.jsonl" \
   --health_out="${out}/sig_health.jsonl" \
   > "${out}/sig_stdout.txt" 2>&1 &
@@ -220,7 +220,7 @@ echo "SIGTERM drain completed with exit 0"
 
 "${serve}" --replay="${out}/sig.trace" \
   --report-out="${out}/sig_replay.txt" \
-  --trace-out="${out}/sig_replay.jsonl" \
+  --events_out="${out}/sig_replay.jsonl" \
   --ledger_out="${out}/sig_replay_ledger.jsonl" \
   --health_out="${out}/sig_replay_health.jsonl" > /dev/null
 tools/report_diff.sh "SIGTERM session replay vs live" \
@@ -245,7 +245,7 @@ tools/report_diff.sh "SIGTERM health replay vs live" \
   --port_file="${out}/calib_port" \
   --linger=0 \
   --report-out="${out}/calib_report.txt" \
-  --trace-out="${out}/calib_events.jsonl" \
+  --events_out="${out}/calib_events.jsonl" \
   > "${out}/calib_stdout.txt" 2>&1 &
 calib_pid=$!
 wait_for_port "${out}/calib_port" || { kill "${calib_pid}" 2>/dev/null; exit 1; }
@@ -274,7 +274,7 @@ grep -q 'calibrate=1' "${out}/calib.trace" || {
 }
 "${serve}" --replay="${out}/calib.trace" --threads=8 --pipeline=1 \
   --report-out="${out}/calib_replay.txt" \
-  --trace-out="${out}/calib_replay.jsonl" > /dev/null
+  --events_out="${out}/calib_replay.jsonl" > /dev/null
 tools/report_diff.sh "calibrated session replay vs live" \
   "${out}/calib_report.txt" "replay=${out}/calib_replay.txt" || status=1
 cmp -s "${out}/calib_events.jsonl" "${out}/calib_replay.jsonl" || {

@@ -2,7 +2,7 @@
 # Proves the observability layer's determinism contract: attaching the
 # tracing/metrics sinks must not change a single byte of any report. The
 # Figure 9 benchmark is run over the full matrix of SIMD builds
-# (CAQE_SIMD=OFF/ON) x tracing (detached / --trace-out + --metrics-out);
+# (CAQE_SIMD=OFF/ON) x tracing (detached / --trace_out + --metrics_out);
 # its stdout tables must be byte-identical down every column, and the
 # traced cells must actually produce a non-empty Chrome trace and a
 # Prometheus snapshot. Two extra cells per build run at 8 threads with the
@@ -11,7 +11,7 @@
 # neither the flush nor the coarse index may move a byte, traced or not.
 #
 # A second matrix drives caqe_serve (batch mode) with --ledger_out,
-# --health_out and --trace-out across threads {1,8} x pipeline {0,1} per
+# --health_out and --events_out across threads {1,8} x pipeline {0,1} per
 # build. Every view of the contract event log must be byte-identical down
 # every column: the audit ledger after stripping its single wall-clock
 # field (report_diff.sh --normalize-wall), the contract-health timeline
@@ -52,8 +52,8 @@ for simd in OFF ON; do
     out="${build_dir}/fig9_obs_${tracing}.txt"
     extra=()
     if [[ "${tracing}" == on ]]; then
-      extra=(--trace-out="${build_dir}/fig9_trace.json"
-             --metrics-out="${build_dir}/fig9_metrics.prom")
+      extra=(--trace_out="${build_dir}/fig9_trace.json"
+             --metrics_out="${build_dir}/fig9_metrics.prom")
     fi
     "./${build_dir}/bench/bench_fig9" "${FIG9_ARGS[@]}" "${extra[@]}" \
       > "${out}"
@@ -86,7 +86,7 @@ for simd in OFF ON; do
         --threads="${threads}" --pipeline="${pipeline}" \
         --ledger_out="${build_dir}/ledger_${cell}.jsonl" \
         --health_out="${build_dir}/health_${cell}.jsonl" \
-        --trace-out="${build_dir}/exec_events_${cell}.jsonl" \
+        --events_out="${build_dir}/exec_events_${cell}.jsonl" \
         --report-out="${build_dir}/serve_report_${cell}.txt" > /dev/null
       LEDGERS["${simd}_${cell}"]="${build_dir}/ledger_${cell}.jsonl"
       HEALTHS["${simd}_${cell}"]="${build_dir}/health_${cell}.jsonl"

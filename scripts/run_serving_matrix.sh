@@ -59,8 +59,8 @@ for simd in OFF ON; do
       --report-out="${out}" > /dev/null
     REPORTS["${simd}_${threads}_coarse"]="${out}"
   done
-  # Compact-layout-off cells: the cache-conscious steady-state layout
-  # (flat CSR join indexes, arena scratch) is a pure layout change, so
+  # Compact-layout-off cells: the compact layout selects only the join
+  # (key-match expansion vs the hash join), a pure layout change, so
   # switching it off must reproduce the report byte for byte.
   for threads in 1 8; do
     out="${build_dir}/serving_t${threads}_mapidx.txt"

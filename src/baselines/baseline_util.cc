@@ -2,20 +2,10 @@
 
 #include <unordered_map>
 
+#include "exec/engine.h"
 #include "skyline/cardinality.h"
 
 namespace caqe {
-
-int64_t TotalJoinSize(const Table& r, const Table& t, int key) {
-  std::unordered_map<int32_t, int64_t> counts;
-  for (int64_t row = 0; row < t.num_rows(); ++row) ++counts[t.key(row, key)];
-  int64_t total = 0;
-  for (int64_t row = 0; row < r.num_rows(); ++row) {
-    const auto it = counts.find(r.key(row, key));
-    if (it != counts.end()) total += it->second;
-  }
-  return total;
-}
 
 void FullJoinProject(const Table& r, const Table& t, const Workload& workload,
                      int key, PointSet& out, EngineStats& stats,
@@ -85,7 +75,7 @@ void SeedTrackerTotals(const Table& r, const Table& t,
     if (total <= 0.0) {
       total = BuchtaSkylineCardinality(
           static_cast<double>(
-              TotalJoinSize(r, t, workload.query(q).join_key)),
+              ExactTotalJoinSize(r, t, workload.query(q).join_key)),
           static_cast<int>(workload.query(q).preference.size()));
     }
     tracker.SetEstimatedTotal(q, total);

@@ -28,10 +28,6 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Exact join output size of `key` between R and T (used to seed the
-/// cardinality-contract estimates of the per-query baselines).
-int64_t TotalJoinSize(const Table& r, const Table& t, int key);
-
 /// Materializes the full equi-join of one query: probes a hash index over
 /// T, projects every match through the workload's mapping functions into
 /// `out` (width = workload.num_output_dims()), charging probes/results to

@@ -1,7 +1,7 @@
 // Optional thread-local heap-allocation accounting.
 //
 // The engine never reads these counters on its own behalf: they exist so
-// the alloc-gate benchmark (bench/bench_alloc.cc) and the arena tests can
+// the alloc-gate benchmark (bench/bench_alloc.cc) and alloc_hook_test can
 // assert that the steady-state region hot path performs ~zero heap
 // allocations. Two linkage flavors share this interface:
 //

@@ -1,7 +1,7 @@
 // Strong flavor of the allocation-accounting hook: thread-local counting
 // global operator new/delete. Lives in its own static library
-// (caqe_alloc_hook) linked only by the alloc-gate benchmark and the arena
-// test, ahead of the caqe libraries so these definitions beat the weak
+// (caqe_alloc_hook) linked only by the alloc-gate benchmark and
+// alloc_hook_test, ahead of the caqe libraries so these definitions beat the weak
 // stubs of alloc_hook.cc during archive resolution (the whole TU — the
 // operator replacements included — is pulled in by the AllocHookActive
 // reference).

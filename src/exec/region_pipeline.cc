@@ -13,8 +13,8 @@
 namespace caqe {
 namespace {
 
-/// Regions the alloc accounting treats as warmup: caches, arenas, and
-/// reusable scratch discover their high-water marks here. Past the window
+/// Regions the alloc accounting treats as warmup: caches and reusable
+/// scratch discover their high-water marks here. Past the window
 /// the steady counters measure the residual churn the alloc gate bounds.
 constexpr int64_t kWarmupRegions = 32;
 
@@ -38,8 +38,6 @@ std::string PlanGroupSelectionKey(const SjQuery& query) {
 RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
                                const PartitionedTable* part_t,
                                const Workload* workload, RegionCollection* rc,
-                               std::vector<char>* pending,
-                               int64_t* pending_count,
                                SatisfactionTracker* tracker,
                                VirtualClock* clock, EngineStats* stats,
                                std::vector<QueryReport>* reports,
@@ -49,8 +47,6 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
       part_t_(part_t),
       workload_(workload),
       rc_(rc),
-      pending_(pending),
-      pending_count_(pending_count),
       tracker_(tracker),
       clock_(clock),
       stats_(stats),
@@ -61,10 +57,7 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
       kernel_(part_r, part_t),
       store_(workload->num_output_dims()),
       block_(workload->num_output_dims()),
-      emission_(workload, rc, &store_, pending),
-      active_groups_(&arena_),
-      group_cmps_(&arena_),
-      emitted_per_query_(&arena_) {
+      emission_(workload, rc, &store_, &pending_) {
   // Configure the kernel before any join: the layout and cache bound are
   // fixed for the pipeline's life.
   kernel_.set_compact_layout(options_.compact_layout);
@@ -101,10 +94,61 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
           &options_.obs->metrics.counter("caqe_alloc_steady_emission_total");
     }
   }
+  pending_.assign(rc_->regions.size(), 0);
+  for (const OutputRegion& region : rc_->regions) {
+    if (region.rql.empty()) continue;
+    pending_[region.id] = 1;
+    ++pending_count_;
+  }
   accepted_events_.resize(workload_->num_queries());
   evicted_events_.resize(workload_->num_queries());
   discard_tests_.resize(rc_->regions.size(), 0);
   discard_hits_.resize(rc_->regions.size(), 0);
+}
+
+void RegionPipeline::ResolveRegion(int rid) {
+  CAQE_DCHECK(pending_[rid]);
+  pending_[rid] = 0;
+  --pending_count_;
+  if (scheduler_ != nullptr) scheduler_->OnRegionRemoved(rid);
+}
+
+void RegionPipeline::ReviveRegion(int rid) {
+  // Only a server graft revives a region, and a server always schedules;
+  // the static scan's forward-only cursor relies on this.
+  CAQE_DCHECK(scheduler_ != nullptr && !pending_[rid]);
+  pending_[rid] = 1;
+  ++pending_count_;
+  scheduler_->OnRegionActivated(rid);
+}
+
+int RegionPipeline::ProcessNext(const char* span_category) {
+  CAQE_CHECK(pending_count_ > 0);
+  int rid = -1;
+  if (scheduler_ != nullptr) {
+    int64_t pick_ops = 0;
+    rid = scheduler_->PickNext(clock_->Now(), &pick_ops);
+    stats_->coarse_ops += pick_ops;
+    clock_->ChargeCoarseOps(pick_ops);
+  } else {
+    while (static_cursor_ < static_cast<int>(pending_.size()) &&
+           !pending_[static_cursor_]) {
+      ++static_cursor_;
+    }
+    CAQE_CHECK(static_cursor_ < static_cast<int>(pending_.size()));
+    rid = static_cursor_;
+  }
+  {
+    // Umbrella span: the phase spans parent under it, so each step is one
+    // connected causal tree and tree-sticky sampling keeps or drops it
+    // whole.
+    TraceSpan step_span(Observability::Spans(options_.obs), "process_region",
+                        span_category);
+    step_span.set_region(rid);
+    ProcessRegion(rid, step_span.id());
+  }
+  if (scheduler_ != nullptr) scheduler_->UpdateWeights();
+  return rid;
 }
 
 uint32_t RegionPipeline::ComputeSlotsMask(const OutputRegion& region) const {
@@ -209,8 +253,8 @@ void RegionPipeline::EmitResult(int q, int64_t id) {
   }
 }
 
-void RegionPipeline::ProcessRegion(int rid) {
-  CAQE_DCHECK((*pending_)[rid]);
+void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
+  CAQE_DCHECK(pending_[rid]);
   // Control-thread heap traffic of this region, measured when the alloc
   // interposer is linked in (bench/tests). Snapshot before any work.
   AllocCounts alloc_before{};
@@ -227,11 +271,6 @@ void RegionPipeline::ProcessRegion(int rid) {
     phase_counter->Inc(static_cast<int64_t>(now.allocs - phase_mark.allocs));
     phase_mark = now;
   };
-  // New epoch: all arena scratch from the previous region is recycled.
-  arena_.Reset();
-  active_groups_.OnEpochReset();
-  group_cmps_.OnEpochReset();
-  emitted_per_query_.OnEpochReset();
   EnsureQueryCapacity();
   clock_->ChargeScheduleSteps(1);
   region_vstart_ = clock_->Now();
@@ -251,7 +290,7 @@ void RegionPipeline::ProcessRegion(int rid) {
   {
     TraceSpan span(spans, "join", "pipeline", &stats.wall_join_seconds);
     span.set_region(rid);
-    span.set_parent(trace_ctx_.parent_span, trace_ctx_.root_span);
+    span.set_parent(step_span, step_span);
     const int64_t probes_before = stats.join_probes;
     const int64_t results_before = stats.join_results;
     kernel_.Join(*rc_, region, slots_mask, matches_, stats, pool_);
@@ -273,7 +312,7 @@ void RegionPipeline::ProcessRegion(int rid) {
   {
     TraceSpan span(spans, "eval", "pipeline", &stats.wall_eval_seconds);
     span.set_region(rid);
-    span.set_parent(trace_ctx_.parent_span, trace_ctx_.root_span);
+    span.set_parent(step_span, step_span);
     // Project every match into the region's row block first (rows are
     // disjoint, so chunks project concurrently). The block keeps its
     // capacity across regions and grows geometrically past it (a resize
@@ -309,10 +348,7 @@ void RegionPipeline::ProcessRegion(int rid) {
       if (!region.rql.Intersects(group->query_set)) continue;
       active_groups_.push_back(group.get());
     }
-    group_cmps_.clear();
-    for (size_t gi = 0; gi < active_groups_.size(); ++gi) {
-      group_cmps_.push_back(0);
-    }
+    group_cmps_.assign(active_groups_.size(), 0);
     RunChunks(active_groups_.size() > 1 ? pool_ : nullptr,
               static_cast<int>(active_groups_.size()), [&](int gi) {
       PlanGroup* group = active_groups_[gi];
@@ -375,10 +411,8 @@ void RegionPipeline::ProcessRegion(int rid) {
   take_phase(alloc_phase_eval_counter_);
 
   // ---- Region complete. ----
-  (*pending_)[rid] = 0;
-  --(*pending_count_);
+  ResolveRegion(rid);
   ++stats.regions_processed;
-  if (scheduler_ != nullptr) scheduler_->OnRegionRemoved(rid);
 
   // Apply this region's evictions to the emission manager *before* any
   // discard/resolution scan: a parked candidate dominated by one of this
@@ -411,7 +445,7 @@ void RegionPipeline::ProcessRegion(int rid) {
     TraceSpan span(spans, "discard", "pipeline",
                    &stats.wall_discard_seconds);
     span.set_region(rid);
-    span.set_parent(trace_ctx_.parent_span, trace_ctx_.root_span);
+    span.set_parent(step_span, step_span);
     const int64_t num_regions = static_cast<int64_t>(rc_->regions.size());
     if (discard_tests_.size() < static_cast<size_t>(num_regions)) {
       discard_tests_.resize(num_regions, 0);
@@ -446,7 +480,7 @@ void RegionPipeline::ProcessRegion(int rid) {
         const OutputRegion& other = rc_->regions[i];
         discard_tests_[i] = 0;
         discard_hits_[i] = 0;
-        if (!(*pending_)[other.id] || !other.rql.Contains(q)) return;
+        if (!pending_[other.id] || !other.rql.Contains(q)) return;
         bool hit = false;
         discard_tests_[i] =
             ScanPointsFullyDominatingRegion(accepted_view_, other, &hit);
@@ -466,15 +500,13 @@ void RegionPipeline::ProcessRegion(int rid) {
         }
         emission_.OnRegionResolvedForQuery(other.id, q, resolved_emits);
         if (other.rql.empty()) {
-          (*pending_)[other.id] = 0;
-          --(*pending_count_);
+          ResolveRegion(other.id);
           ++stats.regions_discarded;
           if (events_ != nullptr) {
             events_->Append({.kind = ContractEventKind::kRegionDiscarded,
                              .region = other.id,
                              .vtime = clock_->Now()});
           }
-          if (scheduler_ != nullptr) scheduler_->OnRegionRemoved(other.id);
           emission_.OnRegionResolved(other.id, resolved_emits);
         }
       }
@@ -489,7 +521,7 @@ void RegionPipeline::ProcessRegion(int rid) {
   {
     TraceSpan span(spans, "emission", "pipeline");
     span.set_region(rid);
-    span.set_parent(trace_ctx_.parent_span, trace_ctx_.root_span);
+    span.set_parent(step_span, step_span);
     const int64_t emitted_before = stats.emitted_results;
     const int64_t emission_ops_before = emission_.coarse_ops();
     // Flush barrier over the sharded park set: per query, resolve this
@@ -507,10 +539,7 @@ void RegionPipeline::ProcessRegion(int rid) {
     emission_.FlushRegion(rid, accepted_events_, evicted_events_,
                           options_.pipeline_regions ? pool_ : nullptr,
                           flush_resolved_, flush_direct_);
-    emitted_per_query_.clear();
-    for (int q = 0; q < workload.num_queries(); ++q) {
-      emitted_per_query_.push_back(0);
-    }
+    emitted_per_query_.assign(workload.num_queries(), 0);
     for (int q = 0; q < workload.num_queries(); ++q) {
       for (int64_t id : flush_direct_[q]) EmitResult(q, id);
       emitted_per_query_[q] += static_cast<int64_t>(flush_direct_[q].size());

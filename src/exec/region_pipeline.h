@@ -1,15 +1,23 @@
-// The per-region tuple-level pipeline (paper Sections 4-6) factored out of
-// the batch execution loop so both RunSharedCore and the online serving
-// layer (src/serve/) can drive it.
+// The region loop of the shared engine (paper Algorithm 1 and Sections 4-6),
+// driven by both RunSharedCore and the online serving layer (src/serve/).
 //
-// A RegionPipeline owns everything a region's tuple-level processing needs
-// — join kernel, row block, tuple store, plan groups (min-max cuboids +
-// shared skyline evaluators), and the safe-emission manager — while the
-// caller owns the scheduling state (pending flags, scheduler, the loop
-// itself). Calling ProcessRegion(rid) performs exactly the batch loop body:
-// join, project, shared skyline evaluation, dominated-region discarding,
-// and progressive emission, charging the identical operation counts to the
-// virtual clock.
+// A RegionPipeline owns the loop's state — the pending flags (which regions
+// still await tuple-level processing), the pick, and everything a region's
+// tuple-level processing needs: join kernel, row block, tuple store, plan
+// groups (min-max cuboids + shared skyline evaluators), and the
+// safe-emission manager. The driver owns the scheduler and its own event
+// loop around the steps. ProcessNext() performs one step of Algorithm 1:
+// pick the region (the scheduler's CSM pick, or the static scan without a
+// scheduler), process it — join, project, shared skyline evaluation,
+// dominated-region discarding, progressive emission — and apply the Eq. 11
+// weight feedback, charging the identical operation counts to the virtual
+// clock in either driver.
+//
+// Every change to a pending flag goes through ResolveRegion (processed,
+// discarded, or emptied by a retirement) or ReviveRegion (reopened by a
+// graft), which keep the scheduler's dependency graph and caches in step.
+// The emission manager, the scheduler and admission read the flags through
+// pending().
 //
 // Every join match gets a tuple id: the running count of matches the
 // pipeline has produced. A region projects its matches into one row block
@@ -21,7 +29,7 @@
 // there. The store grows with the tuples accepted, not with the join
 // results produced.
 //
-// The serving layer additionally mutates the pipeline between regions:
+// The serving layer additionally mutates the pipeline between steps:
 // AddPlanGroup splices a grafted query batch in, RemoveQueryFromGroups
 // retires one, and the per-event query_set membership filter makes both
 // invisible to the batch path (where memberships never change).
@@ -34,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/virtual_clock.h"
@@ -45,7 +52,6 @@
 #include "exec/join_kernel.h"
 #include "exec/shared_core.h"
 #include "metrics/report.h"
-#include "obs/trace_context.h"
 #include "optimizer/scheduler.h"
 #include "partition/partitioner.h"
 #include "query/query.h"
@@ -94,16 +100,12 @@ class RegionPipeline {
   /// Of the driver's `options` the pipeline reads result capture and
   /// streaming, DVA gating, tuple discarding, the join layout, the emission
   /// flush (run on `pool`) and obs. All pointers must outlive the pipeline.
-  /// `pending`/`pending_count` are caller-owned scheduling state mutated
-  /// by ProcessRegion (the processed region completes; discard scans may
-  /// resolve others). The emission manager's witness scan lists are built
-  /// from the current lineages (safe to build before a coarse prune —
-  /// resolved entries are skipped by the pending/lineage checks without
-  /// charging, so operation counts are unchanged).
+  /// A region starts pending iff its lineage is non-empty at construction,
+  /// and the emission manager's witness scan lists are built from the same
+  /// lineages.
   RegionPipeline(const PartitionedTable* part_r,
                  const PartitionedTable* part_t, const Workload* workload,
-                 RegionCollection* rc, std::vector<char>* pending,
-                 int64_t* pending_count, SatisfactionTracker* tracker,
+                 RegionCollection* rc, SatisfactionTracker* tracker,
                  VirtualClock* clock, EngineStats* stats,
                  std::vector<QueryReport>* reports, ThreadPool* pool,
                  const CoreOptions& options, EmitCallback on_emit = nullptr);
@@ -114,18 +116,11 @@ class RegionPipeline {
     global_query_ids_ = std::move(ids);
   }
 
-  /// The scheduler notified of region removals (processed or discarded by
-  /// the scans ProcessRegion runs). May be null (static-scan policy).
+  /// The scheduler that picks each step's region and hears of every flag
+  /// change. Null selects the static scan (S-JFSL): ascending region id.
   void set_scheduler(ContractDrivenScheduler* scheduler) {
     scheduler_ = scheduler;
   }
-
-  /// Causal attribution for the spans the next ProcessRegion emits: the
-  /// driver sets this to its umbrella "process_region" span so the
-  /// join/eval/discard/emission phase spans parent under it (one connected
-  /// tree per region step; see DESIGN.md §15). Observability-only — the
-  /// context never feeds a decision.
-  void set_trace_context(const RequestTraceContext& ctx) { trace_ctx_ = ctx; }
 
   /// Batch setup: builds one plan group per (predicate slot, selection key)
   /// over the workload's current queries (Section 4.1 sharing).
@@ -149,21 +144,42 @@ class RegionPipeline {
     return static_cast<int64_t>(groups_.size());
   }
 
-  /// Processes region `rid` tuple-level: the exact batch loop body (charge
-  /// schedule step, join, project, evaluate, discard scan, emission).
-  /// Requires (*pending)[rid] on entry.
-  void ProcessRegion(int rid);
+  /// Pending flag per region: set while the region awaits tuple-level
+  /// processing. The scheduler, the emission manager and admission read it.
+  const std::vector<char>& pending() const { return pending_; }
+  int64_t pending_count() const { return pending_count_; }
+
+  /// Region `rid` no longer awaits processing — processed, discarded, or
+  /// left with an empty lineage by a retirement: clears its flag and
+  /// removes it from the scheduler's dependency graph. Requires it pending.
+  void ResolveRegion(int rid);
+
+  /// A graft reopened region `rid`: sets its flag and invalidates the
+  /// scheduler's benefit cache for it. Requires it not pending and a
+  /// scheduler.
+  void ReviveRegion(int rid);
+
+  /// One step of Algorithm 1: picks a pending region (the scheduler's CSM
+  /// pick, charging its scan as coarse ops, or the static scan), processes
+  /// it under a "process_region" span of `span_category` (a string
+  /// literal; the phase spans parent under it, so each step is one causal
+  /// tree; see DESIGN.md §15), then applies the Eq. 11 weight feedback.
+  /// Returns the region id. Requires pending_count() > 0.
+  int ProcessNext(const char* span_category);
 
   /// Final drain: asserts nothing is parked (holds whenever every region
   /// was resolved) and emits leftovers defensively.
   Status FinalDrain();
 
   EmissionManager& emission() { return emission_; }
-  CellJoinKernel& kernel() { return kernel_; }
   /// Values of every tuple some query accepted, by tuple id.
   const TupleStore& store() const { return store_; }
 
  private:
+  /// Processes pending region `rid` tuple-level: charge the schedule step,
+  /// join, project, evaluate, discard scan, emission. The phase spans
+  /// parent under `step_span` (0 without spans).
+  void ProcessRegion(int rid, uint64_t step_span);
   void EmitResult(int q, int64_t id);
   /// Grows per-query scratch to the workload's current size (no-op in the
   /// batch path where the workload never grows).
@@ -176,8 +192,6 @@ class RegionPipeline {
   const PartitionedTable* part_t_;
   const Workload* workload_;
   RegionCollection* rc_;
-  std::vector<char>* pending_;
-  int64_t* pending_count_;
   SatisfactionTracker* tracker_;
   VirtualClock* clock_;
   EngineStats* stats_;
@@ -186,7 +200,13 @@ class RegionPipeline {
   CoreOptions options_;
   EmitCallback on_emit_;
   ContractDrivenScheduler* scheduler_ = nullptr;
-  RequestTraceContext trace_ctx_;
+  /// See pending(); pending_count_ counts the set flags.
+  std::vector<char> pending_;
+  int64_t pending_count_ = 0;
+  /// Static scan only: no region below the cursor is pending (nothing is
+  /// revived without a scheduler; see ReviveRegion), so the cursor only
+  /// moves forward.
+  int static_cursor_ = 0;
 
   std::vector<int> global_query_ids_;
   /// Event log of the attached Observability (null without one): the
@@ -227,10 +247,8 @@ class RegionPipeline {
   EmissionManager emission_;
   std::vector<std::unique_ptr<PlanGroup>> groups_;
 
-  // Per-region scratch, reused across calls. Together with the epoch arena
-  // below this is what makes a steady-state region allocation-free: every
-  // buffer either keeps its capacity across regions (the vectors here) or
-  // comes out of the arena, which converges to one block after warmup.
+  // Per-region scratch, reused across regions: every buffer keeps its
+  // capacity, which is what makes a steady-state region allocation-free.
   std::vector<JoinMatch> matches_;
   std::vector<std::vector<int64_t>> accepted_events_;
   std::vector<std::vector<int64_t>> evicted_events_;
@@ -248,14 +266,11 @@ class RegionPipeline {
   // Per-chunk projection scratch (chunks run on pool threads; each chunk
   // owns its slot).
   std::vector<std::vector<double>> project_scratch_;
-
-  /// Epoch arena for the small per-region control scratch (active-group
-  /// list, per-group comparison counts, emission tallies). Reset at each
-  /// ProcessRegion entry; only the control thread allocates from it.
-  Arena arena_;
-  ArenaVector<PlanGroup*> active_groups_;
-  ArenaVector<int64_t> group_cmps_;
-  ArenaVector<int64_t> emitted_per_query_;
+  // Plan groups the region feeds, their comparison counts, and the results
+  // emitted per query.
+  std::vector<PlanGroup*> active_groups_;
+  std::vector<int64_t> group_cmps_;
+  std::vector<int64_t> emitted_per_query_;
 };
 
 }  // namespace caqe

@@ -83,19 +83,6 @@ Status RunSharedCore(const PartitionedTable& part_r,
   stats.coarse_ops += rc.coarse_ops;
   clock.ChargeCoarseOps(rc.coarse_ops);
 
-  // Scheduling state the pipeline mutates (region completion + discards).
-  std::vector<char> pending(rc.regions.size(), 0);
-  int64_t pending_count = 0;
-
-  // The pipeline's emission manager is built from the pre-prune lineages,
-  // which charges the identical operation counts (the witness scan skips
-  // non-pending regions and non-serving lineage entries before charging
-  // anything).
-  RegionPipeline pipeline(&part_r, &part_t, &workload, &rc, &pending,
-                          &pending_count, &tracker, &clock, &stats, &reports,
-                          pool, core_options);
-  pipeline.SetGlobalQueryIds(global_query_ids);
-
   // ---- Coarse skyline prune (MQLA). ----
   if (core_options.coarse_prune) {
     CoarsePruneOptions prune_options;
@@ -113,6 +100,11 @@ Status RunSharedCore(const PartitionedTable& part_r,
   if (obs != nullptr && core_options.coarse_index) {
     RecordCoarseIndexStats(obs->metrics, index_stats);
   }
+
+  // Every region that still has a lineage starts pending.
+  RegionPipeline pipeline(&part_r, &part_t, &workload, &rc, &tracker, &clock,
+                          &stats, &reports, pool, core_options);
+  pipeline.SetGlobalQueryIds(global_query_ids);
 
   // ---- Per-(predicate, selections) min-max cuboid plans. ----
   CAQE_RETURN_NOT_OK(pipeline.BuildPlanGroups());
@@ -133,14 +125,7 @@ Status RunSharedCore(const PartitionedTable& part_r,
     tracker.SetEstimatedTotal(global_q, total);
   }
 
-  // ---- Scheduling state. ----
-  for (const OutputRegion& region : rc.regions) {
-    if (!region.rql.empty()) {
-      pending[region.id] = 1;
-      ++pending_count;
-    }
-  }
-
+  // ---- Scheduler (none for the static scan). ----
   SchedulerOptions sched_options;
   sched_options.feedback_enabled = core_options.feedback;
   sched_options.contract_driven =
@@ -148,11 +133,10 @@ Status RunSharedCore(const PartitionedTable& part_r,
   sched_options.obs = obs;
   std::optional<ContractDrivenScheduler> scheduler;
   if (core_options.policy != SchedulePolicy::kStaticScan) {
-    scheduler.emplace(&rc, &workload, &tracker, &clock.cost_model(),
-                      sched_options);
+    scheduler.emplace(&rc, &pipeline.pending(), &workload, &tracker,
+                      &clock.cost_model(), sched_options);
     pipeline.set_scheduler(&scheduler.value());
   }
-  int static_cursor = 0;
 
   // Contract-health introspection: bind query names once, then append
   // every query's (results, pScore, weight) after every region at virtual
@@ -182,41 +166,9 @@ Status RunSharedCore(const PartitionedTable& part_r,
   };
   record_steps(/*region=*/-1);
 
-  while (pending_count > 0) {
-    // ---- Pick the next region. ----
-    int rid = -1;
-    if (scheduler.has_value()) {
-      int64_t pick_ops = 0;
-      rid = scheduler->PickNext(clock.Now(), &pick_ops);
-      stats.coarse_ops += pick_ops;
-      clock.ChargeCoarseOps(pick_ops);
-    } else {
-      while (static_cursor < static_cast<int>(pending.size()) &&
-             !pending[static_cursor]) {
-        ++static_cursor;
-      }
-      CAQE_CHECK(static_cursor < static_cast<int>(pending.size()));
-      rid = static_cursor;
-    }
-
-    // ---- Tuple-level processing (join, project, evaluate, discard,
-    // emission) — see RegionPipeline::ProcessRegion. ----
-    {
-      // Umbrella span: the pipeline's phase spans (join/eval/discard/
-      // emission) parent under it, so each region step is one connected
-      // causal tree and tree-sticky sampling keeps or drops it whole.
-      TraceSpan region_span(spans, "process_region", "core");
-      region_span.set_region(rid);
-      if (spans != nullptr) {
-        pipeline.set_trace_context(RequestTraceContext{
-            .root_span = region_span.id(), .parent_span = region_span.id()});
-      }
-      pipeline.ProcessRegion(rid);
-    }
-
-    // ---- Satisfaction feedback (Eq. 11). ----
-    if (scheduler.has_value()) scheduler->UpdateWeights();
-    record_steps(rid);
+  // ---- Algorithm 1: pick, process, Eq. 11 feedback. ----
+  while (pipeline.pending_count() > 0) {
+    record_steps(pipeline.ProcessNext("core"));
   }
 
   return pipeline.FinalDrain();

@@ -14,7 +14,7 @@
 //                                  plus audited region steps;
 //   HealthJsonl                    the contract-health timeline
 //                                  (--health_out): every region step;
-//   ExecEventsJsonl                the engine event stream (--trace-out);
+//   ExecEventsJsonl                the engine event stream (--events_out);
 //   ChromeCounterEvents            pScore/weight counter tracks from the
 //                                  region steps (ChromeTraceJson's pid 1).
 //
@@ -183,7 +183,7 @@ class ContractEventLog {
   /// (`name` only when bound; numbers with 9 decimals).
   std::string HealthJsonl() const;
 
-  /// The engine event stream (--trace-out): one JSON object per line for
+  /// The engine event stream (--events_out): one JSON object per line for
   /// every scheduling event, graft (query_admitted), finish of a request
   /// that ran (query_retired) and repreview (query_repreviewed):
   ///   {"kind":"region_scheduled","vtime":0.000123000,"region":4,

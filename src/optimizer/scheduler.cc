@@ -9,10 +9,11 @@
 namespace caqe {
 
 ContractDrivenScheduler::ContractDrivenScheduler(
-    const RegionCollection* rc, const Workload* workload,
-    const SatisfactionTracker* tracker, const CostModel* cost,
-    SchedulerOptions options)
+    const RegionCollection* rc, const std::vector<char>* pending,
+    const Workload* workload, const SatisfactionTracker* tracker,
+    const CostModel* cost, SchedulerOptions options)
     : rc_(rc),
+      pending_flags_(pending),
       workload_(workload),
       tracker_(tracker),
       cost_(cost),
@@ -20,13 +21,6 @@ ContractDrivenScheduler::ContractDrivenScheduler(
   const int n = static_cast<int>(rc_->regions.size());
   dg_ = options_.dynamic_workload ? DependencyGraph::AllActive(n)
                                   : DependencyGraph::Build(*rc, *workload);
-  pending_.assign(n, 0);
-  for (int i = 0; i < n; ++i) {
-    if (!rc_->regions[i].rql.empty()) {
-      pending_[i] = 1;
-      ++pending_count_;
-    }
-  }
   weights_.assign(workload_->num_queries(), 1.0);
   active_.assign(workload_->num_queries(), 1);
   query_stride_ = std::max(1, workload_->num_queries());
@@ -54,10 +48,11 @@ double ContractDrivenScheduler::ComputeDominatedFrac(int region, int q,
                                                      int* witness) const {
   const OutputRegion& c = rc_->regions[region];
   const std::vector<int>& dims = workload_->query(q).preference;
+  const std::vector<char>& pending = *pending_flags_;
   double best = 0.0;
   int best_witness = -2;
   for (const OutputRegion& f : rc_->regions) {
-    if (f.id == region || !pending_[f.id] || !f.rql.Contains(q)) continue;
+    if (f.id == region || !pending[f.id] || !f.rql.Contains(q)) continue;
     ++scan_ops_;
     ++domfrac_ops_;
     double frac = 1.0;
@@ -90,7 +85,7 @@ ContractDrivenScheduler::DomFrac& ContractDrivenScheduler::CachedDomFrac(
   const bool stale =
       entry.witness == -1 ||
       (entry.witness >= 0 &&
-       (!pending_[entry.witness] ||
+       (!(*pending_flags_)[entry.witness] ||
         !rc_->regions[entry.witness].rql.Contains(q)));
   if (stale) {
     entry.frac = ComputeDominatedFrac(region, q, &entry.witness);
@@ -150,14 +145,14 @@ double ContractDrivenScheduler::Csm(int region, double now) const {
 }
 
 int ContractDrivenScheduler::PickNext(double now, int64_t* coarse_ops) {
-  CAQE_CHECK(pending_count_ > 0);
+  const std::vector<char>& pending = *pending_flags_;
   scan_ops_ = 0;
   domfrac_ops_ = 0;
   const std::vector<int> roots = dg_.Roots();
   int best = -1;
   double best_score = -1.0;
   for (int region : roots) {
-    if (!pending_[region]) continue;
+    if (!pending[region]) continue;
     if (rc_->regions[region].rql.empty()) continue;
     const double score = Csm(region, now);
     ++scan_ops_;
@@ -169,8 +164,8 @@ int ContractDrivenScheduler::PickNext(double now, int64_t* coarse_ops) {
   if (best == -1) {
     // Every root has an empty lineage (engine has not removed them yet);
     // fall back to any pending region so the loop always progresses.
-    for (int i = 0; i < static_cast<int>(pending_.size()); ++i) {
-      if (pending_[i]) {
+    for (int i = 0; i < static_cast<int>(pending.size()); ++i) {
+      if (pending[i]) {
         best = i;
         break;
       }
@@ -189,10 +184,7 @@ int ContractDrivenScheduler::PickNext(double now, int64_t* coarse_ops) {
 }
 
 void ContractDrivenScheduler::OnRegionRemoved(int region) {
-  CAQE_DCHECK(region >= 0 && region < static_cast<int>(pending_.size()));
-  if (!pending_[region]) return;
-  pending_[region] = 0;
-  --pending_count_;
+  CAQE_DCHECK(!(*pending_flags_)[region]);
   // Dynamic mode keeps the (edge-free) graph node active so a later graft
   // can re-activate a discarded-but-unprocessed region.
   if (!options_.dynamic_workload) dg_.Deactivate(region);
@@ -200,10 +192,7 @@ void ContractDrivenScheduler::OnRegionRemoved(int region) {
 
 void ContractDrivenScheduler::OnRegionActivated(int region) {
   CAQE_DCHECK(options_.dynamic_workload);
-  CAQE_DCHECK(region >= 0 && region < static_cast<int>(pending_.size()));
-  if (pending_[region]) return;
-  pending_[region] = 1;
-  ++pending_count_;
+  CAQE_DCHECK((*pending_flags_)[region]);
   // The region's dominated-fraction estimates were computed against the
   // old lineage landscape; recompute lazily.
   for (int q = 0; q < query_stride_; ++q) {

@@ -48,41 +48,41 @@ struct SchedulerOptions {
   Observability* obs = nullptr;
 };
 
-/// Implements Algorithm 1 over a region collection whose lineages the
-/// engine mutates as tuple-level processing discards work.
+/// Implements Algorithm 1's pick and feedback over a region collection
+/// whose lineages and pending flags the engine mutates as tuple-level
+/// processing discards work.
 ///
-/// The engine drives the loop:
-///   while (scheduler.HasPending()) {
+/// RegionPipeline drives the loop (see RegionPipeline::ProcessNext):
+///   while (pipeline.pending_count() > 0) {
 ///     int rid = scheduler.PickNext(clock.Now());
-///     ... process region rid, possibly discard others ...
-///     scheduler.OnRegionRemoved(rid);        // and for each discarded one
+///     ... process region rid, possibly discard others; each resolved
+///     region's flag goes off, then scheduler.OnRegionRemoved(region) ...
 ///     scheduler.UpdateWeights();             // Eq. 11 feedback
 ///   }
 class ContractDrivenScheduler {
  public:
   /// All pointers must outlive the scheduler. `rc` lineages may shrink
-  /// during execution; the scheduler re-reads them on every scan.
-  ContractDrivenScheduler(const RegionCollection* rc, const Workload* workload,
+  /// during execution; the scheduler re-reads them and the `pending` flags
+  /// (owned by the engine, one per region) on every scan.
+  ContractDrivenScheduler(const RegionCollection* rc,
+                          const std::vector<char>* pending,
+                          const Workload* workload,
                           const SatisfactionTracker* tracker,
                           const CostModel* cost, SchedulerOptions options);
 
-  /// True while any region is pending.
-  bool HasPending() const { return pending_count_ > 0; }
-  int64_t pending_count() const { return pending_count_; }
-
   /// Picks the pending dependency-graph root with the highest CSM at
   /// virtual time `now`. Coarse-op counts for the scoring scan accumulate
-  /// into `coarse_ops` when non-null. The caller must eventually call
-  /// OnRegionRemoved for the returned region.
+  /// into `coarse_ops` when non-null. Requires a pending region; the
+  /// engine must eventually resolve the returned region.
   int PickNext(double now, int64_t* coarse_ops = nullptr);
 
-  /// Marks a region processed or discarded: removes it from the dependency
-  /// graph and from the benefit-model caches. In dynamic mode the region
+  /// The engine cleared `region`'s pending flag (processed or discarded):
+  /// removes it from the dependency graph. In dynamic mode the region
   /// stays re-activatable (graft-extended lineage may revive it).
   void OnRegionRemoved(int region);
 
-  /// Dynamic mode only: a graft extended `region`'s lineage, making it
-  /// schedulable (again). Invalidates the region's benefit-cache row.
+  /// Dynamic mode only: a graft set `region`'s pending flag again.
+  /// Invalidates the region's benefit-cache row.
   void OnRegionActivated(int region);
 
   /// Dynamic mode only: registers workload query `q` (new slot or a reused
@@ -117,8 +117,6 @@ class ContractDrivenScheduler {
   /// CSM score (Eq. 8) of `region` at time `now`.
   double Csm(int region, double now) const;
 
-  bool IsPending(int region) const { return pending_[region] != 0; }
-
  private:
   /// Fraction of the region's output box (for query q) that the best
   /// feasible tuple of some *other* pending region serving q could
@@ -132,13 +130,12 @@ class ContractDrivenScheduler {
   DomFrac& CachedDomFrac(int region, int q) const;
 
   const RegionCollection* rc_;
+  const std::vector<char>* pending_flags_;
   const Workload* workload_;
   const SatisfactionTracker* tracker_;
   const CostModel* cost_;
   SchedulerOptions options_;
   DependencyGraph dg_;
-  std::vector<char> pending_;
-  int64_t pending_count_ = 0;
   std::vector<double> weights_;
   /// Per-query activity mask (all 1 in batch mode; serving retires slots).
   std::vector<char> active_;

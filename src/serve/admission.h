@@ -38,7 +38,8 @@ struct AdmissionInput {
   const RegionCollection* rc = nullptr;
   const PartitionedTable* part_r = nullptr;
   const PartitionedTable* part_t = nullptr;
-  /// Regions still awaiting tuple-level processing (live backlog).
+  /// Regions still awaiting tuple-level processing (the live backlog): the
+  /// pipeline's pending flags.
   const std::vector<char>* pending = nullptr;
   const CostModel* cost = nullptr;
   /// Current virtual time and the request's arrival time (now >= submit).

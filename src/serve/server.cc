@@ -29,6 +29,10 @@ Result<std::unique_ptr<CaqeServer>> CaqeServer::Create(
   if (join_keys.empty()) {
     return Status::InvalidArgument("at least one join key required");
   }
+  if (options.policy == SchedulePolicy::kStaticScan) {
+    return Status::InvalidArgument(
+        "the static-scan policy is batch-only (S-JFSL)");
+  }
   std::unique_ptr<CaqeServer> server(
       new CaqeServer(std::move(r), std::move(t), std::move(options)));
   CAQE_RETURN_NOT_OK(
@@ -97,7 +101,6 @@ Status CaqeServer::Bootstrap(std::vector<MappingFunction> output_dims,
     region.guaranteed = QuerySet();
   }
   for (QuerySet& queries : rc_.queries_of_slot) queries = QuerySet();
-  pending_.assign(rc_.regions.size(), 0);
 
   const int slots = workload_.num_queries();
   std::vector<Contract> placeholders(
@@ -152,25 +155,23 @@ Status CaqeServer::Bootstrap(std::vector<MappingFunction> output_dims,
       calib_shifts_ = &metrics.counter("caqe_calib_shifts_total");
     }
   }
+  // With every lineage cleared, no region starts pending.
   pipeline_ = std::make_unique<RegionPipeline>(
-      &*part_r_, &*part_t_, &workload_, &rc_, &pending_, &pending_count_,
-      &*tracker_, &clock_, &stats_, &query_reports_, pool_,
-      CoreOptions(options_), std::move(on_emit));
+      &*part_r_, &*part_t_, &workload_, &rc_, &*tracker_, &clock_, &stats_,
+      &query_reports_, pool_, CoreOptions(options_), std::move(on_emit));
   pipeline_->SetGlobalQueryIds(identity_);
 
-  if (options_.policy != SchedulePolicy::kStaticScan) {
-    SchedulerOptions sched_options;
-    sched_options.feedback_enabled = options_.feedback_enabled;
-    sched_options.contract_driven =
-        options_.policy == SchedulePolicy::kContractDriven;
-    sched_options.dynamic_workload = true;
-    sched_options.obs = options_.obs;
-    scheduler_.emplace(&rc_, &workload_, &*tracker_, &clock_.cost_model(),
-                       sched_options);
-    // The bootstrap slots start dormant: no weight, no Eq. 11 share.
-    for (int q = 0; q < slots; ++q) scheduler_->RetireQuery(q);
-    pipeline_->set_scheduler(&*scheduler_);
-  }
+  SchedulerOptions sched_options;
+  sched_options.feedback_enabled = options_.feedback_enabled;
+  sched_options.contract_driven =
+      options_.policy == SchedulePolicy::kContractDriven;
+  sched_options.dynamic_workload = true;
+  sched_options.obs = options_.obs;
+  scheduler_.emplace(&rc_, &pipeline_->pending(), &workload_, &*tracker_,
+                     &clock_.cost_model(), sched_options);
+  // The bootstrap slots start dormant: no weight, no Eq. 11 share.
+  for (int q = 0; q < slots; ++q) scheduler_->RetireQuery(q);
+  pipeline_->set_scheduler(&*scheduler_);
   return Status::OK();
 }
 
@@ -313,7 +314,7 @@ AdmissionEstimate CaqeServer::PreviewAdmission(const RequestState& request) {
   in.rc = &rc_;
   in.part_r = &*part_r_;
   in.part_t = &*part_t_;
-  in.pending = &pending_;
+  in.pending = &pipeline_->pending();
   in.cost = &clock_.cost_model();
   in.now = clock_.Now();
   in.submit_time = request.submit_time;
@@ -443,12 +444,10 @@ Status CaqeServer::Graft(RequestState& request) {
         CoarseSelectionTest(request.query, part_r_->cell(region.cell_r),
                             part_t_->cell(region.cell_t));
     if (coarse == SelectionCoarse::kDisjoint) continue;
-    if (!pending_[region.id]) {
+    if (!pipeline_->pending()[region.id]) {
       region.rql = QuerySet();
       region.guaranteed = QuerySet();
-      pending_[region.id] = 1;
-      ++pending_count_;
-      if (scheduler_.has_value()) scheduler_->OnRegionActivated(region.id);
+      pipeline_->ReviveRegion(region.id);
     }
     region.rql.Add(slot);
     if (coarse == SelectionCoarse::kContained) region.guaranteed.Add(slot);
@@ -470,7 +469,7 @@ Status CaqeServer::Graft(RequestState& request) {
   }
   tracker_->SetEstimatedTotal(slot, estimated_total);
 
-  if (scheduler_.has_value()) scheduler_->AddQuery(slot);
+  scheduler_->AddQuery(slot);
   CAQE_RETURN_NOT_OK(pipeline_->AddPlanGroup(pslot, {slot}));
   // After the lineage extension, so the witness scan list holds exactly
   // this query's regions.
@@ -495,7 +494,7 @@ Status CaqeServer::Graft(RequestState& request) {
          .results = sat.results,
          .count = live,
          .pscore = sat.pscore,
-         .weight = scheduler_.has_value() ? scheduler_->weight(slot) : 1.0});
+         .weight = scheduler_->weight(slot)});
   }
   return Status::OK();
 }
@@ -517,10 +516,8 @@ void CaqeServer::Retire(RequestState& request, RequestStatus final_status) {
     if (!region.rql.Contains(slot)) continue;
     region.rql.Remove(slot);
     region.guaranteed.Remove(slot);
-    if (region.rql.empty() && pending_[region.id]) {
-      pending_[region.id] = 0;
-      --pending_count_;
-      if (scheduler_.has_value()) scheduler_->OnRegionRemoved(region.id);
+    if (region.rql.empty() && pipeline_->pending()[region.id]) {
+      pipeline_->ResolveRegion(region.id);
     }
   }
   rc_.queries_of_slot[rc_.slot_of_query[slot]].Remove(slot);
@@ -530,7 +527,7 @@ void CaqeServer::Retire(RequestState& request, RequestStatus final_status) {
   pipeline_->emission().RetireQuery(slot, &flushed);
   request.parked_dropped = static_cast<int64_t>(flushed.size());
   pipeline_->RemoveQueryFromGroups(slot);
-  if (scheduler_.has_value()) scheduler_->RetireQuery(slot);
+  scheduler_->RetireQuery(slot);
 
   const QuerySatisfaction& satisfaction = tracker_->satisfaction(slot);
   request.results = satisfaction.results;
@@ -743,9 +740,10 @@ void CaqeServer::CheckExpiry() {
 
 void CaqeServer::CheckCompletion() {
   QuerySet live;
+  const std::vector<char>& pending = pipeline_->pending();
   for (const OutputRegion& region : rc_.regions) {
     ++control_ops_;
-    if (pending_[region.id]) live = live.Union(region.rql);
+    if (pending[region.id]) live = live.Union(region.rql);
   }
   for (RequestState& request : requests_) {
     if (request.status != RequestStatus::kRunning) continue;
@@ -756,30 +754,16 @@ void CaqeServer::CheckCompletion() {
   }
 }
 
-int CaqeServer::PickRegion() {
-  if (scheduler_.has_value()) {
-    int64_t pick_ops = 0;
-    const int rid = scheduler_->PickNext(clock_.Now(), &pick_ops);
-    stats_.coarse_ops += pick_ops;
-    clock_.ChargeCoarseOps(pick_ops);
-    return rid;
-  }
-  for (int i = 0; i < static_cast<int>(pending_.size()); ++i) {
-    if (pending_[i]) return i;
-  }
-  CAQE_CHECK(false);
-  return -1;
-}
-
 bool CaqeServer::StepInternal() {
   // Idle: no due or future event and no pending region. Return without
   // touching anything — a wall-clock poll loop calls this speculatively,
   // and an idle step that swept the control plane would inflate control_ops
   // relative to the virtual-clock replay.
-  if (pending_count_ == 0 && cursor_ >= events_.size()) return false;
+  const bool idle = pipeline_->pending_count() == 0;
+  if (idle && cursor_ >= events_.size()) return false;
   // Idle server with queued events: jump straight to the next arrival/
   // cancel.
-  if (pending_count_ == 0 && cursor_ < events_.size()) {
+  if (idle) {
     clock_.AdvanceTo(events_[cursor_].time);
   }
   // Fire every due event in (time, submission order).
@@ -811,23 +795,8 @@ bool CaqeServer::StepInternal() {
     repreview_pending_ = true;
   }
 
-  if (pending_count_ > 0) {
-    const int rid = PickRegion();
-    {
-      // Umbrella span for this region step: the pipeline's phase spans
-      // parent under it (see RegionPipeline::set_trace_context), so the
-      // step is one connected tree and tree-sticky sampling keeps or drops
-      // it whole.
-      TraceSpan region_span(Observability::Spans(options_.obs),
-                            "process_region", "serve");
-      region_span.set_region(rid);
-      if (region_span.id() != 0) {
-        pipeline_->set_trace_context(RequestTraceContext{
-            .root_span = region_span.id(), .parent_span = region_span.id()});
-      }
-      pipeline_->ProcessRegion(rid);
-    }
-    if (scheduler_.has_value()) scheduler_->UpdateWeights();
+  if (pipeline_->pending_count() > 0) {
+    const int rid = pipeline_->ProcessNext("serve");
     // Every live request's contract state after the step, keyed by
     // *request id* (workload slots are reused across requests; request ids
     // are not). The log keeps the steps that moved (see
@@ -847,8 +816,7 @@ bool CaqeServer::StepInternal() {
              .parent = requests_[request_id].graft_span,
              .results = sat.results,
              .pscore = sat.pscore,
-             .weight =
-                 scheduler_.has_value() ? scheduler_->weight(slot) : 1.0});
+             .weight = scheduler_->weight(slot)});
       }
     }
   }
@@ -959,7 +927,7 @@ Result<ServingReport> CaqeServer::Finish() {
       repreview_pending_ = false;
       RepreviewDeferred();
     }
-    if (pending_count_ > 0 || cursor_ < events_.size()) continue;
+    if (pipeline_->pending_count() > 0 || cursor_ < events_.size()) continue;
     // No live work and no future events. Give still-deferred requests one
     // forced retry (capacity must be free now); whatever still defers —
     // e.g. a zero-capacity configuration — is rejected so the loop drains.

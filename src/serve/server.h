@@ -83,8 +83,9 @@ class CaqeServer {
   /// Builds a server over the table pair: registers `output_dims` as the
   /// global output space, accepts queries on any join key in `join_keys`
   /// (deduplicated, sorted), partitions the inputs, and runs the bootstrap
-  /// region build. Returns InvalidArgument for empty dimension/key sets or
-  /// tables the bootstrap workload fails to validate against.
+  /// region build. Returns InvalidArgument for empty dimension/key sets,
+  /// the batch-only static-scan policy, or tables the bootstrap workload
+  /// fails to validate against.
   static Result<std::unique_ptr<CaqeServer>> Create(
       Table r, Table t, std::vector<MappingFunction> output_dims,
       std::vector<int> join_keys, ServeOptions options);
@@ -314,8 +315,6 @@ class CaqeServer {
   Status Graft(RequestState& request);
   /// Reverses the graft and finalizes the request's report fields.
   void Retire(RequestState& request, RequestStatus final_status);
-  /// Picks the next region per the configured policy.
-  int PickRegion();
   int ActiveQueries() const;
   bool SlotAvailable() const;
   /// One iteration of the serving loop (shared by Run and StepLive).
@@ -340,13 +339,12 @@ class CaqeServer {
   std::optional<PartitionedTable> part_r_;
   std::optional<PartitionedTable> part_t_;
   RegionCollection rc_;
-  std::vector<char> pending_;
-  int64_t pending_count_ = 0;
   std::optional<SatisfactionTracker> tracker_;
   VirtualClock clock_;
   EngineStats stats_;
   std::vector<QueryReport> query_reports_;
   std::unique_ptr<RegionPipeline> pipeline_;
+  /// Reads the pipeline's pending flags; set up with it in Bootstrap.
   std::optional<ContractDrivenScheduler> scheduler_;
   /// Identity map workload slot -> tracker/report index.
   std::vector<int> identity_;

@@ -63,7 +63,8 @@ const char* RequestStatusName(RequestStatus status);
 struct ServeOptions : EngineOptions {
   /// Region scheduling policy for admitted work. Contract-driven is the
   /// CAQE default; count-driven is the ProgXe+-style ablation the serving
-  /// benchmark compares against.
+  /// benchmark compares against. The static scan is batch-only (S-JFSL):
+  /// CaqeServer::Create rejects it.
   SchedulePolicy policy = SchedulePolicy::kContractDriven;
   /// Bypass the utility/deadline rejection tests (structural rejects — an
   /// unknown join predicate — still apply). Capacity deferral still holds.

@@ -3,6 +3,7 @@
 // (Eq. 11).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -36,11 +37,27 @@ class SchedulerTest : public ::testing::Test {
     std::vector<Contract> contracts(workload_.num_queries(),
                                     MakeTimeStepContract(100.0));
     tracker_ = std::make_unique<SatisfactionTracker>(contracts);
+    // Every region with a lineage starts pending, as in RegionPipeline.
+    pending_.assign(rc_->regions.size(), 0);
+    for (const OutputRegion& region : rc_->regions) {
+      pending_[region.id] = region.rql.empty() ? 0 : 1;
+    }
   }
 
   ContractDrivenScheduler MakeScheduler(SchedulerOptions options = {}) {
-    return ContractDrivenScheduler(rc_.get(), &workload_, tracker_.get(),
-                                   &cost_, options);
+    return ContractDrivenScheduler(rc_.get(), &pending_, &workload_,
+                                   tracker_.get(), &cost_, options);
+  }
+
+  bool AnyPending() const {
+    return std::find(pending_.begin(), pending_.end(), 1) != pending_.end();
+  }
+
+  /// Resolves `region` the way RegionPipeline::ResolveRegion does: the
+  /// flag goes off, then the scheduler hears of it.
+  void Resolve(ContractDrivenScheduler& scheduler, int region) {
+    pending_[region] = 0;
+    scheduler.OnRegionRemoved(region);
   }
 
   std::unique_ptr<Table> r_;
@@ -51,15 +68,17 @@ class SchedulerTest : public ::testing::Test {
   std::unique_ptr<RegionCollection> rc_;
   std::unique_ptr<SatisfactionTracker> tracker_;
   CostModel cost_;
+  /// The pending flags every scheduler of a test reads.
+  std::vector<char> pending_;
 };
 
 TEST_F(SchedulerTest, DrainsEveryRegionExactlyOnce) {
   ContractDrivenScheduler scheduler = MakeScheduler();
   std::set<int> picked;
-  while (scheduler.HasPending()) {
+  while (AnyPending()) {
     const int region = scheduler.PickNext(0.0);
     EXPECT_TRUE(picked.insert(region).second) << "region picked twice";
-    scheduler.OnRegionRemoved(region);
+    Resolve(scheduler, region);
   }
   EXPECT_EQ(picked.size(), rc_->regions.size());
 }
@@ -121,8 +140,8 @@ TEST_F(SchedulerTest, PaperExampleTwentyWeights) {
   for (int i = 0; i < 7; ++i) tracker.OnResult(2, 1.0);
   for (int i = 0; i < 3; ++i) tracker.OnResult(2, 99.0);
 
-  ContractDrivenScheduler scheduler(rc_.get(), &workload_, &tracker, &cost_,
-                                    SchedulerOptions{});
+  ContractDrivenScheduler scheduler(rc_.get(), &pending_, &workload_,
+                                    &tracker, &cost_, SchedulerOptions{});
   scheduler.UpdateWeights();
   EXPECT_NEAR(scheduler.weight(0), 1.0 + 1.0 / 2.3, 1e-9);   // 1.4348
   EXPECT_NEAR(scheduler.weight(1), 1.0, 1e-9);
@@ -182,7 +201,7 @@ TEST_F(SchedulerTest, BenefitShrinksWhenDominatingRegionPending) {
         if (found) return;
         const double before = scheduler.EstimateBenefit(target, q);
         ContractDrivenScheduler fresh = MakeScheduler();
-        fresh.OnRegionRemoved(i);
+        Resolve(fresh, i);
         const double after = fresh.EstimateBenefit(target, q);
         EXPECT_GE(after + 1e-12, before);
         found = true;
@@ -198,18 +217,18 @@ TEST_F(SchedulerTest, BenefitCacheMatchesFreshScheduler) {
   // (the dominated-fraction cache invalidates correctly).
   ContractDrivenScheduler warm = MakeScheduler();
   std::vector<int> removed;
-  for (int i = 0; i < 5 && warm.HasPending(); ++i) {
+  for (int i = 0; i < 5 && AnyPending(); ++i) {
     const int region = warm.PickNext(0.0);
-    warm.OnRegionRemoved(region);
+    Resolve(warm, region);
     removed.push_back(region);
   }
-  // Rebuild a cold scheduler that never cached anything, with the same
-  // pending set.
+  // Build a cold scheduler that never cached anything over the same
+  // pending flags, with the same regions out of its dependency graph.
   ContractDrivenScheduler cold = MakeScheduler();
   for (int region : removed) cold.OnRegionRemoved(region);
 
   for (const OutputRegion& region : rc_->regions) {
-    if (!warm.IsPending(region.id)) continue;
+    if (!pending_[region.id]) continue;
     for (int q = 0; q < workload_.num_queries(); ++q) {
       EXPECT_NEAR(warm.EstimateBenefit(region.id, q),
                   cold.EstimateBenefit(region.id, q), 1e-9)
@@ -228,8 +247,8 @@ TEST_F(SchedulerTest, CsmScalesWithWeights) {
   for (int q = 1; q < workload_.num_queries(); ++q) {
     tracker.OnResult(q, 1.0);
   }
-  ContractDrivenScheduler scheduler(rc_.get(), &workload_, &tracker, &cost_,
-                                    SchedulerOptions{});
+  ContractDrivenScheduler scheduler(rc_.get(), &pending_, &workload_,
+                                    &tracker, &cost_, SchedulerOptions{});
   // Find a region that actually promises results for query 0 (one whose
   // output box no other region's shadow fully covers).
   int region = -1;

@@ -75,6 +75,20 @@ TEST(CaqeServerTest, CreateValidatesInputs) {
             StatusCode::kInvalidArgument);
 }
 
+// The static scan is S-JFSL's batch policy; a server always schedules
+// with a contract- or count-driven scheduler.
+TEST(CaqeServerTest, CreateRejectsStaticScanPolicy) {
+  auto [r, t] = MakeServeTables(1);
+  ServeOptions options = SmallServeOptions();
+  options.policy = SchedulePolicy::kStaticScan;
+  EXPECT_EQ(CaqeServer::Create(r, t, ThreeDims(), {0}, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  options.policy = SchedulePolicy::kCountDriven;
+  EXPECT_TRUE(CaqeServer::Create(r, t, ThreeDims(), {0}, options).ok());
+}
+
 // A single admitted query must stream exactly its oracle skyline: the graft
 // path (bootstrap regions + re-derived lineage) loses and invents nothing
 // relative to a batch run over the same data. Every streamed id reads its

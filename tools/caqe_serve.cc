@@ -12,7 +12,7 @@
 //              [--deadline-fraction=0.25] [--admit-all=0]
 //              [--calibrate=0]          # self-tuning admission estimates
 //              [--report-out=PATH]      # write ServingReportText to PATH
-//              [--trace-out=PATH]       # write the exec event stream (JSONL)
+//              [--events_out=PATH]      # write the exec event stream (JSONL)
 //              [--trace_out=PATH]       # write a Chrome/Perfetto trace
 //              [--metrics_out=PATH]     # write a Prometheus text snapshot
 //              [--health_out=PATH]      # write contract-health JSONL
@@ -187,9 +187,9 @@ int WriteArtifacts(const bench::Args& args, const ServingReport& report,
   const std::string report_out = args.GetString("report-out", "");
   if (!report_out.empty() && !write(report_out, text)) return 1;
   if (obs != nullptr) {
-    const std::string trace_out = args.GetString("trace-out", "");
-    if (!trace_out.empty() &&
-        !write(trace_out, obs->events.ExecEventsJsonl())) {
+    const std::string events_out = args.GetString("events_out", "");
+    if (!events_out.empty() &&
+        !write(events_out, obs->events.ExecEventsJsonl())) {
       return 1;
     }
     const std::string metrics_out = args.GetString("metrics_out", "");
@@ -216,7 +216,7 @@ int WriteArtifacts(const bench::Args& args, const ServingReport& report,
 }
 
 bool WantsObs(const bench::Args& args) {
-  return !args.GetString("trace-out", "").empty() ||
+  return !args.GetString("events_out", "").empty() ||
          !args.GetString("trace_out", "").empty() ||
          !args.GetString("metrics_out", "").empty() ||
          !args.GetString("health_out", "").empty() ||
