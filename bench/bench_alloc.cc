@@ -4,8 +4,9 @@
 //
 // This binary links the caqe_alloc_hook library ahead of the caqe
 // libraries (bench/CMakeLists.txt), so the counting operator new/delete
-// replacement is live and the region pipeline exports per-region
-// allocation deltas through the caqe_alloc_* obs counters. Two sweeps run
+// replacement is live and the region pipeline exports per-step allocation
+// deltas (the scheduler's pick, the region's processing and the weight
+// feedback) through the caqe_alloc_* obs counters. Two sweeps run
 // with --compact_layout off and on at threads=1:
 //
 //  - a fig9-style batch execution (CAQE engine, log-decay contracts), gated

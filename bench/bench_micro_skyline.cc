@@ -64,21 +64,6 @@ void BM_SfsSkyline(benchmark::State& state) {
 }
 BENCHMARK(BM_SfsSkyline)->Args({1000, 2})->Args({1000, 4})->Args({10000, 4});
 
-void BM_DivideConquerSkyline(benchmark::State& state) {
-  const int d = static_cast<int>(state.range(1));
-  const PointSet points =
-      RandomPoints(Distribution::kIndependent, state.range(0), d, 9);
-  const std::vector<int> dims = AllDims(d);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(DivideConquerSkyline(points, dims));
-  }
-  state.SetItemsProcessed(state.iterations() * points.size());
-}
-BENCHMARK(BM_DivideConquerSkyline)
-    ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Args({10000, 4});
-
 void BM_SfsSkylineAntiCorrelated(benchmark::State& state) {
   const PointSet points =
       RandomPoints(Distribution::kAntiCorrelated, state.range(0), 4, 9);

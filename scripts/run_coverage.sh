@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Line-coverage report for the serving, net, partition, region, execution,
-# cuboid, skyline and observability layers.
+# baseline, top-k, cuboid, skyline and observability layers.
 #
 # Builds the tree with -DCAQE_COVERAGE=ON (gcov instrumentation, -O0 so
 # inlining cannot hide lines), runs the full ctest suite, then walks every
 # source file under src/serve, src/net, src/partition, src/region, src/exec,
-# src/cuboid, src/skyline and src/obs with gcov (or llvm-cov gcov when the
-# compiler is clang) and prints a per-file line-coverage table.
+# src/baselines, src/topk, src/cuboid, src/skyline and src/obs with gcov (or
+# llvm-cov gcov when the compiler is clang) and prints a per-file
+# line-coverage table.
 #
 # Documented floors (enforced, non-zero exit below them):
 #   src/serve/calibration.cc        >= 80%   (self-tuning admission loop)
@@ -79,7 +80,8 @@ coverage_of() {
 status=0
 printf '%-34s %10s %8s\n' "file" "coverage" "floor"
 for src in src/serve/*.cc src/net/*.cc src/partition/*.cc src/region/*.cc \
-    src/exec/*.cc src/cuboid/*.cc src/skyline/*.cc src/obs/*.cc; do
+    src/exec/*.cc src/baselines/*.cc src/topk/*.cc src/cuboid/*.cc \
+    src/skyline/*.cc src/obs/*.cc; do
   floor=0
   case "${src}" in
     src/serve/calibration.cc) floor=80 ;;

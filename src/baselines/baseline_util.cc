@@ -7,33 +7,6 @@
 
 namespace caqe {
 
-void FullJoinProject(const Table& r, const Table& t, const Workload& workload,
-                     int key, PointSet& out, EngineStats& stats,
-                     VirtualClock& clock) {
-  std::unordered_map<int32_t, std::vector<int64_t>> index;
-  for (int64_t row = 0; row < t.num_rows(); ++row) {
-    index[t.key(row, key)].push_back(row);
-  }
-  stats.join_probes += t.num_rows();
-  clock.ChargeJoinProbes(t.num_rows());
-
-  std::vector<double> values;
-  int64_t results = 0;
-  for (int64_t row_r = 0; row_r < r.num_rows(); ++row_r) {
-    ++stats.join_probes;
-    const auto it = index.find(r.key(row_r, key));
-    if (it == index.end()) continue;
-    for (int64_t row_t : it->second) {
-      workload.Project(r, row_r, t, row_t, values);
-      out.Append(values);
-      ++results;
-    }
-  }
-  stats.join_results += results;
-  clock.ChargeJoinProbes(r.num_rows());
-  clock.ChargeJoinResults(results);
-}
-
 void FullJoinProjectForQuery(const Table& r, const Table& t,
                              const Workload& workload, int q, PointSet& out,
                              EngineStats& stats, VirtualClock& clock) {
@@ -80,26 +53,6 @@ void SeedTrackerTotals(const Table& r, const Table& t,
     }
     tracker.SetEstimatedTotal(q, total);
   }
-}
-
-void FinalizeReport(const SatisfactionTracker& tracker,
-                    const VirtualClock& clock, const WallTimer& timer,
-                    ExecutionReport& report) {
-  for (int q = 0; q < static_cast<int>(report.queries.size()); ++q) {
-    const QuerySatisfaction& s = tracker.satisfaction(q);
-    report.queries[q].pscore = s.pscore;
-    report.queries[q].results = s.results;
-    report.queries[q].satisfaction = s.average();
-    report.queries[q].utility_trace.clear();
-    for (const UtilitySample& sample : tracker.samples(q)) {
-      report.queries[q].utility_trace.push_back(
-          UtilityTracePoint{sample.time, sample.utility});
-    }
-  }
-  report.workload_pscore = tracker.WorkloadPScore();
-  report.average_satisfaction = tracker.WorkloadAverageSatisfaction();
-  report.stats.virtual_seconds = clock.Now();
-  report.stats.wall_seconds = timer.Seconds();
 }
 
 }  // namespace caqe

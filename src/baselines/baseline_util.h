@@ -1,8 +1,10 @@
-// Shared helpers for the baseline engines.
+// Join and tracker helpers of the per-query baselines (JFSL, SSMJ, SSMJ+
+// and Serial-TopK). The run itself — input checks, tracker, clock, the one
+// result charge and the finished report — is BatchRun (exec/engine.h), so
+// a baseline differs from CAQE only in when it reports a result.
 #ifndef CAQE_BASELINES_BASELINE_UTIL_H_
 #define CAQE_BASELINES_BASELINE_UTIL_H_
 
-#include <chrono>
 #include <vector>
 
 #include "common/virtual_clock.h"
@@ -14,30 +16,11 @@
 
 namespace caqe {
 
-/// Wall-clock stopwatch for engine runs.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  double Seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Materializes the full equi-join of one query: probes a hash index over
-/// T, projects every match through the workload's mapping functions into
-/// `out` (width = workload.num_output_dims()), charging probes/results to
-/// `stats` and `clock`.
-void FullJoinProject(const Table& r, const Table& t, const Workload& workload,
-                     int key, PointSet& out, EngineStats& stats,
-                     VirtualClock& clock);
-
-/// Like FullJoinProject but for workload query `q`: applies the query's
-/// selection ranges in addition to its join predicate.
+/// Materializes the full equi-join of workload query `q` under its
+/// selection ranges: probes a hash index over T and projects every match
+/// through the workload's mapping functions into `out` (width =
+/// workload.num_output_dims()), charging probes/results to `stats` and
+/// `clock`.
 void FullJoinProjectForQuery(const Table& r, const Table& t,
                              const Workload& workload, int q, PointSet& out,
                              EngineStats& stats, VirtualClock& clock);
@@ -49,12 +32,6 @@ void SeedTrackerTotals(const Table& r, const Table& t,
                        const Workload& workload,
                        const std::vector<double>& known_result_counts,
                        SatisfactionTracker& tracker);
-
-/// Copies tracker totals into the report's per-query entries and fills the
-/// aggregate fields.
-void FinalizeReport(const SatisfactionTracker& tracker,
-                    const VirtualClock& clock, const WallTimer& timer,
-                    ExecutionReport& report);
 
 }  // namespace caqe
 

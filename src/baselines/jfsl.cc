@@ -1,66 +1,41 @@
 #include "baselines/jfsl.h"
 
-#include <cmath>
-
 #include "baselines/baseline_util.h"
 #include "skyline/algorithms.h"
-#include "skyline/cardinality.h"
 
 namespace caqe {
 
 Result<ExecutionReport> JfslEngine::Execute(
     const Table& r, const Table& t, const Workload& workload,
     const std::vector<Contract>& contracts, const ExecOptions& options) {
-  CAQE_RETURN_NOT_OK(workload.Validate(r, t));
-  if (static_cast<int>(contracts.size()) != workload.num_queries()) {
-    return Status::InvalidArgument("one contract per query required");
-  }
-  const WallTimer timer;
-  SatisfactionTracker tracker(contracts);
-  VirtualClock clock(options.cost);
-
-  ExecutionReport report;
-  report.engine = name();
-  report.queries.resize(workload.num_queries());
-  for (int q = 0; q < workload.num_queries(); ++q) {
-    report.queries[q].name = workload.query(q).name;
-  }
-  SeedTrackerTotals(r, t, workload, options.known_result_counts, tracker);
+  Result<BatchRun> started =
+      BatchRun::Start(name(), r, t, workload, contracts, options);
+  CAQE_RETURN_NOT_OK(started.status());
+  BatchRun& run = *started;
+  EngineStats& stats = run.report().stats;
+  VirtualClock& clock = run.clock();
+  SeedTrackerTotals(r, t, workload, options.known_result_counts,
+                    run.tracker());
 
   for (int q : workload.QueriesByPriority()) {
     const SjQuery& query = workload.query(q);
     // Full join (with the query's selections), re-done per query.
     PointSet joined(workload.num_output_dims());
-    FullJoinProjectForQuery(r, t, workload, q, joined, report.stats, clock);
+    FullJoinProjectForQuery(r, t, workload, q, joined, stats, clock);
 
     // Blocking skyline over the materialized join output in arrival order
     // (no presort — the source of JFSL's comparison blow-up in Fig. 10.b).
     int64_t cmps = 0;
     const std::vector<int64_t> sky =
         BnlSkyline(joined, query.preference, &cmps);
-    report.stats.dominance_cmps += cmps;
+    stats.dominance_cmps += cmps;
     clock.ChargeDominanceCmps(cmps);
 
     // Everything is reported only now, when the query completes.
-    for (int64_t id : sky) {
-      const double now = clock.Now();
-      const double utility = tracker.OnResult(q, now);
-      clock.ChargeEmits(1);
-      ++report.stats.emitted_results;
-      if (options.on_result) options.on_result(q, now, utility);
-      if (options.capture_results) {
-        ReportedResult result;
-        result.tuple_id = id;
-        result.time = now;
-        result.utility = utility;
-        result.values.assign(joined.row(id), joined.row(id) + joined.width());
-        report.queries[q].tuples.push_back(std::move(result));
-      }
-    }
+    for (int64_t id : sky) run.Report(q, id, joined.row(id));
   }
 
-  FinalizeReport(tracker, clock, timer, report);
-  return report;
+  return run.Finish();
 }
 
 }  // namespace caqe

@@ -2,11 +2,8 @@
 
 #include <memory>
 
-#include "baselines/baseline_util.h"
 #include "common/thread_pool.h"
 #include "exec/shared_core.h"
-#include "obs/observability.h"
-#include "partition/partitioner.h"
 
 namespace caqe {
 namespace {
@@ -31,20 +28,10 @@ Workload SliceWorkload(const Workload& workload, int q) {
 Result<ExecutionReport> ProgXeEngine::Execute(
     const Table& r, const Table& t, const Workload& workload,
     const std::vector<Contract>& contracts, const ExecOptions& options) {
-  CAQE_RETURN_NOT_OK(workload.Validate(r, t));
-  if (static_cast<int>(contracts.size()) != workload.num_queries()) {
-    return Status::InvalidArgument("one contract per query required");
-  }
-  const WallTimer timer;
-  SatisfactionTracker tracker(contracts);
-  VirtualClock clock(options.cost);
-
-  ExecutionReport report;
-  report.engine = name();
-  report.queries.resize(workload.num_queries());
-  for (int q = 0; q < workload.num_queries(); ++q) {
-    report.queries[q].name = workload.query(q).name;
-  }
+  Result<BatchRun> started =
+      BatchRun::Start(name(), r, t, workload, contracts, options);
+  CAQE_RETURN_NOT_OK(started.status());
+  BatchRun& run = *started;
 
   // One pool serves partitioning and every per-query core run.
   const std::unique_ptr<ThreadPool> pool_owner =
@@ -53,13 +40,9 @@ Result<ExecutionReport> ProgXeEngine::Execute(
 
   // Input partitioning is query-independent; build it once (ProgXe
   // pre-partitions its inputs the same way).
-  const int target_regions = AdaptiveTargetRegions(options, r, t, workload);
-  Result<PartitionedTable> part_r =
-      PartitionForRegions(r, options, target_regions, pool);
-  CAQE_RETURN_NOT_OK(part_r.status());
-  Result<PartitionedTable> part_t =
-      PartitionForRegions(t, options, target_regions, pool);
-  CAQE_RETURN_NOT_OK(part_t.status());
+  Result<PartitionedInputs> parts =
+      PartitionInputs(r, t, workload, options, pool);
+  CAQE_RETURN_NOT_OK(parts.status());
 
   CoreOptions core(options);
   core.policy = SchedulePolicy::kCountDriven;
@@ -72,16 +55,12 @@ Result<ExecutionReport> ProgXeEngine::Execute(
   for (int q : workload.QueriesByPriority()) {
     const Workload sliced = SliceWorkload(workload, q);
     const std::vector<int> mapping = {q};
-    CAQE_RETURN_NOT_OK(RunSharedCore(*part_r, *part_t, sliced, mapping,
-                                     tracker, clock, report.stats,
-                                     report.queries, core));
+    CAQE_RETURN_NOT_OK(RunSharedCore(parts->r, parts->t, sliced, mapping,
+                                     run.tracker(), run.clock(),
+                                     run.report().stats,
+                                     run.report().queries, core));
   }
-
-  FinalizeReport(tracker, clock, timer, report);
-  if (options.obs != nullptr) {
-    RecordEngineStats(options.obs->metrics, report.stats);
-  }
-  return report;
+  return run.Finish();
 }
 
 }  // namespace caqe

@@ -6,7 +6,6 @@
 
 #include "baselines/baseline_util.h"
 #include "skyline/algorithms.h"
-#include "skyline/cardinality.h"
 
 namespace caqe {
 namespace {
@@ -58,21 +57,14 @@ Result<ExecutionReport> RunSsmj(const std::string& engine_name,
                                 const Table& t, const Workload& workload,
                                 const std::vector<Contract>& contracts,
                                 const ExecOptions& options) {
-  CAQE_RETURN_NOT_OK(workload.Validate(r, t));
-  if (static_cast<int>(contracts.size()) != workload.num_queries()) {
-    return Status::InvalidArgument("one contract per query required");
-  }
-  const WallTimer timer;
-  SatisfactionTracker tracker(contracts);
-  VirtualClock clock(options.cost);
-
-  ExecutionReport report;
-  report.engine = engine_name;
-  report.queries.resize(workload.num_queries());
-  for (int q = 0; q < workload.num_queries(); ++q) {
-    report.queries[q].name = workload.query(q).name;
-  }
-  SeedTrackerTotals(r, t, workload, options.known_result_counts, tracker);
+  Result<BatchRun> started =
+      BatchRun::Start(engine_name, r, t, workload, contracts, options);
+  CAQE_RETURN_NOT_OK(started.status());
+  BatchRun& run = *started;
+  EngineStats& stats = run.report().stats;
+  VirtualClock& clock = run.clock();
+  SeedTrackerTotals(r, t, workload, options.known_result_counts,
+                    run.tracker());
 
   for (int q : workload.QueriesByPriority()) {
     const SjQuery& query = workload.query(q);
@@ -96,7 +88,7 @@ Result<ExecutionReport> RunSsmj(const std::string& engine_name,
     for (int64_t row = 0; row < t.num_rows(); ++row) {
       if (side_passes(false, t, row)) groups_t[t.key(row, key)].push_back(row);
     }
-    report.stats.join_probes += r.num_rows() + t.num_rows();
+    stats.join_probes += r.num_rows() + t.num_rows();
     clock.ChargeJoinProbes(r.num_rows() + t.num_rows());
 
     const std::vector<int> dims_r = SideDims(workload, query, true);
@@ -128,42 +120,26 @@ Result<ExecutionReport> RunSsmj(const std::string& engine_name,
         }
       }
     }
-    report.stats.join_results += results;
-    report.stats.dominance_cmps += local_cmps;
+    stats.join_results += results;
+    stats.dominance_cmps += local_cmps;
     clock.ChargeJoinResults(results);
     clock.ChargeDominanceCmps(local_cmps);
 
     // Global skyline over the (sorted) candidates.
     const double n = static_cast<double>(candidates.size());
     const int64_t sort_ops = static_cast<int64_t>(n * std::log2(n + 1.0));
-    report.stats.coarse_ops += sort_ops;
+    stats.coarse_ops += sort_ops;
     clock.ChargeCoarseOps(sort_ops);
     int64_t cmps = 0;
     const std::vector<int64_t> sky =
         SfsSkyline(candidates, query.preference, &cmps);
-    report.stats.dominance_cmps += cmps;
+    stats.dominance_cmps += cmps;
     clock.ChargeDominanceCmps(cmps);
 
-    for (int64_t id : sky) {
-      const double now = clock.Now();
-      const double utility = tracker.OnResult(q, now);
-      clock.ChargeEmits(1);
-      ++report.stats.emitted_results;
-      if (options.on_result) options.on_result(q, now, utility);
-      if (options.capture_results) {
-        ReportedResult result;
-        result.tuple_id = id;
-        result.time = now;
-        result.utility = utility;
-        result.values.assign(candidates.row(id),
-                             candidates.row(id) + candidates.width());
-        report.queries[q].tuples.push_back(std::move(result));
-      }
-    }
+    for (int64_t id : sky) run.Report(q, id, candidates.row(id));
   }
 
-  FinalizeReport(tracker, clock, timer, report);
-  return report;
+  return run.Finish();
 }
 
 }  // namespace

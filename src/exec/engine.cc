@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/observability.h"
+
 namespace caqe {
 
 int ChooseCellsPerDim(const EngineOptions& options, int num_attrs,
@@ -79,6 +81,84 @@ int AdaptiveTargetRegions(const EngineOptions& options, const Table& r,
   const int64_t by_work = std::max<int64_t>(16, max_join / 500);
   return static_cast<int>(
       std::min<int64_t>(options.target_regions, by_work));
+}
+
+Result<PartitionedInputs> PartitionInputs(const Table& r, const Table& t,
+                                          const Workload& workload,
+                                          const EngineOptions& options,
+                                          ThreadPool* pool) {
+  const int target = AdaptiveTargetRegions(options, r, t, workload);
+  Result<PartitionedTable> part_r =
+      PartitionForRegions(r, options, target, pool);
+  CAQE_RETURN_NOT_OK(part_r.status());
+  Result<PartitionedTable> part_t =
+      PartitionForRegions(t, options, target, pool);
+  CAQE_RETURN_NOT_OK(part_t.status());
+  return PartitionedInputs{std::move(part_r).value(),
+                           std::move(part_t).value()};
+}
+
+UtilitySample ChargeResult(
+    int q, int64_t tuple_id, const double* row, int width,
+    SatisfactionTracker& tracker, VirtualClock& clock, EngineStats& stats,
+    std::vector<QueryReport>& reports,
+    const std::function<void(int query, double time, double utility)>&
+        on_result) {
+  const double now = clock.Now();
+  const double utility = tracker.OnResult(q, now);
+  clock.ChargeEmits(1);
+  ++stats.emitted_results;
+  if (on_result) on_result(q, now, utility);
+  if (row != nullptr) {
+    ReportedResult result;
+    result.tuple_id = tuple_id;
+    result.time = now;
+    result.utility = utility;
+    result.values.assign(row, row + width);
+    reports[q].tuples.push_back(std::move(result));
+  }
+  return UtilitySample{now, utility};
+}
+
+BatchRun::BatchRun(std::string engine, const std::vector<Contract>& contracts,
+                   int width, const ExecOptions& options)
+    : options_(&options),
+      wall_start_(std::chrono::steady_clock::now()),
+      tracker_(contracts),
+      clock_(options.cost),
+      width_(width) {
+  report_.engine = std::move(engine);
+}
+
+void BatchRun::Report(int q, int64_t tuple_id, const double* row) {
+  ChargeResult(q, tuple_id, options_->capture_results ? row : nullptr,
+               width_, tracker_, clock_, report_.stats, report_.queries,
+               options_->on_result);
+}
+
+ExecutionReport BatchRun::Finish() {
+  for (int q = 0; q < static_cast<int>(report_.queries.size()); ++q) {
+    const QuerySatisfaction& s = tracker_.satisfaction(q);
+    QueryReport& query = report_.queries[q];
+    query.pscore = s.pscore;
+    query.results = s.results;
+    query.satisfaction = s.average();
+    for (const UtilitySample& sample : tracker_.samples(q)) {
+      query.utility_trace.push_back(
+          UtilityTracePoint{sample.time, sample.utility});
+    }
+  }
+  report_.workload_pscore = tracker_.WorkloadPScore();
+  report_.average_satisfaction = tracker_.WorkloadAverageSatisfaction();
+  report_.stats.virtual_seconds = clock_.Now();
+  report_.stats.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start_)
+          .count();
+  if (options_->obs != nullptr) {
+    RecordEngineStats(options_->obs->metrics, report_.stats);
+  }
+  return std::move(report_);
 }
 
 }  // namespace caqe

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/alloc_hook.h"
+#include "exec/engine.h"
 #include "obs/observability.h"
 #include "region/region_dominance.h"
 
@@ -124,6 +125,11 @@ void RegionPipeline::ReviveRegion(int rid) {
 
 int RegionPipeline::ProcessNext(const char* span_category) {
   CAQE_CHECK(pending_count_ > 0);
+  // Control-thread heap traffic of the whole step — pick, region, weight
+  // feedback — measured when the alloc interposer is linked in
+  // (bench/tests). Snapshot before any work.
+  AllocCounts alloc_before{};
+  if (alloc_regions_counter_ != nullptr) alloc_before = ThreadAllocCounts();
   int rid = -1;
   if (scheduler_ != nullptr) {
     int64_t pick_ops = 0;
@@ -148,6 +154,21 @@ int RegionPipeline::ProcessNext(const char* span_category) {
     ProcessRegion(rid, step_span.id());
   }
   if (scheduler_ != nullptr) scheduler_->UpdateWeights();
+  ++regions_accounted_;
+  if (alloc_regions_counter_ != nullptr) {
+    // Warmup steps grow caches and scratch capacities; past the window the
+    // steady counters measure the residual churn the alloc gate bounds
+    // (allocs/region = steady_allocs_total / steady_regions_total).
+    const int64_t delta = static_cast<int64_t>(ThreadAllocCounts().allocs -
+                                               alloc_before.allocs);
+    alloc_regions_counter_->Inc();
+    if (regions_accounted_ <= kWarmupRegions) {
+      alloc_warmup_counter_->Inc(delta);
+    } else {
+      alloc_steady_counter_->Inc(delta);
+      alloc_steady_regions_counter_->Inc();
+    }
+  }
   return rid;
 }
 
@@ -233,38 +254,26 @@ void RegionPipeline::RemoveQueryFromGroups(int q) {
 
 void RegionPipeline::EmitResult(int q, int64_t id) {
   const int global_q = global_query_ids_[q];
-  const double now = clock_->Now();
-  const double utility = tracker_->OnResult(global_q, now);
-  clock_->ChargeEmits(1);
-  ++stats_->emitted_results;
-  if (options_.on_result) options_.on_result(global_q, now, utility);
-  if (on_emit_) on_emit_(global_q, id, now, utility);
+  const UtilitySample charged = ChargeResult(
+      global_q, id, options_.capture_results ? store_.row(id) : nullptr,
+      store_.width(), *tracker_, *clock_, *stats_, *reports_,
+      options_.on_result);
+  if (on_emit_) on_emit_(global_q, id, charged.time, charged.utility);
   if (emission_latency_hist_ != nullptr) {
-    emission_latency_hist_->Observe(now - region_vstart_);
-  }
-  if (options_.capture_results) {
-    ReportedResult result;
-    result.tuple_id = id;
-    result.time = now;
-    result.utility = utility;
-    const double* values = store_.row(id);
-    result.values.assign(values, values + store_.width());
-    (*reports_)[global_q].tuples.push_back(std::move(result));
+    emission_latency_hist_->Observe(charged.time - region_vstart_);
   }
 }
 
 void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
   CAQE_DCHECK(pending_[rid]);
-  // Control-thread heap traffic of this region, measured when the alloc
-  // interposer is linked in (bench/tests). Snapshot before any work.
-  AllocCounts alloc_before{};
-  if (alloc_regions_counter_ != nullptr) alloc_before = ThreadAllocCounts();
-  // Per-phase attribution for the steady window only: warmup growth is
-  // expected and uninteresting; the phase split tells the alloc gate where
-  // any residual steady churn lives.
+  // Per-phase attribution of the step's heap traffic (see ProcessNext), for
+  // the steady window only: warmup growth is expected and uninteresting;
+  // the phase split tells the alloc gate where any residual steady churn
+  // lives.
   const bool steady_accounting =
       alloc_regions_counter_ != nullptr && regions_accounted_ >= kWarmupRegions;
-  AllocCounts phase_mark = alloc_before;
+  AllocCounts phase_mark{};
+  if (steady_accounting) phase_mark = ThreadAllocCounts();
   const auto take_phase = [&](Counter* phase_counter) {
     if (!steady_accounting) return;
     const AllocCounts now = ThreadAllocCounts();
@@ -571,22 +580,6 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
   take_phase(alloc_phase_emission_counter_);
   if (region_service_hist_ != nullptr) {
     region_service_hist_->Observe(clock_->Now() - region_vstart_);
-  }
-  ++regions_accounted_;
-  if (alloc_regions_counter_ != nullptr) {
-    // Warmup regions grow caches and scratch capacities; past the window
-    // the steady counters measure the residual churn the alloc gate bounds
-    // (allocs/region = steady_allocs_total / steady_regions_total).
-    const AllocCounts after = ThreadAllocCounts();
-    const int64_t delta =
-        static_cast<int64_t>(after.allocs - alloc_before.allocs);
-    alloc_regions_counter_->Inc();
-    if (regions_accounted_ <= kWarmupRegions) {
-      alloc_warmup_counter_->Inc(delta);
-    } else {
-      alloc_steady_counter_->Inc(delta);
-      alloc_steady_regions_counter_->Inc();
-    }
   }
 }
 

@@ -180,6 +180,8 @@ class RegionPipeline {
   /// join, project, evaluate, discard scan, emission. The phase spans
   /// parent under `step_span` (0 without spans).
   void ProcessRegion(int rid, uint64_t step_span);
+  /// Charges one result of workload query `q` (ChargeResult), then fires
+  /// the serving hook and the emission-latency histogram.
   void EmitResult(int q, int64_t id);
   /// Grows per-query scratch to the workload's current size (no-op in the
   /// batch path where the workload never grows).
@@ -219,19 +221,21 @@ class RegionPipeline {
   /// Allocation-accounting counters (non-null only with an Observability
   /// *and* the bench/test alloc interposer linked in — see
   /// common/alloc_hook.h). They count the control thread's heap traffic per
-  /// ProcessRegion, split warmup vs steady state; never read back, so
-  /// reports stay byte-identical whether or not the hook is present.
+  /// ProcessNext step — the pick, the region's processing and the weight
+  /// feedback — split warmup vs steady state; never read back, so reports
+  /// stay byte-identical whether or not the hook is present.
   Counter* alloc_regions_counter_ = nullptr;
   Counter* alloc_warmup_counter_ = nullptr;
   Counter* alloc_steady_counter_ = nullptr;
   Counter* alloc_steady_regions_counter_ = nullptr;
   /// Steady-state attribution by pipeline phase (same gating as above):
-  /// which phase the residual churn comes from, for the alloc-gate table.
+  /// which phase of ProcessRegion the residual churn comes from, for the
+  /// alloc-gate table; the pick and the feedback are the step's remainder.
   Counter* alloc_phase_join_counter_ = nullptr;
   Counter* alloc_phase_eval_counter_ = nullptr;
   Counter* alloc_phase_discard_counter_ = nullptr;
   Counter* alloc_phase_emission_counter_ = nullptr;
-  /// ProcessRegion invocations so far (warmup window index).
+  /// ProcessNext steps so far (warmup window index).
   int64_t regions_accounted_ = 0;
   /// Virtual time the region currently in ProcessRegion was scheduled at
   /// (emission latency = emit vtime - this).

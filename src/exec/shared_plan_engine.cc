@@ -1,46 +1,28 @@
 #include "exec/shared_plan_engine.h"
 
-#include <chrono>
-#include <cmath>
 #include <memory>
 #include <numeric>
 
 #include "common/thread_pool.h"
-#include "obs/observability.h"
 
 namespace caqe {
 
 Result<ExecutionReport> SharedPlanEngine::Execute(
     const Table& r, const Table& t, const Workload& workload,
     const std::vector<Contract>& contracts, const ExecOptions& options) {
-  CAQE_RETURN_NOT_OK(workload.Validate(r, t));
-  if (static_cast<int>(contracts.size()) != workload.num_queries()) {
-    return Status::InvalidArgument("one contract per query required");
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
+  Result<BatchRun> started =
+      BatchRun::Start(name_, r, t, workload, contracts, options);
+  CAQE_RETURN_NOT_OK(started.status());
+  BatchRun& run = *started;
 
   // One pool serves partitioning and the execution core (the core only
   // creates its own when none is handed in).
   const std::unique_ptr<ThreadPool> pool_owner =
       MakeWorkerPool(options.num_threads);
   ThreadPool* const pool = pool_owner.get();
-
-  const int target_regions = AdaptiveTargetRegions(options, r, t, workload);
-  Result<PartitionedTable> part_r =
-      PartitionForRegions(r, options, target_regions, pool);
-  CAQE_RETURN_NOT_OK(part_r.status());
-  Result<PartitionedTable> part_t =
-      PartitionForRegions(t, options, target_regions, pool);
-  CAQE_RETURN_NOT_OK(part_t.status());
-
-  SatisfactionTracker tracker(contracts);
-  VirtualClock clock(options.cost);
-  ExecutionReport report;
-  report.engine = name_;
-  report.queries.resize(workload.num_queries());
-  for (int q = 0; q < workload.num_queries(); ++q) {
-    report.queries[q].name = workload.query(q).name;
-  }
+  Result<PartitionedInputs> parts =
+      PartitionInputs(r, t, workload, options, pool);
+  CAQE_RETURN_NOT_OK(parts.status());
 
   std::vector<int> identity(workload.num_queries());
   std::iota(identity.begin(), identity.end(), 0);
@@ -52,31 +34,11 @@ Result<ExecutionReport> SharedPlanEngine::Execute(
   core.feedback = feedback_ && options.feedback_enabled;
   core.tuple_discard = tuple_discard_;
 
-  CAQE_RETURN_NOT_OK(RunSharedCore(*part_r, *part_t, workload, identity,
-                                   tracker, clock, report.stats,
-                                   report.queries, core));
-
-  for (int q = 0; q < workload.num_queries(); ++q) {
-    const QuerySatisfaction& s = tracker.satisfaction(q);
-    report.queries[q].pscore = s.pscore;
-    report.queries[q].results = s.results;
-    report.queries[q].satisfaction = s.average();
-    for (const UtilitySample& sample : tracker.samples(q)) {
-      report.queries[q].utility_trace.push_back(
-          UtilityTracePoint{sample.time, sample.utility});
-    }
-  }
-  report.workload_pscore = tracker.WorkloadPScore();
-  report.average_satisfaction = tracker.WorkloadAverageSatisfaction();
-  report.stats.virtual_seconds = clock.Now();
-  report.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  if (options.obs != nullptr) {
-    RecordEngineStats(options.obs->metrics, report.stats);
-  }
-  return report;
+  CAQE_RETURN_NOT_OK(RunSharedCore(parts->r, parts->t, workload, identity,
+                                   run.tracker(), run.clock(),
+                                   run.report().stats, run.report().queries,
+                                   core));
+  return run.Finish();
 }
 
 SharedPlanEngine MakeCaqeEngine() {

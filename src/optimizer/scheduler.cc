@@ -148,10 +148,10 @@ int ContractDrivenScheduler::PickNext(double now, int64_t* coarse_ops) {
   const std::vector<char>& pending = *pending_flags_;
   scan_ops_ = 0;
   domfrac_ops_ = 0;
-  const std::vector<int> roots = dg_.Roots();
+  dg_.Roots(&roots_);
   int best = -1;
   double best_score = -1.0;
-  for (int region : roots) {
+  for (int region : roots_) {
     if (!pending[region]) continue;
     if (rc_->regions[region].rql.empty()) continue;
     const double score = Csm(region, now);

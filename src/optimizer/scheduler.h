@@ -136,6 +136,8 @@ class ContractDrivenScheduler {
   const CostModel* cost_;
   SchedulerOptions options_;
   DependencyGraph dg_;
+  /// PickNext's candidate list, refilled on every pick (keeps its capacity).
+  std::vector<int> roots_;
   std::vector<double> weights_;
   /// Per-query activity mask (all 1 in batch mode; serving retires slots).
   std::vector<char> active_;

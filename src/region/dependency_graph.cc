@@ -215,18 +215,17 @@ DependencyGraph DependencyGraph::AllActive(int n) {
   return dg;
 }
 
-std::vector<int> DependencyGraph::Roots() const {
-  std::vector<int> roots;
+void DependencyGraph::Roots(std::vector<int>* out) const {
+  out->clear();
   for (int i = 0; i < num_regions(); ++i) {
-    if (active_[i] && in_degree_[i] == 0) roots.push_back(i);
+    if (active_[i] && in_degree_[i] == 0) out->push_back(i);
   }
-  if (!roots.empty()) return roots;
+  if (!out->empty()) return;
   // Residual cycles: fall back to every active region so Algorithm 1 never
   // deadlocks.
   for (int i = 0; i < num_regions(); ++i) {
-    if (active_[i]) roots.push_back(i);
+    if (active_[i]) out->push_back(i);
   }
-  return roots;
 }
 
 void DependencyGraph::Deactivate(int region, std::vector<int>* newly_rooted) {

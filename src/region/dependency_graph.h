@@ -72,10 +72,12 @@ class DependencyGraph {
   int in_degree(int region) const { return in_degree_[region]; }
   bool active(int region) const { return active_[region] != 0; }
 
-  /// Region ids that are active with zero in-degree — the scheduling
-  /// candidates of Algorithm 1. Falls back to all active regions when
-  /// residual cycles leave no zero-in-degree region.
-  std::vector<int> Roots() const;
+  /// Replaces `out` with the region ids that are active with zero
+  /// in-degree — the scheduling candidates of Algorithm 1 — falling back to
+  /// all active regions when residual cycles leave no zero-in-degree
+  /// region. `out` keeps its capacity, so a caller that reuses it picks
+  /// without allocating.
+  void Roots(std::vector<int>* out) const;
 
   /// Removes `region` from the graph (processed or discarded), decrementing
   /// the in-degree of its successors. Appends to `newly_rooted` (if

@@ -60,15 +60,11 @@ Status CaqeServer::Bootstrap(std::vector<MappingFunction> output_dims,
   pool_owner_ = MakeWorkerPool(options_.num_threads);
   pool_ = pool_owner_.get();
 
-  const int target = AdaptiveTargetRegions(options_, r_, t_, workload_);
-  Result<PartitionedTable> part_r =
-      PartitionForRegions(r_, options_, target, pool_);
-  CAQE_RETURN_NOT_OK(part_r.status());
-  part_r_.emplace(std::move(part_r).value());
-  Result<PartitionedTable> part_t =
-      PartitionForRegions(t_, options_, target, pool_);
-  CAQE_RETURN_NOT_OK(part_t.status());
-  part_t_.emplace(std::move(part_t).value());
+  Result<PartitionedInputs> parts =
+      PartitionInputs(r_, t_, workload_, options_, pool_);
+  CAQE_RETURN_NOT_OK(parts.status());
+  part_r_.emplace(std::move(parts->r));
+  part_t_.emplace(std::move(parts->t));
 
   TraceSink* const spans = Observability::Spans(options_.obs);
   SelectionClassIndex sel_index;

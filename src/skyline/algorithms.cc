@@ -134,90 +134,6 @@ std::vector<int64_t> BnlSkyline(const PointSet& points,
   return window;
 }
 
-namespace {
-
-// Recursive worker over a set of row ids. `depth` rotates the split
-// dimension.
-std::vector<int64_t> DncRecurse(const PointSet& points,
-                                const std::vector<int>& dims,
-                                std::vector<int64_t> rows, size_t depth,
-                                size_t failed_splits, int64_t* comparisons) {
-  constexpr size_t kBnlCutoff = 32;
-  if (rows.size() <= kBnlCutoff || failed_splits >= dims.size()) {
-    // Small base case (or no separating dimension found after a full
-    // rotation): plain windowed scan over the subset.
-    return WindowSkylineScan(points, dims, rows, comparisons);
-  }
-
-  // Split at the median *value* of the rotation dimension so the boundary
-  // is strict: every lower-half value < every upper-half value.
-  const int dim = dims[depth % dims.size()];
-  std::vector<int64_t> order = rows;
-  std::nth_element(order.begin(), order.begin() + order.size() / 2,
-                   order.end(), [&](int64_t a, int64_t b) {
-                     return points.row(a)[dim] < points.row(b)[dim];
-                   });
-  const double pivot = points.row(order[order.size() / 2])[dim];
-  std::vector<int64_t> lower;
-  std::vector<int64_t> upper;
-  for (int64_t row : rows) {
-    (points.row(row)[dim] < pivot ? lower : upper).push_back(row);
-  }
-  if (lower.empty() || upper.empty()) {
-    // The dimension cannot separate these points (all values tie at the
-    // minimum); rotate to the next dimension, giving up after a full
-    // rotation without a successful split.
-    return DncRecurse(points, dims, std::move(rows), depth + 1,
-                      failed_splits + 1, comparisons);
-  }
-
-  const std::vector<int64_t> sky_lower = DncRecurse(
-      points, dims, std::move(lower), depth + 1, 0, comparisons);
-  const std::vector<int64_t> sky_upper = DncRecurse(
-      points, dims, std::move(upper), depth + 1, 0, comparisons);
-
-  // Across a strict boundary, upper points can never dominate lower points
-  // (they are strictly worse in `dim`), so only filter upper against lower.
-  // The champion scan batches each upper point against the gathered lower
-  // skyline; the comparison charge stops at the first dominating champion,
-  // as the serial break did.
-  std::vector<int64_t> result = sky_lower;
-  SubspaceView champions(dims);
-  champions.Reserve(static_cast<int64_t>(sky_lower.size()));
-  for (int64_t champion : sky_lower) champions.PushPoint(points.row(champion));
-  const int64_t m = champions.size();
-  std::vector<uint8_t> flags(static_cast<size_t>(m));
-  std::vector<double> probe(dims.size());
-  for (int64_t row : sky_upper) {
-    GatherPoint(points.row(row), dims, probe.data());
-    BatchDominanceFlags(probe.data(), champions, 0, m, flags.data());
-    bool dominated = false;
-    int64_t j = 0;
-    for (; j < m; ++j) {
-      if (ProbeDominated(flags[j])) {
-        dominated = true;
-        break;
-      }
-    }
-    if (comparisons != nullptr) *comparisons += dominated ? j + 1 : m;
-    if (!dominated) result.push_back(row);
-  }
-  return result;
-}
-
-}  // namespace
-
-std::vector<int64_t> DivideConquerSkyline(const PointSet& points,
-                                          const std::vector<int>& dims,
-                                          int64_t* comparisons) {
-  std::vector<int64_t> rows(points.size());
-  std::iota(rows.begin(), rows.end(), 0);
-  std::vector<int64_t> result =
-      DncRecurse(points, dims, std::move(rows), 0, 0, comparisons);
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
 std::vector<int64_t> SfsSkyline(const PointSet& points,
                                 const std::vector<int>& dims,
                                 int64_t* comparisons) {

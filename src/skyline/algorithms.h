@@ -37,16 +37,6 @@ std::vector<int64_t> SfsSkyline(const PointSet& points,
                                 const std::vector<int>& dims,
                                 int64_t* comparisons = nullptr);
 
-/// Divide-and-conquer skyline (Börzsönyi et al., ICDE 2001): splits the
-/// point set at a value boundary of one dimension (rotating through `dims`
-/// when a dimension cannot separate), recursively computes both halves'
-/// skylines, and filters the worse half against the better one — upper-half
-/// points can never dominate lower-half points across a strict boundary.
-/// Returns row indices of skyline members in ascending order.
-std::vector<int64_t> DivideConquerSkyline(const PointSet& points,
-                                          const std::vector<int>& dims,
-                                          int64_t* comparisons = nullptr);
-
 }  // namespace caqe
 
 #endif  // CAQE_SKYLINE_ALGORITHMS_H_

@@ -2,8 +2,8 @@
 //
 // Every skyline phase in this repository bottoms out in a loop of pairwise
 // CompareDominance calls between one probe point and a window of candidates
-// (BNL/SFS windows, divide-and-conquer champion filters, the incremental
-// maintainer's prefix/suffix scans, the Section-6 region discard test). The
+// (BNL/SFS windows, the incremental maintainer's prefix/suffix scans, the
+// Section-6 region discard test). The
 // batch kernels here evaluate all candidates of such a loop in one call over
 // a column-gathered view of the candidate block, so vector lanes read
 // unit-stride data, and are dispatched at runtime to AVX2 (x86-64), NEON

@@ -47,37 +47,27 @@ struct QueryState {
 Result<ExecutionReport> ContractAwareTopKEngine::Execute(
     const Table& r, const Table& t, const TopKWorkload& workload,
     const std::vector<Contract>& contracts, const ExecOptions& options) {
-  CAQE_RETURN_NOT_OK(workload.Validate(r, t));
-  if (static_cast<int>(contracts.size()) != workload.num_queries()) {
-    return Status::InvalidArgument("one contract per query required");
-  }
-  const WallTimer timer;
-  SatisfactionTracker tracker(contracts);
-  VirtualClock clock(options.cost);
-
-  ExecutionReport report;
-  report.engine = name();
-  report.queries.resize(workload.num_queries());
-  for (int q = 0; q < workload.num_queries(); ++q) {
-    report.queries[q].name = workload.query(q).name;
-  }
+  Result<BatchRun> started =
+      BatchRun::Start(name(), r, t, workload, contracts, options);
+  CAQE_RETURN_NOT_OK(started.status());
+  BatchRun& run = *started;
+  SatisfactionTracker& tracker = run.tracker();
+  VirtualClock& clock = run.clock();
+  EngineStats& stats = run.report().stats;
 
   // Regions are query-class agnostic: reuse the coarse join machinery.
   const Workload region_workload = workload.AsRegionWorkload();
-  const int target_regions =
-      AdaptiveTargetRegions(options, r, t, region_workload);
-  Result<PartitionedTable> part_r =
-      PartitionForRegions(r, options, target_regions);
-  CAQE_RETURN_NOT_OK(part_r.status());
-  Result<PartitionedTable> part_t =
-      PartitionForRegions(t, options, target_regions);
-  CAQE_RETURN_NOT_OK(part_t.status());
+  Result<PartitionedInputs> parts =
+      PartitionInputs(r, t, region_workload, options);
+  CAQE_RETURN_NOT_OK(parts.status());
+  const PartitionedTable& part_r = parts->r;
+  const PartitionedTable& part_t = parts->t;
   Result<RegionCollection> rc_result =
-      BuildRegions(*part_r, *part_t, region_workload);
+      BuildRegions(part_r, part_t, region_workload);
   CAQE_RETURN_NOT_OK(rc_result.status());
   RegionCollection rc = std::move(rc_result).value();
-  report.stats.regions_built = static_cast<int64_t>(rc.regions.size());
-  report.stats.coarse_ops += rc.coarse_ops;
+  stats.regions_built = static_cast<int64_t>(rc.regions.size());
+  stats.coarse_ops += rc.coarse_ops;
   clock.ChargeCoarseOps(rc.coarse_ops);
 
   // Contract totals: a top-k query expects exactly min(k, join size)
@@ -112,30 +102,18 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
     bounds[region.id].resize(workload.num_queries(), kInf);
     region.rql.ForEach([&](int q) {
       bounds[region.id][q] = RegionScoreBound(region, workload.query(q));
-      ++report.stats.coarse_ops;
+      ++stats.coarse_ops;
     });
   }
   clock.ChargeCoarseOps(static_cast<int64_t>(rc.regions.size()));
 
   PointSet store(workload.num_output_dims());
-  CellJoinKernel join_kernel(&*part_r, &*part_t);
+  CellJoinKernel join_kernel(&part_r, &part_t);
   std::vector<double> weights(workload.num_queries(), 1.0);
 
-  auto emit = [&](int q, int64_t id, double /*score*/) {
-    const double now = clock.Now();
-    const double utility = tracker.OnResult(q, now);
-    clock.ChargeEmits(1);
-    ++report.stats.emitted_results;
+  auto emit = [&](int q, int64_t id) {
     ++states[q].emitted;
-    if (options.on_result) options.on_result(q, now, utility);
-    if (options.capture_results) {
-      ReportedResult result;
-      result.tuple_id = id;
-      result.time = now;
-      result.utility = utility;
-      result.values.assign(store.row(id), store.row(id) + store.width());
-      report.queries[q].tuples.push_back(std::move(result));
-    }
+    run.Report(q, id, store.row(id));
   };
 
   // Estimated processing time of a region (same cost structure as the
@@ -167,7 +145,7 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
       const double t_c = estimate_cost(region);
       double score = 0.0;
       region.rql.ForEach([&](int q) {
-        ++report.stats.coarse_ops;
+        ++stats.coarse_ops;
         const int64_t join_size =
             region.join_sizes[rc.slot_of_query[q]];
         const double expected = static_cast<double>(
@@ -197,16 +175,16 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
       }
     }
     matches.clear();
-    const int64_t probes_before = report.stats.join_probes;
-    const int64_t results_before = report.stats.join_results;
-    join_kernel.Join(rc, region, slots_mask, matches, report.stats);
-    clock.ChargeJoinProbes(report.stats.join_probes - probes_before);
-    clock.ChargeJoinResults(report.stats.join_results - results_before);
+    const int64_t probes_before = stats.join_probes;
+    const int64_t results_before = stats.join_results;
+    join_kernel.Join(rc, region, slots_mask, matches, stats);
+    clock.ChargeJoinProbes(stats.join_probes - probes_before);
+    clock.ChargeJoinResults(stats.join_results - results_before);
 
     int64_t heap_ops = 0;
     store.Reserve(store.size() + static_cast<int64_t>(matches.size()));
     for (const JoinMatch& match : matches) {
-      workload.Project(part_r->table(), match.row_r, part_t->table(),
+      workload.Project(part_r.table(), match.row_r, part_t.table(),
                        match.row_t, values);
       const int64_t id = store.Append(values);
       region.rql.ForEach([&](int q) {
@@ -225,12 +203,12 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
         }
       });
     }
-    report.stats.dominance_cmps += heap_ops;
+    stats.dominance_cmps += heap_ops;
     clock.ChargeDominanceCmps(heap_ops);
 
     pending[best_region] = 0;
     --pending_count;
-    ++report.stats.regions_processed;
+    ++stats.regions_processed;
 
     // ---- Bound-based discarding + safe emission. ----
     int64_t coarse = 0;
@@ -246,7 +224,7 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
           if (other.rql.empty()) {
             pending[other.id] = 0;
             --pending_count;
-            ++report.stats.regions_discarded;
+            ++stats.regions_discarded;
           }
         }
       }
@@ -260,11 +238,11 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
       while (!state.candidates.empty() && state.remaining() > 0 &&
              state.candidates.begin()->first <= min_bound) {
         const auto best = state.candidates.begin();
-        emit(q, best->second, best->first);
+        emit(q, best->second);
         state.candidates.erase(best);
       }
     }
-    report.stats.coarse_ops += coarse;
+    stats.coarse_ops += coarse;
     clock.ChargeCoarseOps(coarse);
 
     // ---- Satisfaction feedback (Eq. 11). ----
@@ -288,32 +266,26 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
     QueryState& state = states[q];
     while (!state.candidates.empty() && state.remaining() > 0) {
       const auto best = state.candidates.begin();
-      emit(q, best->second, best->first);
+      emit(q, best->second);
       state.candidates.erase(best);
     }
   }
 
-  FinalizeReport(tracker, clock, timer, report);
-  return report;
+  return run.Finish();
 }
 
 Result<ExecutionReport> SerialTopKEngine::Execute(
     const Table& r, const Table& t, const TopKWorkload& workload,
     const std::vector<Contract>& contracts, const ExecOptions& options) {
-  CAQE_RETURN_NOT_OK(workload.Validate(r, t));
-  if (static_cast<int>(contracts.size()) != workload.num_queries()) {
-    return Status::InvalidArgument("one contract per query required");
-  }
-  const WallTimer timer;
-  SatisfactionTracker tracker(contracts);
-  VirtualClock clock(options.cost);
+  Result<BatchRun> started =
+      BatchRun::Start(name(), r, t, workload, contracts, options);
+  CAQE_RETURN_NOT_OK(started.status());
+  BatchRun& run = *started;
+  VirtualClock& clock = run.clock();
+  EngineStats& stats = run.report().stats;
 
-  ExecutionReport report;
-  report.engine = name();
-  report.queries.resize(workload.num_queries());
   std::vector<int> order(workload.num_queries());
   for (int q = 0; q < workload.num_queries(); ++q) {
-    report.queries[q].name = workload.query(q).name;
     order[q] = q;
     double total = 0.0;
     if (q < static_cast<int>(options.known_result_counts.size())) {
@@ -324,20 +296,21 @@ Result<ExecutionReport> SerialTopKEngine::Execute(
           workload.query(q).k,
           ExactTotalJoinSize(r, t, workload.query(q).join_key)));
     }
-    tracker.SetEstimatedTotal(q, total);
+    run.tracker().SetEstimatedTotal(q, total);
   }
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return workload.query(a).priority > workload.query(b).priority;
   });
 
-  // Region-workload wrapper gives us projection over the output dims.
+  // The region workload projects over the same output dims; its queries
+  // keep each join key and carry no selections, so the join below is the
+  // top-k query's full join.
   const Workload projection = workload.AsRegionWorkload();
 
   for (int q : order) {
     const TopKQuery& query = workload.query(q);
     PointSet joined(workload.num_output_dims());
-    FullJoinProject(r, t, projection, query.join_key, joined, report.stats,
-                    clock);
+    FullJoinProjectForQuery(r, t, projection, q, joined, stats, clock);
 
     std::vector<std::pair<double, int64_t>> scored;
     scored.reserve(joined.size());
@@ -350,30 +323,16 @@ Result<ExecutionReport> SerialTopKEngine::Execute(
     const int64_t sort_ops = static_cast<int64_t>(
         static_cast<double>(scored.size()) *
         std::log2(1.0 + static_cast<double>(std::max<int64_t>(1, k))));
-    report.stats.dominance_cmps += sort_ops;
+    stats.dominance_cmps += sort_ops;
     clock.ChargeDominanceCmps(sort_ops);
 
     for (int64_t i = 0; i < k; ++i) {
-      const double now = clock.Now();
-      const double utility = tracker.OnResult(q, now);
-      clock.ChargeEmits(1);
-      ++report.stats.emitted_results;
-      if (options.on_result) options.on_result(q, now, utility);
-      if (options.capture_results) {
-        ReportedResult result;
-        result.tuple_id = scored[i].second;
-        result.time = now;
-        result.utility = utility;
-        result.values.assign(
-            joined.row(scored[i].second),
-            joined.row(scored[i].second) + joined.width());
-        report.queries[q].tuples.push_back(std::move(result));
-      }
+      const int64_t id = scored[i].second;
+      run.Report(q, id, joined.row(id));
     }
   }
 
-  FinalizeReport(tracker, clock, timer, report);
-  return report;
+  return run.Finish();
 }
 
 }  // namespace caqe

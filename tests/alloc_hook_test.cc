@@ -1,8 +1,10 @@
 // Allocation accounting through the counting alloc hook, which this binary
 // links ahead of the caqe libraries (see tests/CMakeLists.txt): the hook
 // counts the calling thread's heap traffic, and the region pipeline's
-// steady state — past its 32-region warmup — stays within the alloc gate's
-// budget (scripts/run_alloc_gate.sh) in batch execution and in serving.
+// steady state — past its 32-region warmup, each step counted whole: the
+// scheduler's pick, the region's processing and the weight feedback —
+// stays within the alloc gate's budget (scripts/run_alloc_gate.sh) in
+// batch execution and in serving.
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -857,6 +857,73 @@ TEST(ObsIntegrationTest, ProgXeRecordsRegionTelemetryDeterminismNeutrally) {
             std::string::npos);
 }
 
+/// The caqe_engine_* counters `obs` holds equal `report`'s counters (one
+/// run recorded into a fresh Observability).
+void ExpectEngineCounters(Observability& obs, const ExecutionReport& report) {
+  SCOPED_TRACE(report.engine);
+  const EngineStats& s = report.stats;
+  MetricsRegistry& m = obs.metrics;
+  EXPECT_GT(s.emitted_results, 0);
+  EXPECT_EQ(m.counter("caqe_engine_join_probes_total").value(),
+            s.join_probes);
+  EXPECT_EQ(m.counter("caqe_engine_join_results_total").value(),
+            s.join_results);
+  EXPECT_EQ(m.counter("caqe_engine_dominance_cmps_total").value(),
+            s.dominance_cmps);
+  EXPECT_EQ(m.counter("caqe_engine_coarse_ops_total").value(), s.coarse_ops);
+  EXPECT_EQ(m.counter("caqe_engine_emitted_results_total").value(),
+            s.emitted_results);
+}
+
+// JFSL, SSMJ, SSMJ+ and both top-k engines finish through the same run
+// skeleton as the region engines (BatchRun), so with an Observability
+// attached each records the caqe_engine_* counters, and each reports the
+// same bytes with or without it.
+TEST(ObsIntegrationTest, EveryBatchEngineRecordsEngineCountersNeutrally) {
+  auto [r, t] = MakeTables(Distribution::kIndependent, /*rows=*/400,
+                           /*attrs=*/4, /*selectivity=*/0.02);
+  ExecOptions options;
+  options.capture_results = true;
+
+  const Workload workload =
+      MakeSubspaceWorkload(4, 0, 5, PriorityPolicy::kUniform).value();
+  const std::vector<Contract> contracts(workload.num_queries(),
+                                        MakeLogDecayContract());
+  for (const char* name : {"JFSL", "SSMJ", "SSMJ+"}) {
+    std::unique_ptr<Engine> engine = MakeEngine(name).value();
+    const ExecutionReport plain =
+        engine->Execute(r, t, workload, contracts, options).value();
+    Observability obs;
+    ExecOptions observed = options;
+    observed.obs = &obs;
+    const ExecutionReport traced =
+        engine->Execute(r, t, workload, contracts, observed).value();
+    ::caqe::testing::ExpectReportsIdentical(traced, plain);
+    ExpectEngineCounters(obs, traced);
+  }
+
+  TopKWorkload topk;
+  for (int k = 0; k < 3; ++k) topk.AddOutputDim({k, k, 1.0, 1.0});
+  topk.AddQuery({"T1", 0, {1.0, 1.0, 0.0}, 20, 0.9});
+  topk.AddQuery({"T2", 0, {0.0, 2.0, 1.0}, 50, 0.4});
+  const std::vector<Contract> topk_contracts(topk.num_queries(),
+                                             MakeLogDecayContract());
+  ContractAwareTopKEngine caqe_topk;
+  SerialTopKEngine serial_topk;
+  for (TopKEngine* engine :
+       std::vector<TopKEngine*>{&caqe_topk, &serial_topk}) {
+    const ExecutionReport plain =
+        engine->Execute(r, t, topk, topk_contracts, options).value();
+    Observability obs;
+    ExecOptions observed = options;
+    observed.obs = &obs;
+    const ExecutionReport traced =
+        engine->Execute(r, t, topk, topk_contracts, observed).value();
+    ::caqe::testing::ExpectReportsIdentical(traced, plain);
+    ExpectEngineCounters(obs, traced);
+  }
+}
+
 // Wall-phase buckets are measured on the serial driver thread inside the
 // engine's overall wall interval, so their sum can never exceed
 // wall_seconds — at any thread count (the phase spans bracket the parallel

@@ -392,7 +392,9 @@ TEST_F(RegionBuilderTest, DependencyGraphInvariants) {
     EXPECT_EQ(dg.in_degree(i), in_count[i]);
   }
   // Roots are never empty while regions remain.
-  EXPECT_FALSE(dg.Roots().empty());
+  std::vector<int> roots;
+  dg.Roots(&roots);
+  EXPECT_FALSE(roots.empty());
 }
 
 TEST_F(RegionBuilderTest, DeactivationPromotesRoots) {
@@ -402,8 +404,9 @@ TEST_F(RegionBuilderTest, DeactivationPromotesRoots) {
   for (int i = 0; i < dg.num_regions(); ++i) {
     if (dg.active(i)) alive.insert(i);
   }
+  std::vector<int> roots;
   while (!alive.empty()) {
-    const std::vector<int> roots = dg.Roots();
+    dg.Roots(&roots);
     ASSERT_FALSE(roots.empty());
     const int victim = roots[0];
     std::vector<int> promoted;

@@ -108,7 +108,6 @@ TEST_P(SkylineAlgoTest, BnlAndSfsMatchBruteForce) {
   const std::vector<int64_t> oracle = BruteForceSkyline(points, dims);
   EXPECT_EQ(BnlSkyline(points, dims), oracle);
   EXPECT_EQ(SfsSkyline(points, dims), oracle);
-  EXPECT_EQ(DivideConquerSkyline(points, dims), oracle);
 }
 
 TEST_P(SkylineAlgoTest, SubspaceResultsMatchBruteForce) {
@@ -160,33 +159,6 @@ TEST(SkylineAlgoTest, DuplicatePointsAllSurvive) {
   EXPECT_EQ(BruteForceSkyline(points, dims), expected);
   EXPECT_EQ(BnlSkyline(points, dims), expected);
   EXPECT_EQ(SfsSkyline(points, dims), expected);
-  EXPECT_EQ(DivideConquerSkyline(points, dims), expected);
-}
-
-TEST(SkylineAlgoTest, DivideConquerHandlesMassiveTies) {
-  // Many identical points plus a grid with heavy per-dimension ties: the
-  // split rotation must terminate and stay exact.
-  PointSet points(3);
-  for (int i = 0; i < 50; ++i) points.Append({1.0, 1.0, 1.0});
-  for (int a = 0; a < 4; ++a) {
-    for (int b = 0; b < 4; ++b) {
-      points.Append({static_cast<double>(a), static_cast<double>(b), 2.0});
-    }
-  }
-  const std::vector<int> dims = {0, 1, 2};
-  EXPECT_EQ(DivideConquerSkyline(points, dims),
-            BruteForceSkyline(points, dims));
-}
-
-TEST(SkylineAlgoTest, DivideConquerBeatsBruteForceComparisons) {
-  const PointSet points =
-      RandomPoints(Distribution::kIndependent, 2000, 3, 555);
-  const std::vector<int> dims = {0, 1, 2};
-  int64_t brute = 0;
-  int64_t dnc = 0;
-  BruteForceSkyline(points, dims, &brute);
-  DivideConquerSkyline(points, dims, &dnc);
-  EXPECT_LT(dnc, brute / 2);
 }
 
 TEST(SkylineAlgoTest, EmptyInput) {
@@ -195,7 +167,6 @@ TEST(SkylineAlgoTest, EmptyInput) {
   EXPECT_TRUE(BruteForceSkyline(points, dims).empty());
   EXPECT_TRUE(BnlSkyline(points, dims).empty());
   EXPECT_TRUE(SfsSkyline(points, dims).empty());
-  EXPECT_TRUE(DivideConquerSkyline(points, dims).empty());
 }
 
 TEST(IncrementalSkylineTest, MatchesBatchUnderRandomInserts) {
