@@ -110,8 +110,6 @@ class EmissionManager {
   /// candidates of query `q`.
   int64_t parked(int q) const;
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
  private:
   /// Everything one query's emission logic touches. Shards are mutually
   /// disjoint by construction — the basis of the lock-free parallel flush.

@@ -7,23 +7,6 @@
 
 namespace caqe {
 
-int ChooseCellsPerDim(const EngineOptions& options, int num_attrs,
-                      int64_t num_rows) {
-  if (options.cells_per_dim > 0) return options.cells_per_dim;
-  // Region count is (cells per table)^2, so aim each table at
-  // sqrt(target_regions) cells: cells_per_dim = target^(1/(2d)).
-  const double target = std::max(16, options.target_regions);
-  int cpd = std::max(
-      2, static_cast<int>(std::floor(
-             std::pow(target, 1.0 / (2.0 * std::max(1, num_attrs))))));
-  // Avoid over-partitioning tiny tables (aim for >= 8 rows per cell).
-  while (cpd > 1 &&
-         std::pow(cpd, num_attrs) * 8.0 > static_cast<double>(num_rows)) {
-    --cpd;
-  }
-  return std::max(1, cpd);
-}
-
 Result<PartitionedTable> PartitionForRegions(const Table& table,
                                              const EngineOptions& options,
                                              int target_regions,
@@ -156,7 +139,8 @@ ExecutionReport BatchRun::Finish() {
                                     wall_start_)
           .count();
   if (options_->obs != nullptr) {
-    RecordEngineStats(options_->obs->metrics, report_.stats);
+    RecordEngineStats(options_->obs->metrics, report_.stats,
+                      "engine=\"" + report_.engine + "\"");
   }
   return std::move(report_);
 }

@@ -39,11 +39,6 @@ class Engine {
       const std::vector<Contract>& contracts, const ExecOptions& options) = 0;
 };
 
-/// Picks a grid granularity so that the number of cell pairs stays near
-/// `options.target_regions` (used by every region-based engine).
-int ChooseCellsPerDim(const EngineOptions& options, int num_attrs,
-                      int64_t num_rows);
-
 /// Exact equi-join output size of key column `key` between R and T: the
 /// merge (ExactJoinSize) of the two tables' whole-table key runs, each built
 /// by AppendKeyRuns' radix sort — O(|R| + |T|).

@@ -172,17 +172,6 @@ int RegionPipeline::ProcessNext(const char* span_category) {
   return rid;
 }
 
-uint32_t RegionPipeline::ComputeSlotsMask(const OutputRegion& region) const {
-  uint32_t mask = 0;
-  for (int s = 0; s < static_cast<int>(rc_->predicate_slots.size()); ++s) {
-    if (region.join_sizes[s] > 0 &&
-        region.rql.Intersects(rc_->queries_of_slot[s])) {
-      mask |= uint32_t{1} << s;
-    }
-  }
-  return mask;
-}
-
 void RegionPipeline::EnsureQueryCapacity() {
   const size_t n = static_cast<size_t>(workload_->num_queries());
   if (accepted_events_.size() < n) {
@@ -294,7 +283,7 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
   TraceSink* const spans = Observability::Spans(options_.obs);
 
   // ---- Tuple-level join over the slots still serving queries. ----
-  const uint32_t slots_mask = ComputeSlotsMask(region);
+  const uint32_t slots_mask = rc_->ServedSlots(region);
   matches_.clear();
   {
     TraceSpan span(spans, "join", "pipeline", &stats.wall_join_seconds);

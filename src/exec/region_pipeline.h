@@ -186,9 +186,6 @@ class RegionPipeline {
   /// Grows per-query scratch to the workload's current size (no-op in the
   /// batch path where the workload never grows).
   void EnsureQueryCapacity();
-  /// Bit s set when slot s has join results and still serves a lineage
-  /// query of `region` — the slots the tuple-level join must cover.
-  uint32_t ComputeSlotsMask(const OutputRegion& region) const;
 
   const PartitionedTable* part_r_;
   const PartitionedTable* part_t_;

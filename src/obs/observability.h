@@ -10,6 +10,8 @@
 #ifndef CAQE_OBS_OBSERVABILITY_H_
 #define CAQE_OBS_OBSERVABILITY_H_
 
+#include <string>
+
 #include "obs/event_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
@@ -54,8 +56,10 @@ struct Observability {
 
 /// Mirrors the deterministic EngineStats counters and the wall_* phase
 /// buckets into `registry` as caqe_engine_* gauges/counters. Call once per
-/// completed run.
-void RecordEngineStats(MetricsRegistry& registry, const EngineStats& stats);
+/// completed run. Non-empty `labels` (e.g. `engine="CAQE"`) label every
+/// series, ahead of the wall-phase gauges' own phase label.
+void RecordEngineStats(MetricsRegistry& registry, const EngineStats& stats,
+                       const std::string& labels = "");
 
 /// Accumulates the tree-indexed coarse phase's traversal counters into
 /// `registry` as caqe_coarse_index_* counters. These never feed the

@@ -1,12 +1,49 @@
 #include "optimizer/scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/observability.h"
 #include "skyline/cardinality.h"
 
 namespace caqe {
+
+double RegionCost(const OutputRegion& region, uint32_t slots,
+                  const CostModel& cost) {
+  double probes = 0.0;
+  double results = 0.0;
+  for (uint32_t rest = slots; rest != 0; rest &= rest - 1) {
+    probes += static_cast<double>(region.rows_r + region.rows_t);
+    results += static_cast<double>(region.join_sizes[std::countr_zero(rest)]);
+  }
+  const double cmp_est = results * std::log2(1.0 + results);
+  return cost.join_probe_seconds * probes + cost.join_result_seconds * results +
+         cost.dominance_cmp_seconds * cmp_est + cost.schedule_seconds;
+}
+
+void ApplySatisfactionFeedback(const SatisfactionTracker& tracker,
+                               const std::vector<char>& active,
+                               std::vector<double>* weights) {
+  const int n = static_cast<int>(weights->size());
+  double v_max = 0.0;
+  bool any = false;
+  for (int q = 0; q < n; ++q) {
+    if (!active[q]) continue;
+    v_max = std::max(v_max, tracker.RuntimeMetric(q));
+    any = true;
+  }
+  if (!any) return;
+  double denom = 0.0;
+  for (int q = 0; q < n; ++q) {
+    if (active[q]) denom += v_max - tracker.RuntimeMetric(q);
+  }
+  if (denom <= 0.0) return;  // All queries equally satisfied.
+  for (int q = 0; q < n; ++q) {
+    if (!active[q]) continue;
+    (*weights)[q] += (v_max - tracker.RuntimeMetric(q)) / denom;
+  }
+}
 
 ContractDrivenScheduler::ContractDrivenScheduler(
     const RegionCollection* rc, const std::vector<char>* pending,
@@ -95,19 +132,7 @@ ContractDrivenScheduler::DomFrac& ContractDrivenScheduler::CachedDomFrac(
 
 double ContractDrivenScheduler::EstimateCost(int region) const {
   const OutputRegion& r = rc_->regions[region];
-  double probes = 0.0;
-  double results = 0.0;
-  const int num_slots = static_cast<int>(rc_->predicate_slots.size());
-  for (int s = 0; s < num_slots; ++s) {
-    if (r.join_sizes[s] <= 0) continue;
-    if (!r.rql.Intersects(rc_->queries_of_slot[s])) continue;
-    probes += static_cast<double>(r.rows_r + r.rows_t);
-    results += static_cast<double>(r.join_sizes[s]);
-  }
-  const double cmp_est = results * std::log2(1.0 + results);
-  return cost_->join_probe_seconds * probes +
-         cost_->join_result_seconds * results +
-         cost_->dominance_cmp_seconds * cmp_est + cost_->schedule_seconds;
+  return RegionCost(r, rc_->ServedSlots(r), *cost_);
 }
 
 double ContractDrivenScheduler::EstimateBenefit(int region, int q) const {
@@ -240,24 +265,8 @@ void ContractDrivenScheduler::RetireQuery(int q) {
 }
 
 void ContractDrivenScheduler::UpdateWeights() {
-  if (!options_.feedback_enabled) return;
-  const int n = static_cast<int>(weights_.size());
-  double v_max = 0.0;
-  bool any = false;
-  for (int q = 0; q < n; ++q) {
-    if (!active_[q]) continue;
-    v_max = std::max(v_max, tracker_->RuntimeMetric(q));
-    any = true;
-  }
-  if (!any) return;
-  double denom = 0.0;
-  for (int q = 0; q < n; ++q) {
-    if (active_[q]) denom += v_max - tracker_->RuntimeMetric(q);
-  }
-  if (denom <= 0.0) return;  // All queries equally satisfied.
-  for (int q = 0; q < n; ++q) {
-    if (!active_[q]) continue;
-    weights_[q] += (v_max - tracker_->RuntimeMetric(q)) / denom;
+  if (options_.feedback_enabled) {
+    ApplySatisfactionFeedback(*tracker_, active_, &weights_);
   }
 }
 

@@ -8,9 +8,11 @@
 //
 // where N_est is the progressiveness estimate (Eq. 10): the fraction of the
 // region's output volume no pending region can dominate, times the Buchta
-// cardinality estimate (Eq. 9), and t_c comes from a cost model over the
-// region's exact join sizes. After every region the run-time satisfaction
-// feedback adjusts the per-query weights (Eq. 11).
+// cardinality estimate (Eq. 9), and t_c is RegionCost over the slots the
+// region still serves. After every region the run-time satisfaction
+// feedback adjusts the per-query weights (Eq. 11,
+// ApplySatisfactionFeedback). Admission's cost previews and the top-k
+// engine's feedback call the same two functions.
 #ifndef CAQE_OPTIMIZER_SCHEDULER_H_
 #define CAQE_OPTIMIZER_SCHEDULER_H_
 
@@ -28,6 +30,23 @@ namespace caqe {
 class Counter;
 class Histogram;
 struct Observability;
+
+/// Eq. 8's t_c: the cost-model estimate (virtual seconds) of
+/// tuple-processing `region` over the predicate slots set in `slots` —
+/// per slot, probes over both cells' rows and the slot's exact join
+/// output; then an n log n dominance term over the summed output, plus
+/// one scheduling step. Slots are summed in ascending order.
+double RegionCost(const OutputRegion& region, uint32_t slots,
+                  const CostModel& cost);
+
+/// Eq. 11 feedback: raises the weight of each query q with active[q] set by
+/// (v_max - v_q) / sum of (v_max - v) over the active queries, where v is
+/// the tracker's run-time satisfaction metric and v_max its maximum over
+/// the active queries. Leaves the weights alone when every active query is
+/// equally satisfied. `active` and `weights` hold one entry per query.
+void ApplySatisfactionFeedback(const SatisfactionTracker& tracker,
+                               const std::vector<char>& active,
+                               std::vector<double>* weights);
 
 /// Scheduling policy knobs (ablations flip these).
 struct SchedulerOptions {
@@ -97,17 +116,14 @@ class ContractDrivenScheduler {
   /// cancellation-equivalence guarantee).
   void RetireQuery(int q);
 
-  bool IsActiveQuery(int q) const {
-    return q < static_cast<int>(active_.size()) && active_[q] != 0;
-  }
-
   /// Recomputes query weights from the tracker's run-time satisfaction
   /// metrics (Eq. 11). No-op when feedback is disabled.
   void UpdateWeights();
 
   double weight(int q) const { return weights_[q]; }
 
-  /// Estimated virtual seconds to process `region` tuple-level.
+  /// Estimated virtual seconds to process `region` tuple-level: RegionCost
+  /// over the slots it serves.
   double EstimateCost(int region) const;
 
   /// Progressiveness estimate N_est (Eq. 10) of `region` for query `q` —

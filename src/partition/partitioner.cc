@@ -266,10 +266,8 @@ Result<PartitionedTable> PartitionTableSlices(const Table& table,
   if (static_cast<int>(slices.size()) != table.num_attrs()) {
     return Status::InvalidArgument("one slice count per attribute required");
   }
-  int max_slices = 1;
   for (int s : slices) {
     if (s < 1) return Status::InvalidArgument("slice counts must be >= 1");
-    max_slices = std::max(max_slices, s);
   }
   if (table.num_rows() == 0) {
     return Status::InvalidArgument("cannot partition an empty table");
@@ -367,7 +365,7 @@ Result<PartitionedTable> PartitionTableSlices(const Table& table,
   for (size_t c = 0; c < num_cells; ++c) {
     emission_order[grid_ids[c]] = static_cast<int32_t>(c);
   }
-  PartitionedTable result(&table, max_slices);
+  PartitionedTable result(&table);
   std::vector<uint64_t> scratch;
   for (const auto& [id, c] : emission_order) {
     LeafCell& cell = cells[static_cast<size_t>(c)];
@@ -500,7 +498,15 @@ void FinalizeLeaves(const Table& table,
   for (LeafCell& cell : cells) result.AddCell(std::move(cell));
 }
 
-Status ValidateQuadArgs(const Table& table, int max_depth) {
+}  // namespace
+
+Result<PartitionedTable> PartitionTableQuadTreeTarget(const Table& table,
+                                                      int64_t target_cells,
+                                                      int max_depth,
+                                                      ThreadPool* pool) {
+  if (target_cells < 1) {
+    return Status::InvalidArgument("target_cells must be >= 1");
+  }
   if (max_depth < 0) {
     return Status::InvalidArgument("max_depth must be >= 0");
   }
@@ -511,47 +517,6 @@ Status ValidateQuadArgs(const Table& table, int max_depth) {
     return Status::InvalidArgument(
         "quad-tree partitioning supports at most 20 attributes");
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<PartitionedTable> PartitionTableQuadTree(const Table& table,
-                                                int64_t max_rows_per_cell,
-                                                int max_depth,
-                                                ThreadPool* pool) {
-  if (max_rows_per_cell < 1) {
-    return Status::InvalidArgument("max_rows_per_cell must be >= 1");
-  }
-  CAQE_RETURN_NOT_OK(ValidateQuadArgs(table, max_depth));
-
-  PartitionedTable result(&table, 0);
-  std::vector<std::vector<int64_t>> leaf_rows;
-  std::vector<QuadNode> stack;
-  stack.push_back(QuadRoot(table));
-  while (!stack.empty()) {
-    QuadNode node = std::move(stack.back());
-    stack.pop_back();
-    std::vector<QuadNode> children;
-    if (static_cast<int64_t>(node.rows.size()) <= max_rows_per_cell ||
-        node.depth >= max_depth || !QuadSplit(table, node, children, pool)) {
-      leaf_rows.push_back(std::move(node.rows));
-      continue;
-    }
-    for (QuadNode& child : children) stack.push_back(std::move(child));
-  }
-  FinalizeLeaves(table, leaf_rows, pool, result);
-  return result;
-}
-
-Result<PartitionedTable> PartitionTableQuadTreeTarget(const Table& table,
-                                                      int64_t target_cells,
-                                                      int max_depth,
-                                                      ThreadPool* pool) {
-  if (target_cells < 1) {
-    return Status::InvalidArgument("target_cells must be >= 1");
-  }
-  CAQE_RETURN_NOT_OK(ValidateQuadArgs(table, max_depth));
 
   // Greedily split the most populated splittable node until the leaf
   // budget is met. The heap loop stays serial (split order is part of the
@@ -578,7 +543,7 @@ Result<PartitionedTable> PartitionTableQuadTreeTarget(const Table& table,
       std::push_heap(heap.begin(), heap.end(), by_rows);
     }
   }
-  PartitionedTable result(&table, 0);
+  PartitionedTable result(&table);
   std::vector<std::vector<int64_t>> leaf_rows;
   leaf_rows.reserve(heap.size() + leaves.size());
   for (QuadNode& node : heap) leaf_rows.push_back(std::move(node.rows));

@@ -1,11 +1,13 @@
 // Input-space partitioning into leaf cells with join signatures (paper
 // Section 5.1).
 //
-// Each base table is partitioned over its score attributes into an
-// equi-width grid (the d-dimensional analogue of the paper's quad-tree
-// leaves). A leaf cell records its per-dimension bounds, its member rows,
-// and — per join-key column — a *signature*: the sorted set of distinct key
-// values of its members, plus the members grouped by signature entry.
+// Each base table is partitioned over its score attributes into leaf cells,
+// either by an equi-width grid (PartitionTableSlices) or by the paper's
+// d-dimensional quad tree, split until a cell budget is met
+// (PartitionTableQuadTreeTarget). A leaf cell records its per-dimension
+// bounds, its member rows, and — per join-key column — a *signature*: the
+// sorted set of distinct key values of its members, plus the members
+// grouped by signature entry.
 // Signature intersection decides at coarse level whether a pair of cells can
 // produce any join result for a predicate; the groups turn each shared key
 // into its row pairs.
@@ -85,11 +87,9 @@ int64_t MatchSignatures(const std::vector<int32_t>& keys_a,
 /// A table partitioned into non-empty leaf cells.
 class PartitionedTable {
  public:
-  PartitionedTable(const Table* table, int cells_per_dim)
-      : table_(table), cells_per_dim_(cells_per_dim) {}
+  explicit PartitionedTable(const Table* table) : table_(table) {}
 
   const Table& table() const { return *table_; }
-  int cells_per_dim() const { return cells_per_dim_; }
   int num_cells() const { return static_cast<int>(cells_.size()); }
   const LeafCell& cell(int i) const { return cells_[i]; }
   const std::vector<LeafCell>& cells() const { return cells_; }
@@ -101,7 +101,6 @@ class PartitionedTable {
 
  private:
   const Table* table_;
-  int cells_per_dim_;
   std::vector<LeafCell> cells_;
 };
 
@@ -126,29 +125,24 @@ Result<PartitionedTable> PartitionTable(const Table& table, int cells_per_dim);
 std::vector<int> ChooseSliceVector(int num_attrs, int64_t target_cells);
 
 /// Adaptive d-dimensional quad-tree partitioning — the structure the paper
-/// assumes for its input abstraction (Section 5.1). A node holding more
-/// than `max_rows_per_cell` rows splits at the midpoint of its bounding box
-/// in every attribute (2^d children, empty children dropped) until the
-/// limit or `max_depth` is reached. Dense areas get fine cells, sparse
-/// areas coarse ones — unlike the equi-width grid, cell populations are
-/// balanced under skew.
+/// assumes for its input abstraction (Section 5.1). Repeatedly splits the
+/// most populated node at the midpoint of its bounding box in every
+/// attribute (2^d children, empty children dropped) until at least
+/// `target_cells` leaves exist, or no node can split (degenerate box, all
+/// rows in one quadrant, or `max_depth` reached). Dense areas get fine
+/// cells, sparse areas coarse ones — unlike the equi-width grid, cell
+/// populations are balanced under skew — and the budget controls
+/// granularity directly, where a row cap could overshoot by 2^d cells per
+/// level in high dimensions.
 ///
-/// Returns InvalidArgument for non-positive limits or an empty table.
+/// Returns InvalidArgument for a non-positive target, a negative depth, an
+/// empty table or more than 20 attributes.
 ///
 /// With a pool, per-node quadrant classification runs in deterministic
 /// row stripes and leaf finalization (bound + signature computation) runs
-/// concurrently across leaves; split order, tie-breaks, cell ids, and cell
-/// contents are byte-identical to the serial build at any thread count.
-Result<PartitionedTable> PartitionTableQuadTree(const Table& table,
-                                                int64_t max_rows_per_cell,
-                                                int max_depth = 16,
-                                                ThreadPool* pool = nullptr);
-
-/// Budgeted quad-tree partitioning: repeatedly splits the most populated
-/// node until at least `target_cells` leaves exist (or nothing can split).
-/// Controls granularity directly — a plain row cap can overshoot by 2^d
-/// cells per level in high dimensions. Parallelizes like
-/// PartitionTableQuadTree; the greedy split loop itself stays serial.
+/// concurrently across leaves; the greedy split loop stays serial, so cell
+/// ids and contents are byte-identical to the serial build at any thread
+/// count.
 Result<PartitionedTable> PartitionTableQuadTreeTarget(const Table& table,
                                                       int64_t target_cells,
                                                       int max_depth = 16,

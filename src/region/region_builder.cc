@@ -20,6 +20,24 @@ SelectionCoarse CoarseSelectionTest(const SjQuery& query,
   return contained ? SelectionCoarse::kContained : SelectionCoarse::kOverlap;
 }
 
+int RegionCollection::SlotOfKey(int key) const {
+  for (int s = 0; s < static_cast<int>(predicate_slots.size()); ++s) {
+    if (predicate_slots[s] == key) return s;
+  }
+  return -1;
+}
+
+uint32_t RegionCollection::ServedSlots(const OutputRegion& region) const {
+  uint32_t slots = 0;
+  for (int s = 0; s < static_cast<int>(predicate_slots.size()); ++s) {
+    if (region.join_sizes[s] > 0 &&
+        region.rql.Intersects(queries_of_slot[s])) {
+      slots |= uint32_t{1} << s;
+    }
+  }
+  return slots;
+}
+
 namespace {
 
 /// Key matches per block of a stripe's match store: 32 KB, small enough for
@@ -138,14 +156,14 @@ Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
   RegionCollection rc;
   rc.predicate_slots = workload.DistinctJoinKeys();
   const int num_slots = static_cast<int>(rc.predicate_slots.size());
+  if (num_slots > RegionCollection::kMaxSlots) {
+    return Status::InvalidArgument(
+        "a workload may join on at most 32 distinct key columns");
+  }
   rc.slot_of_query.resize(workload.num_queries(), -1);
   rc.queries_of_slot.resize(num_slots);
   for (int q = 0; q < workload.num_queries(); ++q) {
-    const int key = workload.query(q).join_key;
-    const auto it = std::find(rc.predicate_slots.begin(),
-                              rc.predicate_slots.end(), key);
-    rc.slot_of_query[q] =
-        static_cast<int>(it - rc.predicate_slots.begin());
+    rc.slot_of_query[q] = rc.SlotOfKey(workload.query(q).join_key);
     rc.queries_of_slot[rc.slot_of_query[q]].Add(q);
   }
   rc.total_join_sizes.assign(num_slots, 0);

@@ -19,6 +19,10 @@ namespace caqe {
 /// The output regions of a workload plus the predicate bookkeeping shared
 /// by engines.
 struct RegionCollection {
+  /// Slot masks (ServedSlots, JoinMatch::slot_mask) hold one bit per
+  /// predicate slot; BuildRegions rejects workloads with more slots.
+  static constexpr int kMaxSlots = 32;
+
   /// Distinct join-key columns used by the workload, ascending. Region
   /// join_sizes are indexed by position in this vector ("predicate slot").
   std::vector<int> predicate_slots;
@@ -55,6 +59,16 @@ struct RegionCollection {
     return {key_matches.data() + key_match_starts[at],
             key_matches.data() + key_match_starts[at + 1]};
   }
+
+  /// Predicate slot of join-key column `key`, or -1 when no slot joins on
+  /// it.
+  int SlotOfKey(int key) const;
+
+  /// The slots `region` still serves, as a bit mask: bit s is set when the
+  /// region has join results on slot s and its lineage still holds a query
+  /// of slot s. These are the slots its tuple-level join covers and its
+  /// cost estimate counts.
+  uint32_t ServedSlots(const OutputRegion& region) const;
 };
 
 /// Coarse outcome of one query's selection ranges against a cell pair:
@@ -80,6 +94,9 @@ SelectionCoarse CoarseSelectionTest(const SjQuery& query,
 /// results merged in stripe order, so regions, ids, key matches, and
 /// coarse-op totals are identical to the serial build regardless of thread
 /// count.
+///
+/// Returns InvalidArgument for a workload that fails Workload::Validate or
+/// joins on more than RegionCollection::kMaxSlots distinct key columns.
 Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
                                       const PartitionedTable& part_t,
                                       const Workload& workload,

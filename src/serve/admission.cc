@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "optimizer/scheduler.h"
 #include "skyline/cardinality.h"
 
 namespace caqe {
@@ -15,34 +16,21 @@ constexpr double kMinExpectedUtility = 0.05;
 
 }  // namespace
 
-double RegionSlotCost(const OutputRegion& region, int slot,
-                      const CostModel& cost) {
-  const double probes = static_cast<double>(region.rows_r + region.rows_t);
-  const double results = static_cast<double>(region.join_sizes[slot]);
-  const double cmp_est = results * std::log2(1.0 + results);
-  return cost.join_probe_seconds * probes +
-         cost.join_result_seconds * results +
-         cost.dominance_cmp_seconds * cmp_est + cost.schedule_seconds;
+SelectionCoarse GraftTest(const SjQuery& query, const OutputRegion& region,
+                          int slot, const PartitionedTable& part_r,
+                          const PartitionedTable& part_t) {
+  if (region.join_sizes[slot] <= 0) return SelectionCoarse::kDisjoint;
+  return CoarseSelectionTest(query, part_r.cell(region.cell_r),
+                             part_t.cell(region.cell_t));
 }
 
 double BacklogCost(const RegionCollection& rc,
                    const std::vector<char>& pending, const CostModel& cost) {
   double total = 0.0;
-  const int num_slots = static_cast<int>(rc.predicate_slots.size());
   for (const OutputRegion& region : rc.regions) {
-    if (!pending[region.id]) continue;
-    double probes = 0.0;
-    double results = 0.0;
-    for (int s = 0; s < num_slots; ++s) {
-      if (region.join_sizes[s] <= 0) continue;
-      if (!region.rql.Intersects(rc.queries_of_slot[s])) continue;
-      probes += static_cast<double>(region.rows_r + region.rows_t);
-      results += static_cast<double>(region.join_sizes[s]);
+    if (pending[region.id]) {
+      total += RegionCost(region, rc.ServedSlots(region), cost);
     }
-    const double cmp_est = results * std::log2(1.0 + results);
-    total += cost.join_probe_seconds * probes +
-             cost.join_result_seconds * results +
-             cost.dominance_cmp_seconds * cmp_est + cost.schedule_seconds;
   }
   return total;
 }
@@ -56,37 +44,34 @@ AdmissionEstimate EvaluateAdmission(const SjQuery& query,
   const ServeOptions& options = *in.options;
 
   // The server's predicate slots are fixed at startup; a query on a join
-  // key outside that set has no regions to graft into.
-  int slot = -1;
-  for (int s = 0; s < static_cast<int>(rc.predicate_slots.size()); ++s) {
-    ++*control_ops;
-    if (rc.predicate_slots[s] == query.join_key) {
-      slot = s;
-      break;
-    }
-  }
+  // key outside that set has no regions to graft into. One control op per
+  // slot the lookup compared (it stops at the match).
+  const int slot = rc.SlotOfKey(query.join_key);
+  *control_ops += slot >= 0
+                      ? slot + 1
+                      : static_cast<int64_t>(rc.predicate_slots.size());
   if (slot < 0) {
     est.decision = AdmissionDecision::kReject;
     est.reason = "no-predicate";
     return est;
   }
 
-  // Walk the graftable lineage: regions whose exact join size on the slot
-  // is positive and whose cell boxes survive the query's coarse selection
-  // test. Already-processed regions count too — a graft resurrects them
-  // for reprocessing, so every arrival sees the full data.
+  // Walk the graftable lineage (GraftTest). Already-processed regions
+  // count too — a graft resurrects them for reprocessing, so every arrival
+  // sees the full data. Each region's own work is its cost on this one
+  // slot.
   double own_cost = 0.0;
   double min_cost = 0.0;
   double join_total = 0.0;
   int64_t join_total_exact = 0;
   for (const OutputRegion& region : rc.regions) {
     ++*control_ops;
-    if (region.join_sizes[slot] <= 0) continue;
-    const SelectionCoarse coarse =
-        CoarseSelectionTest(query, in.part_r->cell(region.cell_r),
-                            in.part_t->cell(region.cell_t));
-    if (coarse == SelectionCoarse::kDisjoint) continue;
-    const double region_cost = RegionSlotCost(region, slot, *in.cost);
+    if (GraftTest(query, region, slot, *in.part_r, *in.part_t) ==
+        SelectionCoarse::kDisjoint) {
+      continue;
+    }
+    const double region_cost =
+        RegionCost(region, uint32_t{1} << slot, *in.cost);
     own_cost += region_cost;
     min_cost = est.lineage_regions == 0 ? region_cost
                                         : std::min(min_cost, region_cost);

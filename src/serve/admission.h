@@ -4,8 +4,8 @@
 // region lineage (every region whose predicate slot matches and whose cell
 // boxes survive the coarse selection test — already-processed regions are
 // resurrected and reprocessed for the newcomer, so every query sees the
-// full data), the cost-model estimate of its own work, and the backlog of
-// already-admitted work. The
+// full data), the cost of its own work and the backlog of already-admitted
+// work, both priced by the scheduler's t_c (RegionCost). The
 // contract previews the utility a result would earn at the optimistic
 // first-result time and at the pessimistic drain time; a request whose
 // expected utility is below the policy floor — or whose deadline cannot be
@@ -96,15 +96,18 @@ struct AdmissionEstimate {
   bool calibration_trusted = false;
 };
 
-/// Cost-model estimate (virtual seconds) of tuple-processing `region` for
-/// one predicate slot alone: probes over both cell row sets, the slot's
-/// exact join output, an n log n dominance term, and the scheduling step.
-/// Mirrors ContractDrivenScheduler::EstimateCost restricted to one slot.
-double RegionSlotCost(const OutputRegion& region, int slot,
-                      const CostModel& cost);
+/// Whether `region` joins `query`'s lineage on predicate slot `slot`:
+/// kDisjoint (not graftable) when the region has no join output on the slot
+/// or its cell boxes miss one of the query's selections, else the
+/// CoarseSelectionTest verdict (kContained makes the region guaranteed for
+/// the query). Admission estimates over exactly the regions a graft adds.
+SelectionCoarse GraftTest(const SjQuery& query, const OutputRegion& region,
+                          int slot, const PartitionedTable& part_r,
+                          const PartitionedTable& part_t);
 
-/// Virtual-seconds estimate of the live backlog: the summed cost of every
-/// pending region over the predicate slots it currently serves.
+/// Virtual-seconds estimate of the live backlog: the summed RegionCost of
+/// every pending region over the slots it serves (ServedSlots), in region
+/// order.
 double BacklogCost(const RegionCollection& rc,
                    const std::vector<char>& pending, const CostModel& cost);
 

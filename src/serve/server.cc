@@ -7,7 +7,6 @@
 #include "exec/engine.h"
 #include "obs/observability.h"
 #include "serve/admission.h"
-#include "skyline/cardinality.h"
 
 namespace caqe {
 
@@ -293,14 +292,14 @@ void CaqeServer::NotifyFinished(const RequestState& request, int ran_slot) {
                        : (request.decision_span != 0 ? request.decision_span
                                                      : request.root_span),
          .phase = RequestStatusName(request.status),
-         .reason = request.reason,
+         .reason = request.estimate.reason,
          .results = request.results,
          .count = request.parked_dropped,
          .pscore = request.pscore,
-         .est_finish_seconds = request.est_finish_seconds,
+         .est_finish_seconds = request.estimate.est_finish_seconds,
          .observed_seconds =
              finished ? request.finish_time - request.submit_time : 0.0,
-         .expected_utility = request.expected_utility});
+         .expected_utility = request.estimate.expected_utility});
   }
   if (on_finish_) on_finish_(request.id, request.status);
 }
@@ -331,14 +330,7 @@ AdmissionDecision CaqeServer::Decide(RequestState& request) {
   span.set_parent(request.root_span, request.root_span);
   request.decision_span = span.id();
   const AdmissionEstimate est = PreviewAdmission(request);
-  request.expected_utility = est.expected_utility;
-  request.lineage_regions = est.lineage_regions;
-  request.reason = est.reason;
-  request.est_first_seconds = est.est_first_seconds;
-  request.est_finish_seconds = est.est_finish_seconds;
-  request.raw_service_cost_seconds = est.raw_service_cost_seconds;
-  request.raw_est_results = est.raw_estimated_results;
-  request.calibration_bucket = est.calibration_bucket;
+  request.estimate = est;
   if (options_.obs != nullptr) {
     options_.obs->metrics
         .counter(std::string("caqe_serve_admission_decisions_total{"
@@ -392,13 +384,7 @@ Status CaqeServer::Graft(RequestState& request) {
                                              : request.root_span,
                   request.root_span);
   request.graft_span = span.id();
-  int pslot = -1;
-  for (int s = 0; s < static_cast<int>(rc_.predicate_slots.size()); ++s) {
-    if (rc_.predicate_slots[s] == request.query.join_key) {
-      pslot = s;
-      break;
-    }
-  }
+  const int pslot = rc_.SlotOfKey(request.query.join_key);
   CAQE_CHECK(pslot >= 0);  // Admission rejects unknown predicates.
 
   // Acquire a workload slot: lowest free slot, else append a new one.
@@ -425,20 +411,16 @@ Status CaqeServer::Graft(RequestState& request) {
   query_reports_[slot].name = request.query.name;
   rc_.queries_of_slot[pslot].Add(slot);
 
-  // Re-derive the region lineage: every region whose predicate matches and
-  // whose cell boxes survive the coarse selection test joins the lineage.
+  // Extend the lineage over the regions admission counted (GraftTest).
   // Non-pending regions — discarded by earlier pruning or already
   // processed — are resurrected for reprocessing; their stale lineage is
   // cleared first so the rerun feeds only the newcomer (the old members
   // already consumed those tuples).
   int64_t live = 0;
-  double join_total = 0.0;
   for (OutputRegion& region : rc_.regions) {
     ++control_ops_;
-    if (region.join_sizes[pslot] <= 0) continue;
     const SelectionCoarse coarse =
-        CoarseSelectionTest(request.query, part_r_->cell(region.cell_r),
-                            part_t_->cell(region.cell_t));
+        GraftTest(request.query, region, pslot, *part_r_, *part_t_);
     if (coarse == SelectionCoarse::kDisjoint) continue;
     if (!pipeline_->pending()[region.id]) {
       region.rql = QuerySet();
@@ -447,23 +429,14 @@ Status CaqeServer::Graft(RequestState& request) {
     }
     region.rql.Add(slot);
     if (coarse == SelectionCoarse::kContained) region.guaranteed.Add(slot);
-    join_total += static_cast<double>(region.join_sizes[pslot]);
     ++live;
   }
-  request.lineage_regions = live;
+  CAQE_DCHECK(live == request.estimate.lineage_regions);
 
-  const int dims = static_cast<int>(request.query.preference.size());
-  double estimated_total =
-      join_total > 0.0 ? BuchtaSkylineCardinality(join_total, dims) : 1.0;
-  // Calibrated servers graft with the corrected cardinality guess, so the
-  // tracker's Eq. 7 denominators improve together with admission.
-  if (calibrator_.has_value() && request.calibration_bucket >= 0) {
-    Calibrator::BucketKey bucket;
-    bucket.index = request.calibration_bucket;
-    estimated_total = std::max(
-        1.0, calibrator_->CorrectCardinality(bucket, estimated_total));
-  }
-  tracker_->SetEstimatedTotal(slot, estimated_total);
+  // Admission's result estimate (calibrated servers' is corrected, so the
+  // tracker's Eq. 7 denominators improve together with admission).
+  tracker_->SetEstimatedTotal(
+      slot, std::max(1.0, request.estimate.estimated_results));
 
   scheduler_->AddQuery(slot);
   CAQE_RETURN_NOT_OK(pipeline_->AddPlanGroup(pslot, {slot}));
@@ -541,19 +514,19 @@ void CaqeServer::Retire(RequestState& request, RequestStatus final_status) {
   // completion folds its observed/estimated ratios into the workload
   // bucket's correction factors. Retire runs on the serial driver thread,
   // which is what keeps calibrated reports replay-identical.
+  const AdmissionEstimate& est = request.estimate;
   if (calibrator_.has_value() && final_status == RequestStatus::kCompleted &&
-      request.calibration_bucket >= 0 &&
-      request.raw_service_cost_seconds > 0.0 &&
+      est.calibration_bucket >= 0 && est.raw_service_cost_seconds > 0.0 &&
       request.decision_time >= 0.0) {
     Calibrator::BucketKey bucket;
-    bucket.index = request.calibration_bucket;
+    bucket.index = est.calibration_bucket;
     Calibrator::CompletionSample sample;
     // Observed admit-to-finish service time against the admitting
     // decision's predicted service-window cost: same basis the correction
     // factors scale, so the EWMA converges on model error, not queue wait.
-    sample.raw_est_seconds = request.raw_service_cost_seconds;
+    sample.raw_est_seconds = est.raw_service_cost_seconds;
     sample.observed_seconds = now - request.decision_time;
-    sample.raw_est_results = request.raw_est_results;
+    sample.raw_est_results = est.raw_estimated_results;
     sample.observed_results = request.results;
     const int64_t shifts_before = calibrator_->shifts();
     calibrator_->ObserveCompletion(bucket, sample);
@@ -581,10 +554,10 @@ void CaqeServer::Retire(RequestState& request, RequestStatus final_status) {
     // Estimation quality: completed requests compare the admission-time
     // service estimate against the observed (virtual) service time.
     if (final_status == RequestStatus::kCompleted &&
-        svc_err_hist_ != nullptr && request.est_finish_seconds > 0.0) {
+        svc_err_hist_ != nullptr && est.est_finish_seconds > 0.0) {
       const double observed = now - request.submit_time;
-      svc_err_hist_->Observe((observed - request.est_finish_seconds) /
-                             request.est_finish_seconds);
+      svc_err_hist_->Observe((observed - est.est_finish_seconds) /
+                             est.est_finish_seconds);
     }
   }
   NotifyFinished(request, slot);
@@ -683,8 +656,8 @@ void CaqeServer::RepreviewDeferred() {
   for (RequestState& request : requests_) {
     if (request.status != RequestStatus::kDeferred) continue;
     ++control_ops_;
-    const double before_first = request.est_first_seconds;
-    const double before_finish = request.est_finish_seconds;
+    const double before_first = request.estimate.est_first_seconds;
+    const double before_finish = request.estimate.est_finish_seconds;
     const AdmissionEstimate preview = PreviewAdmission(request);
     const bool upgraded = preview.decision == AdmissionDecision::kAdmit;
     if (upgraded) {
@@ -939,7 +912,7 @@ Result<ServingReport> CaqeServer::Finish() {
       request.decision_time = clock_.Now();
       request.finish_time = clock_.Now();
       request.status = RequestStatus::kRejected;
-      request.reason = "capacity";
+      request.estimate.reason = "capacity";
       NotifyFinished(request);
     }
   }
@@ -961,10 +934,10 @@ Result<ServingReport> CaqeServer::Finish() {
     out.results = request.results;
     out.pscore = request.pscore;
     out.satisfaction = request.satisfaction;
-    out.expected_utility = request.expected_utility;
-    out.lineage_regions = request.lineage_regions;
+    out.expected_utility = request.estimate.expected_utility;
+    out.lineage_regions = request.estimate.lineage_regions;
     out.parked_dropped = request.parked_dropped;
-    out.reason = request.reason;
+    out.reason = request.estimate.reason;
     report.requests.push_back(std::move(out));
     switch (request.status) {
       case RequestStatus::kCompleted:

@@ -237,25 +237,14 @@ class CaqeServer {
     double finish_time = -1.0;
     double time_to_first_result = -1.0;
     int defers = 0;
-    double expected_utility = 0.0;
-    /// Admission-time service estimates (seconds from submission), kept for
-    /// the observed-vs-estimated error metric. The est_* pair is corrected
-    /// when calibration is on; the raw_* pair keeps the uncorrected model
-    /// outputs the calibrator's completion samples are measured against.
-    double est_first_seconds = 0.0;
-    double est_finish_seconds = 0.0;
-    /// Uncorrected service-window cost of the admitting decision (see
-    /// AdmissionEstimate::raw_service_cost_seconds).
-    double raw_service_cost_seconds = 0.0;
-    double raw_est_results = 0.0;
-    /// Calibration bucket of the last admission decision (-1 = none).
-    int calibration_bucket = -1;
-    int64_t lineage_regions = 0;
+    /// The latest admission decision's estimate, kept whole: the graft,
+    /// the calibrator's completion sample, the finish event and the
+    /// request report read it. A forced drain reject overwrites its reason.
+    AdmissionEstimate estimate;
     int64_t parked_dropped = 0;
     int64_t results = 0;
     double pscore = 0.0;
     double satisfaction = 0.0;
-    const char* reason = "";
     /// Causal span ids (0 = none yet): the root "request" span and the
     /// latest admission/graft spans — parents for downstream spans and the
     /// contract events' causal links (DESIGN.md §15).

@@ -1,6 +1,7 @@
 #include "topk/topk_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -8,6 +9,7 @@
 #include "baselines/baseline_util.h"
 #include "exec/engine.h"
 #include "exec/join_kernel.h"
+#include "optimizer/scheduler.h"
 #include "region/region_builder.h"
 #include "skyline/point_set.h"
 
@@ -110,22 +112,22 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
   PointSet store(workload.num_output_dims());
   CellJoinKernel join_kernel(&part_r, &part_t);
   std::vector<double> weights(workload.num_queries(), 1.0);
+  const std::vector<char> all_queries(workload.num_queries(), 1);
 
   auto emit = [&](int q, int64_t id) {
     ++states[q].emitted;
     run.Report(q, id, store.row(id));
   };
 
-  // Estimated processing time of a region (same cost structure as the
-  // skyline core, with heap maintenance as the comparison term).
+  // Estimated processing time of a region (RegionCost's probe and result
+  // terms over the slots it serves, with heap maintenance as the
+  // comparison term).
   auto estimate_cost = [&](const OutputRegion& region) {
     double probes = 0.0;
     double results = 0.0;
-    for (int s = 0; s < static_cast<int>(rc.predicate_slots.size()); ++s) {
-      if (region.join_sizes[s] <= 0) continue;
-      if (!region.rql.Intersects(rc.queries_of_slot[s])) continue;
+    for (uint32_t rest = rc.ServedSlots(region); rest != 0; rest &= rest - 1) {
       probes += static_cast<double>(region.rows_r + region.rows_t);
-      results += static_cast<double>(region.join_sizes[s]);
+      results += static_cast<double>(region.join_sizes[std::countr_zero(rest)]);
     }
     const CostModel& cost = clock.cost_model();
     return cost.join_probe_seconds * probes +
@@ -167,13 +169,7 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
     OutputRegion& region = rc.regions[best_region];
 
     // ---- Tuple-level join + candidate maintenance. ----
-    uint32_t slots_mask = 0;
-    for (int s = 0; s < static_cast<int>(rc.predicate_slots.size()); ++s) {
-      if (region.join_sizes[s] > 0 &&
-          region.rql.Intersects(rc.queries_of_slot[s])) {
-        slots_mask |= uint32_t{1} << s;
-      }
-    }
+    const uint32_t slots_mask = rc.ServedSlots(region);
     matches.clear();
     const int64_t probes_before = stats.join_probes;
     const int64_t results_before = stats.join_results;
@@ -246,18 +242,8 @@ Result<ExecutionReport> ContractAwareTopKEngine::Execute(
     clock.ChargeCoarseOps(coarse);
 
     // ---- Satisfaction feedback (Eq. 11). ----
-    double v_max = 0.0;
-    for (int q = 0; q < workload.num_queries(); ++q) {
-      v_max = std::max(v_max, tracker.RuntimeMetric(q));
-    }
-    double denom = 0.0;
-    for (int q = 0; q < workload.num_queries(); ++q) {
-      denom += v_max - tracker.RuntimeMetric(q);
-    }
-    if (denom > 0.0 && options.feedback_enabled) {
-      for (int q = 0; q < workload.num_queries(); ++q) {
-        weights[q] += (v_max - tracker.RuntimeMetric(q)) / denom;
-      }
+    if (options.feedback_enabled) {
+      ApplySatisfactionFeedback(tracker, all_queries, &weights);
     }
   }
 

@@ -1,5 +1,5 @@
-// Unit tests for the execution layer: emission manager, join kernel, cell
-// granularity choice, and the metrics printer.
+// Unit tests for the execution layer: emission manager, join kernel, input
+// partitioning, and the metrics printer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,27 +28,6 @@ namespace caqe {
 namespace {
 
 using ::caqe::testing::MakeTables;
-
-TEST(ChooseCellsPerDimTest, RespectsExplicitOverride) {
-  ExecOptions options;
-  options.cells_per_dim = 7;
-  EXPECT_EQ(ChooseCellsPerDim(options, 4, 100000), 7);
-}
-
-TEST(ChooseCellsPerDimTest, AutoStaysNearTargetRegions) {
-  ExecOptions options;
-  options.target_regions = 512;
-  // d=4: 512^(1/8) ~ 2.2 -> 2 slices -> 16 cells -> 256 regions.
-  EXPECT_EQ(ChooseCellsPerDim(options, 4, 1000000), 2);
-  // d=2: 512^(1/4) ~ 4.8 -> 4 slices -> 16 cells -> 256 regions.
-  EXPECT_EQ(ChooseCellsPerDim(options, 2, 1000000), 4);
-}
-
-TEST(ChooseCellsPerDimTest, AvoidsOverPartitioningTinyTables) {
-  ExecOptions options;
-  const int cpd = ChooseCellsPerDim(options, 4, 20);
-  EXPECT_EQ(cpd, 1);
-}
 
 TEST(ExactTotalJoinSizeTest, MatchesNestedLoop) {
   auto [r, t] = MakeTables(Distribution::kIndependent, 150, 2, 0.1);

@@ -87,12 +87,12 @@ TEST(CompactLayoutDifferentialTest, JoinIdenticalToMapLayout) {
     for (const bool quad_tree : {false, true}) {
       const std::string label = std::string(quad_tree ? "quad" : "grid") +
                                 " seed " + std::to_string(seed);
-      const PartitionedTable pr = quad_tree
-                                      ? PartitionTableQuadTree(r, 24).value()
-                                      : PartitionTable(r, 4).value();
-      const PartitionedTable pt = quad_tree
-                                      ? PartitionTableQuadTree(t, 24).value()
-                                      : PartitionTable(t, 4).value();
+      const PartitionedTable pr =
+          quad_tree ? PartitionTableQuadTreeTarget(r, 8).value()
+                    : PartitionTable(r, 4).value();
+      const PartitionedTable pt =
+          quad_tree ? PartitionTableQuadTreeTarget(t, 8).value()
+                    : PartitionTable(t, 4).value();
       if (!quad_tree) {
         // The lone row 0 gives each side a one-row cell.
         const auto has_single = [](const PartitionedTable& p) {

@@ -857,33 +857,44 @@ TEST(ObsIntegrationTest, ProgXeRecordsRegionTelemetryDeterminismNeutrally) {
             std::string::npos);
 }
 
-/// The caqe_engine_* counters `obs` holds equal `report`'s counters (one
-/// run recorded into a fresh Observability).
+/// The caqe_engine_* series `obs` holds for `report.engine` equal
+/// `report`'s counters and virtual seconds.
 void ExpectEngineCounters(Observability& obs, const ExecutionReport& report) {
   SCOPED_TRACE(report.engine);
   const EngineStats& s = report.stats;
   MetricsRegistry& m = obs.metrics;
+  const auto series = [&](const std::string& base) {
+    return base + "{engine=\"" + report.engine + "\"}";
+  };
   EXPECT_GT(s.emitted_results, 0);
-  EXPECT_EQ(m.counter("caqe_engine_join_probes_total").value(),
+  EXPECT_EQ(m.counter(series("caqe_engine_join_probes_total")).value(),
             s.join_probes);
-  EXPECT_EQ(m.counter("caqe_engine_join_results_total").value(),
+  EXPECT_EQ(m.counter(series("caqe_engine_join_results_total")).value(),
             s.join_results);
-  EXPECT_EQ(m.counter("caqe_engine_dominance_cmps_total").value(),
+  EXPECT_EQ(m.counter(series("caqe_engine_dominance_cmps_total")).value(),
             s.dominance_cmps);
-  EXPECT_EQ(m.counter("caqe_engine_coarse_ops_total").value(), s.coarse_ops);
-  EXPECT_EQ(m.counter("caqe_engine_emitted_results_total").value(),
+  EXPECT_EQ(m.counter(series("caqe_engine_coarse_ops_total")).value(),
+            s.coarse_ops);
+  EXPECT_EQ(m.counter(series("caqe_engine_emitted_results_total")).value(),
             s.emitted_results);
+  EXPECT_EQ(m.gauge(series("caqe_engine_virtual_seconds")).value(),
+            s.virtual_seconds);
 }
 
 // JFSL, SSMJ, SSMJ+ and both top-k engines finish through the same run
 // skeleton as the region engines (BatchRun), so with an Observability
 // attached each records the caqe_engine_* counters, and each reports the
-// same bytes with or without it.
+// same bytes with or without it. All engines share one registry, as
+// caqe_cli --metrics_out does: the engine label keeps each engine's series
+// its own.
 TEST(ObsIntegrationTest, EveryBatchEngineRecordsEngineCountersNeutrally) {
   auto [r, t] = MakeTables(Distribution::kIndependent, /*rows=*/400,
                            /*attrs=*/4, /*selectivity=*/0.02);
   ExecOptions options;
   options.capture_results = true;
+  Observability obs;
+  ExecOptions observed = options;
+  observed.obs = &obs;
 
   const Workload workload =
       MakeSubspaceWorkload(4, 0, 5, PriorityPolicy::kUniform).value();
@@ -893,9 +904,6 @@ TEST(ObsIntegrationTest, EveryBatchEngineRecordsEngineCountersNeutrally) {
     std::unique_ptr<Engine> engine = MakeEngine(name).value();
     const ExecutionReport plain =
         engine->Execute(r, t, workload, contracts, options).value();
-    Observability obs;
-    ExecOptions observed = options;
-    observed.obs = &obs;
     const ExecutionReport traced =
         engine->Execute(r, t, workload, contracts, observed).value();
     ::caqe::testing::ExpectReportsIdentical(traced, plain);
@@ -914,9 +922,6 @@ TEST(ObsIntegrationTest, EveryBatchEngineRecordsEngineCountersNeutrally) {
        std::vector<TopKEngine*>{&caqe_topk, &serial_topk}) {
     const ExecutionReport plain =
         engine->Execute(r, t, topk, topk_contracts, options).value();
-    Observability obs;
-    ExecOptions observed = options;
-    observed.obs = &obs;
     const ExecutionReport traced =
         engine->Execute(r, t, topk, topk_contracts, observed).value();
     ::caqe::testing::ExpectReportsIdentical(traced, plain);

@@ -182,10 +182,13 @@ TEST(PartitionTest, SliceVectorPartitioningCoversRows) {
 
 TEST(QuadTreeTest, RejectsBadInputs) {
   const Table t = SmallTable();
-  EXPECT_FALSE(PartitionTableQuadTree(t, 0).ok());
-  EXPECT_FALSE(PartitionTableQuadTree(t, 10, -1).ok());
+  EXPECT_FALSE(PartitionTableQuadTreeTarget(t, 0).ok());
+  EXPECT_FALSE(PartitionTableQuadTreeTarget(t, 10, -1).ok());
   Table empty("E", 2, 0);
-  EXPECT_FALSE(PartitionTableQuadTree(empty, 10).ok());
+  EXPECT_FALSE(PartitionTableQuadTreeTarget(empty, 10).ok());
+  Table wide("W", 21, 0);
+  wide.AppendRow(std::vector<double>(21, 0.5), {});
+  EXPECT_FALSE(PartitionTableQuadTreeTarget(wide, 10).ok());
 }
 
 TEST(QuadTreeTest, PartitionsAllRowsDisjointly) {
@@ -198,14 +201,13 @@ TEST(QuadTreeTest, PartitionsAllRowsDisjointly) {
         Distribution::kAntiCorrelated}) {
     cfg.distribution = dist;
     const Table t = GenerateTable("T", cfg).value();
-    const PartitionedTable p = PartitionTableQuadTree(t, 100).value();
+    const PartitionedTable p = PartitionTableQuadTreeTarget(t, 24).value();
     EXPECT_EQ(p.TotalRows(), t.num_rows());
+    // Distinct random points split until the budget is met.
+    EXPECT_GE(p.num_cells(), 24);
     std::set<int64_t> seen;
     for (const LeafCell& cell : p.cells()) {
       EXPECT_FALSE(cell.rows.empty());
-      // Cell populations respect the limit (max_depth not hit at this
-      // size).
-      EXPECT_LE(cell.rows.size(), 100u);
       for (int64_t row : cell.rows) {
         EXPECT_TRUE(seen.insert(row).second);
       }
@@ -223,14 +225,14 @@ TEST(QuadTreeTest, PartitionsAllRowsDisjointly) {
 
 TEST(QuadTreeTest, BalancesSkewBetterThanGrid) {
   // Correlated data piles up along the diagonal; the quad tree adapts
-  // while the grid leaves most populated cells huge.
+  // while the grid leaves most populated cells huge. Both get 16 cells.
   GeneratorConfig cfg;
   cfg.num_rows = 4000;
   cfg.num_attrs = 2;
   cfg.distribution = Distribution::kCorrelated;
   const Table t = GenerateTable("T", cfg).value();
   const PartitionedTable grid = PartitionTable(t, 4).value();
-  const PartitionedTable quad = PartitionTableQuadTree(t, 250).value();
+  const PartitionedTable quad = PartitionTableQuadTreeTarget(t, 16).value();
   size_t grid_max = 0;
   for (const LeafCell& cell : grid.cells()) {
     grid_max = std::max(grid_max, cell.rows.size());
@@ -239,13 +241,13 @@ TEST(QuadTreeTest, BalancesSkewBetterThanGrid) {
   for (const LeafCell& cell : quad.cells()) {
     quad_max = std::max(quad_max, cell.rows.size());
   }
-  EXPECT_LE(quad_max, 250u);
+  EXPECT_LE(grid.num_cells(), 16);
   EXPECT_GT(grid_max, quad_max);
 }
 
 TEST(QuadTreeTest, PoolBuildMatchesSerialBuild) {
   // The parallel quad-tree build must be a pure work-split: cell order,
-  // bounds, and row lists stay byte-identical to the serial recursion
+  // bounds, and row lists stay byte-identical to the serial build
   // regardless of pool size.
   GeneratorConfig cfg;
   cfg.num_rows = 3000;
@@ -256,31 +258,28 @@ TEST(QuadTreeTest, PoolBuildMatchesSerialBuild) {
         Distribution::kAntiCorrelated}) {
     cfg.distribution = dist;
     const Table t = GenerateTable("T", cfg).value();
-    const PartitionedTable serial = PartitionTableQuadTree(t, 64).value();
-    const PartitionedTable serial_target =
-        PartitionTableQuadTreeTarget(t, 40).value();
-    for (const int threads : {2, 7}) {
-      ThreadPool pool(threads);
-      const PartitionedTable pooled =
-          PartitionTableQuadTree(t, 64, /*max_depth=*/16, &pool).value();
-      const PartitionedTable pooled_target =
-          PartitionTableQuadTreeTarget(t, 40, /*max_depth=*/16, &pool)
-              .value();
-      const auto expect_identical = [](const PartitionedTable& a,
-                                       const PartitionedTable& b) {
-        ASSERT_EQ(a.num_cells(), b.num_cells());
-        for (int c = 0; c < a.num_cells(); ++c) {
-          EXPECT_EQ(a.cell(c).rows, b.cell(c).rows) << "cell " << c;
-          EXPECT_EQ(a.cell(c).lower, b.cell(c).lower) << "cell " << c;
-          EXPECT_EQ(a.cell(c).upper, b.cell(c).upper) << "cell " << c;
-          EXPECT_EQ(a.cell(c).signatures, b.cell(c).signatures)
+    for (const int64_t target : {40, 200}) {
+      const PartitionedTable serial =
+          PartitionTableQuadTreeTarget(t, target).value();
+      for (const int threads : {2, 7}) {
+        ThreadPool pool(threads);
+        const PartitionedTable pooled =
+            PartitionTableQuadTreeTarget(t, target, /*max_depth=*/16, &pool)
+                .value();
+        ASSERT_EQ(pooled.num_cells(), serial.num_cells());
+        for (int c = 0; c < serial.num_cells(); ++c) {
+          EXPECT_EQ(pooled.cell(c).rows, serial.cell(c).rows) << "cell " << c;
+          EXPECT_EQ(pooled.cell(c).lower, serial.cell(c).lower)
               << "cell " << c;
-          EXPECT_EQ(a.cell(c).signature_counts, b.cell(c).signature_counts)
+          EXPECT_EQ(pooled.cell(c).upper, serial.cell(c).upper)
+              << "cell " << c;
+          EXPECT_EQ(pooled.cell(c).signatures, serial.cell(c).signatures)
+              << "cell " << c;
+          EXPECT_EQ(pooled.cell(c).signature_counts,
+                    serial.cell(c).signature_counts)
               << "cell " << c;
         }
-      };
-      expect_identical(pooled, serial);
-      expect_identical(pooled_target, serial_target);
+      }
     }
   }
 }
@@ -288,7 +287,7 @@ TEST(QuadTreeTest, PoolBuildMatchesSerialBuild) {
 TEST(QuadTreeTest, IdenticalPointsTerminate) {
   Table t("T", 2, 1);
   for (int i = 0; i < 100; ++i) t.AppendRow({5.0, 5.0}, {1});
-  const PartitionedTable p = PartitionTableQuadTree(t, 10).value();
+  const PartitionedTable p = PartitionTableQuadTreeTarget(t, 10).value();
   ASSERT_EQ(p.num_cells(), 1);
   EXPECT_EQ(p.cell(0).rows.size(), 100u);
 }

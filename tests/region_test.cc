@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -551,6 +552,28 @@ TEST(RegionBuilderErrorTest, RejectsInvalidWorkload) {
   const PartitionedTable pt = PartitionTable(t, 2).value();
   Workload bad;  // No queries.
   EXPECT_FALSE(BuildRegions(pr, pt, bad).ok());
+
+  // One bit per predicate slot in the slot masks: 33 join keys are too
+  // many.
+  constexpr int kKeys = RegionCollection::kMaxSlots + 1;
+  Table wide_r("R", 1, kKeys);
+  Table wide_t("T", 1, kKeys);
+  wide_r.AppendRow({0.5}, std::vector<int32_t>(kKeys, 1));
+  wide_t.AppendRow({0.5}, std::vector<int32_t>(kKeys, 1));
+  Workload wide;
+  wide.AddOutputDim({0, 0, 1.0, 1.0});
+  for (int key = 0; key < kKeys; ++key) {
+    wide.AddQuery({"Q" + std::to_string(key), key, {0}, 1.0, {}});
+  }
+  const PartitionedTable wide_pr = PartitionTable(wide_r, 1).value();
+  const PartitionedTable wide_pt = PartitionTable(wide_t, 1).value();
+  EXPECT_FALSE(BuildRegions(wide_pr, wide_pt, wide).ok());
+  wide = Workload();
+  wide.AddOutputDim({0, 0, 1.0, 1.0});
+  for (int key = 0; key < RegionCollection::kMaxSlots; ++key) {
+    wide.AddQuery({"Q" + std::to_string(key), key, {0}, 1.0, {}});
+  }
+  EXPECT_TRUE(BuildRegions(wide_pr, wide_pt, wide).ok());
 }
 
 }  // namespace

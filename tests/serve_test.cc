@@ -1,6 +1,8 @@
 // Serving layer tests (src/serve/): contract-aware admission, dynamic
 // workload grafting, mid-run retirement, streaming emission, and the
-// determinism and cancellation-equivalence guarantees.
+// determinism and cancellation-equivalence guarantees. They hold
+// src/serve/admission.cc above its 80% line-coverage floor
+// (scripts/run_coverage.sh).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +14,7 @@
 #include "data/generator.h"
 #include "exec/emission.h"
 #include "obs/observability.h"
+#include "optimizer/scheduler.h"
 #include "serve/admission.h"
 #include "serve/server.h"
 #include "serve/serving.h"
@@ -628,6 +631,55 @@ TEST(AdmissionTest, EstimatesScaleWithBacklog) {
     EXPECT_GT(request.lineage_regions, 0);
   }
   EXPECT_GT(report.control_ops, 0);
+}
+
+// Admission prices work with the scheduler's t_c (Eq. 8's cost term): per
+// served slot, probes over both cells' rows and the slot's join output,
+// then an n log n dominance term and one scheduling step.
+double HandTc(int64_t rows, int64_t results) {
+  const CostModel cost;
+  const double n = static_cast<double>(results);
+  return cost.join_probe_seconds * static_cast<double>(rows) +
+         cost.join_result_seconds * n +
+         cost.dominance_cmp_seconds * (n * std::log2(1.0 + n)) +
+         cost.schedule_seconds;
+}
+
+// Two predicate slots; slot 1's only query has retired, so no lineage
+// holds a query of slot 1 although every region has join output there.
+// Region 2 is no longer pending. The backlog is the t_c of regions 0 and 1
+// over slot 0 alone, and a one-slot RegionCost — admission's price for a
+// newcomer's own work — is that slot's t_c.
+TEST(AdmissionTest, BacklogAndSlotCostAreTheSchedulersTc) {
+  RegionCollection rc;
+  rc.predicate_slots = {0, 1};
+  rc.slot_of_query = {0, 1};
+  rc.queries_of_slot.resize(2);
+  rc.queries_of_slot[0].Add(0);
+  const auto add_region = [&](int64_t rows_r, int64_t rows_t,
+                              std::vector<int64_t> join_sizes) {
+    OutputRegion region;
+    region.id = static_cast<int>(rc.regions.size());
+    region.rows_r = rows_r;
+    region.rows_t = rows_t;
+    region.join_sizes = std::move(join_sizes);
+    region.rql.Add(0);
+    rc.regions.push_back(std::move(region));
+  };
+  add_region(10, 20, {50, 70});
+  add_region(5, 7, {9, 40});
+  add_region(30, 30, {100, 100});
+  const std::vector<char> pending = {1, 1, 0};
+  const CostModel cost;
+
+  EXPECT_EQ(rc.ServedSlots(rc.regions[0]), 1u);
+  EXPECT_DOUBLE_EQ(BacklogCost(rc, pending, cost),
+                   HandTc(30, 50) + HandTc(12, 9));
+  // Reopening region 2 adds exactly its slot-0 t_c.
+  EXPECT_DOUBLE_EQ(BacklogCost(rc, {1, 1, 1}, cost),
+                   HandTc(30, 50) + HandTc(12, 9) + HandTc(60, 100));
+  EXPECT_DOUBLE_EQ(RegionCost(rc.regions[0], 1u << 1, cost), HandTc(30, 70));
+  EXPECT_DOUBLE_EQ(RegionCost(rc.regions[1], 1u << 0, cost), HandTc(12, 9));
 }
 
 }  // namespace
