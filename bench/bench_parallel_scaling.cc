@@ -1,7 +1,9 @@
 // Parallel scaling of the CAQE engine's execution phases over the Figure 9
 // workload: one run per thread count in {1, 2, 4, 8}, repeated, keeping the
 // minimum wall time per phase (region build / join kernel / evaluation /
-// discard scans, from the EngineStats wall_* breakdown).
+// discard scans, from the EngineStats wall_* breakdown) and the minimum
+// process CPU seconds of a run (every thread's), so a speedup can be read
+// against the CPU it cost.
 //
 // Every report quantity except wall time is deterministic across thread
 // counts — the run aborts if any pScore diverges from the serial reference,
@@ -21,6 +23,8 @@
 // `cpus_available`: on machines with fewer CPUs than threads the sweep
 // still validates determinism, but speedups are bounded by the hardware —
 // read them against that field.
+#include <time.h>
+
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -33,9 +37,17 @@ namespace caqe {
 namespace bench {
 namespace {
 
+/// CPU seconds this process has used so far, over all its threads.
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 struct ScalingPoint {
   int threads = 1;
   double wall_seconds = 0.0;
+  double cpu_seconds = 0.0;
   double region_build = 0.0;
   double join = 0.0;
   double eval = 0.0;
@@ -97,8 +109,10 @@ int Main(int argc, char** argv) {
     ScalingPoint point;
     point.threads = threads;
     for (int rep = 0; rep < repeats; ++rep) {
+      const double cpu_before = ProcessCpuSeconds();
       const ExecutionReport report =
           RunEngine("CAQE", r, t, workload, contracts, options);
+      const double cpu_seconds = ProcessCpuSeconds() - cpu_before;
       if (threads == 1 && rep == 0) {
         reference_pscore = report.workload_pscore;
       }
@@ -109,6 +123,7 @@ int Main(int argc, char** argv) {
         if (rep == 0 || value < slot) slot = value;
       };
       keep_min(point.wall_seconds, s.wall_seconds);
+      keep_min(point.cpu_seconds, cpu_seconds);
       keep_min(point.region_build, s.wall_region_build_seconds);
       keep_min(point.join, s.wall_join_seconds);
       keep_min(point.eval, s.wall_eval_seconds);
@@ -122,16 +137,18 @@ int Main(int argc, char** argv) {
     return parallel > 0.0 ? serial / parallel : 0.0;
   };
 
-  TablePrinter table({"threads", "wall_s", "speedup", "region_build_s",
-                      "join_s", "eval_s", "discard_s"});
+  TablePrinter table({"threads", "wall_s", "cpu_s", "speedup",
+                      "region_build_s", "join_s", "eval_s", "discard_s"});
   for (const ScalingPoint& p : points) {
     table.AddRow({std::to_string(p.threads), FormatDouble(p.wall_seconds, 4),
+                  FormatDouble(p.cpu_seconds, 4),
                   FormatDouble(speedup(base.wall_seconds, p.wall_seconds), 2),
                   FormatDouble(p.region_build, 4), FormatDouble(p.join, 4),
                   FormatDouble(p.eval, 4), FormatDouble(p.discard, 4)});
   }
-  std::printf("min-of-%d wall times (pScore identical at every point):\n%s\n",
-              repeats, table.Render().c_str());
+  std::printf(
+      "min-of-%d wall and CPU times (pScore identical at every point):\n%s\n",
+      repeats, table.Render().c_str());
 
   std::string json = "{\n";
   json += "  \"benchmark\": \"parallel_scaling\",\n";
@@ -150,6 +167,7 @@ int Main(int argc, char** argv) {
     const ScalingPoint& p = points[i];
     json += "    {\"threads\": " + std::to_string(p.threads) + ", " +
             JsonField("wall_seconds", p.wall_seconds) + ", " +
+            JsonField("cpu_seconds", p.cpu_seconds) + ", " +
             JsonField("speedup", speedup(base.wall_seconds, p.wall_seconds)) +
             ", " + JsonField("region_build_seconds", p.region_build) + ", " +
             JsonField("region_build_speedup",

@@ -13,8 +13,12 @@
 # together, and a second matrix runs the same trace with --calibrate=1:
 # self-tuning admission changes decisions by design (data-shape
 # parameter), so the calibrated cells are byte-diffed among themselves
-# across threads x pipeline x SIMD. The report text deliberately excludes
-# every non-deterministic quantity, so any diff is a real determinism bug.
+# across threads x pipeline x SIMD. The 1000-row trace's region steps are
+# too small to fork (DESIGN.md §7), so large-region cells (denser joins
+# over 16 target regions, their own baseline) must show forked projection
+# and plan-group evaluation in the 8-worker cell's --metrics_out. The
+# report text deliberately excludes every non-deterministic quantity, so
+# any diff is a real determinism bug.
 #
 #   scripts/run_serving_matrix.sh [EXTRA_CMAKE_FLAGS...]
 #
@@ -30,7 +34,26 @@ fi
 
 SERVE_ARGS=(--rows=1000 --requests=12 --rate=40 --seed=2014
             --cancel-fraction=0.1 --deadline-fraction=0.25)
+LARGE_ARGS=(--sel=0.05 --target-regions=16)
 declare -A REPORTS
+status=0
+
+# Fails the matrix unless every listed phase forked at least once in the
+# Prometheus snapshot $1.
+expect_forks() {
+  local prom=$1 phase forks
+  shift
+  for phase in "$@"; do
+    forks=$(sed -n "s/^caqe_region_phase_forks_total{phase=\"${phase}\"} //p" \
+      "${prom}")
+    if [[ -z "${forks}" || "${forks}" == 0 ]]; then
+      echo "FAIL: no ${phase} step forked in ${prom}" >&2
+      status=1
+    else
+      echo "${prom}: ${phase} forked in ${forks} steps"
+    fi
+  done
+}
 
 for simd in OFF ON; do
   build_dir="build-simd-${simd,,}"
@@ -90,6 +113,17 @@ for simd in OFF ON; do
       REPORTS["${simd}_${threads}_${pipeline}_calib"]="${out}"
     done
   done
+  # Large-region cells: the 8-worker cell must fork and still reproduce
+  # the serial report byte for byte.
+  for threads in 1 8; do
+    out="${build_dir}/serving_t${threads}_large.txt"
+    "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" "${LARGE_ARGS[@]}" \
+      --threads="${threads}" --pipeline="$(( threads > 1 ))" \
+      --metrics_out="${build_dir}/serving_t${threads}_large.prom" \
+      --report-out="${out}" > /dev/null
+    REPORTS["${simd}_${threads}_large"]="${out}"
+  done
+  expect_forks "${build_dir}/serving_t8_large.prom" project evaluate
   # Tracing-attached cell: the observability layer must not move a byte.
   out="${build_dir}/serving_traced.txt"
   "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" \
@@ -111,7 +145,6 @@ done
 
 # Every cell of the matrix must match the scalar single-threaded
 # non-pipelined baseline.
-status=0
 tools/report_diff.sh "serving report vs OFF_1_0" "${REPORTS[OFF_1_0]}" \
   "OFF_1_pipeline=${REPORTS[OFF_1_1]}" \
   "OFF_8=${REPORTS[OFF_8_0]}" \
@@ -142,6 +175,12 @@ tools/report_diff.sh "calibrated serving report vs OFF_1_0_calib" \
   "ON_1_pipeline_calib=${REPORTS[ON_1_1_calib]}" \
   "ON_8_calib=${REPORTS[ON_8_0_calib]}" \
   "ON_8_pipeline_calib=${REPORTS[ON_8_1_calib]}" || status=1
+# Large-region cells against their scalar serial baseline.
+tools/report_diff.sh "large-region serving report vs OFF_1_large" \
+  "${REPORTS[OFF_1_large]}" \
+  "OFF_8_large=${REPORTS[OFF_8_large]}" \
+  "ON_1_large=${REPORTS[ON_1_large]}" \
+  "ON_8_large=${REPORTS[ON_8_large]}" || status=1
 # The traced cells' contract-health timelines (virtual time only) must not
 # depend on the SIMD build either.
 tools/report_diff.sh "traced health timeline vs OFF" \

@@ -7,6 +7,11 @@
 # the exact dominance_cmps counts of the serial scalar loops, the flush
 # merges its shards in the serial emit order, and the coarse index charges
 # the serial scan's exact coarse_ops, so no report quantity may move).
+# The 4000-row report's region steps are too small to fork (DESIGN.md §7),
+# so a large-region cell per build — caqe_cli's CAQE run over a
+# 1.4M-result join, its own baseline — must write the same per-query and
+# emission-trace CSVs at 1 and 8 threads, and its 8-thread --metrics_out
+# must show forked projection steps.
 #
 #   scripts/run_simd_matrix.sh [EXTRA_CMAKE_FLAGS...]
 #
@@ -22,14 +27,16 @@ if (( $(nproc) < 2 )); then
 fi
 
 FIG9_ARGS=(--rows=4000)
+LARGE_ARGS=(--rows=100000 --sel=0.0002 --engines=CAQE)
 declare -A REPORTS
+status=0
 
 for simd in OFF ON; do
   build_dir="build-simd-${simd,,}"
   cmake -B "${build_dir}" -S . \
     -DCMAKE_BUILD_TYPE=Release \
     -DCAQE_SIMD="${simd}" \
-    -DCAQE_BUILD_EXAMPLES=OFF \
+    -DCAQE_BUILD_EXAMPLES=ON \
     "$@"
   cmake --build "${build_dir}" -j"$(nproc)"
   ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
@@ -43,12 +50,27 @@ for simd in OFF ON; do
         REPORTS["${simd}_${threads}_${pipeline}_${coarse}"]="${out}"
       done
     done
+    prefix="${build_dir}/cli_t${threads}_large"
+    "./${build_dir}/tools/caqe_cli" "${LARGE_ARGS[@]}" \
+      --threads="${threads}" --metrics_out="${prefix}.prom" \
+      --out="${prefix}" > /dev/null
+    cat "${prefix}_queries_CAQE.csv" "${prefix}_trace_CAQE.csv" \
+      > "${prefix}.txt"
+    REPORTS["${simd}_${threads}_large"]="${prefix}.txt"
   done
+  prom="${build_dir}/cli_t8_large.prom"
+  forks=$(sed -n 's/^caqe_region_phase_forks_total{phase="project"} //p' \
+    "${prom}")
+  if [[ -z "${forks}" || "${forks}" == 0 ]]; then
+    echo "FAIL: no projection step forked in ${prom}" >&2
+    status=1
+  else
+    echo "${prom}: projection forked in ${forks} steps"
+  fi
 done
 
 # Per thread count, every (SIMD, pipeline, coarse_index) cell must match
 # the scalar serial-flush scan-phase report.
-status=0
 for threads in 1 8; do
   tools/report_diff.sh "fig9 report (threads=${threads})" \
     "${REPORTS[OFF_${threads}_0_0]}" \
@@ -60,4 +82,10 @@ for threads in 1 8; do
     "ON_coarse_index=${REPORTS[ON_${threads}_0_1]}" \
     "ON_pipeline_coarse_index=${REPORTS[ON_${threads}_1_1]}" || status=1
 done
+# The large-region cells against their scalar serial baseline.
+tools/report_diff.sh "large-region CAQE results vs OFF_1_large" \
+  "${REPORTS[OFF_1_large]}" \
+  "OFF_8_large=${REPORTS[OFF_8_large]}" \
+  "ON_1_large=${REPORTS[ON_1_large]}" \
+  "ON_8_large=${REPORTS[ON_8_large]}" || status=1
 exit "${status}"

@@ -62,11 +62,16 @@ void ThreadPool::WorkerLoop() {
 }
 
 int NumChunks(const ThreadPool* pool, int64_t n, int64_t min_chunk) {
+  return NumChunks(pool, n, n, min_chunk);
+}
+
+int NumChunks(const ThreadPool* pool, int64_t n, int64_t work,
+              int64_t min_chunk_work) {
   if (pool == nullptr || n <= 0) return 1;
   const int64_t width = pool->num_threads() + 1;  // Workers + caller.
-  const int64_t by_size =
-      min_chunk <= 0 ? n : std::max<int64_t>(1, n / min_chunk);
-  return static_cast<int>(std::min({width, by_size, n}));
+  const int64_t by_work =
+      min_chunk_work <= 0 ? n : std::max<int64_t>(1, work / min_chunk_work);
+  return static_cast<int>(std::min({width, by_work, n}));
 }
 
 std::pair<int64_t, int64_t> ChunkRange(int64_t n, int chunks, int chunk) {

@@ -71,6 +71,16 @@ std::unique_ptr<ThreadPool> MakeWorkerPool(int requested);
 /// one chunk per worker plus one for the calling thread.
 int NumChunks(const ThreadPool* pool, int64_t n, int64_t min_chunk);
 
+/// The same rule for a phase whose `n` items carry `work` units in all
+/// (DESIGN.md §7): 1 — the calling thread runs the phase alone — without a
+/// pool or when the work affords no second chunk of `min_chunk_work` units;
+/// otherwise one chunk per `min_chunk_work` units, capped at one per worker
+/// plus one for the caller and at `n`. A phase sets `min_chunk_work` to the
+/// work that outweighs a worker's wake-up, so it forks only when the fork
+/// pays.
+int NumChunks(const ThreadPool* pool, int64_t n, int64_t work,
+              int64_t min_chunk_work);
+
 /// Half-open item range of chunk `chunk` out of `chunks` over [0, n).
 /// Depends only on the arguments, so chunked phases partition work
 /// identically on every run.

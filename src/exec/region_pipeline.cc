@@ -1,6 +1,7 @@
 #include "exec/region_pipeline.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <string>
 #include <tuple>
@@ -18,6 +19,22 @@ namespace {
 /// scratch discover their high-water marks here. Past the window
 /// the steady counters measure the residual churn the alloc gate bounds.
 constexpr int64_t kWarmupRegions = 32;
+
+// The fork grain of a region step (DESIGN.md §7). Handing a chunk to a pool
+// worker costs about 5 us of CPU (a wake-up and a queue handoff, measured
+// on a 4-vCPU Xeon), so a phase forks only into chunks that each carry
+// about 100 us of single-thread work or more: the fork then costs under ~5%
+// of what it spreads. Each grain is that chunk in its phase's own unit.
+
+/// A step forks at all only from this many matches x (1 + active plan
+/// groups): below it no phase has two chunks of work.
+constexpr int64_t kForkMinStepWork = 4096;
+/// Projection: matches per chunk (~65 ns each).
+constexpr int64_t kProjectChunkMatches = 2048;
+/// Plan-group evaluation: match x group inserts per chunk (~13 ns each).
+constexpr int64_t kEvalChunkInserts = 8192;
+/// One query's discard scan: region x tuple tests per chunk (~7 ns each).
+constexpr int64_t kDiscardChunkTests = 32768;
 
 }  // namespace
 
@@ -93,6 +110,16 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
           &options_.obs->metrics.counter("caqe_alloc_steady_discard_total");
       alloc_phase_emission_counter_ =
           &options_.obs->metrics.counter("caqe_alloc_steady_emission_total");
+    }
+    constexpr const char* kPhaseNames[kNumPhases] = {"project", "evaluate",
+                                                      "discard"};
+    for (int p = 0; p < kNumPhases; ++p) {
+      const std::string label =
+          std::string("{phase=\"") + kPhaseNames[p] + "\"}";
+      fork_counters_[p] = &options_.obs->metrics.counter(
+          "caqe_region_phase_forks_total" + label);
+      serial_counters_[p] = &options_.obs->metrics.counter(
+          "caqe_region_phase_serial_total" + label);
     }
   }
   pending_.assign(rc_->regions.size(), 0);
@@ -253,6 +280,49 @@ void RegionPipeline::EmitResult(int q, int64_t id) {
   }
 }
 
+void RegionPipeline::CountFork(ForkPhase phase, bool forked) {
+  Counter* const counter =
+      forked ? fork_counters_[phase] : serial_counters_[phase];
+  if (counter != nullptr) counter->Inc();
+}
+
+int64_t RegionPipeline::EvaluateGroup(PlanGroup& group, int64_t base_id,
+                                      int64_t num_matches) {
+  int64_t cmps = 0;
+  for (int64_t i = 0; i < num_matches; ++i) {
+    const JoinMatch& match = matches_[i];
+    if (((match.slot_mask >> group.slot) & 1) == 0) continue;
+    // The group's common selections must hold for this join pair.
+    bool passes = true;
+    for (const SelectionRange& sel : group.selections) {
+      const double v = sel.on_r
+                           ? part_r_->table().attr(match.row_r, sel.attr)
+                           : part_t_->table().attr(match.row_t, sel.attr);
+      if (v < sel.lo || v > sel.hi) {
+        passes = false;
+        break;
+      }
+    }
+    if (!passes) continue;
+    const int64_t id = base_id + i;
+    const SharedInsertOutcome& outcome =
+        group.evaluator->InsertReusing(block_.row(i), id, &cmps);
+    outcome.accepted.ForEach([&](int local) {
+      const int q = group.queries[local];
+      // Retired members keep their cuboid node alive until the whole group
+      // retires; drop their events (no-op in the batch path).
+      if (!group.query_set.Contains(q)) return;
+      accepted_events_[q].push_back(id);
+    });
+    for (const auto& [local, evicted_id] : outcome.evictions) {
+      const int q = group.queries[local];
+      if (!group.query_set.Contains(q)) continue;
+      evicted_events_[q].push_back(evicted_id);
+    }
+  }
+  return cmps;
+}
+
 void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
   CAQE_DCHECK(pending_[rid]);
   // Per-phase attribution of the step's heap traffic (see ProcessNext), for
@@ -282,8 +352,30 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
   const Workload& workload = *workload_;
   TraceSink* const spans = Observability::Spans(options_.obs);
 
-  // ---- Tuple-level join over the slots still serving queries. ----
+  // ---- One fork decision for the step (DESIGN.md §7). ----
+  // The region feeds the plan groups whose slot it serves and whose members
+  // its lineage holds; neither changes during the step. The step's size is
+  // its matches times one pass for projection plus one per active group.
+  // The matches are the region's join size over the served slots, exact
+  // from the region build, so the decision precedes the join. A small step
+  // never wakes the pool; in a large one each phase still forks only into
+  // chunks of its own grain.
   const uint32_t slots_mask = rc_->ServedSlots(region);
+  active_groups_.clear();
+  for (const auto& group : groups_) {
+    if (((slots_mask >> group->slot) & 1) == 0) continue;
+    if (!region.rql.Intersects(group->query_set)) continue;
+    active_groups_.push_back(group.get());
+  }
+  const int64_t num_groups = static_cast<int64_t>(active_groups_.size());
+  int64_t step_matches = 0;
+  for (uint32_t rest = slots_mask; rest != 0; rest &= rest - 1) {
+    step_matches += region.join_sizes[std::countr_zero(rest)];
+  }
+  ThreadPool* const step_pool =
+      step_matches * (1 + num_groups) >= kForkMinStepWork ? pool_ : nullptr;
+
+  // ---- Tuple-level join over the slots still serving queries. ----
   matches_.clear();
   {
     TraceSpan span(spans, "join", "pipeline", &stats.wall_join_seconds);
@@ -291,7 +383,7 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
     span.set_parent(step_span, step_span);
     const int64_t probes_before = stats.join_probes;
     const int64_t results_before = stats.join_results;
-    kernel_.Join(*rc_, region, slots_mask, matches_, stats, pool_);
+    kernel_.Join(*rc_, region, slots_mask, matches_, stats, step_pool);
     clock_->ChargeJoinProbes(stats.join_probes - probes_before);
     clock_->ChargeJoinResults(stats.join_results - results_before);
     span.set_arg("join_results", stats.join_results - results_before);
@@ -319,12 +411,13 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
     block_.Clear();
     block_.Reserve(num_matches);
     block_.AppendUninitialized(num_matches);
-    const int project_chunks = NumChunks(pool_, num_matches,
-                                         /*min_chunk=*/512);
+    const int project_chunks =
+        NumChunks(step_pool, num_matches, kProjectChunkMatches);
+    CountFork(kProjectPhase, project_chunks > 1);
     if (project_scratch_.size() < static_cast<size_t>(project_chunks)) {
       project_scratch_.resize(project_chunks);
     }
-    RunChunks(pool_, project_chunks, [&](int c) {
+    RunChunks(step_pool, project_chunks, [&](int c) {
       const auto [begin, end] = ChunkRange(num_matches, project_chunks, c);
       std::vector<double>& values = project_scratch_[c];
       for (int64_t i = begin; i < end; ++i) {
@@ -336,53 +429,21 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
     });
 
     // Plan groups own disjoint evaluators and disjoint query sets, so
-    // they consume the match stream concurrently. Each group sees the
-    // matches in stream order, which makes every per-query event
+    // chunks of groups consume the match stream concurrently. Each group
+    // sees the matches in stream order, which makes every per-query event
     // sequence — and each group's comparison count — identical to the
     // serial interleaving.
-    active_groups_.clear();
-    for (const auto& group : groups_) {
-      if (((slots_mask >> group->slot) & 1) == 0) continue;
-      if (!region.rql.Intersects(group->query_set)) continue;
-      active_groups_.push_back(group.get());
-    }
     group_cmps_.assign(active_groups_.size(), 0);
-    RunChunks(active_groups_.size() > 1 ? pool_ : nullptr,
-              static_cast<int>(active_groups_.size()), [&](int gi) {
-      PlanGroup* group = active_groups_[gi];
-      int64_t cmps = 0;
-      for (int64_t i = 0; i < num_matches; ++i) {
-        const JoinMatch& match = matches_[i];
-        if (((match.slot_mask >> group->slot) & 1) == 0) continue;
-        // The group's common selections must hold for this join pair.
-        bool passes = true;
-        for (const SelectionRange& sel : group->selections) {
-          const double v =
-              sel.on_r ? part_r_->table().attr(match.row_r, sel.attr)
-                       : part_t_->table().attr(match.row_t, sel.attr);
-          if (v < sel.lo || v > sel.hi) {
-            passes = false;
-            break;
-          }
-        }
-        if (!passes) continue;
-        const int64_t id = base_id + i;
-        const SharedInsertOutcome& outcome =
-            group->evaluator->InsertReusing(block_.row(i), id, &cmps);
-        outcome.accepted.ForEach([&](int local) {
-          const int q = group->queries[local];
-          // Retired members keep their cuboid node alive until the whole
-          // group retires; drop their events (no-op in the batch path).
-          if (!group->query_set.Contains(q)) return;
-          accepted_events_[q].push_back(id);
-        });
-        for (const auto& [local, evicted_id] : outcome.evictions) {
-          const int q = group->queries[local];
-          if (!group->query_set.Contains(q)) continue;
-          evicted_events_[q].push_back(evicted_id);
-        }
+    const int eval_chunks = NumChunks(step_pool, num_groups,
+                                      num_matches * num_groups,
+                                      kEvalChunkInserts);
+    CountFork(kEvaluatePhase, eval_chunks > 1);
+    RunChunks(step_pool, eval_chunks, [&](int c) {
+      const auto [begin, end] = ChunkRange(num_groups, eval_chunks, c);
+      for (int64_t gi = begin; gi < end; ++gi) {
+        group_cmps_[gi] =
+            EvaluateGroup(*active_groups_[gi], base_id, num_matches);
       }
-      group_cmps_[gi] = cmps;
     });
     for (int64_t cmps : group_cmps_) stats.dominance_cmps += cmps;
     span.set_arg("dominance_cmps", stats.dominance_cmps - cmps_before);
@@ -439,6 +500,7 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
   // hit — so the split charges the exact same discard_ops and fires the
   // same events in the same order.
   int64_t discard_ops = 0;
+  bool discard_forked = false;
   {
     TraceSpan span(spans, "discard", "pipeline",
                    &stats.wall_discard_seconds);
@@ -466,23 +528,25 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
       for (int64_t id : accepted_events_[q]) {
         accepted_view_.PushPoint(block_.row(id - base_id));
       }
-      // Below this much total work (region × tuple tests) the fork/join
-      // overhead exceeds the scan itself; stay on the calling thread.
-      // Counts and hits are identical either way.
-      constexpr int64_t kParallelMinWork = 8192;
-      ThreadPool* const scan_pool =
-          num_regions * accepted_n >= kParallelMinWork ? pool_ : nullptr;
-      // Phase 1 (parallel, read-only): per region, count dominance tests
-      // up to and including the first dominating tuple, if any.
-      ParallelFor(scan_pool, num_regions, /*min_chunk=*/16, [&](int64_t i) {
-        const OutputRegion& other = rc_->regions[i];
-        discard_tests_[i] = 0;
-        discard_hits_[i] = 0;
-        if (!pending_[other.id] || !other.rql.Contains(q)) return;
-        bool hit = false;
-        discard_tests_[i] =
-            ScanPointsFullyDominatingRegion(accepted_view_, other, &hit);
-        discard_hits_[i] = hit ? 1 : 0;
+      // Phase 1 (chunked, read-only): per region, count dominance tests
+      // up to and including the first dominating tuple, if any. Counts and
+      // hits are identical at any chunk count.
+      const int scan_chunks = NumChunks(step_pool, num_regions,
+                                        num_regions * accepted_n,
+                                        kDiscardChunkTests);
+      discard_forked = discard_forked || scan_chunks > 1;
+      RunChunks(step_pool, scan_chunks, [&](int c) {
+        const auto [begin, end] = ChunkRange(num_regions, scan_chunks, c);
+        for (int64_t i = begin; i < end; ++i) {
+          const OutputRegion& other = rc_->regions[i];
+          discard_tests_[i] = 0;
+          discard_hits_[i] = 0;
+          if (!pending_[other.id] || !other.rql.Contains(q)) continue;
+          bool hit = false;
+          discard_tests_[i] =
+              ScanPointsFullyDominatingRegion(accepted_view_, other, &hit);
+          discard_hits_[i] = hit ? 1 : 0;
+        }
       });
       // Phase 2 (serial, region order): apply prunes and resolutions.
       for (int64_t i = 0; i < num_regions; ++i) {
@@ -511,6 +575,7 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
     }
     span.set_arg("discard_ops", discard_ops);
   }
+  CountFork(kDiscardPhase, discard_forked);
   stats.coarse_ops += discard_ops;
   clock_->ChargeCoarseOps(discard_ops);
   take_phase(alloc_phase_discard_counter_);
@@ -524,7 +589,8 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
     const int64_t emission_ops_before = emission_.coarse_ops();
     // Flush barrier over the sharded park set: per query, resolve this
     // region's parked bucket and register the newly accepted tuples —
-    // shard-parallel under pipeline_regions, identical state either way.
+    // shard-parallel under pipeline_regions when the step forks, identical
+    // state either way.
     // Emission then merges the shard outputs in the exact serial emit
     // order: each query's immediately-safe acceptances in query order,
     // then the discard-phase resolutions, then this region's bucket
@@ -535,7 +601,7 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
       flush_direct_.resize(workload.num_queries());
     }
     emission_.FlushRegion(rid, accepted_events_, evicted_events_,
-                          options_.pipeline_regions ? pool_ : nullptr,
+                          options_.pipeline_regions ? step_pool : nullptr,
                           flush_resolved_, flush_direct_);
     emitted_per_query_.assign(workload.num_queries(), 0);
     for (int q = 0; q < workload.num_queries(); ++q) {

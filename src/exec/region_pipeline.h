@@ -29,6 +29,11 @@
 // there. The store grows with the tuples accepted, not with the join
 // results produced.
 //
+// A step wakes the thread pool only when it is large enough to pay for it:
+// one fork decision per step from its matches x (1 + active plan groups),
+// then each phase forks only into chunks of its own work grain (DESIGN.md
+// §7). Chunking never changes a count or a merge order.
+//
 // The serving layer additionally mutates the pipeline between steps:
 // AddPlanGroup splices a grafted query batch in, RemoveQueryFromGroups
 // retires one, and the per-event query_set membership filter makes both
@@ -36,6 +41,7 @@
 #ifndef CAQE_EXEC_REGION_PIPELINE_H_
 #define CAQE_EXEC_REGION_PIPELINE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -176,10 +182,21 @@ class RegionPipeline {
   const TupleStore& store() const { return store_; }
 
  private:
+  /// The region-step phases that may fork on the pool, as counted by the
+  /// caqe_region_phase_{forks,serial}_total series.
+  enum ForkPhase { kProjectPhase, kEvaluatePhase, kDiscardPhase, kNumPhases };
+
   /// Processes pending region `rid` tuple-level: charge the schedule step,
   /// join, project, evaluate, discard scan, emission. The phase spans
   /// parent under `step_span` (0 without spans).
   void ProcessRegion(int rid, uint64_t step_span);
+  /// Feeds the region's `num_matches` projected matches (tuple ids from
+  /// `base_id`) through `group`'s evaluator in stream order, appending its
+  /// current members' accept and evict events; returns the comparisons.
+  int64_t EvaluateGroup(PlanGroup& group, int64_t base_id,
+                        int64_t num_matches);
+  /// Counts one step of `phase` as forked or serial (with obs only).
+  void CountFork(ForkPhase phase, bool forked);
   /// Charges one result of workload query `q` (ChargeResult), then fires
   /// the serving hook and the emission-latency histogram.
   void EmitResult(int q, int64_t id);
@@ -232,6 +249,11 @@ class RegionPipeline {
   Counter* alloc_phase_eval_counter_ = nullptr;
   Counter* alloc_phase_discard_counter_ = nullptr;
   Counter* alloc_phase_emission_counter_ = nullptr;
+  /// Per ForkPhase: steps whose phase forked on the pool, and steps it ran
+  /// on the calling thread alone (null without an Observability). Never
+  /// read back, like the alloc counters.
+  std::array<Counter*, kNumPhases> fork_counters_{};
+  std::array<Counter*, kNumPhases> serial_counters_{};
   /// ProcessNext steps so far (warmup window index).
   int64_t regions_accounted_ = 0;
   /// Virtual time the region currently in ProcessRegion was scheduled at

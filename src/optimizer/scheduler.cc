@@ -61,10 +61,9 @@ ContractDrivenScheduler::ContractDrivenScheduler(
   weights_.assign(workload_->num_queries(), 1.0);
   active_.assign(workload_->num_queries(), 1);
   query_stride_ = std::max(1, workload_->num_queries());
-  dom_frac_cache_.assign(static_cast<size_t>(n) * query_stride_, DomFrac{});
-  // Witness -1 means "not yet computed"; mark with NaN-free sentinel: use
-  // witness == -2 for "computed, no dominator". Start all entries stale.
-  for (DomFrac& d : dom_frac_cache_) d.witness = -1;
+  // Every entry starts stale (witness -1).
+  benefit_cache_.assign(static_cast<size_t>(n) * query_stride_, Benefit{});
+  cost_cache_.assign(n, Cost{});
   if (options_.obs != nullptr) {
     MetricsRegistry& metrics = options_.obs->metrics;
     picks_counter_ = &metrics.counter("caqe_scheduler_picks_total");
@@ -115,37 +114,43 @@ double ContractDrivenScheduler::ComputeDominatedFrac(int region, int q,
   return best;
 }
 
-ContractDrivenScheduler::DomFrac& ContractDrivenScheduler::CachedDomFrac(
+const ContractDrivenScheduler::Benefit& ContractDrivenScheduler::CachedBenefit(
     int region, int q) const {
-  DomFrac& entry =
-      dom_frac_cache_[static_cast<size_t>(region) * query_stride_ + q];
+  Benefit& entry =
+      benefit_cache_[static_cast<size_t>(region) * query_stride_ + q];
   const bool stale =
       entry.witness == -1 ||
       (entry.witness >= 0 &&
        (!(*pending_flags_)[entry.witness] ||
         !rc_->regions[entry.witness].rql.Contains(q)));
   if (stale) {
-    entry.frac = ComputeDominatedFrac(region, q, &entry.witness);
+    // Join size and |P_q| are fixed for the entry's life: a reused query
+    // slot (AddQuery) invalidates its column.
+    const int64_t join_size =
+        rc_->regions[region].join_sizes[rc_->slot_of_query[q]];
+    const int d = static_cast<int>(workload_->query(q).preference.size());
+    const double frac = ComputeDominatedFrac(region, q, &entry.witness);
+    entry.n_est = (1.0 - frac) * BuchtaSkylineCardinality(
+                                     static_cast<double>(join_size), d);
   }
   return entry;
 }
 
 double ContractDrivenScheduler::EstimateCost(int region) const {
   const OutputRegion& r = rc_->regions[region];
-  return RegionCost(r, rc_->ServedSlots(r), *cost_);
+  const uint32_t slots = rc_->ServedSlots(r);
+  Cost& entry = cost_cache_[region];
+  if (entry.t_c < 0.0 || entry.slots != slots) {
+    entry = {slots, RegionCost(r, slots, *cost_)};
+  }
+  return entry.t_c;
 }
 
 double ContractDrivenScheduler::EstimateBenefit(int region, int q) const {
   const OutputRegion& r = rc_->regions[region];
   if (!r.rql.Contains(q)) return 0.0;
-  const int slot = rc_->slot_of_query[q];
-  const int64_t join_size = r.join_sizes[slot];
-  if (join_size <= 0) return 0.0;
-  const int d = static_cast<int>(workload_->query(q).preference.size());
-  const double cardinality =
-      BuchtaSkylineCardinality(static_cast<double>(join_size), d);
-  const DomFrac& dom = CachedDomFrac(region, q);
-  return (1.0 - dom.frac) * cardinality;
+  if (r.join_sizes[rc_->slot_of_query[q]] <= 0) return 0.0;
+  return CachedBenefit(region, q).n_est;
 }
 
 double ContractDrivenScheduler::Csm(int region, double now) const {
@@ -218,10 +223,10 @@ void ContractDrivenScheduler::OnRegionRemoved(int region) {
 void ContractDrivenScheduler::OnRegionActivated(int region) {
   CAQE_DCHECK(options_.dynamic_workload);
   CAQE_DCHECK((*pending_flags_)[region]);
-  // The region's dominated-fraction estimates were computed against the
-  // old lineage landscape; recompute lazily.
+  // The region's benefit estimates were computed against the old lineage
+  // landscape; recompute lazily.
   for (int q = 0; q < query_stride_; ++q) {
-    dom_frac_cache_[static_cast<size_t>(region) * query_stride_ + q].witness =
+    benefit_cache_[static_cast<size_t>(region) * query_stride_ + q].witness =
         -1;
   }
 }
@@ -240,13 +245,13 @@ void ContractDrivenScheduler::AddQuery(int q) {
     // Re-stride the cache geometrically; everything restarts stale (one
     // lazy recompute per touched entry, deterministic either way).
     const int new_stride = std::max(q + 1, 2 * query_stride_);
-    dom_frac_cache_.assign(static_cast<size_t>(n) * new_stride, DomFrac{});
-    for (DomFrac& d : dom_frac_cache_) d.witness = -1;
+    benefit_cache_.assign(static_cast<size_t>(n) * new_stride, Benefit{});
     query_stride_ = new_stride;
   } else {
-    // Reused slot: invalidate the query's column only.
+    // Reused slot: a new join key and preference; invalidate the query's
+    // column only.
     for (int r = 0; r < n; ++r) {
-      dom_frac_cache_[static_cast<size_t>(r) * query_stride_ + q].witness = -1;
+      benefit_cache_[static_cast<size_t>(r) * query_stride_ + q].witness = -1;
     }
   }
 }

@@ -12,7 +12,9 @@
 // region still serves. After every region the run-time satisfaction
 // feedback adjusts the per-query weights (Eq. 11,
 // ApplySatisfactionFeedback). Admission's cost previews and the top-k
-// engine's feedback call the same two functions.
+// engine's feedback call the same two functions. N_est and t_c are cached
+// between picks and recomputed exactly when their inputs change, so a pick
+// evaluates only the utility preview and the weights (DESIGN.md §4).
 #ifndef CAQE_OPTIMIZER_SCHEDULER_H_
 #define CAQE_OPTIMIZER_SCHEDULER_H_
 
@@ -134,16 +136,29 @@ class ContractDrivenScheduler {
   double Csm(int region, double now) const;
 
  private:
-  /// Fraction of the region's output box (for query q) that the best
-  /// feasible tuple of some *other* pending region serving q could
-  /// dominate; cached with the maximizing region as witness.
-  struct DomFrac {
-    double frac = 0.0;
+  /// A benefit-cache entry: Eq. 10's N_est = (1 - frac) * Buchta(join size,
+  /// |P_q|), where frac is the fraction of the region's output box (for
+  /// query q) that the best feasible tuple of some *other* pending region
+  /// serving q could dominate, and `witness` the maximizing region (-2:
+  /// none; -1: not computed). The set of pending regions serving q only
+  /// shrinks until the entry is invalidated, so frac — and N_est with it —
+  /// is exact while the witness stays pending and serving q.
+  struct Benefit {
+    double n_est = 0.0;
     int witness = -1;
+  };
+  /// A t_c-cache entry: RegionCost over the served-slot mask `slots`. The
+  /// cost reads only the region's fixed sizes and the mask, so it is exact
+  /// while the region serves the same slots.
+  struct Cost {
+    uint32_t slots = 0;
+    double t_c = -1.0;  // < 0: not computed.
   };
 
   double ComputeDominatedFrac(int region, int q, int* witness) const;
-  DomFrac& CachedDomFrac(int region, int q) const;
+  /// The region's entry for q, recomputing frac and N_est together when the
+  /// entry is stale. Requires a positive join size for q's slot.
+  const Benefit& CachedBenefit(int region, int q) const;
 
   const RegionCollection* rc_;
   const std::vector<char>* pending_flags_;
@@ -157,11 +172,13 @@ class ContractDrivenScheduler {
   std::vector<double> weights_;
   /// Per-query activity mask (all 1 in batch mode; serving retires slots).
   std::vector<char> active_;
-  /// Row-major [region][query] dominated-fraction cache; entries with a
-  /// dead witness are recomputed lazily. `query_stride_` is the row width
+  /// Row-major [region][query] benefit cache; entries with a dead witness
+  /// are recomputed lazily. `query_stride_` is the row width
   /// (== num_queries in batch mode; grows geometrically in dynamic mode).
-  mutable std::vector<DomFrac> dom_frac_cache_;
+  mutable std::vector<Benefit> benefit_cache_;
   int query_stride_ = 0;
+  /// Per region: t_c for the last served-slot mask it was scored with.
+  mutable std::vector<Cost> cost_cache_;
   mutable int64_t scan_ops_ = 0;
   /// Share of scan_ops_ spent inside dominated-fraction recomputation
   /// (candidate-region scans), as opposed to CSM root scoring. Purely an

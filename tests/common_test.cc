@@ -233,6 +233,28 @@ TEST(ThreadPoolTest, NumChunksBounds) {
   EXPECT_EQ(NumChunks(&pool, 0, 1), 1);
 }
 
+// The region pipeline's fork rule: a phase runs on the calling thread until
+// its work affords two chunks of its grain, then takes one chunk per grain,
+// never more than the pool's workers + 1 nor than its items.
+TEST(ThreadPoolTest, NumChunksByWorkForksOnlyAboveTheGrain) {
+  ThreadPool pool(3);
+  constexpr int64_t kGrain = 4096;
+  EXPECT_EQ(NumChunks(nullptr, 1000, int64_t{1} << 30, kGrain), 1);
+  EXPECT_EQ(NumChunks(&pool, 1000, 0, kGrain), 1);
+  EXPECT_EQ(NumChunks(&pool, 1000, 2 * kGrain - 1, kGrain), 1);
+  EXPECT_EQ(NumChunks(&pool, 1000, 2 * kGrain, kGrain), 2);
+  EXPECT_EQ(NumChunks(&pool, 1000, 3 * kGrain, kGrain), 3);
+  for (const int64_t work : {4 * kGrain, 100 * kGrain, int64_t{1} << 40}) {
+    EXPECT_EQ(NumChunks(&pool, 1000, work, kGrain), pool.num_threads() + 1);
+  }
+  // Few items with much work each (plan groups): one chunk per item at most.
+  EXPECT_EQ(NumChunks(&pool, 2, 100 * kGrain, kGrain), 2);
+  EXPECT_EQ(NumChunks(&pool, 0, 100 * kGrain, kGrain), 1);
+  // Items as the unit of work: the three-argument form.
+  EXPECT_EQ(NumChunks(&pool, 100 * kGrain, kGrain),
+            NumChunks(&pool, 100 * kGrain, 100 * kGrain, kGrain));
+}
+
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   constexpr int64_t kN = 10000;

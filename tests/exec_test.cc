@@ -284,6 +284,48 @@ TEST(ParallelDeterminismTest, ReportsAreIdenticalAcrossThreadCounts) {
   }
 }
 
+// The inputs above are too small for any region phase to fork. Here the
+// regions are large enough that projection, plan-group evaluation (two join
+// keys, so two plan groups) and the discard scan of the big anti-correlated
+// skylines all fork at 4 threads, and the report stays the serial one.
+TEST(ParallelDeterminismTest, LargeRegionsForkEveryPhaseAndMatchSerial) {
+  GeneratorConfig cfg;
+  cfg.num_rows = 2000;
+  cfg.num_attrs = 5;
+  cfg.join_selectivities = {0.05, 0.05};
+  cfg.distribution = Distribution::kAntiCorrelated;
+  cfg.seed = 7;
+  const Table r = GenerateTable("R", cfg).value();
+  cfg.seed = 8;
+  const Table t = GenerateTable("T", cfg).value();
+  const Workload workload =
+      MakeRandomWorkload(5, 2, 6, PriorityPolicy::kUniform, 5).value();
+  const std::vector<Contract> contracts(workload.num_queries(),
+                                        MakeLogDecayContract());
+  const auto run = [&](int threads, Observability* obs) {
+    ExecOptions options;
+    options.num_threads = threads;
+    options.target_regions = 128;
+    options.capture_results = true;
+    options.obs = obs;
+    return MakeEngine("CAQE")
+        .value()
+        ->Execute(r, t, workload, contracts, options)
+        .value();
+  };
+  Observability serial_obs;
+  const ExecutionReport serial = run(1, &serial_obs);
+  Observability pooled_obs;
+  ::caqe::testing::ExpectReportsIdentical(run(4, &pooled_obs), serial);
+  EXPECT_EQ(pooled_obs.events.ExecEventsJsonl(),
+            serial_obs.events.ExecEventsJsonl());
+  for (const char* phase : {"project", "evaluate", "discard"}) {
+    SCOPED_TRACE(phase);
+    EXPECT_EQ(::caqe::testing::PhaseForks(serial_obs, phase), 0);
+    EXPECT_GT(::caqe::testing::PhaseForks(pooled_obs, phase), 0);
+  }
+}
+
 // ---- Emission manager ----
 
 class EmissionTest : public ::testing::Test {

@@ -7,8 +7,12 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "contracts/tracker.h"
+#include "contracts/utility.h"
+#include "data/generator.h"
 #include "optimizer/scheduler.h"
 #include "partition/partitioner.h"
 #include "query/workload_generator.h"
@@ -267,6 +271,136 @@ TEST_F(SchedulerTest, CsmScalesWithWeights) {
   // expected yield, so the score strictly increases.
   EXPECT_GT(after, before);
   EXPECT_GT(scheduler.weight(0), 1.0);
+}
+
+// The scheduler caches Eq. 10's N_est with its dominated fraction and Eq.
+// 8's t_c per served-slot mask. After each lineage change a server makes —
+// a discard shrinking lineages, a graft reviving processed regions, a
+// retired slot reused by a query with another preference length and join
+// key — Csm, EstimateBenefit and EstimateCost must equal a scheduler that
+// never cached anything, bit for bit.
+TEST(SchedulerCacheTest, CachedTermsEqualFromScratchAfterLineageChanges) {
+  GeneratorConfig cfg;
+  cfg.num_rows = 300;
+  cfg.num_attrs = 3;
+  cfg.join_selectivities = {0.05, 0.05};
+  cfg.seed = 31;
+  const Table r = GenerateTable("R", cfg).value();
+  cfg.seed = 32;
+  const Table t = GenerateTable("T", cfg).value();
+  Workload workload;
+  for (int k = 0; k < 3; ++k) workload.AddOutputDim(MappingFunction{k, k});
+  workload.AddQuery(SjQuery{"a", 0, {0, 1, 2}, 1.0, {}});
+  workload.AddQuery(SjQuery{"b", 1, {0, 1}, 1.0, {}});
+  workload.AddQuery(SjQuery{"c", 0, {1, 2}, 1.0, {}});
+  const PartitionedTable part_r = PartitionTable(r, 2).value();
+  const PartitionedTable part_t = PartitionTable(t, 2).value();
+  RegionCollection rc = BuildRegions(part_r, part_t, workload).value();
+  ASSERT_EQ(rc.predicate_slots.size(), 2u);
+  const Contract contract = MakeLogDecayContract();
+  SatisfactionTracker tracker(std::vector<Contract>(3, contract));
+  std::vector<char> pending(rc.regions.size(), 0);
+  for (const OutputRegion& region : rc.regions) {
+    pending[region.id] = region.rql.empty() ? 0 : 1;
+  }
+  const CostModel cost;
+  SchedulerOptions options;
+  options.dynamic_workload = true;
+  ContractDrivenScheduler warm(&rc, &pending, &workload, &tracker, &cost,
+                               options);
+
+  // Scores every pending region, filling both caches.
+  const auto warm_up = [&] {
+    for (const OutputRegion& region : rc.regions) {
+      if (pending[region.id]) warm.Csm(region.id, 0.0);
+    }
+  };
+  const auto expect_from_scratch = [&](const std::string& when) {
+    SCOPED_TRACE(when);
+    ContractDrivenScheduler fresh(&rc, &pending, &workload, &tracker, &cost,
+                                  options);
+    int scored = 0;
+    for (const OutputRegion& region : rc.regions) {
+      if (!pending[region.id]) continue;
+      SCOPED_TRACE("region " + std::to_string(region.id));
+      EXPECT_EQ(warm.EstimateCost(region.id),
+                RegionCost(region, rc.ServedSlots(region), cost));
+      EXPECT_EQ(warm.EstimateCost(region.id), fresh.EstimateCost(region.id));
+      for (int q = 0; q < workload.num_queries(); ++q) {
+        EXPECT_EQ(warm.EstimateBenefit(region.id, q),
+                  fresh.EstimateBenefit(region.id, q))
+            << "query " << q;
+      }
+      for (const double now : {0.0, 0.5}) {
+        EXPECT_EQ(warm.Csm(region.id, now), fresh.Csm(region.id, now));
+      }
+      ++scored;
+    }
+    EXPECT_GT(scored, 0);
+  };
+  const auto resolve = [&](int rid) {
+    pending[rid] = 0;
+    warm.OnRegionRemoved(rid);
+  };
+  // A graft of workload query `q`, as CaqeServer::Graft does it: every
+  // region with join results on q's slot joins its lineage, and a region
+  // no longer pending is revived with its stale lineage cleared first.
+  const auto graft = [&](int q) {
+    const int pslot = rc.slot_of_query[q];
+    rc.queries_of_slot[pslot].Add(q);
+    for (OutputRegion& region : rc.regions) {
+      if (region.join_sizes[pslot] <= 0) continue;
+      if (!pending[region.id]) {
+        region.rql = QuerySet();
+        region.guaranteed = QuerySet();
+        pending[region.id] = 1;
+        warm.OnRegionActivated(region.id);
+      }
+      region.rql.Add(q);
+    }
+    warm.AddQuery(q);
+  };
+  warm_up();
+  expect_from_scratch("initially");
+
+  // A discard prunes query 0 from every other region serving it, emptying
+  // some lineages, and the picked region completes.
+  warm_up();
+  int nth = 0;
+  for (OutputRegion& region : rc.regions) {
+    if (!pending[region.id] || !region.rql.Contains(0)) continue;
+    if (nth++ % 2 != 0) continue;
+    region.rql.Remove(0);
+    if (region.rql.empty()) resolve(region.id);
+  }
+  resolve(warm.PickNext(0.0));
+  expect_from_scratch("after a discard shrank lineages");
+
+  // A graft appends query 3 on the other key and revives the processed
+  // regions (OnRegionActivated).
+  warm_up();
+  workload.AddQuery(SjQuery{"d", 1, {2}, 1.0, {}});
+  rc.slot_of_query.push_back(rc.SlotOfKey(1));
+  tracker.AddQuery(contract, 0.0);
+  graft(3);
+  expect_from_scratch("after a graft revived processed regions");
+
+  // Query 0 (key 0, three preference dims) retires; its slot is reused by
+  // a query on key 1 with one preference dim.
+  warm_up();
+  for (OutputRegion& region : rc.regions) {
+    if (!region.rql.Contains(0)) continue;
+    region.rql.Remove(0);
+    region.guaranteed.Remove(0);
+    if (region.rql.empty() && pending[region.id]) resolve(region.id);
+  }
+  rc.queries_of_slot[rc.slot_of_query[0]].Remove(0);
+  warm.RetireQuery(0);
+  workload.SetQuery(0, SjQuery{"e", 1, {1}, 1.0, {}});
+  rc.slot_of_query[0] = rc.SlotOfKey(1);
+  tracker.ResetQuery(0, contract, 0.0);
+  graft(0);
+  expect_from_scratch("after a retired slot was reused");
 }
 
 }  // namespace

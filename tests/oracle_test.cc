@@ -111,6 +111,10 @@ struct OracleCase {
   PriorityPolicy policy = PriorityPolicy::kUniform;
   std::string contract_mix;  // "log" | "mixed" | "all"
   uint64_t seed = 11;
+  int target_regions = 512;
+  /// The regions are large enough that projection and plan-group
+  /// evaluation fork at 8 threads; the sweep asserts that they do.
+  bool forks = false;
 };
 
 Contract ContractFor(const OracleCase& c, int q) {
@@ -191,11 +195,18 @@ TEST_P(OracleDifferentialTest, EngineMatchesNaiveExecutorAtEveryCell) {
       options.capture_results = true;
       options.num_threads = threads;
       options.pipeline_regions = pipeline;
+      options.target_regions = c.target_regions;
+      Observability obs;
+      options.obs = &obs;
       std::unique_ptr<Engine> engine = MakeEngine(c.engine).value();
       const Result<ExecutionReport> result =
           engine->Execute(r, t, workload, contracts, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       const ExecutionReport& report = *result;
+      if (c.forks && threads > 1) {
+        EXPECT_GT(::caqe::testing::PhaseForks(obs, "project"), 0);
+        EXPECT_GT(::caqe::testing::PhaseForks(obs, "evaluate"), 0);
+      }
 
       ASSERT_EQ(report.queries.size(),
                 static_cast<size_t>(workload.num_queries()));
@@ -287,6 +298,25 @@ std::vector<OracleCase> AllCases() {
     c.policy = PriorityPolicy::kRandom;
     c.contract_mix = "all";
     c.seed = 404;
+    cases.push_back(c);
+  }
+  {
+    // Few, large regions over two join keys: the pooled projection,
+    // plan-group evaluation and emission flush run at 8 threads.
+    OracleCase c;
+    c.name = "caqe_random_independent_large_regions";
+    c.engine = "CAQE";
+    c.workload_kind = "random";
+    c.dist = Distribution::kIndependent;
+    c.rows = 1000;
+    c.attrs = 4;
+    c.num_join_keys = 2;
+    c.selectivity = 0.07;
+    c.num_queries = 4;
+    c.contract_mix = "mixed";
+    c.seed = 707;
+    c.target_regions = 16;
+    c.forks = true;
     cases.push_back(c);
   }
   {

@@ -165,7 +165,10 @@ TEST(CaqeServerTest, QuadTreePartitionsStreamExactSkyline) {
 }
 
 // The full trace replay is a pure function of the trace: byte-identical
-// serving reports across thread counts and across reruns.
+// serving reports across thread counts and across reruns. The 300-row
+// tables keep every region step on the calling thread; over 1000 rows and
+// 16 target regions the steps are large enough that projection and
+// plan-group evaluation fork at 8 threads.
 TEST(CaqeServerTest, ReportIsDeterministicAcrossThreads) {
   TraceConfig config;
   config.num_requests = 10;
@@ -173,23 +176,33 @@ TEST(CaqeServerTest, ReportIsDeterministicAcrossThreads) {
   config.reference_seconds = 0.05;
   config.deadline_fraction = 0.3;
   config.cancel_fraction = 0.2;
-  const auto run = [&](int threads) {
-    auto [r, t] = MakeServeTables(2, 300);
-    ServeOptions options = SmallServeOptions();
-    options.num_threads = threads;
-    auto server = CaqeServer::Create(std::move(r), std::move(t), ThreeDims(),
-                                     {0, 1}, options)
-                      .value();
-    const std::vector<TraceRequest> trace =
-        MakeSyntheticTrace(config, {0, 1}, 3);
-    SubmitTrace(*server, trace);
-    const ServingReport report = server->Run().value();
-    EXPECT_GE(report.admitted, 1);
-    return ServingReportText(report);
-  };
-  const std::string serial = run(1);
-  EXPECT_EQ(serial, run(8));
-  EXPECT_EQ(serial, run(1));
+  for (const bool large : {false, true}) {
+    SCOPED_TRACE(large ? "large regions" : "small regions");
+    const auto run = [&](int threads, Observability* obs) {
+      auto [r, t] = MakeServeTables(2, large ? 1000 : 300);
+      ServeOptions options = SmallServeOptions();
+      if (large) options.target_regions = 16;
+      options.num_threads = threads;
+      options.obs = obs;
+      auto server = CaqeServer::Create(std::move(r), std::move(t),
+                                       ThreeDims(), {0, 1}, options)
+                        .value();
+      const std::vector<TraceRequest> trace =
+          MakeSyntheticTrace(config, {0, 1}, 3);
+      SubmitTrace(*server, trace);
+      const ServingReport report = server->Run().value();
+      EXPECT_GE(report.admitted, 1);
+      return ServingReportText(report);
+    };
+    const std::string serial = run(1, nullptr);
+    Observability obs;
+    EXPECT_EQ(serial, run(8, &obs));
+    EXPECT_EQ(serial, run(1, nullptr));
+    if (large) {
+      EXPECT_GT(::caqe::testing::PhaseForks(obs, "project"), 0);
+      EXPECT_GT(::caqe::testing::PhaseForks(obs, "evaluate"), 0);
+    }
+  }
 }
 
 TEST(CaqeServerTest, RejectsUnknownJoinPredicate) {

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "data/generator.h"
 #include "data/table.h"
 #include "metrics/report.h"
+#include "obs/observability.h"
 #include "query/query.h"
 #include "skyline/algorithms.h"
 #include "skyline/point_set.h"
@@ -82,6 +85,14 @@ inline std::pair<Table, Table> MakeTables(Distribution dist, int64_t rows,
   cfg.seed = seed + 1;
   Table t = GenerateTable("T", cfg).value();
   return {std::move(r), std::move(t)};
+}
+
+/// Region steps whose `phase` ("project", "evaluate" or "discard") forked
+/// on the pool, as the region pipeline counted them into `obs`.
+inline int64_t PhaseForks(Observability& obs, const std::string& phase) {
+  return obs.metrics
+      .counter("caqe_region_phase_forks_total{phase=\"" + phase + "\"}")
+      .value();
 }
 
 /// Asserts bit-identity of every determinism-contract report field.
