@@ -1,27 +1,24 @@
 // Allocation gate: steady-state heap-allocation accounting for the region
-// hot path, plus the single-thread wall-clock and determinism cross-check
-// of the compact layout.
+// hot path, with the single-thread wall clock of each run.
 //
 // This binary links the caqe_alloc_hook library ahead of the caqe
 // libraries (bench/CMakeLists.txt), so the counting operator new/delete
 // replacement is live and the region pipeline exports per-step allocation
 // deltas (the scheduler's pick, the region's processing and the weight
-// feedback) through the caqe_alloc_* obs counters. Two sweeps run
-// with --compact_layout off and on at threads=1:
+// feedback) through the caqe_alloc_* obs counters. Two cells run at
+// threads=1:
 //
-//  - a fig9-style batch execution (CAQE engine, log-decay contracts), gated
-//    on full ReportHash equality between the layouts;
-//  - a serving replay (synthetic arrival trace), gated on byte-identical
-//    ServingReportText.
+//  - a fig9-style batch execution (CAQE engine, log-decay contracts);
+//  - a serving replay (synthetic arrival trace).
 //
-// The alloc gate itself: with the compact layout on, steady-state regions
-// (past the pipeline's 32-region warmup window) must average at most
+// The alloc gate itself: in both cells, steady-state regions (past the
+// pipeline's 32-region warmup window) must average at most
 // --max_allocs_per_region heap allocations (default 5). The warmup window
 // is where caches and reused scratch grow to their high-water marks;
 // steady state is where a resident decision-support service spends its
 // life, and where buffer reuse pins allocation churn to ~zero.
-// tests/alloc_hook_test.cc checks the same budget on the compact-layout
-// cells in the test suite.
+// tests/alloc_hook_test.cc checks the same budget on the same two cells in
+// the test suite.
 //
 // Flags: --rows=4000 --queries=8 --dims=4 --seed=2014
 //        --serve_rows=8000 --serve_requests=80
@@ -44,7 +41,6 @@ namespace {
 
 struct AllocPoint {
   std::string phase;  // "exec" or "serve".
-  bool compact = false;
   double wall_seconds = 0.0;
   int64_t regions = 0;
   int64_t warmup_allocs = 0;
@@ -102,16 +98,16 @@ int Main(int argc, char** argv) {
       static_cast<long long>(rows), num_queries, dims,
       static_cast<long long>(serve_rows), serve_requests,
       max_allocs_per_region);
-  std::printf("%6s %8s %10s %9s %14s %14s %14s %10s  %s\n", "phase",
-              "compact", "wall_s", "regions", "warmup_allocs",
+  std::printf("%6s %10s %9s %14s %14s %14s %10s  %s\n", "phase",
+              "wall_s", "regions", "warmup_allocs",
               "steady_allocs", "steady_regions", "allocs/rgn",
               "join/eval/discard/emission");
 
   std::vector<AllocPoint> points;
   const auto print_point = [](const AllocPoint& p) {
     std::printf(
-        "%6s %8s %10.4f %9lld %14lld %14lld %14lld %10.2f  %lld/%lld/%lld/%lld\n",
-        p.phase.c_str(), p.compact ? "on" : "off", p.wall_seconds,
+        "%6s %10.4f %9lld %14lld %14lld %14lld %10.2f  %lld/%lld/%lld/%lld\n",
+        p.phase.c_str(), p.wall_seconds,
         static_cast<long long>(p.regions),
         static_cast<long long>(p.warmup_allocs),
         static_cast<long long>(p.steady_allocs),
@@ -136,31 +132,20 @@ int Main(int argc, char** argv) {
             .value();
     const std::vector<Contract> contracts(workload.num_queries(),
                                           MakeLogDecayContract());
-    uint64_t reference_hash = 0;
-    for (int compact = 0; compact < 2; ++compact) {
-      ExecOptions options;
-      options.capture_results = false;
-      options.num_threads = 1;
-      options.compact_layout = compact != 0;
-      Observability obs;
-      options.obs = &obs;
-      const ExecutionReport report =
-          RunEngine("CAQE", r, t, workload, contracts, options);
-      const uint64_t hash = ReportHash(report);
-      if (compact == 0) reference_hash = hash;
-      // Full determinism gate: the compact layout must reproduce the map
-      // layout's report bit for bit (every counter, virtual time, and
-      // per-query outcome ReportHash covers).
-      CAQE_CHECK(hash == reference_hash);
+    ExecOptions options;
+    options.capture_results = false;
+    options.num_threads = 1;
+    Observability obs;
+    options.obs = &obs;
+    const ExecutionReport report =
+        RunEngine("CAQE", r, t, workload, contracts, options);
 
-      AllocPoint point;
-      point.phase = "exec";
-      point.compact = compact != 0;
-      point.wall_seconds = report.stats.wall_seconds;
-      ReadAllocCounters(obs, point);
-      print_point(point);
-      points.push_back(point);
-    }
+    AllocPoint point;
+    point.phase = "exec";
+    point.wall_seconds = report.stats.wall_seconds;
+    ReadAllocCounters(obs, point);
+    print_point(point);
+    points.push_back(point);
   }
 
   // ---- Serving replay sweep. ----
@@ -184,38 +169,29 @@ int Main(int argc, char** argv) {
     const std::vector<TraceRequest> trace =
         MakeSyntheticTrace(trace_config, keys, 3);
 
-    std::string reference_text;
-    for (int compact = 0; compact < 2; ++compact) {
-      ServeOptions options;
-      options.num_threads = 1;
-      options.compact_layout = compact != 0;
-      Observability obs;
-      options.obs = &obs;
-      auto server = CaqeServer::Create(r, t, mapping, keys, options).value();
-      SubmitTrace(*server, trace);
-      const auto wall_start = std::chrono::steady_clock::now();
-      const ServingReport report = server->Run().value();
-      const std::chrono::duration<double> wall =
-          std::chrono::steady_clock::now() - wall_start;
-      const std::string text = ServingReportText(report);
-      if (compact == 0) reference_text = text;
-      // Byte-identical serving reports across layouts.
-      CAQE_CHECK(text == reference_text);
+    ServeOptions options;
+    options.num_threads = 1;
+    Observability obs;
+    options.obs = &obs;
+    auto server = CaqeServer::Create(r, t, mapping, keys, options).value();
+    SubmitTrace(*server, trace);
+    const auto wall_start = std::chrono::steady_clock::now();
+    server->Run().value();
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - wall_start;
 
-      AllocPoint point;
-      point.phase = "serve";
-      point.compact = compact != 0;
-      point.wall_seconds = wall.count();
-      ReadAllocCounters(obs, point);
-      print_point(point);
-      points.push_back(point);
-    }
+    AllocPoint point;
+    point.phase = "serve";
+    point.wall_seconds = wall.count();
+    ReadAllocCounters(obs, point);
+    print_point(point);
+    points.push_back(point);
   }
 
   // ---- The gate. ----
   bool gated = false;
   for (const AllocPoint& p : points) {
-    if (!p.compact || p.steady_regions <= 0) continue;
+    if (p.steady_regions <= 0) continue;
     gated = true;
     if (p.allocs_per_region > max_allocs_per_region) {
       std::fprintf(stderr,
@@ -242,8 +218,7 @@ int Main(int argc, char** argv) {
   json += "  \"results\": [\n";
   for (size_t i = 0; i < points.size(); ++i) {
     const AllocPoint& p = points[i];
-    json += "    {\"phase\": \"" + p.phase + "\", \"compact_layout\": " +
-            (p.compact ? "true" : "false") + ", " +
+    json += "    {\"phase\": \"" + p.phase + "\", " +
             JsonField("wall_seconds", p.wall_seconds) +
             ", \"regions\": " + std::to_string(p.regions) +
             ", \"warmup_allocs\": " + std::to_string(p.warmup_allocs) +
@@ -259,10 +234,8 @@ int Main(int argc, char** argv) {
                  written.ToString().c_str());
     return 1;
   }
-  std::printf(
-      "\nwrote %s (reports identical across layouts; steady state within "
-      "%.1f allocs/region)\n",
-      out_path.c_str(), max_allocs_per_region);
+  std::printf("\nwrote %s (steady state within %.1f allocs/region)\n",
+              out_path.c_str(), max_allocs_per_region);
   return 0;
 }
 

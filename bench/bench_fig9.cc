@@ -66,7 +66,6 @@ void RunDistribution(Distribution dist, const Args& args,
     ExecOptions options;
     options.known_result_counts = calibration.result_counts;
     options.num_threads = ThreadsFromArgs(args);
-    options.pipeline_regions = PipelineFromArgs(args);
     options.coarse_index = CoarseIndexFromArgs(args);
     options.obs = obs;
     for (const std::string& engine : engines) {

@@ -6,18 +6,13 @@
 // against the CPU it cost.
 //
 // Every report quantity except wall time is deterministic across thread
-// counts — the run aborts if any pScore diverges from the serial reference,
-// so a scaling regression can never silently trade correctness for speed.
-//
-// A second sweep covers the parallel emission flush (--pipeline, i.e.
-// ExecOptions::pipeline_regions): pipeline {off,on} x the same thread
-// counts, gated on a full report hash (ReportHash — every counter, virtual
-// time, and per-query trace; wall times excluded) equal to the serial
-// flush-off reference, and written to a separate JSON summary (default
-// BENCH_pipeline.json).
+// counts — the run aborts if any run's full report hash (ReportHash: every
+// counter, virtual time and per-query trace; wall times excluded) diverges
+// from the serial reference, so a scaling regression can never silently
+// trade correctness for speed.
 //
 // Flags: --rows=N --sel=SIGMA --dist=correlated|independent|anticorrelated
-//        --queries=K --seed=S --repeats=R --out=PATH --pipeline-out=PATH
+//        --queries=K --seed=S --repeats=R --out=PATH
 //
 // Writes a JSON summary (default BENCH_parallel.json) including
 // `cpus_available`: on machines with fewer CPUs than threads the sweep
@@ -101,6 +96,7 @@ int Main(int argc, char** argv) {
   }
 
   double reference_pscore = 0.0;
+  uint64_t reference_hash = 0;
   std::vector<ScalingPoint> points;
   for (int threads : {1, 2, 4, 8}) {
     ExecOptions options;
@@ -113,11 +109,13 @@ int Main(int argc, char** argv) {
       const ExecutionReport report =
           RunEngine("CAQE", r, t, workload, contracts, options);
       const double cpu_seconds = ProcessCpuSeconds() - cpu_before;
+      const uint64_t hash = ReportHash(report);
       if (threads == 1 && rep == 0) {
         reference_pscore = report.workload_pscore;
+        reference_hash = hash;
       }
-      // Determinism gate: the contract objective must not move by a bit.
-      CAQE_CHECK(report.workload_pscore == reference_pscore);
+      // Determinism gate: no report quantity may move by a bit.
+      CAQE_CHECK(hash == reference_hash);
       const EngineStats& s = report.stats;
       auto keep_min = [rep](double& slot, double value) {
         if (rep == 0 || value < slot) slot = value;
@@ -147,8 +145,10 @@ int Main(int argc, char** argv) {
                   FormatDouble(p.eval, 4), FormatDouble(p.discard, 4)});
   }
   std::printf(
-      "min-of-%d wall and CPU times (pScore identical at every point):\n%s\n",
-      repeats, table.Render().c_str());
+      "min-of-%d wall and CPU times (report hash %016llx identical at every "
+      "point):\n%s\n",
+      repeats, static_cast<unsigned long long>(reference_hash),
+      table.Render().c_str());
 
   std::string json = "{\n";
   json += "  \"benchmark\": \"parallel_scaling\",\n";
@@ -189,110 +189,6 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-
-  // ---- Parallel emission-flush sweep: pipeline {off,on} x threads. ----
-  // Each cell's full report hash must equal the serial flush-off
-  // reference — a stronger gate than the pScore check above (it covers
-  // every counter and the complete per-query utility traces).
-  const std::string pipeline_out =
-      args.GetString("pipeline-out", "BENCH_pipeline.json");
-  struct PipelinePoint {
-    int threads = 1;
-    bool pipeline = false;
-    double wall_seconds = 0.0;
-  };
-  uint64_t reference_hash = 0;
-  std::vector<PipelinePoint> pipeline_points;
-  for (int threads : {1, 2, 4, 8}) {
-    for (int pipeline = 0; pipeline < 2; ++pipeline) {
-      ExecOptions options;
-      options.known_result_counts = calibration.result_counts;
-      options.num_threads = threads;
-      options.pipeline_regions = pipeline != 0;
-      PipelinePoint point;
-      point.threads = threads;
-      point.pipeline = pipeline != 0;
-      for (int rep = 0; rep < repeats; ++rep) {
-        const ExecutionReport report =
-            RunEngine("CAQE", r, t, workload, contracts, options);
-        const uint64_t hash = ReportHash(report);
-        if (threads == 1 && pipeline == 0 && rep == 0) {
-          reference_hash = hash;
-        }
-        CAQE_CHECK(hash == reference_hash);
-        if (rep == 0 || report.stats.wall_seconds < point.wall_seconds) {
-          point.wall_seconds = report.stats.wall_seconds;
-        }
-      }
-      pipeline_points.push_back(point);
-    }
-  }
-
-  // Per thread count, the parallel flush's speedup is measured against the
-  // serial-flush run at the same thread count.
-  auto wall_of = [&](int threads, bool pipeline) {
-    for (const PipelinePoint& p : pipeline_points) {
-      if (p.threads == threads && p.pipeline == pipeline) {
-        return p.wall_seconds;
-      }
-    }
-    return 0.0;
-  };
-  TablePrinter pipeline_table(
-      {"threads", "pipeline", "wall_s", "speedup_vs_off"});
-  for (const PipelinePoint& p : pipeline_points) {
-    pipeline_table.AddRow(
-        {std::to_string(p.threads), p.pipeline ? "on" : "off",
-         FormatDouble(p.wall_seconds, 4),
-         FormatDouble(speedup(wall_of(p.threads, false), p.wall_seconds),
-                      2)});
-  }
-  char hash_hex[32];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(reference_hash));
-  if (cpus < 2) {
-    std::printf(
-        "*** WARNING: cpus_available=%u — the parallel flush has no second "
-        "CPU to run on; speedup_vs_off ~1.0x is expected. ***\n\n",
-        cpus);
-  }
-  std::printf(
-      "pipeline sweep, min-of-%d wall times (report hash %s identical at "
-      "every cell):\n%s\n",
-      repeats, hash_hex, pipeline_table.Render().c_str());
-
-  std::string pjson = "{\n";
-  pjson += "  \"benchmark\": \"pipeline_scaling\",\n";
-  pjson += "  \"engine\": \"CAQE\",\n";
-  pjson += "  \"distribution\": \"" +
-           std::string(DistributionName(config.distribution)) + "\",\n";
-  pjson += "  \"rows\": " + std::to_string(config.rows) + ",\n";
-  pjson += "  \"queries\": " + std::to_string(config.num_queries) + ",\n";
-  pjson += "  \"repeats\": " + std::to_string(repeats) + ",\n";
-  pjson += "  \"cpus_available\": " + std::to_string(cpus) + ",\n";
-  pjson += std::string("  \"cpu_constrained\": ") +
-          (cpus < 2 ? "true" : "false") + ",\n";
-  pjson += "  \"report_hash\": \"" + std::string(hash_hex) + "\",\n";
-  pjson += "  " + JsonField("workload_pscore", reference_pscore) + ",\n";
-  pjson += "  \"results\": [\n";
-  for (size_t i = 0; i < pipeline_points.size(); ++i) {
-    const PipelinePoint& p = pipeline_points[i];
-    pjson += "    {\"threads\": " + std::to_string(p.threads) +
-             ", \"pipeline\": " + (p.pipeline ? "true" : "false") + ", " +
-             JsonField("wall_seconds", p.wall_seconds) + ", " +
-             JsonField("speedup_vs_off",
-                       speedup(wall_of(p.threads, false), p.wall_seconds)) +
-             "}";
-    pjson += (i + 1 < pipeline_points.size()) ? ",\n" : "\n";
-  }
-  pjson += "  ]\n}\n";
-  const Status pipeline_written = WriteTextFile(pipeline_out, pjson);
-  if (!pipeline_written.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", pipeline_out.c_str(),
-                 pipeline_written.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", pipeline_out.c_str());
   return 0;
 }
 

@@ -55,6 +55,7 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
   }
+  bool Has(const std::string& key) const { return values_.count(key) != 0; }
 
  private:
   std::map<std::string, std::string> values_;
@@ -79,42 +80,18 @@ inline int ThreadsFromArgs(const Args& args) {
   return static_cast<int>(args.GetInt("threads", 1));
 }
 
-/// Reads the shared --pipeline flag (flush the sharded emission park set in
-/// parallel; see EngineOptions::pipeline_regions). Like --threads it never
-/// changes a report — only wall time.
-inline bool PipelineFromArgs(const Args& args) {
-  return args.GetInt("pipeline", 0) != 0;
-}
-
 /// Reads the shared --coarse_index flag (packed box trees over partition
 /// cells driving the coarse phase via branch-and-bound instead of full
-/// scans). Charges serial-identical coarse_ops, so like --threads and
-/// --pipeline it never changes a report — only traversal work.
+/// scans). Charges serial-identical coarse_ops, so like --threads it never
+/// changes a report — only traversal work.
 inline bool CoarseIndexFromArgs(const Args& args) {
   return args.GetInt("coarse_index", 0) != 0;
-}
-
-/// Reads the shared --compact_layout flag (default ON: the key-match join;
-/// OFF: the hash join — see EngineOptions::compact_layout). It selects only
-/// the join: match order, charge accounting, and every report byte are
-/// identical in both positions, so the matrix scripts cross-check it like
-/// --threads and --pipeline.
-inline bool CompactLayoutFromArgs(const Args& args) {
-  return args.GetInt("compact_layout", 1) != 0;
-}
-
-/// Reads the shared --join_cache_entries flag (bound on built join-kernel
-/// indexes the map layout holds at once; the compact layout builds none;
-/// see EngineOptions::join_index_cache_entries). First-use charging
-/// survives eviction, so reports are identical at any bound.
-inline int64_t JoinCacheEntriesFromArgs(const Args& args) {
-  return args.GetInt("join_cache_entries", 4096);
 }
 
 /// Deterministic 64-bit FNV-1a digest of a report's determinism-contract
 /// quantities — every counter, virtual time, and per-query outcome, and
 /// deliberately none of the wall_* fields. Two runs that differ only in
-/// --threads, --pipeline, or the CAQE_SIMD build flag must hash equal;
+/// --threads, --coarse_index, or the CAQE_SIMD build flag must hash equal;
 /// benchmarks assert exactly that (see bench_parallel_scaling), and the
 /// matrix scripts enforce the same contract textually via
 /// tools/report_diff.sh.

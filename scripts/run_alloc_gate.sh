@@ -2,12 +2,9 @@
 # Steady-state allocation gate for the region hot path.
 #
 # Builds bench_alloc — the only binary linking caqe_alloc_hook, the
-# counting operator new/delete — and fails if the compact-layout engine
-# averages more than the checked-in budget of heap allocations per region
-# after warmup, in either batch execution or serving replay. bench_alloc
-# also cross-checks that the compact layout is behavior-neutral (identical
-# ReportHash and serving report text with the layout on and off), so a
-# pass certifies reports, not just allocation counts.
+# counting operator new/delete — and fails if the engine averages more than
+# the checked-in budget of heap allocations per region after warmup, in
+# either batch execution or serving replay.
 #
 #   scripts/run_alloc_gate.sh [EXTRA_CMAKE_FLAGS...]
 set -euo pipefail

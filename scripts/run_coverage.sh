@@ -22,9 +22,9 @@
 #                                             matches they record)
 #   src/exec/region_pipeline.cc     >= 80%   (per-region join/eval/discard/
 #                                             emission loop)
-#   src/exec/join_kernel.cc         >= 80%   (key-match join and the map
-#                                             reference)
-#   src/exec/emission.cc            >= 80%   (sharded park set, witness
+#   src/exec/join_kernel.cc         >= 80%   (key-match join, its radix
+#                                             sort and multi-slot folding)
+#   src/exec/emission.cc            >= 80%   (per-query park set, witness
 #                                             scans over the tuple store)
 #   src/skyline/dominance_batch.cc  >= 80%   (dispatched vector kernels)
 #   src/skyline/incremental.cc      >= 80%   (incremental skyline windows)

@@ -8,14 +8,16 @@
 #      caqe_net_client, scrape /metrics, /healthz, /statusz, /tracez/<id>
 #      and /flightz over HTTP while the server lingers post-drain, then
 #      STOP it.
-#   2. Replay the recorded session trace on the virtual clock across the
-#      full engine-knob matrix — threads {1,8} x pipeline {0,1} x
-#      compact_layout {0,1} — and byte-diff every replayed serving report
-#      (and exec event stream) against the live session's. Each replay also
-#      writes its audit ledger and contract-health timeline; every replayed
-#      health timeline, and every ledger after stripping the wall-clock
-#      field (report_diff.sh --normalize-wall), must match the live
-#      session's byte for byte.
+#   2. Replay the recorded session trace on the virtual clock at threads 1
+#      and 8, and byte-diff each replayed serving report (and exec event
+#      stream) against the live session's. Each replay also writes its
+#      audit ledger and contract-health timeline; every replayed health
+#      timeline, and every ledger after stripping the wall-clock field
+#      (report_diff.sh --normalize-wall), must match the live session's
+#      byte for byte. A copy of the trace with its data-shape header
+#      attributes stripped, and a data-shape flag next to --replay, must
+#      each make the replay exit non-zero instead of replaying a default
+#      world; a malformed value (rows=abc) must exit 1, not crash.
 #   3. Diff the live /metrics scrape against the server's --metrics_out
 #      snapshot, excluding the caqe_net_* series (the scrape itself perturbs
 #      the net counters; every engine series must match exactly).
@@ -149,31 +151,25 @@ fi
 echo "metrics scrape matches snapshot (caqe_net_* excluded)"
 grep -q '^caqe_net_connections_total' "${out}/scrape_metrics.prom"
 
-# ---- Replay matrix: threads x pipeline x compact_layout ------------------
+# ---- Replay cells: threads 1 and 8 ---------------------------------------
 status=0
 diff_args=()
 ledger_args=()
 health_args=()
 for threads in 1 8; do
-  for pipeline in 0 1; do
-    for compact in 0 1; do
-      tag="t${threads}_p${pipeline}_c${compact}"
-      "${serve}" --replay="${out}/session.trace" \
-        --threads="${threads}" --pipeline="${pipeline}" \
-        --compact_layout="${compact}" \
-        --report-out="${out}/replay_${tag}.txt" \
-        --events_out="${out}/replay_${tag}.jsonl" \
-        --ledger_out="${out}/replay_${tag}_ledger.jsonl" \
-        --health_out="${out}/replay_${tag}_health.jsonl" > /dev/null
-      diff_args+=("${tag}=${out}/replay_${tag}.txt")
-      ledger_args+=("${tag}=${out}/replay_${tag}_ledger.jsonl")
-      health_args+=("${tag}=${out}/replay_${tag}_health.jsonl")
-      if ! cmp -s "${out}/live_events.jsonl" "${out}/replay_${tag}.jsonl"; then
-        echo "FAIL: exec event stream ${tag} diverges from live session" >&2
-        status=1
-      fi
-    done
-  done
+  tag="t${threads}"
+  "${serve}" --replay="${out}/session.trace" --threads="${threads}" \
+    --report-out="${out}/replay_${tag}.txt" \
+    --events_out="${out}/replay_${tag}.jsonl" \
+    --ledger_out="${out}/replay_${tag}_ledger.jsonl" \
+    --health_out="${out}/replay_${tag}_health.jsonl" > /dev/null
+  diff_args+=("${tag}=${out}/replay_${tag}.txt")
+  ledger_args+=("${tag}=${out}/replay_${tag}_ledger.jsonl")
+  health_args+=("${tag}=${out}/replay_${tag}_health.jsonl")
+  if ! cmp -s "${out}/live_events.jsonl" "${out}/replay_${tag}.jsonl"; then
+    echo "FAIL: exec event stream ${tag} diverges from live session" >&2
+    status=1
+  fi
 done
 tools/report_diff.sh "net replay vs live session" "${out}/live_report.txt" \
   "${diff_args[@]}" || status=1
@@ -186,6 +182,49 @@ tools/report_diff.sh --normalize-wall "audit ledger replay vs live" \
 grep -q '"pscore":' "${out}/live_health.jsonl"
 tools/report_diff.sh "health timeline replay vs live" \
   "${out}/live_health.jsonl" "${health_args[@]}" || status=1
+
+# ---- Data-shape cells: a replay must not guess the world ------------------
+# A trace whose header lost its data-shape attributes (only quantum= left)
+# would otherwise replay a default world, and a data-shape flag next to
+# --replay would override the recorded one; both must fail.
+sed -E '1s/ (rows|sel|seed|target_regions|policy|admit_all|calibrate)=[^ ]*//g' \
+  "${out}/session.trace" > "${out}/shapeless.trace"
+shape_status=0
+if cmp -s "${out}/session.trace" "${out}/shapeless.trace" ||
+    ! head -n 1 "${out}/shapeless.trace" | grep -q ' quantum='; then
+  echo "FAIL: could not strip the data shape from the trace header" >&2
+  shape_status=1
+elif "${serve}" --replay="${out}/shapeless.trace" \
+    > /dev/null 2> "${out}/shapeless_stderr.txt"; then
+  echo "FAIL: replay of a trace without its data shape exited 0" >&2
+  shape_status=1
+elif ! grep -q 'lacks data-shape attributes' "${out}/shapeless_stderr.txt"; then
+  echo "FAIL: shapeless replay failed for another reason:" >&2
+  cat "${out}/shapeless_stderr.txt" >&2
+  shape_status=1
+fi
+if "${serve}" --replay="${out}/session.trace" --rows=1000 \
+    > /dev/null 2> "${out}/shape_flag_stderr.txt"; then
+  echo "FAIL: replay with a data-shape flag exited 0" >&2
+  shape_status=1
+fi
+# A malformed value must fail as an error (exit 1), not a crash.
+sed -E '1s/ rows=[^ ]*/ rows=abc/' "${out}/session.trace" \
+  > "${out}/bad_rows.trace"
+bad_rc=0
+"${serve}" --replay="${out}/bad_rows.trace" \
+  > /dev/null 2> "${out}/bad_rows_stderr.txt" || bad_rc=$?
+if (( bad_rc != 1 )); then
+  echo "FAIL: replay with rows=abc exited ${bad_rc} (want 1)" >&2
+  cat "${out}/bad_rows_stderr.txt" >&2
+  shape_status=1
+fi
+if (( shape_status == 0 )); then
+  echo "data-shape cells ok (shapeless trace, --rows next to --replay and" \
+       "rows=abc fail)"
+else
+  status=1
+fi
 
 # ---- SIGTERM cell: graceful drain by signal ------------------------------
 "${serve}" --listen=127.0.0.1:0 "${DATA_ARGS[@]}" \
@@ -272,7 +311,7 @@ grep -q 'calibrate=1' "${out}/calib.trace" || {
   echo "FAIL: session trace header lost the calibrate flag" >&2
   status=1
 }
-"${serve}" --replay="${out}/calib.trace" --threads=8 --pipeline=1 \
+"${serve}" --replay="${out}/calib.trace" --threads=8 \
   --report-out="${out}/calib_replay.txt" \
   --events_out="${out}/calib_replay.jsonl" > /dev/null
 tools/report_diff.sh "calibrated session replay vs live" \

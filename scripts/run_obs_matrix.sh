@@ -5,14 +5,12 @@
 # (CAQE_SIMD=OFF/ON) x tracing (detached / --trace_out + --metrics_out);
 # its stdout tables must be byte-identical down every column, and the
 # traced cells must actually produce a non-empty Chrome trace and a
-# Prometheus snapshot. Two extra cells per build run at 8 threads with the
-# parallel emission flush (--pipeline) off and on, and two more with the
-# tree-indexed coarse phase (--coarse_index=1) at 1 and 8 threads —
-# neither the flush nor the coarse index may move a byte, traced or not.
+# Prometheus snapshot. Two extra cells per build run the tree-indexed
+# coarse phase (--coarse_index=1) at 1 and 8 threads — the coarse index may
+# not move a byte either.
 #
 # A second matrix drives caqe_serve (batch mode) with --ledger_out,
-# --health_out and --events_out across threads {1,8} x pipeline {0,1} per
-# build. Every view of the contract event log must be byte-identical down
+# --health_out and --events_out at threads 1 and 8 per build. Every view of the contract event log must be byte-identical down
 # every column: the audit ledger after stripping its single wall-clock
 # field (report_diff.sh --normalize-wall), the contract-health timeline
 # and the exec event stream as written — the DESIGN.md §15 determinism
@@ -59,13 +57,6 @@ for simd in OFF ON; do
       > "${out}"
     REPORTS["${simd}_${tracing}"]="${out}"
   done
-  # Pipeline cells: 8 threads, parallel emission flush off/on, untraced.
-  for pipeline in 0 1; do
-    out="${build_dir}/fig9_obs_pipe${pipeline}.txt"
-    "./${build_dir}/bench/bench_fig9" "${FIG9_ARGS[@]}" \
-      --threads=8 --pipeline="${pipeline}" > "${out}"
-    REPORTS["${simd}_pipe${pipeline}"]="${out}"
-  done
   # Coarse-index cells: the tree-indexed coarse phase at 1 and 8 threads
   # must reproduce the scan-phase stdout byte for byte.
   for threads in 1 8; do
@@ -75,31 +66,28 @@ for simd in OFF ON; do
     REPORTS["${simd}_coarse_t${threads}"]="${out}"
   done
   # Event-log cells: the serving layer's ledger, health timeline and exec
-  # events must not move a byte (wall field aside) under threads x
-  # pipeline.
+  # events must not move a byte (wall field aside) across thread counts.
   serve_bin="./${build_dir}/tools/caqe_serve"
   [[ -x "${serve_bin}" ]] || serve_bin="./${build_dir}/caqe_serve"
   for threads in 1 8; do
-    for pipeline in 0 1; do
-      cell="t${threads}_p${pipeline}"
-      "${serve_bin}" "${SERVE_ARGS[@]}" \
-        --threads="${threads}" --pipeline="${pipeline}" \
-        --ledger_out="${build_dir}/ledger_${cell}.jsonl" \
-        --health_out="${build_dir}/health_${cell}.jsonl" \
-        --events_out="${build_dir}/exec_events_${cell}.jsonl" \
-        --report-out="${build_dir}/serve_report_${cell}.txt" > /dev/null
-      LEDGERS["${simd}_${cell}"]="${build_dir}/ledger_${cell}.jsonl"
-      HEALTHS["${simd}_${cell}"]="${build_dir}/health_${cell}.jsonl"
-      EXEC_EVENTS["${simd}_${cell}"]="${build_dir}/exec_events_${cell}.jsonl"
-      SERVE_REPORTS["${simd}_${cell}"]="${build_dir}/serve_report_${cell}.txt"
-    done
+    cell="t${threads}"
+    "${serve_bin}" "${SERVE_ARGS[@]}" \
+      --threads="${threads}" \
+      --ledger_out="${build_dir}/ledger_${cell}.jsonl" \
+      --health_out="${build_dir}/health_${cell}.jsonl" \
+      --events_out="${build_dir}/exec_events_${cell}.jsonl" \
+      --report-out="${build_dir}/serve_report_${cell}.txt" > /dev/null
+    LEDGERS["${simd}_${cell}"]="${build_dir}/ledger_${cell}.jsonl"
+    HEALTHS["${simd}_${cell}"]="${build_dir}/health_${cell}.jsonl"
+    EXEC_EVENTS["${simd}_${cell}"]="${build_dir}/exec_events_${cell}.jsonl"
+    SERVE_REPORTS["${simd}_${cell}"]="${build_dir}/serve_report_${cell}.txt"
   done
   # Ledger cells must contain the full request lifecycle.
-  grep -q '"kind":"arrival"' "${build_dir}/ledger_t1_p0.jsonl"
-  grep -q '"kind":"decision"' "${build_dir}/ledger_t1_p0.jsonl"
-  grep -q '"kind":"finish"' "${build_dir}/ledger_t1_p0.jsonl"
-  grep -q '"pscore":' "${build_dir}/health_t1_p0.jsonl"
-  grep -q '"kind":"query_admitted"' "${build_dir}/exec_events_t1_p0.jsonl"
+  grep -q '"kind":"arrival"' "${build_dir}/ledger_t1.jsonl"
+  grep -q '"kind":"decision"' "${build_dir}/ledger_t1.jsonl"
+  grep -q '"kind":"finish"' "${build_dir}/ledger_t1.jsonl"
+  grep -q '"pscore":' "${build_dir}/health_t1.jsonl"
+  grep -q '"kind":"query_admitted"' "${build_dir}/exec_events_t1.jsonl"
   # The traced cell must have written real artifacts.
   grep -q '"traceEvents"' "${build_dir}/fig9_trace.json"
   grep -q '^# TYPE caqe_engine_dominance_cmps_total counter$' \
@@ -112,37 +100,33 @@ done
 status=0
 tools/report_diff.sh "fig9 stdout vs OFF_off" "${REPORTS[OFF_off]}" \
   "OFF_on=${REPORTS[OFF_on]}" \
-  "OFF_pipe0=${REPORTS[OFF_pipe0]}" \
-  "OFF_pipe1=${REPORTS[OFF_pipe1]}" \
   "ON_off=${REPORTS[ON_off]}" \
   "ON_on=${REPORTS[ON_on]}" \
-  "ON_pipe0=${REPORTS[ON_pipe0]}" \
-  "ON_pipe1=${REPORTS[ON_pipe1]}" \
   "OFF_coarse_t1=${REPORTS[OFF_coarse_t1]}" \
   "OFF_coarse_t8=${REPORTS[OFF_coarse_t8]}" \
   "ON_coarse_t1=${REPORTS[ON_coarse_t1]}" \
   "ON_coarse_t8=${REPORTS[ON_coarse_t8]}" || status=1
 
 # Audit ledgers (wall field stripped), health timelines and exec event
-# streams must match the scalar t1/p0 baseline across threads x pipeline x
-# SIMD; the serving reports alongside them too.
+# streams must match the scalar t1 baseline across threads x SIMD; the
+# serving reports alongside them too.
 ledger_cells=()
 health_cells=()
 exec_cells=()
 serve_cells=()
 for key in "${!LEDGERS[@]}"; do
-  [[ "${key}" == "OFF_t1_p0" ]] && continue
+  [[ "${key}" == "OFF_t1" ]] && continue
   ledger_cells+=("${key}=${LEDGERS[${key}]}")
   health_cells+=("${key}=${HEALTHS[${key}]}")
   exec_cells+=("${key}=${EXEC_EVENTS[${key}]}")
   serve_cells+=("${key}=${SERVE_REPORTS[${key}]}")
 done
-tools/report_diff.sh --normalize-wall "audit ledger vs OFF_t1_p0" \
-  "${LEDGERS[OFF_t1_p0]}" "${ledger_cells[@]}" || status=1
-tools/report_diff.sh "health timeline vs OFF_t1_p0" \
-  "${HEALTHS[OFF_t1_p0]}" "${health_cells[@]}" || status=1
-tools/report_diff.sh "exec events vs OFF_t1_p0" \
-  "${EXEC_EVENTS[OFF_t1_p0]}" "${exec_cells[@]}" || status=1
-tools/report_diff.sh "serve report vs OFF_t1_p0" \
-  "${SERVE_REPORTS[OFF_t1_p0]}" "${serve_cells[@]}" || status=1
+tools/report_diff.sh --normalize-wall "audit ledger vs OFF_t1" \
+  "${LEDGERS[OFF_t1]}" "${ledger_cells[@]}" || status=1
+tools/report_diff.sh "health timeline vs OFF_t1" \
+  "${HEALTHS[OFF_t1]}" "${health_cells[@]}" || status=1
+tools/report_diff.sh "exec events vs OFF_t1" \
+  "${EXEC_EVENTS[OFF_t1]}" "${exec_cells[@]}" || status=1
+tools/report_diff.sh "serve report vs OFF_t1" \
+  "${SERVE_REPORTS[OFF_t1]}" "${serve_cells[@]}" || status=1
 exit "${status}"

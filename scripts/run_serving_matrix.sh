@@ -1,24 +1,21 @@
 #!/usr/bin/env bash
 # Proves the serving layer's determinism contract: one fixed arrival trace
 # replayed through caqe_serve must produce a byte-identical serving report
-# across the full matrix of SIMD builds (CAQE_SIMD=OFF/ON), worker thread
-# counts (1 and 8), and the parallel emission flush (--pipeline=0/1), plus
-# tree-indexed coarse-phase cells (--coarse_index=1 at both worker counts)
-# and one cell per build with the observability layer attached
+# across SIMD builds (CAQE_SIMD=OFF/ON) and worker thread counts (1 and 8),
+# plus tree-indexed coarse-phase cells (--coarse_index=1 at both worker
+# counts) and one cell per build with the observability layer attached
 # (--trace_out/--metrics_out/--health_out) — tracing is read-only with
 # respect to the engine, so it must not move a byte either, and the traced
 # cells' contract-health timelines must match across the SIMD builds. A
-# composed
-# coarse-index x compact-layout-off cell checks the orthogonal knobs
-# together, and a second matrix runs the same trace with --calibrate=1:
-# self-tuning admission changes decisions by design (data-shape
-# parameter), so the calibrated cells are byte-diffed among themselves
-# across threads x pipeline x SIMD. The 1000-row trace's region steps are
-# too small to fork (DESIGN.md §7), so large-region cells (denser joins
-# over 16 target regions, their own baseline) must show forked projection
-# and plan-group evaluation in the 8-worker cell's --metrics_out. The
-# report text deliberately excludes every non-deterministic quantity, so
-# any diff is a real determinism bug.
+# second matrix runs the same trace with --calibrate=1: self-tuning
+# admission changes decisions by design (data-shape parameter), so the
+# calibrated cells are byte-diffed among themselves across threads x SIMD.
+# The 1000-row trace's region steps are too small to fork (DESIGN.md §7),
+# so large-region cells (denser joins over 16 target regions, their own
+# baseline) must show forked projection and plan-group evaluation in the
+# 8-worker cell's --metrics_out. Nine caqe_serve runs per build. The report
+# text deliberately excludes every non-deterministic quantity, so any diff
+# is a real determinism bug.
 #
 #   scripts/run_serving_matrix.sh [EXTRA_CMAKE_FLAGS...]
 #
@@ -65,13 +62,10 @@ for simd in OFF ON; do
     "$@"
   cmake --build "${build_dir}" -j"$(nproc)" --target caqe_serve_cli
   for threads in 1 8; do
-    for pipeline in 0 1; do
-      out="${build_dir}/serving_t${threads}_p${pipeline}.txt"
-      "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" \
-        --threads="${threads}" --pipeline="${pipeline}" \
-        --report-out="${out}" > /dev/null
-      REPORTS["${simd}_${threads}_${pipeline}"]="${out}"
-    done
+    out="${build_dir}/serving_t${threads}.txt"
+    "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" \
+      --threads="${threads}" --report-out="${out}" > /dev/null
+    REPORTS["${simd}_${threads}"]="${out}"
   done
   # Coarse-index cells: the tree-indexed coarse phase must reproduce the
   # scan-phase serving report byte for byte at both worker counts.
@@ -82,43 +76,24 @@ for simd in OFF ON; do
       --report-out="${out}" > /dev/null
     REPORTS["${simd}_${threads}_coarse"]="${out}"
   done
-  # Compact-layout-off cells: the compact layout selects only the join
-  # (key-match expansion vs the hash join), a pure layout change, so
-  # switching it off must reproduce the report byte for byte.
-  for threads in 1 8; do
-    out="${build_dir}/serving_t${threads}_mapidx.txt"
-    "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" \
-      --threads="${threads}" --compact_layout=0 \
-      --report-out="${out}" > /dev/null
-    REPORTS["${simd}_${threads}_mapidx"]="${out}"
-  done
-  # Coarse-index x compact-layout-off cell: the two orthogonal layout/index
-  # knobs composed — still byte-identical.
-  out="${build_dir}/serving_coarse_mapidx.txt"
-  "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" \
-    --threads=8 --coarse_index=1 --compact_layout=0 \
-    --report-out="${out}" > /dev/null
-  REPORTS["${simd}_coarse_mapidx"]="${out}"
   # Calibrated cells: --calibrate is a DATA-SHAPE parameter (it changes
   # admission decisions by design), so calibrated cells get their own
-  # baseline and are byte-diffed among themselves across threads,
-  # pipelining, and SIMD builds — the calibrator updates on the serial
-  # driver step, so no execution axis may leak into its factors.
+  # baseline and are byte-diffed among themselves across threads and SIMD
+  # builds — the calibrator updates on the serial driver step, so no
+  # execution axis may leak into its factors.
   for threads in 1 8; do
-    for pipeline in 0 1; do
-      out="${build_dir}/serving_t${threads}_p${pipeline}_calib.txt"
-      "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" \
-        --threads="${threads}" --pipeline="${pipeline}" --calibrate=1 \
-        --report-out="${out}" > /dev/null
-      REPORTS["${simd}_${threads}_${pipeline}_calib"]="${out}"
-    done
+    out="${build_dir}/serving_t${threads}_calib.txt"
+    "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" \
+      --threads="${threads}" --calibrate=1 \
+      --report-out="${out}" > /dev/null
+    REPORTS["${simd}_${threads}_calib"]="${out}"
   done
   # Large-region cells: the 8-worker cell must fork and still reproduce
   # the serial report byte for byte.
   for threads in 1 8; do
     out="${build_dir}/serving_t${threads}_large.txt"
     "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" "${LARGE_ARGS[@]}" \
-      --threads="${threads}" --pipeline="$(( threads > 1 ))" \
+      --threads="${threads}" \
       --metrics_out="${build_dir}/serving_t${threads}_large.prom" \
       --report-out="${out}" > /dev/null
     REPORTS["${simd}_${threads}_large"]="${out}"
@@ -137,44 +112,29 @@ for simd in OFF ON; do
     "${build_dir}/serving_metrics.prom"
   # Alloc-gate cell: the steady-state allocation budget of the region hot
   # path must hold in this build too. bench_alloc fails hard past the
-  # budget and cross-checks that the compact layout is report-neutral.
+  # budget.
   cmake --build "${build_dir}" -j"$(nproc)" --target bench_alloc
   "./${build_dir}/bench/bench_alloc" --max_allocs_per_region=5 \
     --out="${build_dir}/BENCH_alloc.json" > /dev/null
 done
 
-# Every cell of the matrix must match the scalar single-threaded
-# non-pipelined baseline.
-tools/report_diff.sh "serving report vs OFF_1_0" "${REPORTS[OFF_1_0]}" \
-  "OFF_1_pipeline=${REPORTS[OFF_1_1]}" \
-  "OFF_8=${REPORTS[OFF_8_0]}" \
-  "OFF_8_pipeline=${REPORTS[OFF_8_1]}" \
-  "ON_1=${REPORTS[ON_1_0]}" \
-  "ON_1_pipeline=${REPORTS[ON_1_1]}" \
-  "ON_8=${REPORTS[ON_8_0]}" \
-  "ON_8_pipeline=${REPORTS[ON_8_1]}" \
+# Every cell of the matrix must match the scalar single-threaded baseline.
+tools/report_diff.sh "serving report vs OFF_1" "${REPORTS[OFF_1]}" \
+  "OFF_8=${REPORTS[OFF_8]}" \
+  "ON_1=${REPORTS[ON_1]}" \
+  "ON_8=${REPORTS[ON_8]}" \
   "OFF_1_coarse=${REPORTS[OFF_1_coarse]}" \
   "OFF_8_coarse=${REPORTS[OFF_8_coarse]}" \
   "ON_1_coarse=${REPORTS[ON_1_coarse]}" \
   "ON_8_coarse=${REPORTS[ON_8_coarse]}" \
-  "OFF_1_mapidx=${REPORTS[OFF_1_mapidx]}" \
-  "OFF_8_mapidx=${REPORTS[OFF_8_mapidx]}" \
-  "ON_1_mapidx=${REPORTS[ON_1_mapidx]}" \
-  "ON_8_mapidx=${REPORTS[ON_8_mapidx]}" \
   "OFF_traced=${REPORTS[OFF_traced]}" \
-  "ON_traced=${REPORTS[ON_traced]}" \
-  "OFF_coarse_mapidx=${REPORTS[OFF_coarse_mapidx]}" \
-  "ON_coarse_mapidx=${REPORTS[ON_coarse_mapidx]}" || status=1
+  "ON_traced=${REPORTS[ON_traced]}" || status=1
 # Calibrated cells against the calibrated scalar baseline.
-tools/report_diff.sh "calibrated serving report vs OFF_1_0_calib" \
-  "${REPORTS[OFF_1_0_calib]}" \
-  "OFF_1_pipeline_calib=${REPORTS[OFF_1_1_calib]}" \
-  "OFF_8_calib=${REPORTS[OFF_8_0_calib]}" \
-  "OFF_8_pipeline_calib=${REPORTS[OFF_8_1_calib]}" \
-  "ON_1_calib=${REPORTS[ON_1_0_calib]}" \
-  "ON_1_pipeline_calib=${REPORTS[ON_1_1_calib]}" \
-  "ON_8_calib=${REPORTS[ON_8_0_calib]}" \
-  "ON_8_pipeline_calib=${REPORTS[ON_8_1_calib]}" || status=1
+tools/report_diff.sh "calibrated serving report vs OFF_1_calib" \
+  "${REPORTS[OFF_1_calib]}" \
+  "OFF_8_calib=${REPORTS[OFF_8_calib]}" \
+  "ON_1_calib=${REPORTS[ON_1_calib]}" \
+  "ON_8_calib=${REPORTS[ON_8_calib]}" || status=1
 # Large-region cells against their scalar serial baseline.
 tools/report_diff.sh "large-region serving report vs OFF_1_large" \
   "${REPORTS[OFF_1_large]}" \

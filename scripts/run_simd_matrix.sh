@@ -2,16 +2,15 @@
 # Builds and tests the suite with the SIMD batch dominance kernels OFF and
 # ON, then proves the determinism contract: the Figure 9 report must be
 # byte-identical between the forced-scalar and SIMD builds at 1 and 8
-# threads, with the parallel emission flush (--pipeline) off and on, and
-# with the tree-indexed coarse phase off and on (the batch kernels charge
-# the exact dominance_cmps counts of the serial scalar loops, the flush
-# merges its shards in the serial emit order, and the coarse index charges
-# the serial scan's exact coarse_ops, so no report quantity may move).
+# threads, with the tree-indexed coarse phase off and on (the batch kernels
+# charge the exact dominance_cmps counts of the serial scalar loops, and
+# the coarse index charges the serial scan's exact coarse_ops, so no report
+# quantity may move).
 # The 4000-row report's region steps are too small to fork (DESIGN.md §7),
 # so a large-region cell per build — caqe_cli's CAQE run over a
 # 1.4M-result join, its own baseline — must write the same per-query and
 # emission-trace CSVs at 1 and 8 threads, and its 8-thread --metrics_out
-# must show forked projection steps.
+# must show forked projection steps. Six runs per build.
 #
 #   scripts/run_simd_matrix.sh [EXTRA_CMAKE_FLAGS...]
 #
@@ -41,14 +40,11 @@ for simd in OFF ON; do
   cmake --build "${build_dir}" -j"$(nproc)"
   ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
   for threads in 1 8; do
-    for pipeline in 0 1; do
-      for coarse in 0 1; do
-        out="${build_dir}/fig9_t${threads}_p${pipeline}_c${coarse}.txt"
-        "./${build_dir}/bench/bench_fig9" "${FIG9_ARGS[@]}" \
-          --threads="${threads}" --pipeline="${pipeline}" \
-          --coarse_index="${coarse}" > "${out}"
-        REPORTS["${simd}_${threads}_${pipeline}_${coarse}"]="${out}"
-      done
+    for coarse in 0 1; do
+      out="${build_dir}/fig9_t${threads}_c${coarse}.txt"
+      "./${build_dir}/bench/bench_fig9" "${FIG9_ARGS[@]}" \
+        --threads="${threads}" --coarse_index="${coarse}" > "${out}"
+      REPORTS["${simd}_${threads}_${coarse}"]="${out}"
     done
     prefix="${build_dir}/cli_t${threads}_large"
     "./${build_dir}/tools/caqe_cli" "${LARGE_ARGS[@]}" \
@@ -69,18 +65,14 @@ for simd in OFF ON; do
   fi
 done
 
-# Per thread count, every (SIMD, pipeline, coarse_index) cell must match
-# the scalar serial-flush scan-phase report.
+# Per thread count, every (SIMD, coarse_index) cell must match the scalar
+# scan-phase report.
 for threads in 1 8; do
   tools/report_diff.sh "fig9 report (threads=${threads})" \
-    "${REPORTS[OFF_${threads}_0_0]}" \
-    "OFF_pipeline=${REPORTS[OFF_${threads}_1_0]}" \
-    "OFF_coarse_index=${REPORTS[OFF_${threads}_0_1]}" \
-    "OFF_pipeline_coarse_index=${REPORTS[OFF_${threads}_1_1]}" \
-    "ON_scalar_path=${REPORTS[ON_${threads}_0_0]}" \
-    "ON_pipeline=${REPORTS[ON_${threads}_1_0]}" \
-    "ON_coarse_index=${REPORTS[ON_${threads}_0_1]}" \
-    "ON_pipeline_coarse_index=${REPORTS[ON_${threads}_1_1]}" || status=1
+    "${REPORTS[OFF_${threads}_0]}" \
+    "OFF_coarse_index=${REPORTS[OFF_${threads}_1]}" \
+    "ON_scalar_path=${REPORTS[ON_${threads}_0]}" \
+    "ON_coarse_index=${REPORTS[ON_${threads}_1]}" || status=1
 done
 # The large-region cells against their scalar serial baseline.
 tools/report_diff.sh "large-region CAQE results vs OFF_1_large" \

@@ -132,8 +132,8 @@ void EmissionManager::ResolveAndRegister(int region, int q,
                                          const std::vector<int64_t>* dead,
                                          std::vector<int64_t>& resolved,
                                          std::vector<int64_t>& direct) {
-  // Bucket resolution first, then acceptance registration — the relative
-  // order the serial emission phase used within this query.
+  // Bucket resolution first, then acceptance registration — the order the
+  // emission phase uses within this query.
   QueryShard& shard = shards_[q];
   if (DetachBucket(shard, region)) {
     std::vector<int64_t>& ids = shard.resolve_scratch;
@@ -162,27 +162,21 @@ void EmissionManager::ResolveAndRegister(int region, int q,
 
 void EmissionManager::FlushRegion(
     int region, const std::vector<std::vector<int64_t>>& accepted,
-    const std::vector<std::vector<int64_t>>& dead, ThreadPool* pool,
+    const std::vector<std::vector<int64_t>>& dead,
     std::vector<std::vector<int64_t>>& resolved,
     std::vector<std::vector<int64_t>>& direct) {
-  const int64_t n = static_cast<int64_t>(shards_.size());
-  if (static_cast<int64_t>(resolved.size()) < n) resolved.resize(n);
-  if (static_cast<int64_t>(direct.size()) < n) direct.resize(n);
-  // One task per chunk of shards. Shards share no mutable state and the
-  // witness-scan inputs (store rows, pending flags, lineages, scan lists)
-  // are frozen during the emission phase, so the concurrent flush leaves
-  // every shard — park state, outputs, coarse ops — exactly as the serial
-  // q-order sweep would.
-  ParallelFor(pool, n, /*min_chunk=*/1, [&](int64_t q) {
+  const size_t n = shards_.size();
+  if (resolved.size() < n) resolved.resize(n);
+  if (direct.size() < n) direct.resize(n);
+  for (size_t q = 0; q < n; ++q) {
     resolved[q].clear();
     direct[q].clear();
-    const size_t uq = static_cast<size_t>(q);
     ResolveAndRegister(region, static_cast<int>(q),
-                       uq < accepted.size() ? &accepted[uq] : nullptr,
-                       uq < dead.size() && !dead[uq].empty() ? &dead[uq]
-                                                             : nullptr,
+                       q < accepted.size() ? &accepted[q] : nullptr,
+                       q < dead.size() && !dead[q].empty() ? &dead[q]
+                                                           : nullptr,
                        resolved[q], direct[q]);
-  });
+  }
 }
 
 void EmissionManager::AddQuery(int q) {

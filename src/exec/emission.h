@@ -12,13 +12,11 @@
 // resolved (processed, discarded, or pruned for the query), which keeps the
 // re-scan cost proportional to actual state changes.
 //
-// The park set is sharded per query: each query owns its parked buckets,
-// witness map, scan list, and safety-scan op counter, and no shard ever
-// reads another shard's state. That makes the per-region flush barrier
-// (FlushRegion) embarrassingly parallel without a single lock — the shared
-// inputs of a witness scan (store rows, pending flags, region lineages) are
-// frozen for the duration of the emission phase — while every serial entry
-// point keeps working on one shard at a time, byte-identically.
+// The park set is kept per query: each query owns its parked buckets,
+// witness map, scan list and safety-scan op counter. The per-region flush
+// barrier (FlushRegion) resolves the queries one at a time in ascending
+// order, so a query's re-scan cost follows only its own parked candidates
+// and scan list, and retiring a query drops its state in one place.
 #ifndef CAQE_EXEC_EMISSION_H_
 #define CAQE_EXEC_EMISSION_H_
 
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/thread_pool.h"
 #include "query/query.h"
 #include "region/region_builder.h"
 #include "skyline/point_set.h"
@@ -71,17 +68,13 @@ class EmissionManager {
   /// safe ones to `direct[q]`. `dead[q]` must be sorted ascending (the
   /// membership test is a binary search over the caller's reusable buffer
   /// — a region's eviction count is small, so sorted vectors beat hash
-  /// sets and allocate nothing at steady state). Exactly the serial
-  /// OnRegionResolved + per-query OnAccepted sequence, shard by shard; with
-  /// a pool the shards run concurrently (they share no mutable state, and
-  /// the witness-scan inputs are frozen during the emission phase), so
-  /// outputs, park state, and per-shard coarse ops are identical at any
-  /// thread count. The caller merges `direct`/`resolved` in the serial emit
+  /// sets and allocate nothing at steady state). Exactly the
+  /// OnRegionResolved + per-query OnAccepted sequence, query by query in
+  /// ascending order. The caller merges `direct`/`resolved` in the emit
   /// order (see RegionPipeline).
   void FlushRegion(int region,
                    const std::vector<std::vector<int64_t>>& accepted,
                    const std::vector<std::vector<int64_t>>& dead,
-                   ThreadPool* pool,
                    std::vector<std::vector<int64_t>>& resolved,
                    std::vector<std::vector<int64_t>>& direct);
 
@@ -102,8 +95,7 @@ class EmissionManager {
   void RetireQuery(int q, std::vector<int64_t>* flushed = nullptr);
 
   /// Coarse-level operations spent on safety scans (sum over the per-query
-  /// shards; addition is order-free, so the total is identical whether the
-  /// shards were flushed serially or in parallel).
+  /// shards).
   int64_t coarse_ops() const;
 
   /// Number of currently parked (accepted, unemitted, unevicted)
@@ -111,8 +103,8 @@ class EmissionManager {
   int64_t parked(int q) const;
 
  private:
-  /// Everything one query's emission logic touches. Shards are mutually
-  /// disjoint by construction — the basis of the lock-free parallel flush.
+  /// Everything one query's emission logic touches; shards are mutually
+  /// disjoint.
   struct QueryShard {
     /// Witness region -> slot in `bucket_pool` holding the region's parked
     /// candidate ids (buckets may contain stale ids of evicted candidates;
@@ -139,7 +131,7 @@ class EmissionManager {
   };
 
   /// Returns a pending region id blocking (q, id), or -1 when safe.
-  /// Charges shard q's coarse_ops; reads only flush-frozen shared state.
+  /// Charges shard q's coarse_ops.
   int FindWitness(int q, int64_t id);
 
   void Park(int q, int64_t id, int witness);
@@ -151,8 +143,8 @@ class EmissionManager {
   /// Empties every bucket (capacity kept) and rebuilds the free list.
   static void ReleaseAllBuckets(QueryShard& shard);
 
-  /// One shard's share of FlushRegion: resolve the region's bucket, then
-  /// register the accepted survivors — the serial order within the shard.
+  /// One query's share of FlushRegion: resolve the region's bucket, then
+  /// register the accepted survivors.
   /// `dead`, when non-null, is sorted ascending.
   void ResolveAndRegister(int region, int q,
                           const std::vector<int64_t>* accepted,

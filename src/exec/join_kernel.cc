@@ -1,35 +1,9 @@
 #include "exec/join_kernel.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
-#include "obs/metrics_registry.h"
-
 namespace caqe {
-
-void CellJoinKernel::HitTable::Grow() {
-  const size_t new_cap = keys.empty() ? 64 : (mask + 1) * 2;
-  std::vector<int64_t> old_keys = std::move(keys);
-  std::vector<size_t> old_slots = std::move(slots);
-  std::vector<uint32_t> old_stamps = std::move(stamps);
-  keys.assign(new_cap, 0);
-  slots.assign(new_cap, 0);
-  stamps.assign(new_cap, 0);
-  const size_t old_mask = mask;
-  mask = new_cap - 1;
-  if (gen == 0) gen = 1;  // Fresh table: stamp 0 now means "empty".
-  // Re-seat the current generation's entries (growth can hit mid-row);
-  // stale generations are dropped — clear() invalidated them already.
-  for (size_t i = 0; i <= old_mask && !old_keys.empty(); ++i) {
-    if (old_stamps[i] != gen) continue;
-    size_t j = Hash(old_keys[i]) & mask;
-    while (stamps[j] == gen) j = (j + 1) & mask;
-    stamps[j] = gen;
-    keys[j] = old_keys[i];
-    slots[j] = old_slots[i];
-  }
-}
 
 void CellJoinKernel::ChargeFirstUse(int cell_t, int key_column,
                                     EngineStats& stats) {
@@ -46,34 +20,8 @@ void CellJoinKernel::ChargeFirstUse(int cell_t, int key_column,
 
 void CellJoinKernel::Join(const RegionCollection& rc,
                           const OutputRegion& region, uint32_t slots_mask,
-                          std::vector<JoinMatch>& out, EngineStats& stats,
-                          ThreadPool* pool) {
+                          std::vector<JoinMatch>& out, EngineStats& stats) {
   if (slots_mask == 0) return;
-  if (compact_layout_) {
-    JoinByKeyMatch(rc, region, slots_mask, out, stats);
-    return;
-  }
-  const uint64_t floor = use_serial_ + 1;
-  // Resolve the indexes up front so probing is tight (this is also where
-  // lazy builds and first-use charging happen, on the calling thread).
-  std::array<std::pair<int, const CacheEntry*>, 32> slot_indexes;
-  int num_slots = 0;
-  for (int s = 0; s < static_cast<int>(rc.predicate_slots.size()); ++s) {
-    if ((slots_mask >> s) & 1) {
-      const int key_column = rc.predicate_slots[s];
-      ChargeFirstUse(region.cell_t, key_column, stats);
-      slot_indexes[num_slots++] = {s, &IndexFor(region.cell_t, key_column)};
-    }
-  }
-  ProbeRows(rc, region, slot_indexes.data(), num_slots, out, stats, pool);
-  EvictOverflow(floor);
-}
-
-void CellJoinKernel::JoinByKeyMatch(const RegionCollection& rc,
-                                    const OutputRegion& region,
-                                    uint32_t slots_mask,
-                                    std::vector<JoinMatch>& out,
-                                    EngineStats& stats) {
   // The key matches come from the BuildRegions run that made `region`.
   CAQE_CHECK(static_cast<size_t>(region.id) < rc.regions.size() &&
              rc.key_match_starts.size() ==
@@ -205,121 +153,6 @@ const CellJoinKernel::CellPair* CellJoinKernel::SortPairsByR(size_t n,
     std::swap(src, dst);
   }
   return src;
-}
-
-const CellJoinKernel::CacheEntry& CellJoinKernel::IndexFor(int cell_t,
-                                                           int key_column) {
-  CacheEntry& entry = index_cache_[CacheKey(cell_t, key_column)];
-  if (!entry.built) {
-    const Table& t = part_t_->table();
-    for (int64_t row : part_t_->cell(cell_t).rows) {
-      entry.index[t.key(row, key_column)].push_back(row);
-    }
-    ++index_builds_;
-    if (builds_counter_ != nullptr) builds_counter_->Inc();
-    entry.built = true;
-    ++built_entries_;
-  }
-  entry.last_used = ++use_serial_;
-  return entry;
-}
-
-void CellJoinKernel::EvictOverflow(uint64_t floor) {
-  if (cache_capacity_ <= 0 || built_entries_ <= cache_capacity_) return;
-  // Collect evictable built entries: those not used by the join that just
-  // ran. Sorting by the use serial makes the eviction order deterministic
-  // regardless of map iteration order.
-  std::vector<std::pair<uint64_t, CacheEntry*>> candidates;
-  for (auto& [key, entry] : index_cache_) {
-    (void)key;
-    if (!entry.built || entry.last_used >= floor) continue;
-    candidates.emplace_back(entry.last_used, &entry);
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [serial, entry] : candidates) {
-    (void)serial;
-    if (built_entries_ <= cache_capacity_) break;
-    entry->index = KeyIndex{};
-    entry->built = false;
-    --built_entries_;
-    ++cache_evictions_;
-    if (evictions_counter_ != nullptr) evictions_counter_->Inc();
-  }
-}
-
-void CellJoinKernel::ProbeRows(
-    const RegionCollection& rc, const OutputRegion& region,
-    const std::pair<int, const CacheEntry*>* slot_indexes, int num_indexes,
-    std::vector<JoinMatch>& out, EngineStats& stats, ThreadPool* pool) const {
-  const LeafCell& cell_r = part_r_->cell(region.cell_r);
-  const Table& r = part_r_->table();
-  const bool single_slot = num_indexes == 1;
-
-  const int64_t num_rows = static_cast<int64_t>(cell_r.rows.size());
-  constexpr int64_t kMinRowsPerChunk = 128;
-  const int chunks = NumChunks(pool, num_rows, kMinRowsPerChunk);
-
-  if (probe_shards_.size() < static_cast<size_t>(chunks)) {
-    probe_shards_.resize(chunks);
-  }
-
-  RunChunks(pool, chunks, [&](int c) {
-    const auto [begin, end] = ChunkRange(num_rows, chunks, c);
-    ProbeShard& shard = probe_shards_[c];
-    shard.out.clear();
-    shard.probes = 0;
-    shard.results = 0;
-    // Multi-slot matches are emitted in first-seen order per row (not hash
-    // order) so the sequence is independent of map internals.
-    auto& hits = shard.hits;
-    auto& hit_of_row = shard.hit_of_row;
-    hits.clear();
-    hit_of_row.clear();
-    for (int64_t i = begin; i < end; ++i) {
-      const int64_t row_r = cell_r.rows[i];
-      if (!single_slot) {
-        hits.clear();
-        hit_of_row.clear();
-      }
-      for (int s = 0; s < num_indexes; ++s) {
-        const auto& [slot, entry] = slot_indexes[s];
-        ++shard.probes;
-        const int32_t key = r.key(row_r, rc.predicate_slots[slot]);
-        const auto hit = entry->index.find(key);
-        if (hit == entry->index.end()) continue;
-        for (int64_t row_t : hit->second) {
-          if (single_slot) {
-            shard.out.push_back(JoinMatch{row_r, row_t, uint32_t{1} << slot});
-            ++shard.results;
-            continue;
-          }
-          bool inserted = false;
-          size_t& pos = hit_of_row.FindOrInsert(row_t, inserted);
-          if (inserted) {
-            pos = hits.size();
-            hits.emplace_back(row_t, 0);
-          }
-          hits[pos].second |= uint32_t{1} << slot;
-        }
-      }
-      if (!single_slot) {
-        for (const auto& [row_t, mask] : hits) {
-          shard.out.push_back(JoinMatch{row_r, row_t, mask});
-          ++shard.results;
-        }
-      }
-    }
-  });
-
-  // Merge in chunk order: identical match sequence and counter totals at
-  // every thread count.
-  for (int c = 0; c < chunks; ++c) {
-    ProbeShard& shard = probe_shards_[c];
-    out.insert(out.end(), shard.out.begin(), shard.out.end());
-    stats.join_probes += shard.probes;
-    stats.join_results += shard.results;
-  }
 }
 
 }  // namespace caqe

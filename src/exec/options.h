@@ -42,8 +42,8 @@ struct EngineOptions {
   /// Virtual-time cost model used for contract timestamps.
   CostModel cost;
   /// Worker threads for the parallel execution phases of region-based
-  /// engines (partitioning, coarse join, map-layout join probing,
-  /// plan-group skyline evaluation, tuple-level discard scans).
+  /// engines (partitioning, coarse join, row projection, plan-group skyline
+  /// evaluation, tuple-level discard scans).
   /// 1 (default) runs today's serial path; 0 uses every hardware thread.
   /// Contract scores are charged in *virtual* time per unit of work, so
   /// reports are bit-identical across thread counts — only wall_seconds
@@ -64,13 +64,6 @@ struct EngineOptions {
   /// Apply Eq. 11 satisfaction feedback to the scheduler weights (CAQE
   /// default; ablation knob).
   bool feedback_enabled = true;
-  /// Flush the sharded emission park set in parallel at each region's
-  /// emission barrier: per query, resolve the region's parked bucket and
-  /// register its accepted tuples on the worker pool. Emission then merges
-  /// the shard outputs in the serial emit order, so reports, events and obs
-  /// spans are byte-identical with the flag on or off at any num_threads.
-  /// Requires num_threads > 1 to have any effect. Default off.
-  bool pipeline_regions = false;
   /// Drive the coarse phase from bulk-loaded packed box trees instead of
   /// flat scans: region discovery classifies each query's selection ranges
   /// against a cell R-tree (whole subtrees accepted/rejected via their
@@ -80,23 +73,6 @@ struct EngineOptions {
   /// off at any num_threads — only wall time and the caqe_coarse_index_*
   /// metrics change. Default off.
   bool coarse_index = false;
-  /// Selects the region join: on, the key-match join (each region expands
-  /// the shared keys the region build recorded); off, the hash join
-  /// (hash-probing every R row against a cached index over the T cell).
-  /// Everything else — the row block, the discard gather and the
-  /// accepted-only tuple store (see RegionPipeline) — is the same either
-  /// way. Match order and every charge are identical, so reports are
-  /// byte-identical with the flag on or off — only steady-state allocation
-  /// counts and wall time change. Default on; the off position keeps the
-  /// hash join as the reference for the alloc/perf A-B benchmark and as a
-  /// determinism cross-check in the matrix scripts.
-  bool compact_layout = true;
-  /// Bound on built join-index cache entries kept across regions by the
-  /// map layout (compact_layout off; the compact layout builds no index);
-  /// beyond it, least-recently-used indexes are released deterministically
-  /// (<= 0 means unbounded — the pre-bound behavior). First-use charge
-  /// state survives eviction, so reports are identical at any value.
-  int64_t join_index_cache_entries = 4096;
   /// Tracing + metrics + contract-event bundle (src/obs/). Null (default)
   /// disables all observability at the cost of one branch per span. When
   /// set, region-based engines and the server append their scheduling,
@@ -104,6 +80,14 @@ struct EngineOptions {
   /// event log. Observability never feeds the deterministic counters or the
   /// virtual clock: reports are byte-identical with or without it.
   Observability* obs = nullptr;
+
+  /// Names of deleted knobs, fixed at the values the engine always runs:
+  /// the serial emission flush, the key-match join, and the old join-index
+  /// cache bound. perfbench/ is their only reader (its provenance lines
+  /// print them); the benchmark change that drops those reads deletes them.
+  static constexpr bool pipeline_regions = false;
+  static constexpr bool compact_layout = true;
+  static constexpr int64_t join_index_cache_entries = 4096;
 };
 
 /// Options accepted by every batch engine: the engine knobs plus the

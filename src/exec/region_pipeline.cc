@@ -76,10 +76,6 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
       store_(workload->num_output_dims()),
       block_(workload->num_output_dims()),
       emission_(workload, rc, &store_, &pending_) {
-  // Configure the kernel before any join: the layout and cache bound are
-  // fixed for the pipeline's life.
-  kernel_.set_compact_layout(options_.compact_layout);
-  kernel_.set_cache_capacity(options_.join_index_cache_entries);
   events_ = Observability::Events(options_.obs);
   if (options_.obs != nullptr) {
     // Resolve hot-path metrics once; observations are virtual-time deltas,
@@ -90,9 +86,6 @@ RegionPipeline::RegionPipeline(const PartitionedTable* part_r,
     emission_latency_hist_ = &options_.obs->metrics.histogram(
         "caqe_emission_latency_virtual_seconds",
         ExponentialBuckets(1e-6, 4.0, 12));
-    kernel_.SetObsCounters(
-        &options_.obs->metrics.counter("caqe_join_index_builds_total"),
-        &options_.obs->metrics.counter("caqe_join_index_evictions_total"));
     if (AllocHookActive()) {
       alloc_regions_counter_ =
           &options_.obs->metrics.counter("caqe_alloc_regions_total");
@@ -383,7 +376,7 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
     span.set_parent(step_span, step_span);
     const int64_t probes_before = stats.join_probes;
     const int64_t results_before = stats.join_results;
-    kernel_.Join(*rc_, region, slots_mask, matches_, stats, step_pool);
+    kernel_.Join(*rc_, region, slots_mask, matches_, stats);
     clock_->ChargeJoinProbes(stats.join_probes - probes_before);
     clock_->ChargeJoinResults(stats.join_results - results_before);
     span.set_arg("join_results", stats.join_results - results_before);
@@ -587,21 +580,17 @@ void RegionPipeline::ProcessRegion(int rid, uint64_t step_span) {
     span.set_parent(step_span, step_span);
     const int64_t emitted_before = stats.emitted_results;
     const int64_t emission_ops_before = emission_.coarse_ops();
-    // Flush barrier over the sharded park set: per query, resolve this
-    // region's parked bucket and register the newly accepted tuples —
-    // shard-parallel under pipeline_regions when the step forks, identical
-    // state either way.
-    // Emission then merges the shard outputs in the exact serial emit
-    // order: each query's immediately-safe acceptances in query order,
-    // then the discard-phase resolutions, then this region's bucket
-    // resolutions in query order.
+    // Flush barrier over the per-query park set: per query, resolve this
+    // region's parked bucket and register the newly accepted tuples.
+    // Emission then merges the outputs in the emit order: each query's
+    // immediately-safe acceptances in query order, then the discard-phase
+    // resolutions, then this region's bucket resolutions in query order.
     if (flush_resolved_.size() <
         static_cast<size_t>(workload.num_queries())) {
       flush_resolved_.resize(workload.num_queries());
       flush_direct_.resize(workload.num_queries());
     }
     emission_.FlushRegion(rid, accepted_events_, evicted_events_,
-                          options_.pipeline_regions ? step_pool : nullptr,
                           flush_resolved_, flush_direct_);
     emitted_per_query_.assign(workload.num_queries(), 0);
     for (int q = 0; q < workload.num_queries(); ++q) {

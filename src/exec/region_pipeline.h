@@ -104,8 +104,8 @@ class RegionPipeline {
       std::function<void(int query, int64_t id, double time, double utility)>;
 
   /// Of the driver's `options` the pipeline reads result capture and
-  /// streaming, DVA gating, tuple discarding, the join layout, the emission
-  /// flush (run on `pool`) and obs. All pointers must outlive the pipeline.
+  /// streaming, DVA gating, tuple discarding and obs; `pool` runs the
+  /// step's forked phases. All pointers must outlive the pipeline.
   /// A region starts pending iff its lineage is non-empty at construction,
   /// and the emission manager's witness scan lists are built from the same
   /// lineages.

@@ -16,10 +16,7 @@ namespace caqe {
 
 CoreOptions::CoreOptions(const EngineOptions& engine)
     : num_threads(engine.num_threads),
-      pipeline_regions(engine.pipeline_regions),
       coarse_index(engine.coarse_index),
-      compact_layout(engine.compact_layout),
-      join_index_cache_entries(engine.join_index_cache_entries),
       feedback(engine.feedback_enabled),
       dva_mode(engine.dva_mode),
       obs(engine.obs) {}
@@ -40,6 +37,14 @@ Status RunSharedCore(const PartitionedTable& part_r,
                      const CoreOptions& core_options) {
   if (static_cast<int>(global_query_ids.size()) != workload.num_queries()) {
     return Status::InvalidArgument("global_query_ids size mismatch");
+  }
+  if (core_options.pipeline_regions != EngineOptions::pipeline_regions ||
+      core_options.compact_layout != EngineOptions::compact_layout ||
+      core_options.join_index_cache_entries !=
+          EngineOptions::join_index_cache_entries) {
+    return Status::InvalidArgument(
+        "pipeline_regions, compact_layout and join_index_cache_entries "
+        "name deleted engine paths and must keep their defaults");
   }
 
   // Worker pool for the parallel phases, unless the caller lent one.

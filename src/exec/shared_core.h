@@ -24,24 +24,20 @@ namespace caqe {
 /// than on top of EngineOptions, because perfbench/ assigns them by name.
 struct CoreOptions {
   CoreOptions() = default;
-  /// The engine knobs the core reads: threads, the emission flush, the
-  /// coarse index, the join layout and its cache bound, DVA gating,
-  /// feedback and obs. Every other field keeps its default.
+  /// The engine knobs the core reads: threads, the coarse index, DVA
+  /// gating, feedback and obs. Every other field keeps its default.
   explicit CoreOptions(const EngineOptions& engine);
   /// The engine knobs plus the batch fields: coarse prune, result capture,
   /// known result counts and the result stream.
   explicit CoreOptions(const ExecOptions& exec);
 
   SchedulePolicy policy = SchedulePolicy::kContractDriven;
-  /// Worker threads for the parallel phases (region build, join kernel,
+  /// Worker threads for the parallel phases (region build, row projection,
   /// plan-group evaluation, discard scans). 1 = serial, 0 = all hardware
   /// threads. Reports are bit-identical at every value — work counters and
   /// the virtual clock charge the same totals (see DESIGN.md, "Concurrency
   /// model").
   int num_threads = 1;
-  /// Parallel emission flush (see EngineOptions::pipeline_regions). Needs
-  /// num_threads > 1 to have any effect; reports stay bit-identical.
-  bool pipeline_regions = false;
   /// Tree-indexed coarse phase (see EngineOptions::coarse_index): drive the
   /// region build's selection tests and the coarse prune from packed box
   /// trees instead of flat scans. Reports stay bit-identical.
@@ -51,11 +47,13 @@ struct CoreOptions {
   /// been sized consistently with num_threads); callers that partition
   /// with the same pool avoid a second thread spin-up.
   ThreadPool* pool = nullptr;
-  /// Key-match join on, hash join off (see EngineOptions::compact_layout).
-  /// Reports stay byte-identical.
-  bool compact_layout = true;
-  /// Join-index cache bound (see EngineOptions::join_index_cache_entries).
-  int64_t join_index_cache_entries = 4096;
+  /// Names of deleted knobs. perfbench/ is their only user (it assigns
+  /// them); the benchmark change that drops those lines deletes them.
+  /// RunSharedCore returns InvalidArgument unless each equals its
+  /// EngineOptions constant.
+  bool pipeline_regions = EngineOptions::pipeline_regions;
+  bool compact_layout = EngineOptions::compact_layout;
+  int64_t join_index_cache_entries = EngineOptions::join_index_cache_entries;
   bool coarse_prune = true;
   /// Eq. 11 satisfaction feedback (EngineOptions::feedback_enabled).
   bool feedback = true;

@@ -20,9 +20,8 @@
 //
 // Determinism contract (DESIGN.md §15): events are appended only from the
 // serial driver thread at virtual timestamps, so every view except the
-// ledger's `wall_us` field is byte-identical across threads x pipeline x
-// compact_layout x SIMD and between a live session and `caqe_serve
-// --replay`. Like every obs structure the log is write-only: no engine
+// ledger's `wall_us` field is byte-identical across threads x coarse index
+// x SIMD and between a live session and `caqe_serve --replay`. Like every obs structure the log is write-only: no engine
 // decision may read it.
 //
 // Alloc discipline: events are PODs (phase/reason are string-literal

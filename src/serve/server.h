@@ -352,8 +352,8 @@ class CaqeServer {
   ContractEventLog* event_log_ = nullptr;
   /// Admission-estimate calibrator (engaged by options.calibrate). Updated
   /// only from the serial driver step — same rule as the event log — which is
-  /// what keeps calibrated reports byte-identical across threads/pipeline/
-  /// compact_layout and live-vs-replay.
+  /// what keeps calibrated reports byte-identical across thread counts, the
+  /// coarse index and live-vs-replay.
   std::optional<Calibrator> calibrator_;
   /// Set when a calibration shift lands; consumed at the start of the next
   /// driver step *after* that step's arrivals have fired, so a repreview

@@ -74,7 +74,7 @@ struct ServeOptions : EngineOptions {
   /// factors, corrected estimates drive the deadline/utility previews, and
   /// calibration shifts re-preview the deferred queue. Changes admission
   /// *timing* only, never emitted-result correctness; reports remain
-  /// byte-identical across threads/pipeline/compact_layout and
+  /// byte-identical across thread counts, the coarse index and
   /// live-vs-replay (the calibrator updates on the serial driver step).
   bool calibrate = false;
   /// Defer arrivals while this many queries are running.

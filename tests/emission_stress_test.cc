@@ -1,22 +1,19 @@
-// Concurrency stress suite for the sharded emission park set.
+// Stress suite for the per-query emission park set.
 //
-// Three EmissionManager replicas over one shared frozen world (workload,
-// regions, tuple store under sparse ids, pending flags) are driven through
-// identical randomized adversarial schedules — region flushes, evictions,
-// lineage prunes, query retirements and re-grafts — and must agree byte for
-// byte:
+// Two EmissionManager replicas over one shared world (workload, regions,
+// tuple store under sparse ids, pending flags) are driven through identical
+// randomized adversarial schedules — region flushes, evictions, lineage
+// prunes, query retirements and re-grafts — and must agree byte for byte:
 //
-//   * `pooled`  flushes every region barrier through a real ThreadPool,
-//   * `serial`  flushes with pool == nullptr (the reference q-order sweep),
-//   * `legacy`  never calls FlushRegion at all: it replays the pre-sharding
-//     serial sequence (OnRegionResolved over all queries, then per-query
-//     OnAccepted) that FlushRegion documents itself as equivalent to.
+//   * `serial`  flushes every region barrier with FlushRegion (the q-order
+//     sweep),
+//   * `legacy`  never calls FlushRegion at all: it replays the sequence
+//     (OnRegionResolved over all queries, then per-query OnAccepted) that
+//     FlushRegion documents itself as equivalent to.
 //
 // After every step the resolved/direct outputs, per-query park counts, and
-// coarse-op totals of all three must match exactly; at the end a full
-// drain must too. The pooled replica mutates its shards concurrently, so
-// scripts/run_tsan.sh (which runs the whole ctest suite in build-tsan)
-// doubles as the data-race gate for the lock-free parallel flush.
+// coarse-op totals of both must match exactly; at the end a full drain must
+// too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +26,6 @@
 #include <vector>
 
 #include "common/query_set.h"
-#include "common/thread_pool.h"
 #include "exec/emission.h"
 #include "query/query.h"
 #include "region/region.h"
@@ -43,10 +39,9 @@ double UnitUniform(std::mt19937_64& rng) {
   return static_cast<double>(rng() >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/// The frozen shared inputs of one stress run. Everything the managers
-/// read concurrently during a flush lives here and is mutated only between
-/// barriers (pending flags, lineage prunes) — the same freeze discipline
-/// the engine's emission phase guarantees.
+/// The shared inputs of one stress run. Everything the managers read
+/// during a flush lives here and is mutated only between barriers (pending
+/// flags, lineage prunes), as in the engine's emission phase.
 struct StressWorld {
   Workload workload;
   RegionCollection rc;
@@ -146,16 +141,12 @@ void ExpectManagersAgree(EmissionManager& a, EmissionManager& b,
   }
 }
 
-void RunStressSchedule(uint64_t seed, int num_queries, int num_regions,
-                       int pool_threads) {
+void RunStressSchedule(uint64_t seed, int num_queries, int num_regions) {
   StressWorld world = MakeWorld(seed, num_queries, num_regions);
-  EmissionManager pooled(&world.workload, &world.rc, world.store.get(),
-                         &world.pending);
   EmissionManager serial(&world.workload, &world.rc, world.store.get(),
                          &world.pending);
   EmissionManager legacy(&world.workload, &world.rc, world.store.get(),
                          &world.pending);
-  ThreadPool pool(pool_threads);
 
   std::mt19937_64 rng(seed * 7919 + 13);
   std::vector<int> order(num_regions);
@@ -165,7 +156,6 @@ void RunStressSchedule(uint64_t seed, int num_queries, int num_regions,
   // (q, id) pairs accepted and not yet killed — the eviction pool.
   std::vector<std::pair<int, int64_t>> live;
 
-  std::vector<std::vector<int64_t>> resolved_pooled, direct_pooled;
   std::vector<std::vector<int64_t>> resolved_serial, direct_serial;
   for (int step = 0; step < num_regions; ++step) {
     const int rid = order[step];
@@ -174,11 +164,10 @@ void RunStressSchedule(uint64_t seed, int num_queries, int num_regions,
                               " region=" + std::to_string(rid);
 
     // Adversarial interleavings between barriers: evictions, lineage
-    // prunes, retirements, re-grafts — each applied identically to all
-    // three replicas through the serial entry points.
+    // prunes, retirements, re-grafts — each applied identically to both
+    // replicas.
     if (!live.empty() && rng() % 5 == 0) {
       const auto [q, id] = live[rng() % live.size()];
-      pooled.OnEvicted(q, id);
       serial.OnEvicted(q, id);
       legacy.OnEvicted(q, id);
     }
@@ -193,26 +182,20 @@ void RunStressSchedule(uint64_t seed, int num_queries, int num_regions,
           if (victim < 0 || rng() % 2 == 0) victim = q;
         });
         region.rql.Remove(victim);
-        std::vector<std::pair<int, int64_t>> out_pooled, out_serial,
-            out_legacy;
-        pooled.OnRegionResolvedForQuery(target, victim, out_pooled);
+        std::vector<std::pair<int, int64_t>> out_serial, out_legacy;
         serial.OnRegionResolvedForQuery(target, victim, out_serial);
         legacy.OnRegionResolvedForQuery(target, victim, out_legacy);
-        EXPECT_EQ(out_pooled, out_serial) << where;
-        EXPECT_EQ(out_pooled, out_legacy) << where;
+        EXPECT_EQ(out_serial, out_legacy) << where;
       }
     }
     if (rng() % 10 == 0) {
       const int q = static_cast<int>(rng() % num_queries);
-      std::vector<int64_t> f_pooled, f_serial, f_legacy;
-      pooled.RetireQuery(q, &f_pooled);
+      std::vector<int64_t> f_serial, f_legacy;
       serial.RetireQuery(q, &f_serial);
       legacy.RetireQuery(q, &f_legacy);
-      EXPECT_EQ(f_pooled, f_serial) << where;
-      EXPECT_EQ(f_pooled, f_legacy) << where;
+      EXPECT_EQ(f_serial, f_legacy) << where;
       if (rng() % 2 == 0) {
         // Serving re-graft: the query rejoins with a fresh shard.
-        pooled.AddQuery(q);
         serial.AddQuery(q);
         legacy.AddQuery(q);
       }
@@ -239,13 +222,10 @@ void RunStressSchedule(uint64_t seed, int num_queries, int num_regions,
       std::sort(dead[q].begin(), dead[q].end());
     }
 
-    // The barrier: region rid is processed. All replicas observe the
-    // pending flip; only `pooled` flushes concurrently.
+    // The barrier: region rid is processed. Both replicas observe the
+    // pending flip.
     world.pending[rid] = 0;
-    pooled.FlushRegion(rid, accepted, dead, &pool, resolved_pooled,
-                       direct_pooled);
-    serial.FlushRegion(rid, accepted, dead, /*pool=*/nullptr, resolved_serial,
-                       direct_serial);
+    serial.FlushRegion(rid, accepted, dead, resolved_serial, direct_serial);
     std::vector<std::pair<int, int64_t>> legacy_pairs;
     legacy.OnRegionResolved(rid, legacy_pairs);
     const std::vector<std::vector<int64_t>> resolved_legacy =
@@ -259,48 +239,39 @@ void RunStressSchedule(uint64_t seed, int num_queries, int num_regions,
     }
 
     for (int q = 0; q < num_queries; ++q) {
-      EXPECT_EQ(resolved_pooled[q], resolved_serial[q]) << where << " q=" << q;
-      EXPECT_EQ(direct_pooled[q], direct_serial[q]) << where << " q=" << q;
-      EXPECT_EQ(resolved_pooled[q], resolved_legacy[q]) << where << " q=" << q;
-      EXPECT_EQ(direct_pooled[q], direct_legacy[q]) << where << " q=" << q;
+      EXPECT_EQ(resolved_serial[q], resolved_legacy[q]) << where << " q=" << q;
+      EXPECT_EQ(direct_serial[q], direct_legacy[q]) << where << " q=" << q;
     }
-    ExpectManagersAgree(pooled, serial, num_queries, where + " pooled/serial");
-    ExpectManagersAgree(pooled, legacy, num_queries, where + " pooled/legacy");
+    ExpectManagersAgree(serial, legacy, num_queries, where + " serial/legacy");
   }
 
   // Whatever is still parked must drain identically (order within the
   // drain is hash-map dependent, so compare as sorted multisets).
-  std::vector<std::pair<int, int64_t>> drain_pooled, drain_serial,
-      drain_legacy;
-  pooled.DrainAll(drain_pooled);
+  std::vector<std::pair<int, int64_t>> drain_serial, drain_legacy;
   serial.DrainAll(drain_serial);
   legacy.DrainAll(drain_legacy);
-  std::sort(drain_pooled.begin(), drain_pooled.end());
   std::sort(drain_serial.begin(), drain_serial.end());
   std::sort(drain_legacy.begin(), drain_legacy.end());
-  EXPECT_EQ(drain_pooled, drain_serial);
-  EXPECT_EQ(drain_pooled, drain_legacy);
+  EXPECT_EQ(drain_serial, drain_legacy);
 }
 
 TEST(EmissionStressTest, RandomizedSchedulesAgreeAcrossReplicas) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
     RunStressSchedule(seed, /*num_queries=*/2 + static_cast<int>(seed % 9),
-                      /*num_regions=*/24, /*pool_threads=*/7);
+                      /*num_regions=*/24);
   }
 }
 
 TEST(EmissionStressTest, WideWorkloadHeavyFlush) {
-  // Many shards and a large park population: every flush barrier fans 32
-  // shards across 8 workers. This is the cell the TSan build leans on.
-  RunStressSchedule(/*seed=*/77, /*num_queries=*/32, /*num_regions=*/48,
-                    /*pool_threads=*/8);
+  // Many queries and a large park population: every flush barrier sweeps
+  // 32 shards.
+  RunStressSchedule(/*seed=*/77, /*num_queries=*/32, /*num_regions=*/48);
 }
 
 TEST(EmissionStressTest, SingleQueryDegeneratesToSerial) {
-  // One shard: the parallel flush has nothing to fan out and must still
+  // One shard: the flush is a single query's resolution and must still
   // match byte for byte.
-  RunStressSchedule(/*seed=*/5150, /*num_queries=*/1, /*num_regions=*/16,
-                    /*pool_threads=*/4);
+  RunStressSchedule(/*seed=*/5150, /*num_queries=*/1, /*num_regions=*/16);
 }
 
 }  // namespace

@@ -11,11 +11,11 @@
 #include <vector>
 
 #include "caqe/session.h"
-#include "common/thread_pool.h"
 #include "contracts/utility.h"
 #include "exec/emission.h"
 #include "exec/engine.h"
 #include "exec/join_kernel.h"
+#include "exec/shared_core.h"
 #include "metrics/export.h"
 #include "metrics/printer.h"
 #include "obs/observability.h"
@@ -132,55 +132,32 @@ TEST(JoinKernelTest, MultiSlotDeduplicatesPairs) {
   }
 }
 
-TEST(JoinKernelTest, CacheKeyNeverAliases) {
-  // Regression: the cache key used to be cell * 64 + key_column, which
-  // aliases (cell, column) pairs whenever a key column index reaches 64 —
-  // e.g. (0, 64) and (1, 0) shared an entry, so one (cell, column) pair
-  // could silently serve another's hash index. The packed 32/32 key is
-  // injective over the full domain.
-  std::set<int64_t> seen;
-  for (int cell : {0, 1, 2, 63, 64, 65, 1000}) {
-    for (int column : {0, 1, 63, 64, 65, 127, 128}) {
-      EXPECT_TRUE(seen.insert(CellJoinKernel::CacheKey(cell, column)).second)
-          << "cell=" << cell << " column=" << column;
-    }
-  }
-  // The documented historical collision, explicitly.
-  EXPECT_NE(CellJoinKernel::CacheKey(0, 64), CellJoinKernel::CacheKey(1, 0));
-}
-
-TEST(JoinKernelTest, ParallelJoinMatchesSerial) {
-  auto [r, t] = MakeTables(Distribution::kIndependent, 400, 4, 0.1);
-  const Workload workload =
-      MakeSubspaceWorkload(4, 0, 3, PriorityPolicy::kUniform).value();
+// pipeline_regions, compact_layout and join_index_cache_entries name engine
+// paths that no longer exist; the core accepts only the values it runs.
+TEST(SharedCoreTest, RejectsDeletedKnobValues) {
+  auto [r, t] = MakeTables(Distribution::kIndependent, 200, 2, 0.05);
+  Workload wl;
+  wl.AddOutputDim({0, 0, 1.0, 1.0});
+  wl.AddQuery({"Q1", 0, {0}, 1.0, {}});
   const PartitionedTable pr = PartitionTable(r, 2).value();
   const PartitionedTable pt = PartitionTable(t, 2).value();
-  const RegionCollection rc = BuildRegions(pr, pt, workload).value();
-
-  // Only the map layout splits its probes across a pool; its parallel
-  // join must reproduce the serial default one.
-  CellJoinKernel serial_kernel(&pr, &pt);
-  CellJoinKernel parallel_kernel(&pr, &pt);
-  parallel_kernel.set_compact_layout(false);
-  ThreadPool pool(3);
-  EngineStats serial_stats;
-  EngineStats parallel_stats;
-  for (const OutputRegion& region : rc.regions) {
-    std::vector<JoinMatch> serial_matches;
-    std::vector<JoinMatch> parallel_matches;
-    serial_kernel.Join(rc, region, /*slots_mask=*/1, serial_matches,
-                       serial_stats);
-    parallel_kernel.Join(rc, region, /*slots_mask=*/1, parallel_matches,
-                         parallel_stats, &pool);
-    ASSERT_EQ(serial_matches.size(), parallel_matches.size());
-    for (size_t i = 0; i < serial_matches.size(); ++i) {
-      EXPECT_EQ(serial_matches[i].row_r, parallel_matches[i].row_r);
-      EXPECT_EQ(serial_matches[i].row_t, parallel_matches[i].row_t);
-      EXPECT_EQ(serial_matches[i].slot_mask, parallel_matches[i].slot_mask);
+  for (int knob = 0; knob < 4; ++knob) {
+    CoreOptions core;
+    if (knob == 1) core.pipeline_regions = true;
+    if (knob == 2) core.compact_layout = false;
+    if (knob == 3) core.join_index_cache_entries = 0;
+    SatisfactionTracker tracker({MakeLogDecayContract()});
+    VirtualClock clock(CostModel{});
+    EngineStats stats;
+    std::vector<QueryReport> reports(1);
+    const Status status = RunSharedCore(pr, pt, wl, {0}, tracker, clock,
+                                        stats, reports, core);
+    if (knob == 0) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << knob;
     }
   }
-  EXPECT_EQ(serial_stats.join_probes, parallel_stats.join_probes);
-  EXPECT_EQ(serial_stats.join_results, parallel_stats.join_results);
 }
 
 // ---- Parallel determinism ----

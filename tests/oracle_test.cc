@@ -2,16 +2,14 @@
 // reference executor — per-query nested-loop join, then an O(n^2) skyline
 // written right here with no code shared with src/skyline — is compared
 // against the engine over randomized workloads (seeds x dims x join
-// selectivities x contract mixes), at every cell of
-// threads {1, 8} x pipeline {off, on}.
+// selectivities x contract mixes), at threads 1 and 8.
 //
 // Two properties are asserted per cell:
 //   1. Correctness: the reported result set of every query equals the
 //      naive executor's skyline exactly.
 //   2. Determinism: the full execution report (every counter, virtual
 //      time, pScore, satisfaction, utility trace, and captured tuple with
-//      its timestamp) is bit-identical to the threads=1/pipeline=off
-//      reference.
+//      its timestamp) is bit-identical to the threads=1 reference.
 //
 // The third determinism axis, the SIMD build (CAQE_SIMD=OFF/ON), cannot be
 // toggled in-process — kernel dispatch is a function-local static resolved
@@ -188,42 +186,38 @@ TEST_P(OracleDifferentialTest, EngineMatchesNaiveExecutorAtEveryCell) {
   bool have_reference = false;
   ExecutionReport reference;
   for (int threads : {1, 8}) {
-    for (bool pipeline : {false, true}) {
-      SCOPED_TRACE(c.name + " threads=" + std::to_string(threads) +
-                   " pipeline=" + (pipeline ? "on" : "off"));
-      ExecOptions options;
-      options.capture_results = true;
-      options.num_threads = threads;
-      options.pipeline_regions = pipeline;
-      options.target_regions = c.target_regions;
-      Observability obs;
-      options.obs = &obs;
-      std::unique_ptr<Engine> engine = MakeEngine(c.engine).value();
-      const Result<ExecutionReport> result =
-          engine->Execute(r, t, workload, contracts, options);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      const ExecutionReport& report = *result;
-      if (c.forks && threads > 1) {
-        EXPECT_GT(::caqe::testing::PhaseForks(obs, "project"), 0);
-        EXPECT_GT(::caqe::testing::PhaseForks(obs, "evaluate"), 0);
-      }
+    SCOPED_TRACE(c.name + " threads=" + std::to_string(threads));
+    ExecOptions options;
+    options.capture_results = true;
+    options.num_threads = threads;
+    options.target_regions = c.target_regions;
+    Observability obs;
+    options.obs = &obs;
+    std::unique_ptr<Engine> engine = MakeEngine(c.engine).value();
+    const Result<ExecutionReport> result =
+        engine->Execute(r, t, workload, contracts, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const ExecutionReport& report = *result;
+    if (c.forks && threads > 1) {
+      EXPECT_GT(::caqe::testing::PhaseForks(obs, "project"), 0);
+      EXPECT_GT(::caqe::testing::PhaseForks(obs, "evaluate"), 0);
+    }
 
-      ASSERT_EQ(report.queries.size(),
-                static_cast<size_t>(workload.num_queries()));
-      for (int q = 0; q < workload.num_queries(); ++q) {
-        SCOPED_TRACE("query=" + workload.query(q).name);
-        EXPECT_EQ(SortedReportedValues(report.queries[q], workload, q),
-                  naive[q]);
-        EXPECT_EQ(report.queries[q].results,
-                  static_cast<int64_t>(naive[q].size()));
-      }
+    ASSERT_EQ(report.queries.size(),
+              static_cast<size_t>(workload.num_queries()));
+    for (int q = 0; q < workload.num_queries(); ++q) {
+      SCOPED_TRACE("query=" + workload.query(q).name);
+      EXPECT_EQ(SortedReportedValues(report.queries[q], workload, q),
+                naive[q]);
+      EXPECT_EQ(report.queries[q].results,
+                static_cast<int64_t>(naive[q].size()));
+    }
 
-      if (!have_reference) {
-        reference = report;
-        have_reference = true;
-      } else {
-        ::caqe::testing::ExpectReportsIdentical(report, reference);
-      }
+    if (!have_reference) {
+      reference = report;
+      have_reference = true;
+    } else {
+      ::caqe::testing::ExpectReportsIdentical(report, reference);
     }
   }
 }
@@ -320,7 +314,7 @@ std::vector<OracleCase> AllCases() {
     cases.push_back(c);
   }
   {
-    // The other shared-plan engine that grew the pipeline flag.
+    // The other shared-plan engine.
     OracleCase c;
     c.name = "progxe_subspace_independent_mixed";
     c.engine = "ProgXe+";

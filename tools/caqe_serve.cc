@@ -4,10 +4,8 @@
 // the online serving layer and print the serving report.
 //
 //   caqe_serve [--rows=1000] [--sel=0.01] [--requests=12] [--rate=40]
-//              [--seed=2014] [--threads=1]
-//              [--pipeline=0]           # parallel emission flush (threads > 1)
-//              [--coarse_index=0] [--compact_layout=1]
-//              [--join_cache_entries=4096] [--target-regions=128]
+//              [--seed=2014] [--threads=1] [--coarse_index=0]
+//              [--target-regions=128]
 //              [--policy=contract|count] [--cancel-fraction=0.1]
 //              [--deadline-fraction=0.25] [--admit-all=0]
 //              [--calibrate=0]          # self-tuning admission estimates
@@ -46,11 +44,13 @@
 //
 //   Data-shape parameters (rows, sel, seed, target-regions, policy,
 //   admit-all, calibrate) come from the trace header, so a replay
-//   reconstructs the exact engine the live session ran; engine knobs that never change a
-//   report (--threads, --pipeline, --coarse_index, --compact_layout,
-//   --join_cache_entries) come from the replay's own flags. The printed
-//   report is byte-identical to the live session's —
-//   scripts/run_net_matrix.sh diffs exactly this across the knob matrix.
+//   reconstructs the exact engine the live session ran. The header must
+//   carry every one of them, and a data-shape flag next to --replay is an
+//   error: either way the replay would run a different world. Engine knobs
+//   that never change a report (--threads, --coarse_index) come from the
+//   replay's own flags. The printed report is byte-identical to the live
+//   session's — scripts/run_net_matrix.sh diffs exactly this at 1 and 8
+//   threads.
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -79,6 +79,11 @@ struct DataConfig {
   bool calibrate = false;
 };
 
+/// The flags DataConfigFromArgs reads.
+constexpr const char* kDataShapeFlags[] = {
+    "rows", "sel", "seed", "target-regions", "policy", "admit-all",
+    "calibrate"};
+
 DataConfig DataConfigFromArgs(const bench::Args& args) {
   DataConfig config;
   config.rows = args.GetInt("rows", config.rows);
@@ -103,17 +108,28 @@ std::vector<std::pair<std::string, std::string>> DataConfigAttrs(
           {"calibrate", config.calibrate ? "1" : "0"}};
 }
 
-DataConfig DataConfigFromTrace(const net::SessionTrace& trace) {
+/// Reads the data shape a live session recorded. Every attribute
+/// DataConfigAttrs writes is required: a default would silently replay a
+/// world the session never ran.
+Result<DataConfig> DataConfigFromTrace(const net::SessionTrace& trace) {
+  std::string missing;
+  for (const auto& [key, value] : DataConfigAttrs(DataConfig{})) {
+    if (trace.Attr(key, "").empty()) missing += " " + key;
+  }
+  if (!missing.empty()) {
+    return Status::InvalidArgument(
+        "session trace header lacks data-shape attributes:" + missing);
+  }
   DataConfig config;
-  config.rows = std::atoll(trace.Attr("rows", "1000").c_str());
-  config.selectivity = std::atof(trace.Attr("sel", "0.01").c_str());
+  config.rows = std::atoll(trace.Attr("rows", "").c_str());
+  config.selectivity = std::atof(trace.Attr("sel", "").c_str());
   config.seed =
-      static_cast<uint64_t>(std::atoll(trace.Attr("seed", "2014").c_str()));
+      static_cast<uint64_t>(std::atoll(trace.Attr("seed", "").c_str()));
   config.target_regions =
-      static_cast<int>(std::atoi(trace.Attr("target_regions", "128").c_str()));
-  config.policy = trace.Attr("policy", "contract");
-  config.admit_all = trace.Attr("admit_all", "0") == "1";
-  config.calibrate = trace.Attr("calibrate", "0") == "1";
+      static_cast<int>(std::atoi(trace.Attr("target_regions", "").c_str()));
+  config.policy = trace.Attr("policy", "");
+  config.admit_all = trace.Attr("admit_all", "") == "1";
+  config.calibrate = trace.Attr("calibrate", "") == "1";
   return config;
 }
 
@@ -125,16 +141,20 @@ struct ServeWorld {
   std::vector<int> keys;
 };
 
-ServeWorld MakeWorld(const DataConfig& config) {
+/// Fails when the generator rejects the data shape (say, rows=0 from a
+/// malformed flag or trace header).
+Result<ServeWorld> MakeWorld(const DataConfig& config) {
   GeneratorConfig cfg;
   cfg.num_rows = config.rows;
   cfg.num_attrs = 3;
   cfg.join_selectivities = {config.selectivity, config.selectivity};
   cfg.seed = config.seed;
-  Table r = GenerateTable("R", cfg).value();
+  Result<Table> r = GenerateTable("R", cfg);
+  CAQE_RETURN_NOT_OK(r.status());
   cfg.seed = config.seed + 1;
-  Table t = GenerateTable("T", cfg).value();
-  return ServeWorld{std::move(r), std::move(t),
+  Result<Table> t = GenerateTable("T", cfg);
+  CAQE_RETURN_NOT_OK(t.status());
+  return ServeWorld{std::move(r).value(), std::move(t).value(),
                     {MappingFunction{0, 0}, MappingFunction{1, 1},
                      MappingFunction{2, 2}},
                     {0, 1}};
@@ -146,10 +166,7 @@ Result<ServeOptions> OptionsFromArgs(const bench::Args& args,
                                      Observability* obs) {
   ServeOptions options;
   options.num_threads = bench::ThreadsFromArgs(args);
-  options.pipeline_regions = bench::PipelineFromArgs(args);
   options.coarse_index = bench::CoarseIndexFromArgs(args);
-  options.compact_layout = bench::CompactLayoutFromArgs(args);
-  options.join_index_cache_entries = bench::JoinCacheEntriesFromArgs(args);
   options.target_regions = config.target_regions;
   options.admit_all = config.admit_all;
   options.calibrate = config.calibrate;
@@ -228,7 +245,11 @@ bool WantsObs(const bench::Args& args) {
 
 int RunBatch(const bench::Args& args) {
   const DataConfig config = DataConfigFromArgs(args);
-  const ServeWorld world = MakeWorld(config);
+  const Result<ServeWorld> world = MakeWorld(config);
+  if (!world.ok()) {
+    std::fprintf(stderr, "%s\n", world.status().ToString().c_str());
+    return 1;
+  }
 
   Observability obs;
   Result<ServeOptions> options =
@@ -238,7 +259,7 @@ int RunBatch(const bench::Args& args) {
     return 1;
   }
   Result<std::unique_ptr<CaqeServer>> server = CaqeServer::Create(
-      world.r, world.t, world.dims, world.keys, *options);
+      world->r, world->t, world->dims, world->keys, *options);
   if (!server.ok()) {
     std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
     return 1;
@@ -252,7 +273,7 @@ int RunBatch(const bench::Args& args) {
   trace_config.deadline_fraction = args.GetDouble("deadline-fraction", 0.25);
   trace_config.cancel_fraction = args.GetDouble("cancel-fraction", 0.1);
   const std::vector<TraceRequest> trace =
-      MakeSyntheticTrace(trace_config, world.keys, 3);
+      MakeSyntheticTrace(trace_config, world->keys, 3);
   SubmitTrace(**server, trace);
 
   Result<ServingReport> report = (*server)->Run();
@@ -316,7 +337,11 @@ int RunListen(const bench::Args& args) {
 
   const DataConfig config = DataConfigFromArgs(args);
   net_options.record_attrs = DataConfigAttrs(config);
-  const ServeWorld world = MakeWorld(config);
+  const Result<ServeWorld> world = MakeWorld(config);
+  if (!world.ok()) {
+    std::fprintf(stderr, "%s\n", world.status().ToString().c_str());
+    return 1;
+  }
 
   Observability obs;  // Always on: the point of --listen is /metrics.
   obs.spans.set_sample_every(
@@ -327,7 +352,7 @@ int RunListen(const bench::Args& args) {
     return 1;
   }
   Result<std::unique_ptr<CaqeServer>> server = CaqeServer::Create(
-      world.r, world.t, world.dims, world.keys, *options);
+      world->r, world->t, world->dims, world->keys, *options);
   if (!server.ok()) {
     std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
     return 1;
@@ -400,24 +425,43 @@ int RunListen(const bench::Args& args) {
 // ---- Replay mode (virtual-clock re-run of a recorded session) ----
 
 int RunReplay(const bench::Args& args) {
+  for (const char* flag : kDataShapeFlags) {
+    if (args.Has(flag)) {
+      std::fprintf(stderr,
+                   "--%s is a data-shape flag; a replay takes the data shape "
+                   "from the trace header\n",
+                   flag);
+      return 1;
+    }
+  }
   const std::string path = args.GetString("replay", "");
   Result<net::SessionTrace> trace = net::LoadSessionTrace(path);
   if (!trace.ok()) {
     std::fprintf(stderr, "%s\n", trace.status().ToString().c_str());
     return 1;
   }
-  const DataConfig config = DataConfigFromTrace(*trace);
-  const ServeWorld world = MakeWorld(config);
+  const Result<DataConfig> config = DataConfigFromTrace(*trace);
+  if (!config.ok()) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                 config.status().ToString().c_str());
+    return 1;
+  }
+  const Result<ServeWorld> world = MakeWorld(*config);
+  if (!world.ok()) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                 world.status().ToString().c_str());
+    return 1;
+  }
 
   Observability obs;
   Result<ServeOptions> options =
-      OptionsFromArgs(args, config, WantsObs(args) ? &obs : nullptr);
+      OptionsFromArgs(args, *config, WantsObs(args) ? &obs : nullptr);
   if (!options.ok()) {
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return 1;
   }
   Result<std::unique_ptr<CaqeServer>> server = CaqeServer::Create(
-      world.r, world.t, world.dims, world.keys, *options);
+      world->r, world->t, world->dims, world->keys, *options);
   if (!server.ok()) {
     std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
     return 1;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Shared byte-diff gate of the determinism matrix scripts
-# (run_simd_matrix.sh, run_serving_matrix.sh, run_obs_matrix.sh): compares
+# (run_simd_matrix.sh, run_serving_matrix.sh, run_obs_matrix.sh,
+# run_net_matrix.sh): compares
 # report files against a baseline and fails on any difference. Every
 # compared report deliberately excludes non-deterministic quantities (wall
 # times), so a diff is a real determinism bug, never noise.
