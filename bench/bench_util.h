@@ -80,21 +80,12 @@ inline int ThreadsFromArgs(const Args& args) {
   return static_cast<int>(args.GetInt("threads", 1));
 }
 
-/// Reads the shared --coarse_index flag (packed box trees over partition
-/// cells driving the coarse phase via branch-and-bound instead of full
-/// scans). Charges serial-identical coarse_ops, so like --threads it never
-/// changes a report — only traversal work.
-inline bool CoarseIndexFromArgs(const Args& args) {
-  return args.GetInt("coarse_index", 0) != 0;
-}
-
 /// Deterministic 64-bit FNV-1a digest of a report's determinism-contract
 /// quantities — every counter, virtual time, and per-query outcome, and
 /// deliberately none of the wall_* fields. Two runs that differ only in
-/// --threads, --coarse_index, or the CAQE_SIMD build flag must hash equal;
-/// benchmarks assert exactly that (see bench_parallel_scaling), and the
-/// matrix scripts enforce the same contract textually via
-/// tools/report_diff.sh.
+/// --threads or the CAQE_SIMD build flag must hash equal; benchmarks assert
+/// exactly that (see bench_parallel_scaling), and the matrix scripts
+/// enforce the same contract textually via tools/report_diff.sh.
 inline uint64_t ReportHash(const ExecutionReport& report) {
   uint64_t h = 14695981039346656037ull;
   const auto mix = [&h](uint64_t v) {

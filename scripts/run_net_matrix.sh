@@ -17,7 +17,9 @@
 #      byte for byte. A copy of the trace with its data-shape header
 #      attributes stripped, and a data-shape flag next to --replay, must
 #      each make the replay exit non-zero instead of replaying a default
-#      world; a malformed value (rows=abc) must exit 1, not crash.
+#      world; a malformed or out-of-range value (rows=abc, seed=abc,
+#      admit_all=2, target_regions=-5) must exit 1 naming the attribute,
+#      not crash or replay a guessed world.
 #   3. Diff the live /metrics scrape against the server's --metrics_out
 #      snapshot, excluding the caqe_net_* series (the scrape itself perturbs
 #      the net counters; every engine series must match exactly).
@@ -208,20 +210,30 @@ if "${serve}" --replay="${out}/session.trace" --rows=1000 \
   echo "FAIL: replay with a data-shape flag exited 0" >&2
   shape_status=1
 fi
-# A malformed value must fail as an error (exit 1), not a crash.
-sed -E '1s/ rows=[^ ]*/ rows=abc/' "${out}/session.trace" \
-  > "${out}/bad_rows.trace"
-bad_rc=0
-"${serve}" --replay="${out}/bad_rows.trace" \
-  > /dev/null 2> "${out}/bad_rows_stderr.txt" || bad_rc=$?
-if (( bad_rc != 1 )); then
-  echo "FAIL: replay with rows=abc exited ${bad_rc} (want 1)" >&2
-  cat "${out}/bad_rows_stderr.txt" >&2
-  shape_status=1
-fi
+# A malformed or out-of-range value must fail as an error that names its
+# attribute (exit 1), not a crash or a replay of a guessed world. Each copy
+# of the trace changes one header attribute.
+for bad in rows=abc seed=abc admit_all=2 target_regions=-5; do
+  key="${bad%%=*}"
+  sed -E "1s/ ${key}=[^ ]*/ ${bad}/" "${out}/session.trace" \
+    > "${out}/bad_${key}.trace"
+  bad_rc=0
+  "${serve}" --replay="${out}/bad_${key}.trace" \
+    > /dev/null 2> "${out}/bad_${key}_stderr.txt" || bad_rc=$?
+  if cmp -s "${out}/session.trace" "${out}/bad_${key}.trace"; then
+    echo "FAIL: could not set ${bad} in the trace header" >&2
+    shape_status=1
+  elif (( bad_rc != 1 )) ||
+      ! grep -q "${key}" "${out}/bad_${key}_stderr.txt"; then
+    echo "FAIL: replay with ${bad} exited ${bad_rc} (want 1 naming" \
+         "${key}):" >&2
+    cat "${out}/bad_${key}_stderr.txt" >&2
+    shape_status=1
+  fi
+done
 if (( shape_status == 0 )); then
-  echo "data-shape cells ok (shapeless trace, --rows next to --replay and" \
-       "rows=abc fail)"
+  echo "data-shape cells ok (shapeless trace, --rows next to --replay," \
+       "rows=abc, seed=abc, admit_all=2 and target_regions=-5 fail)"
 else
   status=1
 fi

@@ -5,9 +5,7 @@
 # (CAQE_SIMD=OFF/ON) x tracing (detached / --trace_out + --metrics_out);
 # its stdout tables must be byte-identical down every column, and the
 # traced cells must actually produce a non-empty Chrome trace and a
-# Prometheus snapshot. Two extra cells per build run the tree-indexed
-# coarse phase (--coarse_index=1) at 1 and 8 threads — the coarse index may
-# not move a byte either.
+# Prometheus snapshot.
 #
 # A second matrix drives caqe_serve (batch mode) with --ledger_out,
 # --health_out and --events_out at threads 1 and 8 per build. Every view of the contract event log must be byte-identical down
@@ -57,14 +55,6 @@ for simd in OFF ON; do
       > "${out}"
     REPORTS["${simd}_${tracing}"]="${out}"
   done
-  # Coarse-index cells: the tree-indexed coarse phase at 1 and 8 threads
-  # must reproduce the scan-phase stdout byte for byte.
-  for threads in 1 8; do
-    out="${build_dir}/fig9_obs_coarse_t${threads}.txt"
-    "./${build_dir}/bench/bench_fig9" "${FIG9_ARGS[@]}" \
-      --threads="${threads}" --coarse_index=1 > "${out}"
-    REPORTS["${simd}_coarse_t${threads}"]="${out}"
-  done
   # Event-log cells: the serving layer's ledger, health timeline and exec
   # events must not move a byte (wall field aside) across thread counts.
   serve_bin="./${build_dir}/tools/caqe_serve"
@@ -101,11 +91,7 @@ status=0
 tools/report_diff.sh "fig9 stdout vs OFF_off" "${REPORTS[OFF_off]}" \
   "OFF_on=${REPORTS[OFF_on]}" \
   "ON_off=${REPORTS[ON_off]}" \
-  "ON_on=${REPORTS[ON_on]}" \
-  "OFF_coarse_t1=${REPORTS[OFF_coarse_t1]}" \
-  "OFF_coarse_t8=${REPORTS[OFF_coarse_t8]}" \
-  "ON_coarse_t1=${REPORTS[ON_coarse_t1]}" \
-  "ON_coarse_t8=${REPORTS[ON_coarse_t8]}" || status=1
+  "ON_on=${REPORTS[ON_on]}" || status=1
 
 # Audit ledgers (wall field stripped), health timelines and exec event
 # streams must match the scalar t1 baseline across threads x SIMD; the

@@ -2,8 +2,7 @@
 # Proves the serving layer's determinism contract: one fixed arrival trace
 # replayed through caqe_serve must produce a byte-identical serving report
 # across SIMD builds (CAQE_SIMD=OFF/ON) and worker thread counts (1 and 8),
-# plus tree-indexed coarse-phase cells (--coarse_index=1 at both worker
-# counts) and one cell per build with the observability layer attached
+# plus one cell per build with the observability layer attached
 # (--trace_out/--metrics_out/--health_out) — tracing is read-only with
 # respect to the engine, so it must not move a byte either, and the traced
 # cells' contract-health timelines must match across the SIMD builds. A
@@ -13,7 +12,7 @@
 # The 1000-row trace's region steps are too small to fork (DESIGN.md §7),
 # so large-region cells (denser joins over 16 target regions, their own
 # baseline) must show forked projection and plan-group evaluation in the
-# 8-worker cell's --metrics_out. Nine caqe_serve runs per build. The report
+# 8-worker cell's --metrics_out. Seven caqe_serve runs per build. The report
 # text deliberately excludes every non-deterministic quantity, so any diff
 # is a real determinism bug.
 #
@@ -67,15 +66,6 @@ for simd in OFF ON; do
       --threads="${threads}" --report-out="${out}" > /dev/null
     REPORTS["${simd}_${threads}"]="${out}"
   done
-  # Coarse-index cells: the tree-indexed coarse phase must reproduce the
-  # scan-phase serving report byte for byte at both worker counts.
-  for threads in 1 8; do
-    out="${build_dir}/serving_t${threads}_coarse.txt"
-    "./${build_dir}/tools/caqe_serve" "${SERVE_ARGS[@]}" \
-      --threads="${threads}" --coarse_index=1 \
-      --report-out="${out}" > /dev/null
-    REPORTS["${simd}_${threads}_coarse"]="${out}"
-  done
   # Calibrated cells: --calibrate is a DATA-SHAPE parameter (it changes
   # admission decisions by design), so calibrated cells get their own
   # baseline and are byte-diffed among themselves across threads and SIMD
@@ -123,10 +113,6 @@ tools/report_diff.sh "serving report vs OFF_1" "${REPORTS[OFF_1]}" \
   "OFF_8=${REPORTS[OFF_8]}" \
   "ON_1=${REPORTS[ON_1]}" \
   "ON_8=${REPORTS[ON_8]}" \
-  "OFF_1_coarse=${REPORTS[OFF_1_coarse]}" \
-  "OFF_8_coarse=${REPORTS[OFF_8_coarse]}" \
-  "ON_1_coarse=${REPORTS[ON_1_coarse]}" \
-  "ON_8_coarse=${REPORTS[ON_8_coarse]}" \
   "OFF_traced=${REPORTS[OFF_traced]}" \
   "ON_traced=${REPORTS[ON_traced]}" || status=1
 # Calibrated cells against the calibrated scalar baseline.

@@ -70,6 +70,10 @@ Result<PartitionedInputs> PartitionInputs(const Table& r, const Table& t,
                                           const Workload& workload,
                                           const EngineOptions& options,
                                           ThreadPool* pool) {
+  if (options.target_regions < 1) {
+    return Status::InvalidArgument("target_regions must be at least 1, got " +
+                                   std::to_string(options.target_regions));
+  }
   const int target = AdaptiveTargetRegions(options, r, t, workload);
   Result<PartitionedTable> part_r =
       PartitionForRegions(r, options, target, pool);

@@ -70,6 +70,7 @@ struct PartitionedInputs {
 /// Partitions both inputs of `workload` for region-based execution: one
 /// AdaptiveTargetRegions target, then PartitionForRegions on each side
 /// (sharing `pool`). Every region-based engine and the server start here.
+/// Returns InvalidArgument when options.target_regions is below 1.
 Result<PartitionedInputs> PartitionInputs(const Table& r, const Table& t,
                                           const Workload& workload,
                                           const EngineOptions& options,

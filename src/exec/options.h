@@ -64,15 +64,6 @@ struct EngineOptions {
   /// Apply Eq. 11 satisfaction feedback to the scheduler weights (CAQE
   /// default; ablation knob).
   bool feedback_enabled = true;
-  /// Drive the coarse phase from bulk-loaded packed box trees instead of
-  /// flat scans: region discovery classifies each query's selection ranges
-  /// against a cell R-tree (whole subtrees accepted/rejected via their
-  /// MBRs) and the coarse skyline prune finds each region's first
-  /// dominator by best-first branch-and-bound. Op charging is
-  /// serial-identical, so reports are byte-identical with the flag on or
-  /// off at any num_threads — only wall time and the caqe_coarse_index_*
-  /// metrics change. Default off.
-  bool coarse_index = false;
   /// Tracing + metrics + contract-event bundle (src/obs/). Null (default)
   /// disables all observability at the cost of one branch per span. When
   /// set, region-based engines and the server append their scheduling,
@@ -82,12 +73,14 @@ struct EngineOptions {
   Observability* obs = nullptr;
 
   /// Names of deleted knobs, fixed at the values the engine always runs:
-  /// the serial emission flush, the key-match join, and the old join-index
-  /// cache bound. perfbench/ is their only reader (its provenance lines
-  /// print them); the benchmark change that drops those reads deletes them.
+  /// the serial emission flush, the key-match join, the old join-index
+  /// cache bound, and the flat-scan coarse phase. perfbench/ is their only
+  /// reader (its provenance lines print them); the benchmark change that
+  /// drops those reads deletes them.
   static constexpr bool pipeline_regions = false;
   static constexpr bool compact_layout = true;
   static constexpr int64_t join_index_cache_entries = 4096;
+  static constexpr bool coarse_index = false;
 };
 
 /// Options accepted by every batch engine: the engine knobs plus the

@@ -16,7 +16,6 @@ namespace caqe {
 
 CoreOptions::CoreOptions(const EngineOptions& engine)
     : num_threads(engine.num_threads),
-      coarse_index(engine.coarse_index),
       feedback(engine.feedback_enabled),
       dva_mode(engine.dva_mode),
       obs(engine.obs) {}
@@ -41,10 +40,12 @@ Status RunSharedCore(const PartitionedTable& part_r,
   if (core_options.pipeline_regions != EngineOptions::pipeline_regions ||
       core_options.compact_layout != EngineOptions::compact_layout ||
       core_options.join_index_cache_entries !=
-          EngineOptions::join_index_cache_entries) {
+          EngineOptions::join_index_cache_entries ||
+      core_options.coarse_index != EngineOptions::coarse_index) {
     return Status::InvalidArgument(
-        "pipeline_regions, compact_layout and join_index_cache_entries "
-        "name deleted engine paths and must keep their defaults");
+        "pipeline_regions, compact_layout, join_index_cache_entries and "
+        "coarse_index name deleted engine paths and must keep their "
+        "defaults");
   }
 
   // Worker pool for the parallel phases, unless the caller lent one.
@@ -59,28 +60,10 @@ Status RunSharedCore(const PartitionedTable& part_r,
   TraceSink* const spans = Observability::Spans(obs);
 
   // ---- Multi-query output look-ahead: coarse join. ----
-  // With coarse_index on, the per-side selection classes are derived once
-  // from packed box trees and the per-pair query loop becomes bit-set
-  // algebra; the index build is charged to the region-build wall span so
-  // the off/on wall comparison stays honest.  Traversal counters live in
-  // CoarseIndexStats (outside the report) and are exported as metrics.
-  SelectionClassIndex sel_index;
-  CoarseIndexStats index_stats;
   Result<RegionCollection> rc_result = [&] {
     TraceSpan span(spans, "region_build", "core",
                    &stats.wall_region_build_seconds);
-    RegionBuildOptions build_options;
-    build_options.pool = pool;
-    if (core_options.coarse_index) {
-      TraceSpan index_span(spans, "coarse_index_build", "core");
-      sel_index = BuildSelectionClassIndex(part_r, part_t, workload,
-                                           &index_stats);
-      index_span.set_arg("cells",
-                         part_r.num_cells() + part_t.num_cells());
-      build_options.selection_index = &sel_index;
-      build_options.index_stats = &index_stats;
-    }
-    return BuildRegions(part_r, part_t, workload, build_options);
+    return BuildRegions(part_r, part_t, workload, {.pool = pool});
   }();
   CAQE_RETURN_NOT_OK(rc_result.status());
   RegionCollection rc = std::move(rc_result).value();
@@ -90,20 +73,10 @@ Status RunSharedCore(const PartitionedTable& part_r,
 
   // ---- Coarse skyline prune (MQLA). ----
   if (core_options.coarse_prune) {
-    CoarsePruneOptions prune_options;
-    prune_options.use_index = core_options.coarse_index;
-    if (core_options.coarse_index) prune_options.index_stats = &index_stats;
-    const CoarsePruneStats prune =
-        CoarseSkylinePrune(rc, workload, prune_options);
+    const CoarsePruneStats prune = CoarseSkylinePrune(rc, workload);
     stats.coarse_ops += prune.coarse_ops;
     stats.regions_discarded += prune.pruned_regions;
     clock.ChargeCoarseOps(prune.coarse_ops);
-  }
-
-  // Export the index traversal shape through obs (never the report: the
-  // report is byte-identical across coarse_index off/on by construction).
-  if (obs != nullptr && core_options.coarse_index) {
-    RecordCoarseIndexStats(obs->metrics, index_stats);
   }
 
   // Every region that still has a lineage starts pending.

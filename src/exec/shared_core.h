@@ -24,8 +24,8 @@ namespace caqe {
 /// than on top of EngineOptions, because perfbench/ assigns them by name.
 struct CoreOptions {
   CoreOptions() = default;
-  /// The engine knobs the core reads: threads, the coarse index, DVA
-  /// gating, feedback and obs. Every other field keeps its default.
+  /// The engine knobs the core reads: threads, DVA gating, feedback and
+  /// obs. Every other field keeps its default.
   explicit CoreOptions(const EngineOptions& engine);
   /// The engine knobs plus the batch fields: coarse prune, result capture,
   /// known result counts and the result stream.
@@ -38,10 +38,6 @@ struct CoreOptions {
   /// the virtual clock charge the same totals (see DESIGN.md, "Concurrency
   /// model").
   int num_threads = 1;
-  /// Tree-indexed coarse phase (see EngineOptions::coarse_index): drive the
-  /// region build's selection tests and the coarse prune from packed box
-  /// trees instead of flat scans. Reports stay bit-identical.
-  bool coarse_index = false;
   /// Optional externally owned worker pool. When set, the core uses it for
   /// all parallel phases instead of creating its own (the pool must have
   /// been sized consistently with num_threads); callers that partition
@@ -54,6 +50,7 @@ struct CoreOptions {
   bool pipeline_regions = EngineOptions::pipeline_regions;
   bool compact_layout = EngineOptions::compact_layout;
   int64_t join_index_cache_entries = EngineOptions::join_index_cache_entries;
+  bool coarse_index = EngineOptions::coarse_index;
   bool coarse_prune = true;
   /// Eq. 11 satisfaction feedback (EngineOptions::feedback_enabled).
   bool feedback = true;

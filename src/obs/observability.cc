@@ -1,7 +1,6 @@
 #include "obs/observability.h"
 
 #include "metrics/report.h"
-#include "partition/cell_index.h"
 
 namespace caqe {
 
@@ -37,22 +36,6 @@ void RecordEngineStats(MetricsRegistry& registry, const EngineStats& stats,
   registry.gauge(phase("join")).Set(stats.wall_join_seconds);
   registry.gauge(phase("eval")).Set(stats.wall_eval_seconds);
   registry.gauge(phase("discard")).Set(stats.wall_discard_seconds);
-}
-
-void RecordCoarseIndexStats(MetricsRegistry& registry,
-                            const CoarseIndexStats& stats) {
-  registry.counter("caqe_coarse_index_trees_total").Inc(stats.trees_built);
-  registry.counter("caqe_coarse_index_entries_total")
-      .Inc(stats.build_entries);
-  registry.counter("caqe_coarse_index_nodes_visited_total")
-      .Inc(stats.nodes_visited);
-  registry.counter("caqe_coarse_index_nodes_pruned_total")
-      .Inc(stats.nodes_pruned);
-  registry.counter("caqe_coarse_index_entries_tested_total")
-      .Inc(stats.entries_tested);
-  registry.counter("caqe_coarse_index_entries_bulk_total")
-      .Inc(stats.entries_bulk);
-  registry.counter("caqe_coarse_index_scan_equiv_total").Inc(stats.scan_equiv);
 }
 
 }  // namespace caqe

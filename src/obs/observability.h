@@ -19,7 +19,6 @@
 
 namespace caqe {
 
-struct CoarseIndexStats;
 struct EngineStats;
 
 struct Observability {
@@ -60,13 +59,6 @@ struct Observability {
 /// series, ahead of the wall-phase gauges' own phase label.
 void RecordEngineStats(MetricsRegistry& registry, const EngineStats& stats,
                        const std::string& labels = "");
-
-/// Accumulates the tree-indexed coarse phase's traversal counters into
-/// `registry` as caqe_coarse_index_* counters. These never feed the
-/// deterministic report — they describe the index's work (and the flat
-/// scan's equivalent) for introspection and the coarse-index bench.
-void RecordCoarseIndexStats(MetricsRegistry& registry,
-                            const CoarseIndexStats& stats);
 
 }  // namespace caqe
 

@@ -20,8 +20,7 @@ std::vector<std::vector<int>> QueryDims(const Workload& workload) {
 }  // namespace
 
 CoarsePruneStats CoarseSkylinePrune(RegionCollection& rc,
-                                    const Workload& workload,
-                                    const CoarsePruneOptions& options) {
+                                    const Workload& workload) {
   CoarsePruneStats stats;
   const std::vector<std::vector<int>> dims = QueryDims(workload);
   const int n = static_cast<int>(rc.regions.size());
@@ -49,9 +48,6 @@ CoarsePruneStats CoarseSkylinePrune(RegionCollection& rc,
   // test count and every pruned pair — is identical to the serial
   // i-ascending scan, and totals are order-insensitive.
   SubspaceView uppers;
-  PackedBoxTree tree;
-  std::vector<double> tree_points;
-  std::vector<double> probe;
   std::vector<int> pos(n);
   for (int q = 0; q < workload.num_queries(); ++q) {
     std::fill(pos.begin(), pos.end(), -1);
@@ -60,51 +56,17 @@ CoarsePruneStats CoarseSkylinePrune(RegionCollection& rc,
       if (original[i].Contains(q)) pos[i] = count++;
     }
     if (count == 0) continue;
-    const int width = static_cast<int>(dims[q].size());
-    if (options.use_index) {
-      // Indexed variant: the candidate upper corners (same ascending-id
-      // order as the scan) become the points of a packed tree, and the
-      // best-first traversal of FirstDominatorPos recovers exactly the
-      // first dominator position the prefix scan would report.  The op
-      // charge below then reproduces the scan's count analytically:
-      // rows-scanned-to-first-hit, minus the victim's own (never-hitting)
-      // row when it sits inside the scanned prefix.
-      tree_points.assign(static_cast<size_t>(count) * width, 0.0);
-      for (int i = 0; i < n; ++i) {
-        if (pos[i] < 0) continue;
-        GatherPoint(rc.regions[i].upper.data(), dims[q],
-                    tree_points.data() + static_cast<int64_t>(pos[i]) * width);
-      }
-      tree.BuildPoints(width, count, tree_points.data());
-      if (options.index_stats != nullptr) {
-        ++options.index_stats->trees_built;
-        options.index_stats->build_entries += count;
-      }
-      probe.assign(static_cast<size_t>(width), 0.0);
-    } else {
-      uppers.Reset(dims[q]);
-      uppers.Reserve(count);
-      for (int i = 0; i < n; ++i) {
-        if (pos[i] >= 0) uppers.PushPoint(rc.regions[i].upper.data());
-      }
+    uppers.Reset(dims[q]);
+    uppers.Reserve(count);
+    for (int i = 0; i < n; ++i) {
+      if (pos[i] >= 0) uppers.PushPoint(rc.regions[i].upper.data());
     }
     for (int j = 0; j < n; ++j) {
       OutputRegion& victim = rc.regions[j];
       if (!victim.rql.Contains(q)) continue;
       bool hit = false;
-      int64_t scanned = 0;
-      if (options.use_index) {
-        GatherPoint(victim.lower.data(), dims[q], probe.data());
-        const int64_t first = tree.FirstDominatorPos(
-            probe.data(), options.index_stats);
-        hit = first >= 0;
-        scanned = hit ? first + 1 : count;
-        if (options.index_stats != nullptr) {
-          options.index_stats->scan_equiv += scanned;
-        }
-      } else {
-        scanned = ScanPointsFullyDominatingRegion(uppers, victim, &hit);
-      }
+      const int64_t scanned =
+          ScanPointsFullyDominatingRegion(uppers, victim, &hit);
       stats.coarse_ops += scanned - (pos[j] >= 0 && pos[j] < scanned ? 1 : 0);
       if (hit) {
         victim.rql.Remove(q);

@@ -23,18 +23,6 @@ struct CoarsePruneStats {
   int64_t coarse_ops = 0;
 };
 
-/// Knobs for CoarseSkylinePrune.  `use_index` replaces the batched prefix
-/// scan over candidate dominators with a best-first branch-and-bound over
-/// a packed tree of their upper corners (PackedBoxTree).  The traversal
-/// finds exactly the dominator the serial ascending-id scan would find
-/// first, so pruned pairs, pruned regions, and coarse_ops stay
-/// byte-identical; `index_stats` (optional) records the traversal shape
-/// plus the scan-equivalent row count for the bench comparison.
-struct CoarsePruneOptions {
-  bool use_index = false;
-  CoarseIndexStats* index_stats = nullptr;
-};
-
 /// Abstract-level skyline operation: for every query, removes from each
 /// region's lineage the queries for which some other region (serving the
 /// same query) fully dominates it. Sound because full region dominance is a
@@ -42,8 +30,7 @@ struct CoarsePruneOptions {
 /// that itself survives, and signature intersection guarantees the
 /// dominator produces at least one join tuple.
 CoarsePruneStats CoarseSkylinePrune(RegionCollection& rc,
-                                    const Workload& workload,
-                                    const CoarsePruneOptions& options = {});
+                                    const Workload& workload);
 
 /// Directed region dependency graph. An edge R_i -> R_j annotated with
 /// query set W means: for each query in W, R_i (fully or partially)

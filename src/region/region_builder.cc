@@ -63,7 +63,6 @@ struct RegionStripe {
   std::vector<int64_t> found;
   std::vector<int64_t> total_join_sizes;
   int64_t coarse_ops = 0;
-  int64_t scan_equiv = 0;
 
   void AppendMatches(const KeyMatch* first, int64_t count) {
     num_matches += count;
@@ -81,76 +80,12 @@ struct RegionStripe {
   }
 };
 
-/// Classifies one side's cells against every query's ranges on that side.
-void ClassifySide(const PartitionedTable& part, const Workload& workload,
-                  bool on_r, std::vector<QuerySet>* disjoint,
-                  std::vector<QuerySet>* contained,
-                  CoarseIndexStats* stats) {
-  const int64_t num_cells = part.num_cells();
-  disjoint->assign(static_cast<size_t>(num_cells), QuerySet());
-  contained->assign(static_cast<size_t>(num_cells), QuerySet());
-  PackedBoxTree tree;
-  tree.Build(
-      part.table().num_attrs(), num_cells,
-      [&part](int64_t i) {
-        return part.cell(static_cast<int>(i)).lower.data();
-      },
-      [&part](int64_t i) {
-        return part.cell(static_cast<int>(i)).upper.data();
-      });
-  if (stats != nullptr) {
-    ++stats->trees_built;
-    stats->build_entries += num_cells;
-  }
-  std::vector<uint8_t> classes(static_cast<size_t>(num_cells));
-  std::vector<IndexRange> ranges;
-  for (int q = 0; q < workload.num_queries(); ++q) {
-    ranges.clear();
-    for (const SelectionRange& sel : workload.query(q).selections) {
-      if (sel.on_r != on_r) continue;
-      ranges.push_back(IndexRange{sel.attr, sel.lo, sel.hi});
-    }
-    tree.ClassifyRanges(ranges, classes.data(), stats);
-    for (int64_t i = 0; i < num_cells; ++i) {
-      const uint8_t cls = classes[static_cast<size_t>(i)];
-      if (cls == kIndexDisjoint) {
-        (*disjoint)[static_cast<size_t>(i)].Add(q);
-      } else if (cls == kIndexContained) {
-        (*contained)[static_cast<size_t>(i)].Add(q);
-      }
-    }
-  }
-}
-
 }  // namespace
-
-SelectionClassIndex BuildSelectionClassIndex(const PartitionedTable& part_r,
-                                             const PartitionedTable& part_t,
-                                             const Workload& workload,
-                                             CoarseIndexStats* stats) {
-  SelectionClassIndex index;
-  ClassifySide(part_r, workload, /*on_r=*/true, &index.r_disjoint,
-               &index.r_contained, stats);
-  ClassifySide(part_t, workload, /*on_r=*/false, &index.t_disjoint,
-               &index.t_contained, stats);
-  return index;
-}
-
-Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
-                                      const PartitionedTable& part_t,
-                                      const Workload& workload,
-                                      ThreadPool* pool) {
-  RegionBuildOptions options;
-  options.pool = pool;
-  return BuildRegions(part_r, part_t, workload, options);
-}
 
 Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
                                       const PartitionedTable& part_t,
                                       const Workload& workload,
                                       const RegionBuildOptions& options) {
-  ThreadPool* pool = options.pool;
-  const SelectionClassIndex* sel_index = options.selection_index;
   CAQE_RETURN_NOT_OK(workload.Validate(part_r.table(), part_t.table()));
 
   RegionCollection rc;
@@ -176,7 +111,7 @@ Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
   constexpr int64_t kParallelMinCellPairs = 1024;
   const int64_t cell_pairs = num_r_cells * part_t.num_cells();
   ThreadPool* const build_pool =
-      cell_pairs >= kParallelMinCellPairs ? pool : nullptr;
+      cell_pairs >= kParallelMinCellPairs ? options.pool : nullptr;
   const int chunks = NumChunks(build_pool, num_r_cells, /*min_chunk=*/1);
   std::vector<RegionStripe> stripes(chunks);
 
@@ -207,24 +142,6 @@ Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
           if (size <= 0) continue;
           stripe.total_join_sizes[s] += size;
           const QuerySet eligible = rc.queries_of_slot[s];
-          if (sel_index != nullptr) {
-            // Indexed path: the precomputed per-side classes collapse the
-            // per-query CoarseSelectionTest to bit-set algebra.  The op
-            // charge stays one per eligible query — exactly what the scan
-            // path charges per test — so reports are byte-identical.
-            stripe.coarse_ops += eligible.size();
-            stripe.scan_equiv += eligible.size();
-            const QuerySet disjoint =
-                sel_index->r_disjoint[static_cast<size_t>(a)].Union(
-                    sel_index->t_disjoint[static_cast<size_t>(b)]);
-            const QuerySet contained =
-                sel_index->r_contained[static_cast<size_t>(a)].Intersect(
-                    sel_index->t_contained[static_cast<size_t>(b)]);
-            region.rql = region.rql.Union(eligible.Minus(disjoint));
-            region.guaranteed =
-                region.guaranteed.Union(eligible.Intersect(contained));
-            continue;
-          }
           // Per query: fold the selection ranges into the coarse test.
           eligible.ForEach([&](int q) {
             ++stripe.coarse_ops;
@@ -289,9 +206,6 @@ Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
       rc.total_join_sizes[s] += stripe.total_join_sizes[s];
     }
     rc.coarse_ops += stripe.coarse_ops;
-    if (options.index_stats != nullptr) {
-      options.index_stats->scan_equiv += stripe.scan_equiv;
-    }
   }
   rc.key_match_starts.push_back(static_cast<int64_t>(rc.key_matches.size()));
   return rc;

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "partition/cell_index.h"
 #include "partition/partitioner.h"
 #include "query/query.h"
 #include "region/region.h"
@@ -83,6 +82,11 @@ SelectionCoarse CoarseSelectionTest(const SjQuery& query,
                                     const LeafCell& cell_r,
                                     const LeafCell& cell_t);
 
+/// Knobs for BuildRegions: an optional worker pool for the stripe scan.
+struct RegionBuildOptions {
+  ThreadPool* pool = nullptr;
+};
+
 /// Builds the region collection for `workload` over partitioned inputs.
 /// A region is emitted per (cell_r, cell_t) pair whose signatures intersect
 /// on at least one workload predicate; its lineage holds exactly the
@@ -100,53 +104,7 @@ SelectionCoarse CoarseSelectionTest(const SjQuery& query,
 Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
                                       const PartitionedTable& part_t,
                                       const Workload& workload,
-                                      ThreadPool* pool = nullptr);
-
-/// Precomputed coarse selection classes: for every query, the set of cells
-/// on each side that its selection ranges miss entirely (disjoint) or cover
-/// completely (contained).  Derived once per bootstrap from packed box
-/// trees over the cell bounds (see PackedBoxTree), after which the pair
-/// test inside BuildRegions collapses to three bit-set operations:
-///
-///   disjoint(q, a, b)  = q in r_disjoint[a]  or q in t_disjoint[b]
-///   contained(q, a, b) = q in r_contained[a] and q in t_contained[b]
-///
-/// which reproduces CoarseSelectionTest exactly — the per-side class only
-/// depends on that side's cell, and a pair is disjoint iff either side is,
-/// contained iff both sides are.
-struct SelectionClassIndex {
-  std::vector<QuerySet> r_disjoint;   ///< Indexed by R cell id.
-  std::vector<QuerySet> r_contained;  ///< Indexed by R cell id.
-  std::vector<QuerySet> t_disjoint;   ///< Indexed by T cell id.
-  std::vector<QuerySet> t_contained;  ///< Indexed by T cell id.
-};
-
-/// Classifies every (query, cell) combination through bulk-loaded box
-/// trees over both partitions.  Subtrees of cells wholly inside or wholly
-/// outside a selection range are classified without visiting their leaves;
-/// `stats` (optional) records the traversal shape.
-SelectionClassIndex BuildSelectionClassIndex(const PartitionedTable& part_r,
-                                             const PartitionedTable& part_t,
-                                             const Workload& workload,
-                                             CoarseIndexStats* stats);
-
-/// Extended knobs for BuildRegions.  `selection_index` switches the
-/// per-pair selection scan to the precomputed class masks; the emitted
-/// regions, ids, and coarse_ops are byte-identical to the flat scan (the
-/// signature-merge ops are unchanged and the per-query classification
-/// charge is popcount-based, matching the scan's one op per eligible
-/// query).  `index_stats` additionally accrues the flat-scan-equivalent
-/// touch count (scan_equiv) for the bench comparison.
-struct RegionBuildOptions {
-  ThreadPool* pool = nullptr;
-  const SelectionClassIndex* selection_index = nullptr;
-  CoarseIndexStats* index_stats = nullptr;
-};
-
-Result<RegionCollection> BuildRegions(const PartitionedTable& part_r,
-                                      const PartitionedTable& part_t,
-                                      const Workload& workload,
-                                      const RegionBuildOptions& options);
+                                      const RegionBuildOptions& options = {});
 
 }  // namespace caqe
 

@@ -40,8 +40,8 @@
 // The calibrator follows the audit ledger's rule (DESIGN.md SS15): all state
 // updates happen on the serial driver thread, at virtual timestamps, from
 // deterministic inputs. Reports therefore stay byte-identical across
-// thread counts and the coarse index, and a recorded live session replays
-// exactly — the property tests/calibration_test.cc proves on random traces.
+// thread counts, and a recorded live session replays exactly — the
+// property tests/calibration_test.cc proves on random traces.
 #ifndef CAQE_SERVE_CALIBRATION_H_
 #define CAQE_SERVE_CALIBRATION_H_
 

@@ -65,26 +65,9 @@ Status CaqeServer::Bootstrap(std::vector<MappingFunction> output_dims,
   part_r_.emplace(std::move(parts->r));
   part_t_.emplace(std::move(parts->t));
 
-  TraceSink* const spans = Observability::Spans(options_.obs);
-  SelectionClassIndex sel_index;
-  CoarseIndexStats index_stats;
-  RegionBuildOptions build_options;
-  build_options.pool = pool_;
-  if (options_.coarse_index) {
-    TraceSpan index_span(spans, "coarse_index_build", "serve");
-    sel_index =
-        BuildSelectionClassIndex(*part_r_, *part_t_, workload_, &index_stats);
-    index_span.set_arg("cells",
-                       part_r_->num_cells() + part_t_->num_cells());
-    build_options.selection_index = &sel_index;
-    build_options.index_stats = &index_stats;
-  }
   Result<RegionCollection> rc =
-      BuildRegions(*part_r_, *part_t_, workload_, build_options);
+      BuildRegions(*part_r_, *part_t_, workload_, {.pool = pool_});
   CAQE_RETURN_NOT_OK(rc.status());
-  if (options_.obs != nullptr && options_.coarse_index) {
-    RecordCoarseIndexStats(options_.obs->metrics, index_stats);
-  }
   rc_ = std::move(rc).value();
   stats_.regions_built += static_cast<int64_t>(rc_.regions.size());
   stats_.coarse_ops += rc_.coarse_ops;

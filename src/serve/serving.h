@@ -74,8 +74,8 @@ struct ServeOptions : EngineOptions {
   /// factors, corrected estimates drive the deadline/utility previews, and
   /// calibration shifts re-preview the deferred queue. Changes admission
   /// *timing* only, never emitted-result correctness; reports remain
-  /// byte-identical across thread counts, the coarse index and
-  /// live-vs-replay (the calibrator updates on the serial driver step).
+  /// byte-identical across thread counts and live-vs-replay (the
+  /// calibrator updates on the serial driver step).
   bool calibrate = false;
   /// Defer arrivals while this many queries are running.
   int max_active_queries = 16;

@@ -132,8 +132,9 @@ TEST(JoinKernelTest, MultiSlotDeduplicatesPairs) {
   }
 }
 
-// pipeline_regions, compact_layout and join_index_cache_entries name engine
-// paths that no longer exist; the core accepts only the values it runs.
+// pipeline_regions, compact_layout, join_index_cache_entries and
+// coarse_index name engine paths that no longer exist; the core accepts
+// only the values it runs.
 TEST(SharedCoreTest, RejectsDeletedKnobValues) {
   auto [r, t] = MakeTables(Distribution::kIndependent, 200, 2, 0.05);
   Workload wl;
@@ -141,11 +142,12 @@ TEST(SharedCoreTest, RejectsDeletedKnobValues) {
   wl.AddQuery({"Q1", 0, {0}, 1.0, {}});
   const PartitionedTable pr = PartitionTable(r, 2).value();
   const PartitionedTable pt = PartitionTable(t, 2).value();
-  for (int knob = 0; knob < 4; ++knob) {
+  for (int knob = 0; knob < 5; ++knob) {
     CoreOptions core;
     if (knob == 1) core.pipeline_regions = true;
     if (knob == 2) core.compact_layout = false;
     if (knob == 3) core.join_index_cache_entries = 0;
+    if (knob == 4) core.coarse_index = true;
     SatisfactionTracker tracker({MakeLogDecayContract()});
     VirtualClock clock(CostModel{});
     EngineStats stats;
@@ -158,6 +160,34 @@ TEST(SharedCoreTest, RejectsDeletedKnobValues) {
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << knob;
     }
   }
+}
+
+// Every region engine partitions through PartitionInputs, which refuses a
+// region target below 1 rather than building a single region.
+TEST(PartitionInputsTest, ExecuteRejectsNonPositiveTargetRegions) {
+  auto [r, t] = MakeTables(Distribution::kIndependent, 200, 2, 0.05);
+  const Workload workload =
+      MakeSubspaceWorkload(2, 0, 1, PriorityPolicy::kUniform).value();
+  const std::vector<Contract> contracts(1, MakeLogDecayContract());
+  for (const char* name : {"CAQE", "S-JFSL", "ProgXe+"}) {
+    for (const int target : {0, -5}) {
+      ExecOptions options;
+      options.target_regions = target;
+      EXPECT_EQ(MakeEngine(name)
+                    .value()
+                    ->Execute(r, t, workload, contracts, options)
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << name << " target_regions=" << target;
+    }
+  }
+  ExecOptions options;
+  options.target_regions = 1;
+  EXPECT_TRUE(MakeEngine("CAQE")
+                  .value()
+                  ->Execute(r, t, workload, contracts, options)
+                  .ok());
 }
 
 // ---- Parallel determinism ----

@@ -1,13 +1,16 @@
-// Deterministic mutation fuzzer for the wire protocol (src/net/protocol.*).
+// Deterministic mutation fuzzer for the wire protocol (src/net/protocol.*)
+// and the replay files it records (src/net/recorder.*).
 //
 // A tiny xorshift64-driven harness — not libFuzzer, so it runs as a plain
 // ctest entry in every build — mutates a seed corpus of canonical
 // SUBMIT/CONTRACT/control lines and hammers ParseCommand and LineBuffer
-// with the results. The contract under test is the protocol's hardening
-// promise (protocol.h): hostile bytes must produce a stable kebab-case
-// error code — never a crash, an abort, an unbounded buffer, or a
-// nondeterministic verdict. Sanitizer builds (scripts/run_tsan.sh, the
-// ASan cells) upgrade "no crash" to "no UB".
+// with the results, then mutates the header and AT lines of a recorded
+// session trace and loads each copy with LoadSessionTrace. The contract
+// under test is the protocol's hardening promise (protocol.h): hostile
+// bytes must produce a stable kebab-case error code — never a crash, an
+// abort, an unbounded buffer, or a nondeterministic verdict.
+// Sanitizer builds (scripts/run_tsan.sh, the ASan cells) upgrade "no
+// crash" to "no UB".
 //
 // Three properties per mutated input:
 //   1. ParseCommand returns; on error the message starts with one of the
@@ -20,10 +23,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "net/protocol.h"
+#include "net/recorder.h"
 
 namespace caqe {
 namespace net {
@@ -180,6 +188,102 @@ TEST(NetFuzzTest, ParseCommandSurvivesMutatedCorpus) {
 TEST(NetFuzzTest, FuzzStreamIsDeterministic) {
   const uint64_t a = FuzzParseCommandOnce(0x13198a2e03707344ull, 5000);
   const uint64_t b = FuzzParseCommandOnce(0x13198a2e03707344ull, 5000);
+  EXPECT_EQ(a, b);
+}
+
+/// The lines of a session trace as SessionRecorder writes one to `path`: a
+/// data-shape header, then submits (one with a deadline and a selection)
+/// and a cancel.
+std::vector<std::string> RecordSessionTrace(const std::string& path) {
+  {
+    std::unique_ptr<SessionRecorder> recorder =
+        SessionRecorder::Open(path, 1e-6,
+                              {{"rows", "400"},
+                               {"sel", "0.02"},
+                               {"seed", "2014"},
+                               {"target_regions", "64"},
+                               {"policy", "contract"},
+                               {"admit_all", "0"},
+                               {"calibrate", "0"}})
+            .value();
+    recorder->RecordSubmit(3, 0, SjQuery{"m0", 0, {0, 1}, 1.0, {}}, "step:5",
+                           0.0);
+    recorder->RecordSubmit(
+        7, 1, SjQuery{"m1", 1, {1, 2}, 0.5, {{true, 0, 0.2, 0.9}}},
+        "hyper:0.01,0.05", 30.0);
+    recorder->RecordCancel(9, 1);
+    recorder->RecordSubmit(12, 2, SjQuery{"m2", 0, {0, 2}, 1.0, {}},
+                           "card:0.9,1", 0.0);
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Loads `iterations` mutants of a recorded trace, each written to a temp
+/// file after one to three mutation rounds on its header or AT lines;
+/// returns the outcome digest. Asserts that every load either succeeds or
+/// fails with a stable code.
+uint64_t FuzzLoadSessionTraceOnce(uint64_t seed, int iterations) {
+  const std::string path = ::testing::TempDir() + "/caqe_fuzz_session.trace";
+  const std::vector<std::string> lines = RecordSessionTrace(path);
+  EXPECT_EQ(lines.size(), 5u);
+  EXPECT_TRUE(LoadSessionTrace(path).ok());
+  uint64_t rng = seed;
+  uint64_t digest = 14695981039346656037ull;
+  int header_mutants = 0;
+  int at_mutants = 0;
+  int loaded = 0;
+  for (int i = 0; i < iterations; ++i) {
+    std::vector<std::string> mutant = lines;
+    const int rounds = 1 + static_cast<int>(XorShift(rng) % 3);
+    for (int m = 0; m < rounds; ++m) {
+      const size_t at = XorShift(rng) % mutant.size();
+      (at == 0 ? header_mutants : at_mutants) += 1;
+      mutant[at] = Mutate(mutant[at], rng, lines);
+    }
+    std::string content;
+    for (const std::string& line : mutant) content += line + "\n";
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(file, nullptr);
+    if (file == nullptr) break;
+    std::fwrite(content.data(), 1, content.size(), file);
+    std::fclose(file);
+
+    const Result<SessionTrace> trace = LoadSessionTrace(path);
+    if (!trace.ok()) {
+      const std::string message = trace.status().message();
+      EXPECT_TRUE(message.rfind("bad-header", 0) == 0 ||
+                  message.rfind("bad-at-line", 0) == 0 ||
+                  StartsWithStableCode(message))
+          << "unstable error code for trace:\n"
+          << content << " -> " << message;
+      DigestOutcome(digest, "E:" + message);
+      continue;
+    }
+    ++loaded;
+    std::ostringstream outcome;
+    outcome << "K:" << trace->attrs.size() << ":" << trace->events.size();
+    for (const SessionEvent& event : trace->events) {
+      outcome << ":" << event.tq << "/" << static_cast<int>(event.command.kind);
+    }
+    DigestOutcome(digest, outcome.str());
+  }
+  EXPECT_GT(header_mutants, 0);
+  EXPECT_GT(at_mutants, 0);
+  // Both verdicts occur: some mutants (say, a renamed query) still load.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, iterations);
+  std::remove(path.c_str());
+  return digest;
+}
+
+// Hostile replay files: a mutated header or AT line loads, or fails with a
+// stable code, and the same seed gives the same verdicts.
+TEST(NetFuzzTest, LoadSessionTraceSurvivesMutatedTraces) {
+  const uint64_t a = FuzzLoadSessionTraceOnce(0x452821e638d01377ull, 2000);
+  const uint64_t b = FuzzLoadSessionTraceOnce(0x452821e638d01377ull, 2000);
   EXPECT_EQ(a, b);
 }
 

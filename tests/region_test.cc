@@ -307,7 +307,7 @@ TEST(RegionKeyMatchTest, ParallelBuildRecordsSerialArray) {
   const RegionCollection serial = BuildRegions(pr, pt, fx.workload).value();
   ThreadPool pool(3);
   const RegionCollection parallel =
-      BuildRegions(pr, pt, fx.workload, &pool).value();
+      BuildRegions(pr, pt, fx.workload, {.pool = &pool}).value();
   ASSERT_EQ(parallel.regions.size(), serial.regions.size());
   EXPECT_EQ(parallel.key_match_starts, serial.key_match_starts);
   ASSERT_EQ(parallel.key_matches.size(), serial.key_matches.size());
@@ -317,6 +317,94 @@ TEST(RegionKeyMatchTest, ParallelBuildRecordsSerialArray) {
   }
   EXPECT_EQ(parallel.coarse_ops, serial.coarse_ops);
   ExpectKeyMatchesAreSignatureIntersections(parallel, pr, pt);
+}
+
+// Whether every row (`all`), or some row (!all), of `cell` passes the
+// ranges of `query` on `cell`'s side.
+bool RowsPass(const Table& table, const LeafCell& cell, const SjQuery& query,
+              bool on_r, bool all) {
+  for (const int64_t row : cell.rows) {
+    bool pass = true;
+    for (const SelectionRange& sel : query.selections) {
+      if (sel.on_r != on_r) continue;
+      const double v = table.attr(row, sel.attr);
+      if (v < sel.lo || v > sel.hi) pass = false;
+    }
+    if (pass != all) return pass;
+  }
+  return all;
+}
+
+// The region build's coarse selection test against the rows themselves:
+// ranges on R and on T miss, straddle and cover cell bounds, and for every
+// cell pair that joins, a guaranteed query's ranges pass every row of both
+// cells, while a query left out of the lineage has a cell no row of which
+// passes.
+TEST(RegionSelectionTest, LineagesAgreeWithRowLevelSelections) {
+  auto [r, t] = MakeTables(Distribution::kIndependent, 600, 2, 0.05);
+  Workload workload;
+  workload.AddOutputDim({0, 0, 1.0, 1.0});
+  workload.AddOutputDim({1, 1, 1.0, 1.0});
+  workload.AddQuery({"Qr", 0, {0, 1}, 1.0, {{true, 0, 20.0, 60.0}}});
+  workload.AddQuery({"Qt", 0, {0}, 1.0, {{false, 1, 1.0, 45.0}}});
+  workload.AddQuery(
+      {"Qrt", 0, {1}, 1.0, {{true, 1, 30.0, 100.0}, {false, 0, 10.0, 70.0}}});
+  const PartitionedTable pr = PartitionTable(r, 4).value();
+  const PartitionedTable pt = PartitionTable(t, 4).value();
+  const RegionCollection rc = BuildRegions(pr, pt, workload).value();
+  ASSERT_EQ(rc.predicate_slots, (std::vector<int>{0}));
+
+  std::vector<const OutputRegion*> region_of(
+      static_cast<size_t>(pr.num_cells()) * pt.num_cells(), nullptr);
+  for (const OutputRegion& region : rc.regions) {
+    region_of[static_cast<size_t>(region.cell_r) * pt.num_cells() +
+              region.cell_t] = &region;
+  }
+  int classes[3] = {0, 0, 0};
+  for (int a = 0; a < pr.num_cells(); ++a) {
+    const LeafCell& cell_r = pr.cell(a);
+    for (int b = 0; b < pt.num_cells(); ++b) {
+      const LeafCell& cell_t = pt.cell(b);
+      const OutputRegion* region =
+          region_of[static_cast<size_t>(a) * pt.num_cells() + b];
+      int64_t join_size = 0;
+      for (const int64_t i : cell_r.rows) {
+        for (const int64_t j : cell_t.rows) {
+          if (r.key(i, 0) == t.key(j, 0)) ++join_size;
+        }
+      }
+      if (region != nullptr) {
+        EXPECT_EQ(region->join_sizes[0], join_size);
+      }
+      if (join_size == 0) continue;
+      rc.queries_of_slot[0].ForEach([&](int q) {
+        SCOPED_TRACE("cells " + std::to_string(a) + "," + std::to_string(b) +
+                     " query " + std::to_string(q));
+        const SjQuery& query = workload.query(q);
+        const SelectionCoarse cls = CoarseSelectionTest(query, cell_r, cell_t);
+        ++classes[static_cast<int>(cls)];
+        const bool in_rql = region != nullptr && region->rql.Contains(q);
+        const bool guaranteed =
+            region != nullptr && region->guaranteed.Contains(q);
+        EXPECT_EQ(in_rql, cls != SelectionCoarse::kDisjoint);
+        EXPECT_EQ(guaranteed, cls == SelectionCoarse::kContained);
+        if (guaranteed) {
+          EXPECT_TRUE(in_rql);
+          EXPECT_TRUE(RowsPass(r, cell_r, query, /*on_r=*/true, /*all=*/true));
+          EXPECT_TRUE(
+              RowsPass(t, cell_t, query, /*on_r=*/false, /*all=*/true));
+        }
+        if (!in_rql) {
+          EXPECT_TRUE(
+              !RowsPass(r, cell_r, query, /*on_r=*/true, /*all=*/false) ||
+              !RowsPass(t, cell_t, query, /*on_r=*/false, /*all=*/false));
+        }
+      });
+    }
+  }
+  EXPECT_GT(classes[static_cast<int>(SelectionCoarse::kDisjoint)], 0);
+  EXPECT_GT(classes[static_cast<int>(SelectionCoarse::kContained)], 0);
+  EXPECT_GT(classes[static_cast<int>(SelectionCoarse::kOverlap)], 0);
 }
 
 TEST_F(RegionBuilderTest, LineageMatchesSignatureIntersection) {
@@ -458,50 +546,54 @@ CoarsePruneStats ReferenceCoarsePrune(RegionCollection& rc,
   return stats;
 }
 
-TEST_F(RegionBuilderTest, BatchedCoarsePruneMatchesSerialReference) {
-  RegionCollection batched = *rc_;
-  RegionCollection serial = *rc_;
-  const CoarsePruneStats batched_stats = CoarseSkylinePrune(batched, workload_);
-  const CoarsePruneStats serial_stats =
-      ReferenceCoarsePrune(serial, workload_);
+// Runs the batched prune and the serial reference on copies of `rc` and
+// expects the same statistics, lineages and guarantees. Returns the pruned
+// pair count.
+int64_t ExpectPruneMatchesReference(const RegionCollection& rc,
+                                    const Workload& workload) {
+  RegionCollection batched = rc;
+  RegionCollection serial = rc;
+  const CoarsePruneStats batched_stats = CoarseSkylinePrune(batched, workload);
+  const CoarsePruneStats serial_stats = ReferenceCoarsePrune(serial, workload);
   EXPECT_EQ(batched_stats.pruned_pairs, serial_stats.pruned_pairs);
   EXPECT_EQ(batched_stats.pruned_regions, serial_stats.pruned_regions);
   EXPECT_EQ(batched_stats.coarse_ops, serial_stats.coarse_ops);
-  ASSERT_EQ(batched.regions.size(), serial.regions.size());
+  EXPECT_EQ(batched.regions.size(), serial.regions.size());
   for (size_t i = 0; i < batched.regions.size(); ++i) {
     EXPECT_EQ(batched.regions[i].rql, serial.regions[i].rql) << i;
     EXPECT_EQ(batched.regions[i].guaranteed, serial.regions[i].guaranteed)
         << i;
   }
+  return serial_stats.pruned_pairs;
 }
 
-TEST_F(RegionBuilderTest, IndexedCoarsePruneMatchesSerialReference) {
-  RegionCollection indexed = *rc_;
-  RegionCollection serial = *rc_;
-  CoarsePruneOptions options;
-  options.use_index = true;
-  CoarseIndexStats index_stats;
-  options.index_stats = &index_stats;
-  const CoarsePruneStats indexed_stats =
-      CoarseSkylinePrune(indexed, workload_, options);
-  const CoarsePruneStats serial_stats =
-      ReferenceCoarsePrune(serial, workload_);
-  // The branch-and-bound traversal must land on the same first dominator
-  // the ascending-id scan finds, so every statistic — including the
-  // serial-identical coarse_ops charge — matches the reference exactly.
-  EXPECT_EQ(indexed_stats.pruned_pairs, serial_stats.pruned_pairs);
-  EXPECT_EQ(indexed_stats.pruned_regions, serial_stats.pruned_regions);
-  EXPECT_EQ(indexed_stats.coarse_ops, serial_stats.coarse_ops);
-  ASSERT_EQ(indexed.regions.size(), serial.regions.size());
-  for (size_t i = 0; i < indexed.regions.size(); ++i) {
-    EXPECT_EQ(indexed.regions[i].rql, serial.regions[i].rql) << i;
-    EXPECT_EQ(indexed.regions[i].guaranteed, serial.regions[i].guaranteed)
-        << i;
+TEST_F(RegionBuilderTest, BatchedCoarsePruneMatchesSerialReference) {
+  ExpectPruneMatchesReference(*rc_, workload_);
+  // Quad-tree partitions of independent tables across output widths, join
+  // selectivities and seeds.
+  int64_t pruned_pairs = 0;
+  for (const int dims : {2, 3, 4}) {
+    for (const double selectivity : {0.02, 0.1}) {
+      for (const uint64_t seed : {11ull, 77ull}) {
+        SCOPED_TRACE("dims=" + std::to_string(dims) +
+                     " selectivity=" + std::to_string(selectivity) +
+                     " seed=" + std::to_string(seed));
+        auto [r, t] = MakeTables(Distribution::kIndependent, 400, dims,
+                                 selectivity, seed);
+        const Workload workload =
+            MakeSubspaceWorkload(dims, 0, dims == 2 ? 1 : 4,
+                                 PriorityPolicy::kUniform, seed)
+                .value();
+        const PartitionedTable pr =
+            PartitionTableQuadTreeTarget(r, 32).value();
+        const PartitionedTable pt =
+            PartitionTableQuadTreeTarget(t, 32).value();
+        pruned_pairs += ExpectPruneMatchesReference(
+            BuildRegions(pr, pt, workload).value(), workload);
+      }
+    }
   }
-  // The traversal actually used trees (one per (query, slot) candidate
-  // set) rather than silently falling back to the scan.
-  EXPECT_GT(index_stats.trees_built, 0);
-  EXPECT_GT(index_stats.nodes_visited, 0);
+  EXPECT_GT(pruned_pairs, 0);  // The sweep exercises real pruning.
 }
 
 TEST_F(RegionBuilderTest, BatchedDependencyGraphMatchesScalarCompareRegions) {

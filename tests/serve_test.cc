@@ -78,6 +78,24 @@ TEST(CaqeServerTest, CreateValidatesInputs) {
             StatusCode::kInvalidArgument);
 }
 
+// The region target sizes the bootstrap partitions: below 1 it names no
+// partition, so Create refuses it instead of building one region.
+TEST(CaqeServerTest, CreateRejectsNonPositiveTargetRegions) {
+  auto [r, t] = MakeServeTables(1);
+  for (const int target : {0, -5}) {
+    ServeOptions options = SmallServeOptions();
+    options.target_regions = target;
+    EXPECT_EQ(CaqeServer::Create(r, t, ThreeDims(), {0}, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << target;
+  }
+  ServeOptions options = SmallServeOptions();
+  options.target_regions = 1;
+  EXPECT_TRUE(CaqeServer::Create(r, t, ThreeDims(), {0}, options).ok());
+}
+
 // The static scan is S-JFSL's batch policy; a server always schedules
 // with a contract- or count-driven scheduler.
 TEST(CaqeServerTest, CreateRejectsStaticScanPolicy) {

@@ -4,7 +4,7 @@
 // Usage:
 //   caqe_cli [--rows=4000] [--sel=0.01] [--dist=independent] [--dims=4]
 //            [--queries=11] [--contract=C1|C2|C3|C4|C5] [--seed=2014]
-//            [--threads=1] [--coarse_index=0]
+//            [--threads=1]
 //            [--engines=CAQE,S-JFSL,JFSL,ProgXe+,SSMJ]
 //            [--out=PREFIX]          # write PREFIX_{summary,queries,trace}.csv
 //            [--trace=1]             # print per-query first/last emission
@@ -85,7 +85,6 @@ int Main(int argc, char** argv) {
   options.known_result_counts = calibration.result_counts;
   options.capture_results = false;
   options.num_threads = bench::ThreadsFromArgs(args);
-  options.coarse_index = bench::CoarseIndexFromArgs(args);
   const std::string trace_out = args.GetString("trace_out", "");
   const std::string metrics_out = args.GetString("metrics_out", "");
   Observability obs;

@@ -4,8 +4,7 @@
 // the online serving layer and print the serving report.
 //
 //   caqe_serve [--rows=1000] [--sel=0.01] [--requests=12] [--rate=40]
-//              [--seed=2014] [--threads=1] [--coarse_index=0]
-//              [--target-regions=128]
+//              [--seed=2014] [--threads=1] [--target-regions=128]
 //              [--policy=contract|count] [--cancel-fraction=0.1]
 //              [--deadline-fraction=0.25] [--admit-all=0]
 //              [--calibrate=0]          # self-tuning admission estimates
@@ -46,13 +45,21 @@
 //   admit-all, calibrate) come from the trace header, so a replay
 //   reconstructs the exact engine the live session ran. The header must
 //   carry every one of them, and a data-shape flag next to --replay is an
-//   error: either way the replay would run a different world. Engine knobs
-//   that never change a report (--threads, --coarse_index) come from the
-//   replay's own flags. The printed report is byte-identical to the live
-//   session's — scripts/run_net_matrix.sh diffs exactly this at 1 and 8
-//   threads.
+//   error: either way the replay would run a different world. Every
+//   data-shape value, flag or header attribute, must be one whole token —
+//   numbers fully numeric, admit-all and calibrate exactly 0 or 1 — or the
+//   tool exits 1 naming it. --threads, which never changes a report, comes
+//   from the replay's own flags. The printed report is byte-identical to
+//   the live session's — scripts/run_net_matrix.sh diffs exactly this at 1
+//   and 8 threads.
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -79,23 +86,11 @@ struct DataConfig {
   bool calibrate = false;
 };
 
-/// The flags DataConfigFromArgs reads.
+/// The flags DataConfigFromArgs reads, in DataConfigAttrs order; each
+/// names its header attribute with '_' for '-'.
 constexpr const char* kDataShapeFlags[] = {
     "rows", "sel", "seed", "target-regions", "policy", "admit-all",
     "calibrate"};
-
-DataConfig DataConfigFromArgs(const bench::Args& args) {
-  DataConfig config;
-  config.rows = args.GetInt("rows", config.rows);
-  config.selectivity = args.GetDouble("sel", config.selectivity);
-  config.seed = static_cast<uint64_t>(args.GetInt("seed", 2014));
-  config.target_regions =
-      static_cast<int>(args.GetInt("target-regions", config.target_regions));
-  config.policy = args.GetString("policy", config.policy);
-  config.admit_all = args.GetInt("admit-all", 0) != 0;
-  config.calibrate = args.GetInt("calibrate", 0) != 0;
-  return config;
-}
 
 std::vector<std::pair<std::string, std::string>> DataConfigAttrs(
     const DataConfig& config) {
@@ -108,12 +103,77 @@ std::vector<std::pair<std::string, std::string>> DataConfigAttrs(
           {"calibrate", config.calibrate ? "1" : "0"}};
 }
 
+/// Sets data-shape attribute `attr` from `text`, which must be one whole
+/// token: an integer for rows and target_regions, an unsigned integer for
+/// seed, a finite number for sel, and exactly 0 or 1 for admit_all and
+/// calibrate. Range checks stay with the generator and the engine. `label`
+/// names the value in the error.
+Status SetDataShape(const std::string& attr, const std::string& text,
+                    const std::string& label, DataConfig* config) {
+  // strtoll and friends skip leading space and take a '+', so a whole
+  // token must also start with a digit, '-' or '.'.
+  const char* const begin = text.c_str();
+  const bool numeric_start =
+      !text.empty() && (std::isdigit(static_cast<unsigned char>(text[0])) ||
+                        text[0] == '-' || text[0] == '.');
+  char* end = nullptr;
+  errno = 0;
+  const auto whole = [&] {
+    return numeric_start && end == begin + text.size() && errno != ERANGE;
+  };
+  const auto bad = [&](const char* want) {
+    return Status::InvalidArgument(label + " must be " + want + ", got '" +
+                                   text + "'");
+  };
+  if (attr == "rows") {
+    config->rows = std::strtoll(begin, &end, 10);
+    if (!whole()) return bad("an integer");
+  } else if (attr == "target_regions") {
+    const long long value = std::strtoll(begin, &end, 10);
+    if (!whole() || value < INT_MIN || value > INT_MAX) {
+      return bad("an integer");
+    }
+    config->target_regions = static_cast<int>(value);
+  } else if (attr == "seed") {
+    config->seed = std::strtoull(begin, &end, 10);
+    if (!whole() || text[0] == '-') return bad("an unsigned integer");
+  } else if (attr == "sel") {
+    config->selectivity = std::strtod(begin, &end);
+    if (!whole() || !std::isfinite(config->selectivity)) {
+      return bad("a number");
+    }
+  } else if (attr == "policy") {
+    config->policy = text;
+  } else if (text != "0" && text != "1") {
+    return bad("0 or 1");
+  } else if (attr == "admit_all") {
+    config->admit_all = text == "1";
+  } else {
+    config->calibrate = text == "1";
+  }
+  return Status::OK();
+}
+
+Result<DataConfig> DataConfigFromArgs(const bench::Args& args) {
+  DataConfig config;
+  for (const char* flag : kDataShapeFlags) {
+    if (!args.Has(flag)) continue;
+    std::string attr = flag;
+    std::replace(attr.begin(), attr.end(), '-', '_');
+    CAQE_RETURN_NOT_OK(SetDataShape(attr, args.GetString(flag, ""),
+                                    std::string("--") + flag, &config));
+  }
+  return config;
+}
+
 /// Reads the data shape a live session recorded. Every attribute
 /// DataConfigAttrs writes is required: a default would silently replay a
 /// world the session never ran.
 Result<DataConfig> DataConfigFromTrace(const net::SessionTrace& trace) {
+  const std::vector<std::pair<std::string, std::string>> attrs =
+      DataConfigAttrs(DataConfig{});
   std::string missing;
-  for (const auto& [key, value] : DataConfigAttrs(DataConfig{})) {
+  for (const auto& [key, value] : attrs) {
     if (trace.Attr(key, "").empty()) missing += " " + key;
   }
   if (!missing.empty()) {
@@ -121,15 +181,10 @@ Result<DataConfig> DataConfigFromTrace(const net::SessionTrace& trace) {
         "session trace header lacks data-shape attributes:" + missing);
   }
   DataConfig config;
-  config.rows = std::atoll(trace.Attr("rows", "").c_str());
-  config.selectivity = std::atof(trace.Attr("sel", "").c_str());
-  config.seed =
-      static_cast<uint64_t>(std::atoll(trace.Attr("seed", "").c_str()));
-  config.target_regions =
-      static_cast<int>(std::atoi(trace.Attr("target_regions", "").c_str()));
-  config.policy = trace.Attr("policy", "");
-  config.admit_all = trace.Attr("admit_all", "") == "1";
-  config.calibrate = trace.Attr("calibrate", "") == "1";
+  for (const auto& [key, value] : attrs) {
+    CAQE_RETURN_NOT_OK(SetDataShape(key, trace.Attr(key, ""),
+                                    "header attribute " + key, &config));
+  }
   return config;
 }
 
@@ -166,7 +221,6 @@ Result<ServeOptions> OptionsFromArgs(const bench::Args& args,
                                      Observability* obs) {
   ServeOptions options;
   options.num_threads = bench::ThreadsFromArgs(args);
-  options.coarse_index = bench::CoarseIndexFromArgs(args);
   options.target_regions = config.target_regions;
   options.admit_all = config.admit_all;
   options.calibrate = config.calibrate;
@@ -244,7 +298,12 @@ bool WantsObs(const bench::Args& args) {
 // ---- Batch mode (the original tool) ----
 
 int RunBatch(const bench::Args& args) {
-  const DataConfig config = DataConfigFromArgs(args);
+  const Result<DataConfig> parsed = DataConfigFromArgs(args);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+    return 1;
+  }
+  const DataConfig& config = *parsed;
   const Result<ServeWorld> world = MakeWorld(config);
   if (!world.ok()) {
     std::fprintf(stderr, "%s\n", world.status().ToString().c_str());
@@ -335,7 +394,12 @@ int RunListen(const bench::Args& args) {
   net_options.record_path = args.GetString("record", "");
   net_options.flight_dump_path = args.GetString("flight_out", "");
 
-  const DataConfig config = DataConfigFromArgs(args);
+  const Result<DataConfig> parsed = DataConfigFromArgs(args);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+    return 1;
+  }
+  const DataConfig& config = *parsed;
   net_options.record_attrs = DataConfigAttrs(config);
   const Result<ServeWorld> world = MakeWorld(config);
   if (!world.ok()) {
