@@ -7,8 +7,8 @@
 //        --trace_out=PATH --metrics_out=PATH   # attach the observability
 //        layer and dump a Chrome/Perfetto trace / Prometheus snapshot.
 //        Deliberately silent on stdout: the printed tables must stay
-//        byte-identical with tracing on or off (scripts/run_obs_matrix.sh
-//        diffs exactly this).
+//        byte-identical with tracing on or off
+//        (scripts/run_determinism_matrix.sh diffs exactly this).
 //
 // Paper-expected shape: CAQE highest almost everywhere (about 2x the
 // non-shared baselines on strict contracts); S-JFSL competitive only on

@@ -2,13 +2,16 @@
 // evaluator, partitioning, and the region machinery.
 //
 // With --simd_report [--out=PATH] the binary instead sweeps the batch
-// dominance kernel — forced scalar vs. the runtime-dispatched backend — over
-// subspace widths, runs one small engine workload for the per-phase wall
-// breakdown, and writes a JSON summary (default BENCH_simd.json).
+// dominance kernel — the scalar kernels (ScopedScalarBatchKernels) vs. the
+// CPU's backend — over subspace widths, runs one small engine workload for
+// the per-phase wall breakdown, and writes a JSON summary (default
+// BENCH_simd.json).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <string>
 
 #include "bench_util.h"
@@ -160,7 +163,8 @@ BENCHMARK(BM_BuildRegions)->Arg(10000)->Arg(50000);
 
 void BM_BatchDominanceKernel(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
-  const bool scalar = state.range(1) != 0;
+  std::optional<ScopedScalarBatchKernels> scalar_kernels;
+  if (state.range(1) != 0) scalar_kernels.emplace();
   const PointSet points = RandomPoints(Distribution::kIndependent, 4096, d, 9);
   const std::vector<int> dims = AllDims(d);
   SubspaceView view(dims);
@@ -170,16 +174,11 @@ void BM_BatchDominanceKernel(benchmark::State& state) {
   GatherPoint(points.row(0), dims, probe.data());
   std::vector<uint8_t> flags(static_cast<size_t>(points.size()));
   for (auto _ : state) {
-    if (scalar) {
-      BatchDominanceFlagsScalar(probe.data(), view, 0, view.size(),
-                                flags.data());
-    } else {
-      BatchDominanceFlags(probe.data(), view, 0, view.size(), flags.data());
-    }
+    BatchDominanceFlags(probe.data(), view, 0, view.size(), flags.data());
     benchmark::DoNotOptimize(flags.data());
   }
   state.SetItemsProcessed(state.iterations() * points.size());
-  state.SetLabel(scalar ? "scalar" : BatchKernelIsaName());
+  state.SetLabel(BatchKernelIsaName());
 }
 BENCHMARK(BM_BatchDominanceKernel)
     ->Args({4, 1})
@@ -200,20 +199,18 @@ BENCHMARK(BM_BuchtaEstimate);
 
 /// Throughput of one kernel variant in comparisons/second: repeated sweeps
 /// of every probe over the whole window until enough wall time accumulates.
-/// `scalar` measures the forced-scalar kernel; otherwise the dispatcher's
-/// pick.
+/// `scalar` measures the scalar kernels (ScopedScalarBatchKernels);
+/// otherwise the CPU's backend.
 double MeasureKernelCps(bool scalar,
                         const std::vector<std::vector<double>>& probes,
                         const SubspaceView& view,
                         std::vector<uint8_t>& flags) {
+  std::optional<ScopedScalarBatchKernels> scalar_kernels;
+  if (scalar) scalar_kernels.emplace();
   const int64_t n = view.size();
   const auto run_sweep = [&] {
     for (const std::vector<double>& probe : probes) {
-      if (scalar) {
-        BatchDominanceFlagsScalar(probe.data(), view, 0, n, flags.data());
-      } else {
-        BatchDominanceFlags(probe.data(), view, 0, n, flags.data());
-      }
+      BatchDominanceFlags(probe.data(), view, 0, n, flags.data());
       benchmark::DoNotOptimize(flags.data());
     }
   };
@@ -308,7 +305,9 @@ int RunSimdReport(const std::string& out_path) {
   json += "  \"benchmark\": \"simd_kernel\",\n";
   json += "  \"isa\": \"" + std::string(BatchKernelIsaName()) + "\",\n";
   json += std::string("  \"simd_active\": ") +
-          (BatchKernelSimdActive() ? "true" : "false") + ",\n";
+          (std::strcmp(BatchKernelIsaName(), "scalar") != 0 ? "true"
+                                                             : "false") +
+          ",\n";
   json += "  \"window\": " + std::to_string(kWindow) + ",\n";
   json += "  \"probes\": " + std::to_string(kProbes) + ",\n";
   json += "  \"kernel_sweep\": [\n" + sweep_json + "  ],\n";

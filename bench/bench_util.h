@@ -83,9 +83,11 @@ inline int ThreadsFromArgs(const Args& args) {
 /// Deterministic 64-bit FNV-1a digest of a report's determinism-contract
 /// quantities — every counter, virtual time, and per-query outcome, and
 /// deliberately none of the wall_* fields. Two runs that differ only in
-/// --threads or the CAQE_SIMD build flag must hash equal; benchmarks assert
-/// exactly that (see bench_parallel_scaling), and the matrix scripts
-/// enforce the same contract textually via tools/report_diff.sh.
+/// --threads or in the batch dominance kernels (the CPU's or the scalar
+/// ones under ScopedScalarBatchKernels) must hash equal; benchmarks assert
+/// it across threads (see bench_parallel_scaling), engine_pin_test across
+/// both, and the matrix scripts enforce the same contract textually via
+/// tools/report_diff.sh.
 inline uint64_t ReportHash(const ExecutionReport& report) {
   uint64_t h = 14695981039346656037ull;
   const auto mix = [&h](uint64_t v) {

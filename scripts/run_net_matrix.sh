@@ -19,7 +19,8 @@
 #      each make the replay exit non-zero instead of replaying a default
 #      world; a malformed or out-of-range value (rows=abc, seed=abc,
 #      admit_all=2, target_regions=-5) must exit 1 naming the attribute,
-#      not crash or replay a guessed world.
+#      not crash or replay a guessed world, and so must a header that
+#      repeats a key (` rows=7` appended).
 #   3. Diff the live /metrics scrape against the server's --metrics_out
 #      snapshot, excluding the caqe_net_* series (the scrape itself perturbs
 #      the net counters; every engine series must match exactly).
@@ -33,10 +34,12 @@
 # this script is within one run.
 #
 #   scripts/run_net_matrix.sh [EXTRA_CMAKE_FLAGS...]
+#
+# Builds into scripts/run_determinism_matrix.sh's tree (build-matrix).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-build_dir="build-net"
+build_dir="build-matrix"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DCAQE_BUILD_EXAMPLES=ON \
@@ -231,9 +234,24 @@ for bad in rows=abc seed=abc admit_all=2 target_regions=-5; do
     shape_status=1
   fi
 done
+# A repeated key has no one meaning, so the loader rejects the header.
+sed -E '1s/$/ rows=7/' "${out}/session.trace" > "${out}/dup_rows.trace"
+dup_rc=0
+"${serve}" --replay="${out}/dup_rows.trace" \
+  > /dev/null 2> "${out}/dup_rows_stderr.txt" || dup_rc=$?
+if ! head -n 1 "${out}/dup_rows.trace" | grep -q ' rows=[0-9]* .* rows=7$'; then
+  echo "FAIL: could not repeat rows= in the trace header" >&2
+  shape_status=1
+elif (( dup_rc != 1 )) || ! grep -q 'bad-header' "${out}/dup_rows_stderr.txt"; then
+  echo "FAIL: replay with a repeated rows= exited ${dup_rc} (want 1," \
+       "bad-header):" >&2
+  cat "${out}/dup_rows_stderr.txt" >&2
+  shape_status=1
+fi
 if (( shape_status == 0 )); then
   echo "data-shape cells ok (shapeless trace, --rows next to --replay," \
-       "rows=abc, seed=abc, admit_all=2 and target_regions=-5 fail)"
+       "rows=abc, seed=abc, admit_all=2, target_regions=-5 and a repeated" \
+       "rows= fail)"
 else
   status=1
 fi

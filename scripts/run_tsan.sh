@@ -3,14 +3,14 @@
 #
 #   scripts/run_tsan.sh [EXTRA_CMAKE_FLAGS...]
 #
-# The suite's parallel-determinism and thread-pool tests drive the engine's
-# pooled phases (region build, map-layout join probing, plan-group
-# evaluation, discard scans) with num_threads > 1, so data races in those
-# paths surface here rather than in production sweeps. Benchmarks and
-# examples are skipped: TSan slows execution ~10x and they add no coverage.
-#
-# Pass -DCAQE_SIMD=OFF to sanitize the forced-scalar dominance kernels;
-# scripts/run_simd_matrix.sh runs the full scalar/SIMD determinism matrix.
+# The suite's parallel-determinism and thread-pool tests drive the phases
+# that fork onto the pool (region build, projection, plan-group evaluation,
+# discard scans) with num_threads > 1, so data races in those paths surface
+# here rather than in production sweeps. The tests that run an engine under
+# ScopedScalarBatchKernels (oracle_test, engine_pin_test, views_pin_test,
+# serve_test) put the scalar dominance kernels under TSan as well as the
+# CPU's. Benchmarks and examples are skipped: TSan slows execution ~10x and
+# they add no coverage.
 set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build-tsan}"

@@ -281,7 +281,8 @@ class RegionPipeline {
   std::vector<int64_t> discard_tests_;
   std::vector<char> discard_hits_;
   SubspaceView accepted_view_;
-  // Emission flush-barrier scratch (per-query shard outputs).
+  // Emission flush-barrier scratch: FlushRegion's per-query outputs (this
+  // region's bucket resolutions and the immediately safe acceptances).
   std::vector<std::vector<int64_t>> flush_resolved_;
   std::vector<std::vector<int64_t>> flush_direct_;
   // Emission merge scratch (resolved (q, id) pairs of the discard phase).

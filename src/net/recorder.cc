@@ -1,5 +1,6 @@
 #include "net/recorder.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -140,6 +141,13 @@ Result<SessionTrace> LoadSessionTrace(const std::string& path) {
         }
         const std::string key = token.substr(0, eq);
         const std::string value = token.substr(eq + 1);
+        // A repeated key has no one meaning: Attr would read the first
+        // copy while quantum= kept the last.
+        if ((key == "quantum" && saw_quantum) ||
+            std::any_of(trace.attrs.begin(), trace.attrs.end(),
+                        [&](const auto& attr) { return attr.first == key; })) {
+          return Status::InvalidArgument("bad-header");
+        }
         if (key == "quantum") {
           errno = 0;
           char* end = nullptr;

@@ -81,7 +81,8 @@ struct SessionEvent {
 /// A parsed session trace.
 struct SessionTrace {
   double quantum = ArrivalQuantizer::kDefaultQuantum;
-  /// Header key=value pairs other than `quantum` (insertion order kept).
+  /// Header key=value pairs other than `quantum` (insertion order kept;
+  /// each key at most once).
   std::vector<std::pair<std::string, std::string>> attrs;
   std::vector<SessionEvent> events;
 
@@ -89,9 +90,9 @@ struct SessionTrace {
   std::string Attr(const std::string& key, const std::string& fallback) const;
 };
 
-/// Loads and validates a session trace. Events must be strictly increasing
-/// in `tq`; SUBMIT lines must carry ids that are dense from 0 so replay
-/// assigns identical request ids. Errors carry stable codes
+/// Loads and validates a session trace. Each header key appears once;
+/// events must be strictly increasing in `tq`; SUBMIT lines must carry ids
+/// that are dense from 0 so replay assigns identical request ids. Errors carry stable codes
 /// (`bad-header`, `bad-at-line`, plus ParseCommand's codes).
 Result<SessionTrace> LoadSessionTrace(const std::string& path);
 

@@ -20,7 +20,7 @@
 //
 // Determinism contract (DESIGN.md §15): events are appended only from the
 // serial driver thread at virtual timestamps, so every view except the
-// ledger's `wall_us` field is byte-identical across threads x SIMD and
+// ledger's `wall_us` field is byte-identical across threads x kernels and
 // between a live session and `caqe_serve --replay`. Like every obs
 // structure the log is write-only: no engine decision may read it.
 //

@@ -5,8 +5,8 @@
 // enable tracing and metrics; leave it null (the default) for zero-cost
 // disabled spans. The bundle is observability-only by construction — no
 // engine code may read it to make a decision, so deterministic reports stay
-// byte-identical whether or not one is attached (scripts/run_obs_matrix.sh
-// proves this).
+// byte-identical whether or not one is attached
+// (scripts/run_determinism_matrix.sh proves this).
 #ifndef CAQE_OBS_OBSERVABILITY_H_
 #define CAQE_OBS_OBSERVABILITY_H_
 

@@ -6,7 +6,7 @@
 //
 //   * deterministic args — region id, query id, and one named operation
 //     count (e.g. the dominance_cmps delta of an eval phase). These are
-//     identical across thread counts and SIMD builds, so two traces diff
+//     identical across thread counts and batch kernels, so two traces diff
 //     cleanly on everything except their timestamps.
 //   * wall timing — start/duration against the sink's epoch. Wall times are
 //     observability-only; nothing downstream of a span may feed a
@@ -17,8 +17,8 @@
 // clock reads. The tracing layer is compiled in unconditionally and enabled
 // by handing an Observability to the options structs.
 //
-// Thread ownership: the optional `wall_sink` double accumulator keeps the
-// legacy PhaseTimer contract — it is written on destruction without
+// Thread ownership: the optional `wall_sink` double accumulator has a
+// single writer. The span adds its wall time to it on destruction without
 // synchronization, so a given accumulator must only ever be written from
 // one thread at a time (all current call sites construct and destroy their
 // spans on the serial driver thread). Cross-thread recording goes through
@@ -142,8 +142,8 @@ int LogicalThreadId();
 
 /// Scoped span. Construct at the top of the region of interest; the
 /// destructor records into `sink` (when non-null) and accumulates the
-/// elapsed seconds into `wall_sink` (when non-null — the single-writer
-/// PhaseTimer contract, see file comment).
+/// elapsed seconds into `wall_sink` (when non-null; it has a single
+/// writer, see file comment).
 class TraceSpan {
  public:
   explicit TraceSpan(TraceSink* sink, const char* name, const char* category,

@@ -33,11 +33,11 @@
 //
 // Data-plane work (joins, skyline evaluation, emission) charges the virtual
 // clock exactly as in batch mode and is bit-identical across thread counts
-// and SIMD builds. Control-plane work (admission, graft, retire, completion
-// scans) is counted in control_ops but never charged, which yields the
-// cancellation-equivalence guarantee: retiring a query whose regions were
-// never processed leaves every survivor's report byte-identical to a run
-// where that query was never admitted.
+// and batch dominance kernels. Control-plane work (admission, graft,
+// retire, completion scans) is counted in control_ops but never charged,
+// which yields the cancellation-equivalence guarantee: retiring a query
+// whose regions were never processed leaves every survivor's report
+// byte-identical to a run where that query was never admitted.
 #ifndef CAQE_SERVE_SERVER_H_
 #define CAQE_SERVE_SERVER_H_
 

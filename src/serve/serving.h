@@ -8,9 +8,9 @@
 // grafted into the running shared execution state without restarting
 // in-flight regions; completed, expired, or cancelled queries are retired
 // mid-run. Everything is driven by the deterministic VirtualClock, so a
-// trace replays bit-identically at any thread count and with the SIMD
-// kernels on or off — ServingReportText deliberately excludes every
-// non-deterministic quantity (wall time, thread counts).
+// trace replays bit-identically at any thread count and on any batch
+// dominance backend (scalar, AVX2, NEON) — ServingReportText deliberately
+// excludes every non-deterministic quantity (wall time, thread counts).
 #ifndef CAQE_SERVE_SERVING_H_
 #define CAQE_SERVE_SERVING_H_
 
@@ -147,7 +147,8 @@ std::string RequestReportLine(const RequestReport& request);
 
 /// Deterministic multi-line rendering of the full report: summary counters,
 /// data-plane stats (excluding wall times), then one RequestReportLine per
-/// request. Byte-identical across thread counts and SIMD builds.
+/// request. Byte-identical across thread counts and batch dominance
+/// kernels.
 std::string ServingReportText(const ServingReport& report);
 
 /// Assigns quantized, strictly increasing virtual timestamps to wall-clock

@@ -5,8 +5,8 @@
 // and output dimensions, contracts drawn from the paper's Table 2 classes
 // scaled to a reference timescale, plus optional deadlines and scripted
 // cancellations. The same (config, keys, dims) triple always yields the
-// identical trace, which is what makes the serving determinism matrix
-// (threads x SIMD) byte-comparable.
+// identical trace, which is what makes serving reports byte-comparable
+// across thread counts and batch dominance kernels.
 #ifndef CAQE_SERVE_TRACE_H_
 #define CAQE_SERVE_TRACE_H_
 

@@ -1,14 +1,14 @@
 #include "skyline/dominance_batch.h"
 
 #include <algorithm>
-#include <cstring>
+#include <atomic>
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(CAQE_SIMD_DISABLED)
+#if defined(__x86_64__) && defined(__GNUC__)
 #define CAQE_HAVE_AVX2_BACKEND 1
 #include <immintrin.h>
 #endif
 
-#if defined(__aarch64__) && defined(__ARM_NEON) && !defined(CAQE_SIMD_DISABLED)
+#if defined(__aarch64__) && defined(__ARM_NEON)
 #define CAQE_HAVE_NEON_BACKEND 1
 #include <arm_neon.h>
 #endif
@@ -192,20 +192,26 @@ struct KernelTable {
   const char* isa = "scalar";
 };
 
+constexpr KernelTable kScalarKernels{};
+
 // One vector backend per architecture: AVX2 on x86-64 CPUs that have it,
-// NEON on aarch64, scalar otherwise (or when built with -DCAQE_SIMD=OFF).
+// NEON on aarch64, scalar otherwise.
 KernelTable SelectKernels() {
 #if CAQE_HAVE_AVX2_BACKEND
   if (__builtin_cpu_supports("avx2")) return {&FlagsAvx2, &WeakAvx2, "avx2"};
 #elif CAQE_HAVE_NEON_BACKEND
   return {&FlagsNeon, &WeakNeon, "neon"};
 #endif
-  return KernelTable{};
+  return kScalarKernels;
 }
 
+// Live ScopedScalarBatchKernels objects; while any is alive every batch
+// call runs the scalar kernels instead of the CPU's pick.
+std::atomic<int> g_scalar_overrides{0};
+
 const KernelTable& ActiveKernels() {
-  static const KernelTable table = SelectKernels();
-  return table;
+  static const KernelTable cpu_kernels = SelectKernels();
+  return g_scalar_overrides.load() > 0 ? kScalarKernels : cpu_kernels;
 }
 
 }  // namespace
@@ -225,15 +231,6 @@ void BatchDominanceFlags(const double* a, const SubspaceView& view,
     return;
   }
   ActiveKernels().flags(a, cols, n, ndims, out);
-}
-
-void BatchDominanceFlagsScalar(const double* a, const SubspaceView& view,
-                               int64_t begin, int64_t end, uint8_t* out) {
-  CAQE_DCHECK(begin >= 0 && begin <= end && end <= view.size());
-  if (begin == end) return;
-  const double* cols[kBatchMaxDims];
-  const int ndims = view.ColumnPointers(begin, cols);
-  FlagsScalar(a, cols, end - begin, ndims, out);
 }
 
 void BatchCompareDominance(const double* a, const SubspaceView& view,
@@ -265,19 +262,14 @@ void BatchWeaklyDominates(const double* a, const SubspaceView& view,
   ActiveKernels().weak(a, cols, n, ndims, out);
 }
 
-void BatchWeaklyDominatesScalar(const double* a, const SubspaceView& view,
-                                int64_t begin, int64_t end, uint8_t* out) {
-  CAQE_DCHECK(begin >= 0 && begin <= end && end <= view.size());
-  if (begin == end) return;
-  const double* cols[kBatchMaxDims];
-  const int ndims = view.ColumnPointers(begin, cols);
-  WeakScalar(a, cols, end - begin, ndims, out);
-}
-
 const char* BatchKernelIsaName() { return ActiveKernels().isa; }
 
-bool BatchKernelSimdActive() {
-  return std::strcmp(ActiveKernels().isa, "scalar") != 0;
+ScopedScalarBatchKernels::ScopedScalarBatchKernels() {
+  ++g_scalar_overrides;
+}
+
+ScopedScalarBatchKernels::~ScopedScalarBatchKernels() {
+  --g_scalar_overrides;
 }
 
 }  // namespace caqe

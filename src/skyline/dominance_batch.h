@@ -211,11 +211,6 @@ inline uint8_t CandidateDominanceFlags(const double* a,
 void BatchDominanceFlags(const double* a, const SubspaceView& view,
                          int64_t begin, int64_t end, uint8_t* out);
 
-/// Forced-scalar variant of BatchDominanceFlags (differential testing and
-/// the CAQE_SIMD=OFF build path).
-void BatchDominanceFlagsScalar(const double* a, const SubspaceView& view,
-                               int64_t begin, int64_t end, uint8_t* out);
-
 /// Writes out[j] = CompareDominance(a, row begin+j) for each candidate.
 void BatchCompareDominance(const double* a, const SubspaceView& view,
                            int64_t begin, int64_t end, DomResult* out);
@@ -225,18 +220,24 @@ void BatchCompareDominance(const double* a, const SubspaceView& view,
 void BatchWeaklyDominates(const double* a, const SubspaceView& view,
                           int64_t begin, int64_t end, uint8_t* out);
 
-/// Forced-scalar variant of BatchWeaklyDominates.
-void BatchWeaklyDominatesScalar(const double* a, const SubspaceView& view,
-                                int64_t begin, int64_t end, uint8_t* out);
-
-/// Name of the ISA the dispatcher selected: "avx2", "neon" or "scalar".
-/// Selection happens once per process: AVX2 on x86-64 CPUs that support
-/// it, NEON on aarch64, scalar otherwise. Configuring with -DCAQE_SIMD=OFF
-/// compiles the vector backends out and forces scalar.
+/// Name of the ISA the batch calls run: "avx2", "neon" or "scalar". The
+/// CPU's backend is picked once per process: AVX2 on x86-64 CPUs that
+/// support it, NEON on aarch64, scalar otherwise.
 const char* BatchKernelIsaName();
 
-/// True when the dispatcher selected a vector backend.
-bool BatchKernelSimdActive();
+/// Test-only: while one is alive, BatchDominanceFlags and
+/// BatchWeaklyDominates run the scalar kernels on every thread and
+/// BatchKernelIsaName says "scalar", so a test runs one engine on both
+/// kernel paths in one process. Construct and destroy it on the driving
+/// thread while no batch call is in flight.
+class ScopedScalarBatchKernels {
+ public:
+  ScopedScalarBatchKernels();
+  ~ScopedScalarBatchKernels();
+  ScopedScalarBatchKernels(const ScopedScalarBatchKernels&) = delete;
+  ScopedScalarBatchKernels& operator=(const ScopedScalarBatchKernels&) =
+      delete;
+};
 
 }  // namespace caqe
 

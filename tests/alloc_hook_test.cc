@@ -3,7 +3,7 @@
 // counts the calling thread's heap traffic, and the region pipeline's
 // steady state — past its 32-region warmup, each step counted whole: the
 // scheduler's pick, the region's processing and the weight feedback —
-// stays within the alloc gate's budget (scripts/run_alloc_gate.sh) in
+// stays within the alloc budget (scripts/run_determinism_matrix.sh) in
 // batch execution and in serving.
 #include <gtest/gtest.h>
 

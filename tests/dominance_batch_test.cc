@@ -1,8 +1,9 @@
-// Differential tests: the batch dominance kernels (dispatched SIMD and
-// forced-scalar) must agree element-for-element with the one-pair scalar
-// comparators of dominance.h on every candidate, including widths that are
-// not a multiple of any vector lane count, tie-heavy quantized data, and
-// NaN-free extreme magnitudes.
+// Differential tests: the batch dominance kernels (the CPU's backend, and
+// the scalar kernels under ScopedScalarBatchKernels) must agree
+// element-for-element with the one-pair scalar comparators of dominance.h
+// on every candidate, including widths that are not a multiple of any
+// vector lane count, tie-heavy quantized data, and NaN-free extreme
+// magnitudes.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -110,8 +111,11 @@ TEST(DominanceBatchTest, FlagsMatchScalarComparatorEverywhere) {
     std::vector<uint8_t> scalar(static_cast<size_t>(n) + 1, 0xCD);
     BatchDominanceFlags(block.gathered_probe.data(), block.view, 0, n,
                         dispatched.data());
-    BatchDominanceFlagsScalar(block.gathered_probe.data(), block.view, 0, n,
-                              scalar.data());
+    {
+      ScopedScalarBatchKernels scalar_kernels;
+      BatchDominanceFlags(block.gathered_probe.data(), block.view, 0, n,
+                          scalar.data());
+    }
     for (int64_t j = 0; j < n; ++j) {
       const uint8_t f = dispatched[static_cast<size_t>(j)];
       ASSERT_EQ(f, scalar[static_cast<size_t>(j)])
@@ -154,8 +158,11 @@ TEST(DominanceBatchTest, WeakMatchesScalarComparatorEverywhere) {
     std::vector<uint8_t> scalar(static_cast<size_t>(n) + 1, 0xCD);
     BatchWeaklyDominates(block.gathered_probe.data(), block.view, 0, n,
                          dispatched.data());
-    BatchWeaklyDominatesScalar(block.gathered_probe.data(), block.view, 0, n,
-                               scalar.data());
+    {
+      ScopedScalarBatchKernels scalar_kernels;
+      BatchWeaklyDominates(block.gathered_probe.data(), block.view, 0, n,
+                           scalar.data());
+    }
     for (int64_t j = 0; j < n; ++j) {
       const double* cand = block.candidates[static_cast<size_t>(j)].data();
       ASSERT_EQ(dispatched[static_cast<size_t>(j)],
@@ -199,13 +206,19 @@ TEST(DominanceBatchTest, ZeroDimsIsEqualAndVacuouslyStrict) {
   }
 }
 
-TEST(DominanceBatchTest, DispatcherReportsKnownIsa) {
+TEST(DominanceBatchTest, ScalarOverrideIsScopedAndNests) {
   const std::string isa = BatchKernelIsaName();
   EXPECT_TRUE(isa == "avx2" || isa == "neon" || isa == "scalar") << isa;
-  EXPECT_EQ(BatchKernelSimdActive(), isa != "scalar");
-#if defined(CAQE_SIMD_DISABLED)
-  EXPECT_EQ(isa, "scalar");
-#endif
+  {
+    ScopedScalarBatchKernels outer;
+    EXPECT_STREQ(BatchKernelIsaName(), "scalar");
+    {
+      ScopedScalarBatchKernels inner;
+      EXPECT_STREQ(BatchKernelIsaName(), "scalar");
+    }
+    EXPECT_STREQ(BatchKernelIsaName(), "scalar");
+  }
+  EXPECT_EQ(BatchKernelIsaName(), isa);
 }
 
 }  // namespace

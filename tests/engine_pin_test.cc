@@ -1,10 +1,11 @@
 // Pins every batch engine's report: each engine of KnownEngineNames() and
 // both top-k engines runs one fixed small workload with result capture on,
-// at num_threads 1 and 4, and a digest of bench::ReportHash plus every
-// captured tuple (id, report time, utility, values) is compared against a
-// pinned constant. Engines differ in when they report a result, never in
-// how a report is charged, timed or recorded, so a refactor of the engine
-// layer must leave every constant untouched.
+// at num_threads 1 and 4 on the CPU's batch dominance kernels and on the
+// scalar ones, and a digest of bench::ReportHash plus every captured tuple
+// (id, report time, utility, values) is compared against a pinned
+// constant. Engines differ in when they report a result, never in how a
+// report is charged, timed or recorded, so a refactor of the engine layer
+// must leave every constant untouched.
 //
 // On a mismatch the report is written under ::testing::TempDir() so it can
 // be diffed against the same run of a known-good build.
@@ -115,9 +116,10 @@ void WriteReport(const ExecutionReport& report, const std::string& path) {
   std::fclose(file);
 }
 
-void ExpectPinned(const ExecutionReport& report, int num_threads,
-                  uint64_t pin) {
-  SCOPED_TRACE(report.engine + " threads=" + std::to_string(num_threads));
+void ExpectPinned(const ExecutionReport& report, const std::string& kernels,
+                  int num_threads, uint64_t pin) {
+  SCOPED_TRACE(report.engine + " kernels=" + kernels +
+               " threads=" + std::to_string(num_threads));
   const uint64_t digest = PinDigest(report);
   EXPECT_GT(report.stats.emitted_results, 0);
   if (digest == pin) return;
@@ -126,8 +128,8 @@ void ExpectPinned(const ExecutionReport& report, int num_threads,
     if (c == '+') c = 'p';
   }
   const std::string path = ::testing::TempDir() + "/engine_pin_" +
-                           file_name + "_t" + std::to_string(num_threads) +
-                           ".txt";
+                           file_name + "_" + kernels + "_t" +
+                           std::to_string(num_threads) + ".txt";
   WriteReport(report, path);
   ADD_FAILURE() << "report written to " << path << " (digest 0x" << std::hex
                 << digest << ", pinned 0x" << pin << ")";
@@ -169,13 +171,15 @@ TEST(EnginePinTest, EveryKnownEngineMatchesItsPin) {
   ASSERT_EQ(pins.size(), KnownEngineNames().size());
   for (const std::string& name : KnownEngineNames()) {
     ASSERT_EQ(pins.count(name), 1u) << name;
-    for (const int num_threads : {1, 4}) {
-      std::unique_ptr<Engine> engine = MakeEngine(name).value();
-      const Result<ExecutionReport> report = engine->Execute(
-          r, t, workload, contracts, PinOptions(num_threads));
-      ASSERT_TRUE(report.ok()) << name << ": " << report.status().ToString();
-      ExpectPinned(*report, num_threads, pins.at(name));
-    }
+    ::caqe::testing::ForEachBatchKernels([&](const std::string& kernels) {
+      for (const int num_threads : {1, 4}) {
+        std::unique_ptr<Engine> engine = MakeEngine(name).value();
+        const Result<ExecutionReport> report = engine->Execute(
+            r, t, workload, contracts, PinOptions(num_threads));
+        ASSERT_TRUE(report.ok()) << name << ": " << report.status().ToString();
+        ExpectPinned(*report, kernels, num_threads, pins.at(name));
+      }
+    });
   }
 }
 
@@ -197,15 +201,17 @@ TEST(EnginePinTest, BothTopKEnginesMatchTheirPins) {
       {&caqe_topk, 0x138ce9a780c69851ull},
       {&serial_topk, 0x6c0bc7e26a8470efull},
   };
-  for (const auto& [engine, pin] : engines) {
-    for (const int num_threads : {1, 4}) {
-      const Result<ExecutionReport> report = engine->Execute(
-          r, t, workload, contracts, PinOptions(num_threads));
-      ASSERT_TRUE(report.ok()) << engine->name() << ": "
-                               << report.status().ToString();
-      ExpectPinned(*report, num_threads, pin);
+  ::caqe::testing::ForEachBatchKernels([&](const std::string& kernels) {
+    for (const auto& [engine, pin] : engines) {
+      for (const int num_threads : {1, 4}) {
+        const Result<ExecutionReport> report = engine->Execute(
+            r, t, workload, contracts, PinOptions(num_threads));
+        ASSERT_TRUE(report.ok()) << engine->name() << ": "
+                                 << report.status().ToString();
+        ExpectPinned(*report, kernels, num_threads, pin);
+      }
     }
-  }
+  });
 }
 
 }  // namespace

@@ -369,6 +369,14 @@ TEST(SessionRecorderTest, LoadRejectsMalformedTraces) {
   EXPECT_EQ(write_and_load("CAQE-SESSION v1\n").message(), "bad-header");
   EXPECT_EQ(write_and_load("CAQE-SESSION v1 quantum=0\n").message(),
             "bad-header");
+  // A repeated key, data-shape or quantum, is ambiguous.
+  EXPECT_EQ(
+      write_and_load("CAQE-SESSION v1 quantum=1e-06 rows=400 rows=7\n")
+          .message(),
+      "bad-header");
+  EXPECT_EQ(
+      write_and_load("CAQE-SESSION v1 quantum=1e-06 quantum=0.5\n").message(),
+      "bad-header");
   const std::string header = "CAQE-SESSION v1 quantum=1e-06\n";
   EXPECT_EQ(write_and_load(header + "SUBMIT name=q\n").message(),
             "bad-at-line");

@@ -2,19 +2,16 @@
 // reference executor — per-query nested-loop join, then an O(n^2) skyline
 // written right here with no code shared with src/skyline — is compared
 // against the engine over randomized workloads (seeds x dims x join
-// selectivities x contract mixes), at threads 1 and 8.
+// selectivities x contract mixes), at threads 1 and 8, on the CPU's batch
+// dominance kernels and again on the scalar ones (ScopedScalarBatchKernels).
 //
 // Two properties are asserted per cell:
 //   1. Correctness: the reported result set of every query equals the
 //      naive executor's skyline exactly.
 //   2. Determinism: the full execution report (every counter, virtual
 //      time, pScore, satisfaction, utility trace, and captured tuple with
-//      its timestamp) is bit-identical to the threads=1 reference.
-//
-// The third determinism axis, the SIMD build (CAQE_SIMD=OFF/ON), cannot be
-// toggled in-process — kernel dispatch is a function-local static resolved
-// once per process — so it is covered by scripts/run_simd_matrix.sh, which
-// runs this whole test binary under both builds.
+//      its timestamp) is bit-identical to the CPU kernels' threads=1
+//      reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -185,41 +182,44 @@ TEST_P(OracleDifferentialTest, EngineMatchesNaiveExecutorAtEveryCell) {
 
   bool have_reference = false;
   ExecutionReport reference;
-  for (int threads : {1, 8}) {
-    SCOPED_TRACE(c.name + " threads=" + std::to_string(threads));
-    ExecOptions options;
-    options.capture_results = true;
-    options.num_threads = threads;
-    options.target_regions = c.target_regions;
-    Observability obs;
-    options.obs = &obs;
-    std::unique_ptr<Engine> engine = MakeEngine(c.engine).value();
-    const Result<ExecutionReport> result =
-        engine->Execute(r, t, workload, contracts, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const ExecutionReport& report = *result;
-    if (c.forks && threads > 1) {
-      EXPECT_GT(::caqe::testing::PhaseForks(obs, "project"), 0);
-      EXPECT_GT(::caqe::testing::PhaseForks(obs, "evaluate"), 0);
-    }
+  ::caqe::testing::ForEachBatchKernels([&](const std::string& kernels) {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(c.name + " kernels=" + kernels +
+                   " threads=" + std::to_string(threads));
+      ExecOptions options;
+      options.capture_results = true;
+      options.num_threads = threads;
+      options.target_regions = c.target_regions;
+      Observability obs;
+      options.obs = &obs;
+      std::unique_ptr<Engine> engine = MakeEngine(c.engine).value();
+      const Result<ExecutionReport> result =
+          engine->Execute(r, t, workload, contracts, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const ExecutionReport& report = *result;
+      if (c.forks && threads > 1) {
+        EXPECT_GT(::caqe::testing::PhaseForks(obs, "project"), 0);
+        EXPECT_GT(::caqe::testing::PhaseForks(obs, "evaluate"), 0);
+      }
 
-    ASSERT_EQ(report.queries.size(),
-              static_cast<size_t>(workload.num_queries()));
-    for (int q = 0; q < workload.num_queries(); ++q) {
-      SCOPED_TRACE("query=" + workload.query(q).name);
-      EXPECT_EQ(SortedReportedValues(report.queries[q], workload, q),
-                naive[q]);
-      EXPECT_EQ(report.queries[q].results,
-                static_cast<int64_t>(naive[q].size()));
-    }
+      ASSERT_EQ(report.queries.size(),
+                static_cast<size_t>(workload.num_queries()));
+      for (int q = 0; q < workload.num_queries(); ++q) {
+        SCOPED_TRACE("query=" + workload.query(q).name);
+        EXPECT_EQ(SortedReportedValues(report.queries[q], workload, q),
+                  naive[q]);
+        EXPECT_EQ(report.queries[q].results,
+                  static_cast<int64_t>(naive[q].size()));
+      }
 
-    if (!have_reference) {
-      reference = report;
-      have_reference = true;
-    } else {
-      ::caqe::testing::ExpectReportsIdentical(report, reference);
+      if (!have_reference) {
+        reference = report;
+        have_reference = true;
+      } else {
+        ::caqe::testing::ExpectReportsIdentical(report, reference);
+      }
     }
-  }
+  });
 }
 
 std::string CaseName(const ::testing::TestParamInfo<OracleCase>& info) {

@@ -223,6 +223,46 @@ TEST(CaqeServerTest, ReportIsDeterministicAcrossThreads) {
   }
 }
 
+// The kernel axis: on the scalar batch dominance kernels the serving
+// report and the ledger, health and exec views of the contract event log
+// match the CPU kernels' byte for byte. Large regions at 8 threads put the
+// forked projection and evaluation steps on the scalar kernels too.
+TEST(CaqeServerTest, ScalarKernelsReproduceReportAndEventViews) {
+  TraceConfig config;
+  config.num_requests = 10;
+  config.arrival_rate = 30.0;
+  config.reference_seconds = 0.05;
+  config.deadline_fraction = 0.3;
+  config.cancel_fraction = 0.2;
+  std::vector<std::vector<std::string>> outputs;
+  ::caqe::testing::ForEachBatchKernels([&](const std::string& kernels) {
+    SCOPED_TRACE("kernels=" + kernels);
+    auto [r, t] = MakeServeTables(2, 1000);
+    Observability obs;
+    ServeOptions options = SmallServeOptions();
+    options.target_regions = 16;
+    options.num_threads = 8;
+    options.obs = &obs;
+    auto server = CaqeServer::Create(std::move(r), std::move(t), ThreeDims(),
+                                     {0, 1}, options)
+                      .value();
+    SubmitTrace(*server, MakeSyntheticTrace(config, {0, 1}, 3));
+    const ServingReport report = server->Run().value();
+    EXPECT_GE(report.admitted, 1);
+    EXPECT_GT(::caqe::testing::PhaseForks(obs, "project"), 0);
+    outputs.push_back({ServingReportText(report),
+                       obs.events.LedgerJsonl(/*include_wall=*/false),
+                       obs.events.HealthJsonl(),
+                       obs.events.ExecEventsJsonl()});
+  });
+  ASSERT_EQ(outputs.size(), 2u);
+  const char* const views[] = {"report", "ledger", "health", "exec"};
+  for (size_t v = 0; v < outputs[0].size(); ++v) {
+    EXPECT_FALSE(outputs[0][v].empty()) << views[v];
+    EXPECT_EQ(outputs[0][v], outputs[1][v]) << views[v];
+  }
+}
+
 TEST(CaqeServerTest, RejectsUnknownJoinPredicate) {
   auto [r, t] = MakeServeTables(1);
   auto server =

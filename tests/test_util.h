@@ -16,6 +16,7 @@
 #include "obs/observability.h"
 #include "query/query.h"
 #include "skyline/algorithms.h"
+#include "skyline/dominance_batch.h"
 #include "skyline/point_set.h"
 
 namespace caqe {
@@ -93,6 +94,16 @@ inline int64_t PhaseForks(Observability& obs, const std::string& phase) {
   return obs.metrics
       .counter("caqe_region_phase_forks_total{phase=\"" + phase + "\"}")
       .value();
+}
+
+/// Calls `run("cpu")` on the CPU's batch dominance kernels, then
+/// `run("scalar")` under ScopedScalarBatchKernels: the kernel axis of the
+/// determinism contract, on which no report byte may move (DESIGN.md §8).
+template <typename Fn>
+void ForEachBatchKernels(Fn&& run) {
+  run(std::string("cpu"));
+  ScopedScalarBatchKernels scalar_kernels;
+  run(std::string("scalar"));
 }
 
 /// Asserts bit-identity of every determinism-contract report field.

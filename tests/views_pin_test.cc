@@ -5,7 +5,8 @@
 // count, against pinned constants: tools parse these views, so a refactor
 // of the event model must leave the constants untouched.
 //
-// Three runs cover the emitters:
+// Three runs cover the emitters, each on the CPU's batch dominance kernels
+// and again on the scalar ones:
 //   (a) the caqe_serve batch-mode world and trace at --requests=120
 //       --rate=80 --calibrate=1 --cancel-fraction=0.1
 //       --deadline-fraction=0.25 (repreviews, cancels, expiries);
@@ -182,50 +183,56 @@ std::set<std::string> KindsIn(const std::string& jsonl) {
 // print, so a kind an emitter stops producing cannot go unnoticed behind a
 // matching digest.
 TEST(ViewsPinTest, CalibratedServeRunMatchesPinnedViews) {
-  const Views views = RunServe(/*requests=*/120, /*rate=*/80.0,
-                               /*calibrate=*/true);
-  ExpectViewsPinned("serve120", views,
-                    RunPins{{0xc01f82c6bfa272b1ull, 1092},
-                            {0xcfc42499d7b1470bull, 2093},
-                            {0xb4eb4e55e680642aull, 1412},
-                            {0xb42677297adbb4edull, 2825}});
-  EXPECT_EQ(KindsIn(views.ledger),
-            (std::set<std::string>{"arrival", "decision", "graft",
-                                   "region_step", "first_result", "cancel",
-                                   "finish", "repreview"}));
-  EXPECT_EQ(KindsIn(views.exec),
-            (std::set<std::string>{"region_scheduled", "region_discarded",
-                                   "query_pruned", "results_emitted",
-                                   "query_admitted", "query_retired",
-                                   "query_repreviewed"}));
+  ::caqe::testing::ForEachBatchKernels([](const std::string& kernels) {
+    const Views views = RunServe(/*requests=*/120, /*rate=*/80.0,
+                                 /*calibrate=*/true);
+    ExpectViewsPinned("serve120_" + kernels, views,
+                      RunPins{{0xc01f82c6bfa272b1ull, 1092},
+                              {0xcfc42499d7b1470bull, 2093},
+                              {0xb4eb4e55e680642aull, 1412},
+                              {0xb42677297adbb4edull, 2825}});
+    EXPECT_EQ(KindsIn(views.ledger),
+              (std::set<std::string>{"arrival", "decision", "graft",
+                                     "region_step", "first_result",
+                                     "cancel", "finish", "repreview"}));
+    EXPECT_EQ(KindsIn(views.exec),
+              (std::set<std::string>{"region_scheduled", "region_discarded",
+                                     "query_pruned", "results_emitted",
+                                     "query_admitted", "query_retired",
+                                     "query_repreviewed"}));
+  });
 }
 
 TEST(ViewsPinTest, UncalibratedServeRunMatchesPinnedViews) {
-  const Views views = RunServe(/*requests=*/40, /*rate=*/40.0,
-                               /*calibrate=*/false);
-  ExpectViewsPinned("serve40", views,
-                    RunPins{{0xb7668220a1e9cadaull, 567},
-                            {0x92c77e363b1bf0a5ull, 520},
-                            {0x361f20867e1e1559ull, 332},
-                            {0x580fbc1ef26a3e7cull, 665}});
+  ::caqe::testing::ForEachBatchKernels([](const std::string& kernels) {
+    const Views views = RunServe(/*requests=*/40, /*rate=*/40.0,
+                                 /*calibrate=*/false);
+    ExpectViewsPinned("serve40_" + kernels, views,
+                      RunPins{{0xb7668220a1e9cadaull, 567},
+                              {0x92c77e363b1bf0a5ull, 520},
+                              {0x361f20867e1e1559ull, 332},
+                              {0x580fbc1ef26a3e7cull, 665}});
+  });
 }
 
 TEST(ViewsPinTest, BatchExecuteMatchesPinnedViews) {
-  const Views views = RunBatch();
-  ExpectViewsPinned("batch", views,
-                    RunPins{{0xb042404ae29a67b9ull, 281},
-                            {0xcbf29ce484222325ull, 0},
-                            {0x458949938f999e7aull, 512},
-                            {0xa6c8a6db19cdb20full, 1025}});
-  // Batch runs audit no requests: the ledger view stays empty, and the
-  // exec view holds the engine's scheduling kinds only.
-  EXPECT_EQ(views.ledger, "");
-  const std::set<std::string> engine_kinds = {
-      "region_scheduled", "region_discarded", "query_pruned",
-      "results_emitted"};
-  for (const std::string& kind : KindsIn(views.exec)) {
-    EXPECT_EQ(engine_kinds.count(kind), 1u) << kind;
-  }
+  ::caqe::testing::ForEachBatchKernels([](const std::string& kernels) {
+    const Views views = RunBatch();
+    ExpectViewsPinned("batch_" + kernels, views,
+                      RunPins{{0xb042404ae29a67b9ull, 281},
+                              {0xcbf29ce484222325ull, 0},
+                              {0x458949938f999e7aull, 512},
+                              {0xa6c8a6db19cdb20full, 1025}});
+    // Batch runs audit no requests: the ledger view stays empty, and the
+    // exec view holds the engine's scheduling kinds only.
+    EXPECT_EQ(views.ledger, "");
+    const std::set<std::string> engine_kinds = {
+        "region_scheduled", "region_discarded", "query_pruned",
+        "results_emitted"};
+    for (const std::string& kind : KindsIn(views.exec)) {
+      EXPECT_EQ(engine_kinds.count(kind), 1u) << kind;
+    }
+  });
 }
 
 }  // namespace
